@@ -9,12 +9,14 @@ wall-clock time.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import flops, runtime as rt, sim
+from .distill import distill_pipeline
 from .errors import ConfigError, TraceIntegrityError
 from .model import PolicyConfig, PolicyModel, build_policy, forward_recorded, mse_and_grad, task_loss_and_grads
 from .numerics import Adam
@@ -31,6 +33,8 @@ TRAIN_SEED_OFFSET = 100_000
 VAL_SEED_OFFSET = 200_000
 EVAL_SEED_OFFSET = 300_000
 NOISE_SEED_OFFSET = 400_000
+
+logger = logging.getLogger(__name__)
 
 
 # --- base-policy training --------------------------------------------------------
@@ -144,9 +148,14 @@ def expected_random_flops(costs: flops.ArchCosts, static_set, p: float) -> float
 def match_random_skip_prob(costs: flops.ArchCosts, static_set,
                            target_flops: float) -> float:
     """Bisection for the skip probability whose expected per-step cost
-    matches the target (e.g. the measured dysl average)."""
+    matches the target (e.g. the measured dysl average). Logs a warning when
+    the target is at or above full-depth cost, where p = 0 makes the
+    random-skip baseline run at full depth."""
     lo, hi = 0.0, 1.0
-    if expected_random_flops(costs, static_set, 0.0) <= target_flops:
+    full = expected_random_flops(costs, static_set, 0.0)
+    if full <= target_flops:
+        logger.warning("match_random_skip_prob: target %r FLOPs is not below the "
+                       "full-depth %r; random-skip runs at full depth", target_flops, full)
         return 0.0
     if expected_random_flops(costs, static_set, 1.0) >= target_flops:
         return 1.0
@@ -329,8 +338,6 @@ def run_ablation(axis: str, values, model: PolicyModel, profile: LayerProfile,
     Guidance axes (k, eta, delta_l_mode) reuse the trained modules; the
     static_ratio and lambda axes re-run distillation per value.
     """
-    from .distill import distill_pipeline  # local import to avoid a cycle
-
     if axis not in ABLATION_AXES:
         raise ConfigError(f"unknown ablation axis {axis!r}")
     rows = []
@@ -338,25 +345,18 @@ def run_ablation(axis: str, values, model: PolicyModel, profile: LayerProfile,
         guid = guidance
         mods = baseline_mods
         if axis == "k":
-            guid = GuidanceConfig(k=value, eta=guidance.eta,
-                                  stride=guidance.stride,
-                                  verification=guidance.verification)
+            guid = replace(guidance, k=value)
         elif axis == "eta":
-            guid = GuidanceConfig(k=guidance.k, eta=value,
-                                  stride=guidance.stride,
-                                  verification=guidance.verification)
+            guid = replace(guidance, eta=value)
         elif axis == "delta_l_mode":
-            guid = GuidanceConfig(k=guidance.k, eta=guidance.eta,
-                                  stride=value,
-                                  verification=guidance.verification)
+            guid = replace(guidance, stride=value)
         elif axis == "static_ratio":
             static_set = select_static(profile, value)
             mods, _ = distill_pipeline(model, static_set, dataset,
                                        distill_config, tau=tau)
         elif axis == "lambda":
-            from dataclasses import replace as dc_replace
             static_set = select_static(profile, static_ratio)
-            cfg_l = dc_replace(distill_config, lam=value)
+            cfg_l = replace(distill_config, lam=value)
             mods, _ = distill_pipeline(model, static_set, dataset, cfg_l, tau=tau)
         if mods is None:
             raise ConfigError("ablation over guidance axes needs trained modules")

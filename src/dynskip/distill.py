@@ -146,23 +146,19 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
     segments = mods.static_set.segments
     if len(selections) != len(segments):
         raise ConfigError("one selection array per segment required")
-    static = set(mods.static_set.indices)
 
     u = np.concatenate([obs2, instr2], axis=-1)
     x = affine_forward(model.params["embed.W"], model.params["embed.b"], u)
     gates = np.zeros((batch, len(segments)))
 
-    layer = 0
-    for si, (front, back) in enumerate(segments):
+    for si, (statics, front, back) in enumerate(mods.segment_plan):
         sel = np.asarray(selections[si])
         if sel.shape != (batch,):
             raise ConfigError("selection shape must match the batch")
-        while layer <= front:
-            if layer in static:
-                x, h = block_forward(model, layer, x, cache=True)
-                if caches is not None:
-                    caches.append(("static", layer, h))
-            layer += 1
+        for layer in statics:
+            x, h = block_forward(model, layer, x, cache=True)
+            if caches is not None:
+                caches.append(("static", layer, h))
         chain = [x]
         hs = []
         for j in range(front + 1, back):
@@ -186,13 +182,10 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
         if caches is not None:
             caches.append(("segment", si, (front, back), chain, hs, seg_cache, sel))
         x = blend
-        layer = back
-    while layer < mods.static_set.depth:
-        if layer in static:
-            x, h = block_forward(model, layer, x, cache=True)
-            if caches is not None:
-                caches.append(("static", layer, h))
-        layer += 1
+    for layer in mods.trailing_statics:
+        x, h = block_forward(model, layer, x, cache=True)
+        if caches is not None:
+            caches.append(("static", layer, h))
     actions = head_forward(model, x)
     if caches is not None:
         caches.append(("head", x, u))
@@ -224,21 +217,12 @@ def stage2_loss_and_grads(model: PolicyModel, mods: SkipModules, selections,
     for entry in reversed(caches[:-1]):
         if entry[0] == "static":
             _, layer, h = entry
-            dx = _static_block_vjp(model, layer, h, dx)
+            dx = block_vjp(model, layer, None, h, dx)
         else:
             _, si, (front, back), chain, hs, seg_cache, sel = entry
             dx = _segment_vjp(model, mods, si, front, back, chain, hs,
                               seg_cache, sel, dx, lam, batch, grads)
     return loss, task_loss, norm_loss, gates, grads
-
-
-def _static_block_vjp(model: PolicyModel, layer: int, h, dy):
-    """Input gradient of a residual block given only its cached tanh output
-    (weights are frozen, so no parameter gradients are needed)."""
-    p = model.params
-    dh = dy @ p[f"block{layer}.W2"]
-    dz = dh * (1.0 - h * h)
-    return dy + dz @ p[f"block{layer}.W1"]
 
 
 def _segment_vjp(model, mods, si, front, back, chain, hs, seg_cache, sel,

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import containers
 from .errors import ConfigError, ShapeError
-from .numerics import Params, affine_forward, affine_vjp, as_f64, tanh_vjp
+from .numerics import Params, affine_forward, affine_vjp, as_f64, bind_affine, tanh_vjp
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,24 @@ class PolicyConfig:
 
 
 class PolicyModel:
-    """Weight container; the math lives in module-level functions."""
+    """Weight container; the math lives in module-level functions.
+
+    Construction checks every weight against the config (ShapeError names a
+    missing or mis-shaped key) and binds each layer's (W.T, b) views once.
+    The views share memory with `params`, so update its arrays in place (as
+    Adam does); a replaced dict entry is not seen and needs a new PolicyModel.
+    """
 
     def __init__(self, config: PolicyConfig, params: Params):
         self.config = config
         self.params = params
+        d = config.hidden_dim
+        self._embed = bind_affine(params, "embed.W", "embed.b", d, config.input_dim)
+        self._blocks = tuple(
+            bind_affine(params, f"block{i}.W1", f"block{i}.b1", d, d)
+            + bind_affine(params, f"block{i}.W2", f"block{i}.b2", d, d)
+            for i in range(config.depth))
+        self._head = bind_affine(params, "head.W", "head.b", config.action_dim, d)
 
     def n_params(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -88,16 +101,17 @@ def embed_forward(model: PolicyModel, obs, instr) -> np.ndarray:
         raise ShapeError(f"obs has size {obs.shape[-1]}, expected {cfg.obs_dim}")
     if instr.shape[-1] != cfg.instr_dim:
         raise ShapeError(f"instr has size {instr.shape[-1]}, expected {cfg.instr_dim}")
-    u = np.concatenate([obs, instr], axis=-1)
-    return affine_forward(model.params["embed.W"], model.params["embed.b"], u)
+    WT, b = model._embed
+    return np.concatenate([obs, instr], axis=-1) @ WT + b
 
 
 def block_forward(model: PolicyModel, i: int, x: np.ndarray, cache: bool = False):
     """y = x + W2 @ tanh(W1 @ x + b1) + b2 for block i."""
-    p = model.params
-    z = affine_forward(p[f"block{i}.W1"], p[f"block{i}.b1"], x)
-    h = np.tanh(z)
-    y = x + affine_forward(p[f"block{i}.W2"], p[f"block{i}.b2"], h)
+    W1T, b1, W2T, b2 = model._blocks[i]
+    if x.shape[-1] != model.config.hidden_dim:
+        raise ShapeError(f"block{i}: x is {x.shape}, expected hidden size {model.config.hidden_dim}")
+    h = np.tanh(x @ W1T + b1)
+    y = x + (h @ W2T + b2)
     return (y, h) if cache else y
 
 
@@ -118,7 +132,10 @@ def block_vjp(model: PolicyModel, i: int, x, h, dy, param_grads: Params | None =
 
 
 def head_forward(model: PolicyModel, x: np.ndarray) -> np.ndarray:
-    return affine_forward(model.params["head.W"], model.params["head.b"], x)
+    WT, b = model._head
+    if x.shape[-1] != model.config.hidden_dim:
+        raise ShapeError(f"head: x is {x.shape}, expected hidden size {model.config.hidden_dim}")
+    return x @ WT + b
 
 
 def forward_recorded(model: PolicyModel, obs, instr):

@@ -37,6 +37,17 @@ def affine_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x @ W.T + b
 
 
+def bind_affine(params: Params, w_key: str, b_key: str, m: int, n: int):
+    """The (W.T, b) pair of y = x @ W.T + b, with params[w_key] checked to be
+    (m, n) and params[b_key] to be (m,). W.T is a view, never a copy, so
+    in-place updates of the stored arrays stay visible through it."""
+    for key, shape in ((w_key, (m, n)), (b_key, (m,))):
+        found = params[key].shape if key in params else "no such key"
+        if found != shape:
+            raise ShapeError(f"parameter {key!r}: expected shape {shape}, found {found}")
+    return params[w_key].T, params[b_key]
+
+
 def affine_vjp(W: np.ndarray, x: np.ndarray, dy: np.ndarray):
     """Gradients of y = x @ W.T + b given upstream dy. Returns (dW, db, dx)."""
     x2 = np.atleast_2d(x)
@@ -54,11 +65,6 @@ def tanh_vjp(h: np.ndarray, dh: np.ndarray) -> np.ndarray:
 
 def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
-
-
-def sigmoid_vjp(s, ds):
-    """Backward through the logistic function given its cached output s."""
-    return ds * s * (1.0 - s)
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

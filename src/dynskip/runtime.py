@@ -6,6 +6,10 @@ small adapter. Gate activity is gated in turn by per-segment allow points
 that move with the trajectory-continuity signal (hysteresis: fast forward
 on continuity drops, single-step retreat on recovery), and a verification
 pass re-predicts the first post-drop action at full depth.
+
+`forward_skipped` (controller gates) and `forward_random` (the random-skip
+baseline) share one segment walk over the plan SkipModules builds once, and
+differ only in the per-dynamic-layer skip decision they hand it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from . import containers, flops, sim
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .model import PolicyModel, block_forward, embed_forward, forward_recorded, head_forward, scaled_uniform
-from .numerics import Params, affine_forward, affine_vjp, sigmoid, tanh_vjp
+from .numerics import Params, affine_vjp, bind_affine, sigmoid, tanh_vjp
 from .profiler import StaticSet
 
 MODES = ("full", "dysl", "controllers-only", "random-skip")
@@ -31,12 +35,35 @@ MODES = ("full", "dysl", "controllers-only", "random-skip")
 
 @dataclass
 class SkipModules:
-    """One gate controller and one suffix adapter per dynamic layer."""
+    """One gate controller and one suffix adapter per dynamic layer.
+
+    Construction checks every weight against hidden_dim (ShapeError names a
+    missing or mis-shaped key), binds each layer's (W.T, b) views once and
+    lays out the segment walk: `segment_plan` holds, per segment, the static
+    layers before it and its (front, back), and `trailing_statics` the rest.
+    As with PolicyModel, update `params` arrays in place; a replaced entry
+    needs a new SkipModules.
+    """
 
     static_set: StaticSet
     hidden_dim: int
     tau: float
     params: Params
+
+    def __post_init__(self):
+        p, d, da, dc = self.params, self.hidden_dim, self.adapter_dim, self.controller_dim
+        self._adapters = {j: bind_affine(p, f"adapter{j}.W1", f"adapter{j}.b1", da, d)
+                          + bind_affine(p, f"adapter{j}.W2", f"adapter{j}.b2", d, da)
+                          for j in self.static_set.dynamic_layers}
+        self._controllers = {j: bind_affine(p, f"controller{j}.W1", f"controller{j}.b1", dc, d)
+                             + bind_affine(p, f"controller{j}.W2", f"controller{j}.b2", 1, dc)
+                             for j in self.static_set.dynamic_layers}
+        plan, start = [], 0  # every layer outside the segments is static
+        for front, back in self.static_set.segments:
+            plan.append((range(start, front + 1), front, back))
+            start = back
+        self.segment_plan = tuple(plan)
+        self.trailing_statics = range(start, self.static_set.depth)
 
     @property
     def adapter_dim(self) -> int:
@@ -83,10 +110,11 @@ def init_skip_modules(model: PolicyModel, static_set: StaticSet,
 
 
 def adapter_forward(mods: SkipModules, j: int, x, cache: bool = False):
-    p = mods.params
-    z = affine_forward(p[f"adapter{j}.W1"], p[f"adapter{j}.b1"], x)
-    h = np.tanh(z)
-    y = affine_forward(p[f"adapter{j}.W2"], p[f"adapter{j}.b2"], h)
+    W1T, b1, W2T, b2 = mods._adapters[j]
+    if x.shape[-1] != mods.hidden_dim:
+        raise ShapeError(f"adapter{j}: x is {x.shape}, expected hidden size {mods.hidden_dim}")
+    h = np.tanh(x @ W1T + b1)
+    y = h @ W2T + b2
     return (y, h) if cache else y
 
 
@@ -104,10 +132,11 @@ def adapter_vjp(mods: SkipModules, j: int, x, h, dy, param_grads: Params):
 
 def controller_forward(mods: SkipModules, j: int, x, cache: bool = False):
     """Gate value in (0, 1); scalar for a vector input, (B,) for a batch."""
-    p = mods.params
-    z = affine_forward(p[f"controller{j}.W1"], p[f"controller{j}.b1"], x)
-    h = np.tanh(z)
-    g = sigmoid(affine_forward(p[f"controller{j}.W2"], p[f"controller{j}.b2"], h))
+    W1T, b1, W2T, b2 = mods._controllers[j]
+    if x.shape[-1] != mods.hidden_dim:
+        raise ShapeError(f"controller{j}: x is {x.shape}, expected hidden size {mods.hidden_dim}")
+    h = np.tanh(x @ W1T + b1)
+    g = sigmoid(h @ W2T + b2)
     g = g[..., 0] if g.ndim > 1 else float(g[0])
     return (g, h) if cache else g
 
@@ -172,7 +201,9 @@ def continuity(window, k: int) -> float:
 class AllowPointState:
     """Per-segment skipping-allow points plus the continuity bookkeeping that
     drives them. Point l for segment (front, back) means: controllers are
-    disabled (layers forced) strictly below l; confined to front < l <= back."""
+    disabled (layers forced) strictly below l; confined to front < l <= back.
+    `norms` keeps the distances of the last k action pairs, so a new
+    continuity value costs one norm, not k."""
 
     static_set: StaticSet
     k: int
@@ -180,6 +211,7 @@ class AllowPointState:
     window: deque = field(default_factory=deque)
     c_history: deque = field(default_factory=lambda: deque(maxlen=3))
     armed: bool = True
+    norms: deque = field(default_factory=deque)
 
     @property
     def warm(self) -> bool:
@@ -192,21 +224,30 @@ def init_allow_state(static_set: StaticSet, k: int) -> AllowPointState:
         raise ConfigError("k must be >= 1")
     points = [front + 1 for front, _ in static_set.segments]
     return AllowPointState(static_set=static_set, k=k, points=points,
-                           window=deque(maxlen=k + 1))
+                           window=deque(maxlen=k + 1), norms=deque(maxlen=k))
+
+
+def _cached_continuity(norms) -> float:
+    total = 0.0
+    for n in norms:  # continuity()'s order; builtin sum() may compensate rounding
+        total += n
+    return -total / len(norms)
 
 
 def observe_action(state: AllowPointState, action) -> None:
     state.window.append(np.asarray(action, dtype=np.float64).copy())
     if len(state.window) >= 2:
-        state.c_history.append(continuity(state.window, state.k))
+        state.norms.append(float(np.linalg.norm(state.window[-1] - state.window[-2])))
+        state.c_history.append(_cached_continuity(state.norms))
 
 
 def replace_last_action(state: AllowPointState, action) -> None:
     """Swap the newest window action (verification re-prediction) and
-    recompute the newest continuity value from it."""
+    recompute the newest pair distance and continuity value from it."""
     state.window[-1] = np.asarray(action, dtype=np.float64).copy()
     if state.c_history:
-        state.c_history[-1] = continuity(state.window, state.k)
+        state.norms[-1] = float(np.linalg.norm(state.window[-1] - state.window[-2]))
+        state.c_history[-1] = _cached_continuity(state.norms)
 
 
 def update_allow_points(state: AllowPointState, c_t: float, c_prev: float,
@@ -264,15 +305,42 @@ class ExecTrace:
         return first + len(self.executed_layers)
 
 
-def _full_trace(costs: flops.ArchCosts) -> ExecTrace:
-    executed = list(range(costs.depth))
-    return ExecTrace(executed_layers=executed,
-                     flops=flops.forward_flops(costs, costs.depth))
-
-
 def forward_full(model: PolicyModel, costs: flops.ArchCosts, obs, instr):
     action, _ = forward_recorded(model, obs, instr)
-    return action, _full_trace(costs)
+    return action, ExecTrace(executed_layers=list(range(costs.depth)),
+                             flops=flops.forward_flops(costs, costs.depth))
+
+
+def _walk(model: PolicyModel, mods: SkipModules, decide, obs, instr,
+          costs: flops.ArchCosts | None):
+    """The one segment walk. Static layers always execute; within a segment
+    each dynamic layer runs its block until decide(trace, segment index,
+    layer, x) is true, when the layer's adapter carries x straight to the
+    closing static layer."""
+    if costs is None:
+        costs = flops.arch_costs(model.config)
+    x = embed_forward(model, obs, instr)
+    trace = ExecTrace(executed_layers=[])
+    executed = trace.executed_layers
+    for si, (statics, front, back) in enumerate(mods.segment_plan):
+        for layer in statics:
+            x = block_forward(model, layer, x)
+            executed.append(layer)
+        for j in range(front + 1, back):
+            if decide(trace, si, j, x):
+                x = adapter_forward(mods, j, x)
+                trace.adapters_invoked.append(j)
+                trace.skipped_segments.append(si)
+                break
+            x = block_forward(model, j, x)
+            executed.append(j)
+    for layer in mods.trailing_statics:
+        x = block_forward(model, layer, x)
+        executed.append(layer)
+    action = head_forward(model, x)
+    trace.flops = flops.flop_estimate(costs, executed, trace.controllers_evaluated,
+                                      trace.adapters_invoked)
+    return action, trace
 
 
 def forward_skipped(model: PolicyModel, mods: SkipModules, points, obs, instr,
@@ -285,56 +353,20 @@ def forward_skipped(model: PolicyModel, mods: SkipModules, points, obs, instr,
     state through that layer's adapter straight to the closing static layer.
     Static layers always execute.
     """
-    static_set = mods.static_set
-    segments = static_set.segments
+    segments = mods.static_set.segments
     if len(points) != len(segments):
         raise ShapeError(f"{len(points)} allow points for {len(segments)} segments")
-    if costs is None:
-        costs = flops.arch_costs(model.config)
-    x = embed_forward(model, obs, instr)
-    trace = ExecTrace(executed_layers=[])
-    static = set(static_set.indices)
-    seg_idx = {seg: i for i, seg in enumerate(segments)}
-
-    layer = 0
-    for seg in segments:
-        front, back = seg
-        point = points[seg_idx[seg]]
-        if not front < point <= back:
+    for seg, point in zip(segments, points):
+        if not seg[0] < point <= seg[1]:
             raise ConfigError(f"allow point {point} outside segment {seg}")
-        # statics (and any empty-segment gap) before this segment
-        while layer <= front:
-            if layer in static:
-                x = block_forward(model, layer, x)
-                trace.executed_layers.append(layer)
-            layer += 1
-        jumped = False
-        for j in range(front + 1, back):
-            if jumped:
-                continue
-            if j >= point:
-                g = controller_forward(mods, j, x)
-                trace.controllers_evaluated.append(j)
-                if g > mods.tau:
-                    x = adapter_forward(mods, j, x)
-                    trace.adapters_invoked.append(j)
-                    trace.skipped_segments.append(seg_idx[seg])
-                    jumped = True
-                    continue
-            x = block_forward(model, j, x)
-            trace.executed_layers.append(j)
-        layer = back
-    # trailing statics (includes the final block)
-    while layer < static_set.depth:
-        if layer in static:
-            x = block_forward(model, layer, x)
-            trace.executed_layers.append(layer)
-        layer += 1
-    action = head_forward(model, x)
-    trace.flops = flops.flop_estimate(costs, trace.executed_layers,
-                                      trace.controllers_evaluated,
-                                      trace.adapters_invoked)
-    return action, trace
+
+    def gate(trace, si, j, x):
+        if j < points[si]:
+            return False
+        trace.controllers_evaluated.append(j)
+        return controller_forward(mods, j, x) > mods.tau
+
+    return _walk(model, mods, gate, obs, instr, costs)
 
 
 def forward_random(model: PolicyModel, mods: SkipModules, p: float,
@@ -342,41 +374,12 @@ def forward_random(model: PolicyModel, mods: SkipModules, p: float,
                    costs: flops.ArchCosts | None = None):
     """Random-skip baseline: every dynamic layer skips i.i.d. with
     probability p (through its adapter, jumping to the closing static
-    layer); controllers are never consulted."""
+    layer); controllers are never consulted. One draw per dynamic layer
+    visited, so a segment's draws stop at its first skip."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError("skip probability must be in [0, 1]")
-    static_set = mods.static_set
-    if costs is None:
-        costs = flops.arch_costs(model.config)
-    x = embed_forward(model, obs, instr)
-    trace = ExecTrace(executed_layers=[])
-    static = set(static_set.indices)
-    seg_of = {}
-    for i, seg in enumerate(static_set.segments):
-        for j in static_set.segment_layers(seg):
-            seg_of[j] = i
-    jump_target: int | None = None
-    for layer in range(static_set.depth):
-        if layer in static:
-            x = block_forward(model, layer, x)
-            trace.executed_layers.append(layer)
-            jump_target = None
-            continue
-        if jump_target is not None:
-            continue
-        if rng.random() < p:
-            x = adapter_forward(mods, layer, x)
-            trace.adapters_invoked.append(layer)
-            trace.skipped_segments.append(seg_of[layer])
-            jump_target = layer
-        else:
-            x = block_forward(model, layer, x)
-            trace.executed_layers.append(layer)
-    action = head_forward(model, x)
-    trace.flops = flops.flop_estimate(costs, trace.executed_layers,
-                                      trace.controllers_evaluated,
-                                      trace.adapters_invoked)
-    return action, trace
+    return _walk(model, mods, lambda trace, si, j, x: rng.random() < p,
+                 obs, instr, costs)
 
 
 # --- episode rollout --------------------------------------------------------------
@@ -420,18 +423,6 @@ class Episode:
     @property
     def n_steps(self) -> int:
         return len(self.steps)
-
-    def total_flops(self) -> int:
-        return sum(rec.trace.flops for rec in self.steps)
-
-    def mean_executed_layers(self) -> float:
-        return float(np.mean([rec.trace.block_executions for rec in self.steps]))
-
-    def controller_evals_per_step(self) -> float:
-        return float(np.mean([len(rec.trace.controllers_evaluated) for rec in self.steps]))
-
-    def verify_rate(self) -> float:
-        return float(np.mean([rec.trace.verified for rec in self.steps]))
 
 
 def post_skip_verify(model: PolicyModel, costs, allow_state: AllowPointState,

@@ -210,12 +210,14 @@ def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:
     a = np.asarray(action, dtype=np.float64)
     if a.shape != (3,) or not np.all(np.isfinite(a)):
         raise EnvError(f"invalid action {a!r}")
-    dx = float(np.clip(a[0], -cfg.d_max, cfg.d_max))
-    dy = float(np.clip(a[1], -cfg.d_max, cfg.d_max))
-    dg = float(np.clip(a[2], -cfg.grip_max, cfg.grip_max))
+    # min(max(v, lo), hi) keeps v on a tie, as np.clip does, so signed zeros match
+    ax, ay, ag = a.tolist()
+    dx = min(max(ax, -cfg.d_max), cfg.d_max)
+    dy = min(max(ay, -cfg.d_max), cfg.d_max)
+    dg = min(max(ag, -cfg.grip_max), cfg.grip_max)
 
     ee = np.clip(state.ee + [dx, dy], cfg.low, cfg.high)
-    grip = float(np.clip(state.grip + dg, 0.0, 1.0))
+    grip = min(max(state.grip + dg, 0.0), 1.0)
     obj = state.obj
     holding = state.holding
     subtask = state.subtask

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from dynskip.errors import ConfigError
+from dynskip import containers
+from dynskip.errors import ConfigError, ShapeError
 from dynskip.model import (
     PolicyConfig,
+    PolicyModel,
     build_policy,
     block_forward,
     expected_n_params,
@@ -12,7 +14,7 @@ from dynskip.model import (
     save_policy,
     task_loss_and_grads,
 )
-from dynskip.numerics import grad_check
+from dynskip.numerics import Adam, grad_check
 
 
 def tiny_config(**kw):
@@ -145,6 +147,25 @@ class TestTaskLoss:
         err = grad_check(f, model.params, step=1e-5)
         assert err < 1e-4
 
+    def test_forward_sees_in_place_adam_updates(self):
+        model = build_policy(tiny_config(seed=13))
+        rng = np.random.default_rng(6)
+        obs, instr, targets = (rng.normal(size=(5, n)) for n in (3, 2, 2))
+        opt = Adam(lr=0.05)
+        for _ in range(3):
+            opt.step(model.params, task_loss_and_grads(model, obs, instr, targets)[1])
+        fresh = PolicyModel(model.config, {k: v.copy() for k, v in model.params.items()})
+        x = rng.normal(size=(5, 8))
+        for i in range(model.config.depth):
+            assert np.array_equal(block_forward(model, i, x), block_forward(fresh, i, x))
+        assert np.array_equal(forward_recorded(model, obs, instr)[0],
+                              forward_recorded(fresh, obs, instr)[0])
+
+    def test_hidden_width_mismatch_rejected(self):
+        model = build_policy(tiny_config())
+        with pytest.raises(ShapeError):
+            block_forward(model, 0, np.zeros(7))
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -155,6 +176,21 @@ class TestCheckpoint:
         assert loaded.config == model.config
         for k in model.params:
             assert np.array_equal(loaded.params[k], model.params[k])
+
+    @pytest.mark.parametrize("key,shape", [("block1.W2", (8, 7)), ("head.b", (3,)),
+                                           ("embed.W", None)])
+    def test_load_rejects_mis_shaped_or_missing_array(self, tmp_path, key, shape):
+        model = build_policy(tiny_config(seed=23))
+        path = tmp_path / "model.npz"
+        save_policy(path, model)
+        header, arrays = containers.load_arrays(path)
+        if shape is None:
+            del arrays[key]
+        else:
+            arrays[key] = np.zeros(shape)
+        containers.save_arrays(path, header, arrays)
+        with pytest.raises(ShapeError, match=key):
+            load_policy(path)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         model = build_policy(tiny_config(seed=22))

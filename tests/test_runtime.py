@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from dynskip import flops, runtime as rt, sim
-from dynskip.errors import ConfigError, DegenerateInputError
+from dynskip import containers, flops, runtime as rt, sim
+from dynskip.errors import ConfigError, DegenerateInputError, ShapeError
 from dynskip.model import PolicyConfig, build_policy, forward_recorded
+from dynskip.numerics import Adam
 from dynskip.profiler import StaticSet
 
 
@@ -67,6 +70,36 @@ class TestSkipModules:
         for k in mods.params:
             assert np.array_equal(back.params[k], mods.params[k])
 
+    @pytest.mark.parametrize("key,shape", [("adapter0.W1", (2, 7)),
+                                           ("controller3.b2", (2,)),
+                                           ("controller1.W2", None)])
+    def test_load_rejects_mis_shaped_or_missing_array(self, tmp_path, key, shape):
+        _, _, mods = make_setup()
+        path = tmp_path / "mods.npz"
+        rt.save_skip_modules(path, mods)
+        header, arrays = containers.load_arrays(path)
+        if shape is None:
+            del arrays[key]
+        else:
+            arrays[key] = np.zeros(shape)
+        containers.save_arrays(path, header, arrays)
+        with pytest.raises(ShapeError, match=key):
+            rt.load_skip_modules(path)
+
+    def test_forward_sees_in_place_adam_updates(self):
+        _, _, mods = make_setup()
+        rng = np.random.default_rng(2)
+        opt = Adam(lr=0.05)
+        for _ in range(3):
+            opt.step(mods.params, {k: rng.normal(size=v.shape) for k, v in mods.params.items()})
+        fresh = rt.SkipModules(mods.static_set, mods.hidden_dim, mods.tau,
+                               {k: v.copy() for k, v in mods.params.items()})
+        x = rng.normal(size=(4, 8))
+        for j in mods.static_set.dynamic_layers:
+            assert np.array_equal(rt.adapter_forward(mods, j, x), rt.adapter_forward(fresh, j, x))
+            assert np.array_equal(rt.controller_forward(mods, j, x),
+                                  rt.controller_forward(fresh, j, x))
+
 
 class TestContinuity:
     def test_constant_actions_give_zero(self):
@@ -89,6 +122,20 @@ class TestContinuity:
         early = np.array([9.0, 9.0, 9.0])
         window = [early] + [np.zeros(3)] * 3
         assert rt.continuity(window, k=2) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_cached_value_equals_recomputed(self, k):
+        state = rt.init_allow_state(StaticSet(indices=(2, 5), depth=6), k)
+        rng = np.random.default_rng(k)
+        actions = []
+        for t in range(200):
+            actions.append(rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=3))
+            rt.observe_action(state, actions[-1])
+            if t and rng.random() < 0.4:
+                actions[-1] = rng.normal(size=3)
+                rt.replace_last_action(state, actions[-1])
+            if t:
+                assert state.c_history[-1] == rt.continuity(actions, k)
 
 
 class TestAllowPoints:
@@ -323,3 +370,34 @@ class TestRolloutEpisode:
         task, model, mods = self._trained_free_setup()
         with pytest.raises(ConfigError):
             rt.rollout_episode(task, model, mods, "warp", rt.GuidanceConfig())
+
+
+class TestGoldenTraces:
+    """Seeded rollouts of an untrained policy, pinned by digest so that any
+    refactor of the forward paths must keep every decision, action and
+    trace byte."""
+
+    CASES = {
+        "full": ("full", {}, "c200d8ea86ec4d75"),
+        "dysl": ("dysl", {}, "65573b76d0aa4934"),
+        "dysl-unverified": ("dysl", {"verification": False}, "1ad66dddbcee0a20"),
+        "controllers-only": ("controllers-only", {}, "7eb138fdb173b8bb"),
+        "random-skip": ("random-skip", {}, "1c1c1cac2125697f"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rollout_digest(self, case):
+        mode, guidance, expected = self.CASES[case]
+        task = sim.sample_task_sequence(7, sim.SimConfig(subtasks=2, step_cap=40))
+        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
+                           action_dim=3, seed=3)
+        model = build_policy(cfg)
+        mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5, 7), depth=8), seed=4)
+        ep = rt.rollout_episode(task, model, mods, mode,
+                                rt.GuidanceConfig(k=3, **guidance),
+                                rng=np.random.default_rng(5), random_skip_prob=0.3)
+        h = hashlib.sha256()
+        for line in rt.episode_trace_lines(ep):
+            h.update(line.encode() + b"\n")
+        h.update(np.array(ep.actions).tobytes())
+        assert h.hexdigest()[:16] == expected

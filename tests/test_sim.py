@@ -51,6 +51,24 @@ class TestEnvStep:
         assert s1.grip == s0.grip
         assert s1.total_steps == 1 and s1.steps_in_subtask == 1
 
+    def test_clamps_match_np_clip_bitwise(self):
+        task = sim.sample_task_sequence(1, small_cfg())
+        cfg = task.config
+        rng = np.random.default_rng(0)
+        edges = [0.0, -0.0, cfg.d_max, -cfg.d_max, cfg.grip_max, -cfg.grip_max]
+        for _ in range(300):
+            state = sim.reset_state(task)
+            state.grip = float(rng.choice([0.0, -0.0, 1.0, rng.uniform(0, 1)]))
+            a = rng.choice([rng.uniform(-1, 1), *edges], size=3)
+            step = np.array([np.clip(a[0], -cfg.d_max, cfg.d_max),
+                             np.clip(a[1], -cfg.d_max, cfg.d_max)])
+            grip = float(np.clip(state.grip + np.clip(a[2], -cfg.grip_max, cfg.grip_max),
+                                 0.0, 1.0))
+            ee = np.clip(state.ee + step, cfg.low, cfg.high)
+            out, _ = sim.env_step(task, state, a)
+            assert out.ee.tobytes() == ee.tobytes()
+            assert np.float64(out.grip).tobytes() == np.float64(grip).tobytes()
+
     def test_close_far_from_object_no_grasp(self):
         task = sim.sample_task_sequence(1, small_cfg())
         state = sim.reset_state(task)
