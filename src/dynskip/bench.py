@@ -8,14 +8,13 @@ wall-clock time.
 
 from __future__ import annotations
 
-import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import flops, runtime as rt, sim
+from . import containers, flops, runtime as rt, sim
 from .distill import distill_pipeline
 from .errors import ConfigError, TraceIntegrityError
 from .model import PolicyConfig, PolicyModel, build_policy, forward_recorded, mse_and_grad, task_loss_and_grads
@@ -85,11 +84,10 @@ def train_base_policy(model_config: PolicyConfig, train_config: TrainConfig,
 
 
 def write_train_log(path, log) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "train_loss", "val_mse"])
-        for step, loss, val in log:
-            w.writerow([step, "" if np.isnan(loss) else repr(loss), repr(val)])
+    """The step-0 row has no training loss and leaves its cell empty."""
+    containers.write_csv(path, ["step", "train_loss", "val_mse"],
+                         ((step, None if np.isnan(loss) else loss, val)
+                          for step, loss, val in log))
 
 
 # --- mode evaluation ---------------------------------------------------------------
@@ -224,22 +222,9 @@ REPORT_FIELDS = ["mode", "avg_successful_length", "success_rate",
 
 
 def write_report_csv(path, stats: list[ModeStats]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(REPORT_HEADER_COMMENT + "\n")
-        w = csv.writer(fh)
-        w.writerow(REPORT_FIELDS)
-        for s in stats:
-            w.writerow([s.mode, repr(s.avg_successful_length), repr(s.success_rate),
-                        repr(s.avg_executed_layers), repr(s.avg_flops),
-                        repr(s.controller_evals_per_step), repr(s.verify_rate),
-                        s.episodes,
-                        "" if s.random_skip_prob is None else repr(s.random_skip_prob)])
-
-
-def read_report_csv(path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    return list(csv.DictReader(lines))
+    containers.write_csv(path, REPORT_FIELDS,
+                         ([getattr(s, name) for name in REPORT_FIELDS] for s in stats),
+                         comment=REPORT_HEADER_COMMENT)
 
 
 def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None:
@@ -247,7 +232,7 @@ def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None
     costs re-derived from the dumped traces; raises on any mismatch."""
     costs = flops.arch_costs(model_config)
     out_dir = Path(out_dir)
-    for row in read_report_csv(report_path):
+    for row in containers.read_csv(report_path):
         mode = row["mode"]
         trace_dir = out_dir / "traces" / mode
         files = sorted(trace_dir.glob("ep_*.jsonl"))
@@ -372,12 +357,6 @@ def run_ablation(axis: str, values, model: PolicyModel, profile: LayerProfile,
 
 
 def write_ablation_csv(path, rows: list[AblationRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(REPORT_HEADER_COMMENT + "\n")
-        w = csv.writer(fh)
-        w.writerow(["axis", "value", "avg_successful_length", "success_rate",
-                    "avg_executed_layers", "avg_flops"])
-        for r in rows:
-            w.writerow([r.axis, r.value, repr(r.avg_successful_length),
-                        repr(r.success_rate), repr(r.avg_executed_layers),
-                        repr(r.avg_flops)])
+    columns = [f.name for f in fields(AblationRow)]
+    containers.write_csv(path, columns, ([getattr(r, c) for c in columns] for r in rows),
+                         comment=REPORT_HEADER_COMMENT)

@@ -1,19 +1,40 @@
-"""Checkpoint container: a JSON header plus named float64 arrays in one npz.
+"""Every on-disk format of the package, and the one header check.
 
-np.savez stamps zip members with a constant epoch date, so saving the same
-header and arrays twice produces byte-identical files; round-trips are
-bit-exact because arrays are stored raw.
+- npz container: a JSON header plus named arrays in one npz. Policy and
+  skip-module checkpoints and expert datasets use it. np.savez stamps zip
+  members with a constant epoch date, so saving the same header and arrays
+  twice produces byte-identical files; arrays are stored raw (never
+  pickled), so round-trips are bit-exact.
+- Episode traces: JSON lines, a header record then one record per step,
+  written and read by `runtime`.
+- CSV tables (train and stage logs, reports, ablations, profiles, the
+  zero-shot and noise studies): `write_csv`, read back with `read_csv`.
+
+Every header carries `kind` and `schema_version`; loaders pass it through
+`check_header`, so a wrong or stale artifact fails with ConfigError.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
+
 _HEADER_KEY = "__header__"
 _ARRAY_PREFIX = "a:"
+
+
+def check_header(header: dict, kind: str, version: int, path) -> None:
+    """ConfigError unless the header names `kind` at schema `version`."""
+    if header.get("kind") != kind:
+        raise ConfigError(f"{path} is not a {kind} artifact (kind {header.get('kind')!r})")
+    found = header.get("schema_version", "none")
+    if found != version:
+        raise ConfigError(f"{path}: {kind} artifact has schema_version {found}, expected {version}")
 
 
 def save_arrays(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -30,7 +51,15 @@ def save_arrays(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
-    with np.load(path) as z:
+    try:
+        z = np.load(path)  # a file that is no zip or .npy falls through to unpickling
+    except (ValueError, EOFError) as exc:
+        raise ConfigError(f"{path} is not an npz container") from exc
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path} is not an npz container")
+    with z:
+        if _HEADER_KEY not in z.files:
+            raise ConfigError(f"{path} is not an npz container (no header)")
         header = json.loads(z[_HEADER_KEY].tobytes().decode("utf-8"))
         arrays = {
             name[len(_ARRAY_PREFIX):]: z[name].copy()
@@ -38,3 +67,29 @@ def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
             if name.startswith(_ARRAY_PREFIX)
         }
     return header, arrays
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return value
+
+
+def write_csv(path, columns, rows, comment: str | None = None) -> None:
+    """One header row then `rows`, preceded by a `comment` line when given.
+    Cells: None is empty, a float is written with repr (round-trip exact),
+    anything else as the csv module formats it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if comment is not None:
+            fh.write(comment + "\n")
+        w = csv.writer(fh)
+        w.writerow(columns)
+        w.writerows([_cell(v) for v in row] for row in rows)
+
+
+def read_csv(path) -> list[dict]:
+    """Rows of a write_csv table as dicts of strings; '#' lines are skipped."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))

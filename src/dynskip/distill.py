@@ -10,15 +10,15 @@ a closed gate keeps executing. Backbone parameters never receive gradients.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import containers
 from .errors import ConfigError
-from .model import PolicyModel, block_forward, block_vjp, forward_recorded, head_forward, mse_and_grad
-from .numerics import Adam, Params, affine_forward, affine_vjp
+from .model import PolicyModel, block_forward, block_vjp, embed_forward, forward_recorded, head_forward, mse_and_grad
+from .numerics import Adam, Params, affine_vjp
 from .runtime import (
     SkipModules,
     adapter_forward,
@@ -138,17 +138,14 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
 
     Returns (actions, gates) with gates shaped (batch, n_segments); when
     `caches` is a list it is filled with the intermediates needed by
-    stage2_backward.
+    stage2_loss_and_grads.
     """
-    obs2 = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-    instr2 = np.atleast_2d(np.asarray(instr, dtype=np.float64))
-    batch = obs2.shape[0]
     segments = mods.static_set.segments
     if len(selections) != len(segments):
         raise ConfigError("one selection array per segment required")
 
-    u = np.concatenate([obs2, instr2], axis=-1)
-    x = affine_forward(model.params["embed.W"], model.params["embed.b"], u)
+    x = embed_forward(model, np.atleast_2d(obs), np.atleast_2d(instr))
+    batch = x.shape[0]
     gates = np.zeros((batch, len(segments)))
 
     for si, (statics, front, back) in enumerate(mods.segment_plan):
@@ -188,7 +185,7 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
             caches.append(("static", layer, h))
     actions = head_forward(model, x)
     if caches is not None:
-        caches.append(("head", x, u))
+        caches.append(("head", x))
     return actions, gates
 
 
@@ -275,14 +272,14 @@ def estimate_skip_rate(model: PolicyModel, mods: SkipModules, obs, instr,
     (allow points pinned at the segment starts) on probe inputs."""
     points = [front + 1 for front, _ in mods.static_set.segments]
     n_dyn = len(mods.static_set.dynamic_layers)
+    n_static = len(mods.static_set.indices)
     if n_dyn == 0:
         return 0.0
     executed = 0
     n = min(limit, np.atleast_2d(obs).shape[0])
-    for i in range(n):
+    for i in range(n):  # every static layer runs, so the rest are dynamic
         _, trace = forward_skipped(model, mods, points, obs[i], instr[i])
-        executed += sum(1 for j in trace.executed_layers
-                        if j in mods.static_set.dynamic_layers)
+        executed += len(trace.executed_layers) - n_static
     return 1.0 - executed / (n * n_dyn)
 
 
@@ -301,17 +298,11 @@ def _probe_diagnostics(model, mods, report: StageReport, obs, instr) -> None:
 
 
 def _write_stage_log(path, report: StageReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "loss", "task_loss", "norm_loss", "mean_gate"])
-        for i, loss in enumerate(report.losses):
-            task = report.task_losses[i] if report.task_losses else ""
-            norm = report.norm_losses[i] if report.norm_losses else ""
-            gate = report.mean_gates[i] if report.mean_gates else ""
-            w.writerow([i, repr(loss),
-                        repr(task) if task != "" else "",
-                        repr(norm) if norm != "" else "",
-                        repr(gate) if gate != "" else ""])
+    """One row per step; stage 1 leaves the stage-2 columns empty."""
+    extra = [report.task_losses, report.norm_losses, report.mean_gates]
+    containers.write_csv(path, ["step", "loss", "task_loss", "norm_loss", "mean_gate"],
+                         ([i, loss] + [col[i] if col else None for col in extra]
+                          for i, loss in enumerate(report.losses)))
 
 
 def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,

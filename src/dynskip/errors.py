@@ -21,9 +21,5 @@ class TraceIntegrityError(ValueError):
     """An execution trace is inconsistent with the architecture that produced it."""
 
 
-class MissingArtifactError(FileNotFoundError):
-    """A pipeline stage requires an artifact that has not been produced yet."""
-
-
 class EnvError(RuntimeError):
     """The environment received an invalid action or reached an invalid state."""

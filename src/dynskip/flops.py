@@ -21,10 +21,6 @@ class ArchCosts:
     controller: int
     head: int
 
-    @property
-    def full_forward(self) -> int:
-        return self.embed + self.depth * self.block + self.head
-
 
 def adapter_hidden_dim(hidden_dim: int) -> int:
     return max(1, hidden_dim // 4)

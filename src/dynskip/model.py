@@ -11,7 +11,7 @@ import numpy as np
 
 from . import containers
 from .errors import ConfigError, ShapeError
-from .numerics import Params, affine_forward, affine_vjp, as_f64, bind_affine, tanh_vjp
+from .numerics import Params, affine_forward, affine_vjp, as_f64, bind_affine, reject_unknown_keys, tanh_vjp
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,10 @@ class PolicyModel:
     """Weight container; the math lives in module-level functions.
 
     Construction checks every weight against the config (ShapeError names a
-    missing or mis-shaped key) and binds each layer's (W.T, b) views once.
-    The views share memory with `params`, so update its arrays in place (as
-    Adam does); a replaced dict entry is not seen and needs a new PolicyModel.
+    missing, mis-shaped or unexpected key) and binds each layer's (W.T, b)
+    views once. The views share memory with `params`, so update its arrays in
+    place (as Adam does); a replaced dict entry is not seen and needs a new
+    PolicyModel.
     """
 
     def __init__(self, config: PolicyConfig, params: Params):
@@ -54,6 +55,9 @@ class PolicyModel:
             + bind_affine(params, f"block{i}.W2", f"block{i}.b2", d, d)
             for i in range(config.depth))
         self._head = bind_affine(params, "head.W", "head.b", config.action_dim, d)
+        reject_unknown_keys(params, ["embed.W", "embed.b", "head.W", "head.b"]
+                            + [f"block{i}.{part}" for i in range(config.depth)
+                               for part in ("W1", "b1", "W2", "b2")])
 
     def n_params(self) -> int:
         return sum(p.size for p in self.params.values())
@@ -204,6 +208,5 @@ def save_policy(path, model: PolicyModel) -> None:
 
 def load_policy(path) -> PolicyModel:
     header, arrays = containers.load_arrays(path)
-    if header.get("kind") != "policy":
-        raise ConfigError(f"{path} is not a policy checkpoint")
+    containers.check_header(header, "policy", _SCHEMA_VERSION, path)
     return PolicyModel(PolicyConfig(**header["config"]), arrays)

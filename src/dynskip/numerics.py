@@ -48,6 +48,13 @@ def bind_affine(params: Params, w_key: str, b_key: str, m: int, n: int):
     return params[w_key].T, params[b_key]
 
 
+def reject_unknown_keys(params: Params, known) -> None:
+    """ShapeError naming the first parameter that `known` does not list."""
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ShapeError(f"unexpected parameter {unknown[0]!r}")
+
+
 def affine_vjp(W: np.ndarray, x: np.ndarray, dy: np.ndarray):
     """Gradients of y = x @ W.T + b given upstream dy. Returns (dW, db, dx)."""
     x2 = np.atleast_2d(x)
@@ -126,16 +133,15 @@ class Adam:
 
     Moment buffers are allocated lazily to match parameter shapes; step()
     mutates the passed parameter arrays in place and returns them. With zero
-    gradients and zero weight decay a step leaves parameters unchanged.
+    gradients a step leaves parameters unchanged.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+                 eps: float = 1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.weight_decay = weight_decay
         self.m: Params = {}
         self.v: Params = {}
         self.t = 0
@@ -147,8 +153,6 @@ class Adam:
             g = np.asarray(grads[name], dtype=np.float64)
             if g.shape != p.shape:
                 raise ShapeError(f"grad shape mismatch for {name}")
-            if self.weight_decay:
-                g = g + self.weight_decay * p
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)

@@ -10,15 +10,13 @@ input/output vector.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from . import sim
+from . import containers, sim
 from .errors import ConfigError, DegenerateInputError
 from .model import PolicyModel, block_forward, embed_forward, forward_recorded, head_forward, mse_and_grad
 
@@ -122,19 +120,11 @@ def select_static(profile: LayerProfile, ratio: float) -> StaticSet:
 
 
 def write_profile_csv(io_path, pairs_path, profile: LayerProfile) -> None:
-    io_path, pairs_path = Path(io_path), Path(pairs_path)
-    with open(io_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["layer", "io_similarity"])
-        for i, s in enumerate(profile.io_similarity):
-            w.writerow([i, repr(float(s))])
-    with open(pairs_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "similarity"])
-        n = profile.pair_similarity.shape[0]
-        for i in range(n):
-            for j in range(n):
-                w.writerow([i, j, repr(float(profile.pair_similarity[i, j]))])
+    containers.write_csv(io_path, ["layer", "io_similarity"],
+                         enumerate(profile.io_similarity.tolist()))
+    containers.write_csv(pairs_path, ["i", "j", "similarity"],
+                         ((i, j, s) for i, row in enumerate(profile.pair_similarity.tolist())
+                          for j, s in enumerate(row)))
 
 
 # --- zero-shot layer sensitivity ----------------------------------------------
@@ -166,12 +156,9 @@ def zero_shot_sensitivity(model: PolicyModel, obs, instr, targets):
 
 
 def write_zero_shot_csv(path, deltas: np.ndarray) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["layer", "mse_delta"])
-        w.writerow([-1, repr(0.0)])  # no-skip reference row
-        for i, d in enumerate(deltas):
-            w.writerow([i, repr(float(d))])
+    """Layer -1 is the no-skip reference row, with delta 0 by definition."""
+    rows = [(-1, 0.0)] + list(enumerate(np.asarray(deltas, dtype=np.float64).tolist()))
+    containers.write_csv(path, ["layer", "mse_delta"], rows)
 
 
 # --- weight-noise action-importance study --------------------------------------
@@ -199,8 +186,9 @@ class NoiseStudy:
 
 def _noisy_model_policy(model: PolicyModel, lo: int, hi: int, sigma: float,
                         rng: np.random.Generator):
-    """Full-depth policy whose block weights are perturbed (and restored) on
-    every forward whose step index falls in [lo, hi)."""
+    """Full-depth policy that, on every forward whose step index falls in
+    [lo, hi), runs a perturbed copy of the block weights; `model` itself is
+    never changed."""
     keys = [f"block{i}.{part}" for i in range(model.config.depth)
             for part in _NOISED_PARTS]
     n_instr = model.config.instr_dim
@@ -210,17 +198,12 @@ def _noisy_model_policy(model: PolicyModel, lo: int, hi: int, sigma: float,
         t = counter["t"]
         counter["t"] = t + 1
         instr = sim.instr_onehot(instr_id, n_instr)
+        net = model
         if lo <= t < hi:
-            saved = {k: model.params[k].copy() for k in keys}
-            try:
-                for k in keys:
-                    model.params[k] += rng.normal(0.0, sigma, model.params[k].shape)
-                action, _ = forward_recorded(model, obs, instr)
-            finally:
-                for k in keys:
-                    model.params[k][...] = saved[k]
-            return action
-        action, _ = forward_recorded(model, obs, instr)
+            p = model.params
+            net = PolicyModel(model.config, {
+                **p, **{k: p[k] + rng.normal(0.0, sigma, p[k].shape) for k in keys}})
+        action, _ = forward_recorded(net, obs, instr)
         return action
 
     return policy
@@ -320,9 +303,6 @@ def noise_importance(model: PolicyModel, sim_config: sim.SimConfig,
 
 
 def write_noise_csv(path, study: NoiseStudy) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["range_start", "range_end", "sigma", "completion_rate", "trials"])
-        for c in study.cells:
-            w.writerow([c.range_start, c.range_end, repr(c.sigma),
-                        repr(c.completion_rate), c.trials])
+    columns = ["range_start", "range_end", "sigma", "completion_rate", "trials"]
+    containers.write_csv(path, columns,
+                         ([getattr(c, name) for name in columns] for c in study.cells))

@@ -25,7 +25,7 @@ import numpy as np
 from . import containers, flops, sim
 from .errors import ConfigError, DegenerateInputError, ShapeError
 from .model import PolicyModel, block_forward, embed_forward, forward_recorded, head_forward, scaled_uniform
-from .numerics import Params, affine_vjp, bind_affine, sigmoid, tanh_vjp
+from .numerics import Params, affine_vjp, bind_affine, reject_unknown_keys, sigmoid, tanh_vjp
 from .profiler import StaticSet
 
 MODES = ("full", "dysl", "controllers-only", "random-skip")
@@ -38,9 +38,10 @@ class SkipModules:
     """One gate controller and one suffix adapter per dynamic layer.
 
     Construction checks every weight against hidden_dim (ShapeError names a
-    missing or mis-shaped key), binds each layer's (W.T, b) views once and
-    lays out the segment walk: `segment_plan` holds, per segment, the static
-    layers before it and its (front, back), and `trailing_statics` the rest.
+    missing, mis-shaped or unexpected key), binds each layer's (W.T, b) views
+    once and lays out the segment walk: `segment_plan` holds, per segment, the
+    static layers before it and its (front, back), and `trailing_statics` the
+    rest.
     As with PolicyModel, update `params` arrays in place; a replaced entry
     needs a new SkipModules.
     """
@@ -58,6 +59,9 @@ class SkipModules:
         self._controllers = {j: bind_affine(p, f"controller{j}.W1", f"controller{j}.b1", dc, d)
                              + bind_affine(p, f"controller{j}.W2", f"controller{j}.b2", 1, dc)
                              for j in self.static_set.dynamic_layers}
+        reject_unknown_keys(p, [f"{kind}{j}.{part}" for j in self.static_set.dynamic_layers
+                                for kind in ("adapter", "controller")
+                                for part in ("W1", "b1", "W2", "b2")])
         plan, start = [], 0  # every layer outside the segments is static
         for front, back in self.static_set.segments:
             plan.append((range(start, front + 1), front, back))
@@ -172,8 +176,7 @@ def save_skip_modules(path, mods: SkipModules) -> None:
 
 def load_skip_modules(path) -> SkipModules:
     header, arrays = containers.load_arrays(path)
-    if header.get("kind") != "skip_modules":
-        raise ConfigError(f"{path} is not a skip-modules checkpoint")
+    containers.check_header(header, "skip_modules", _SKIPMODS_SCHEMA_VERSION, path)
     static_set = StaticSet(indices=tuple(header["static_indices"]),
                            depth=header["depth"])
     return SkipModules(static_set=static_set, hidden_dim=header["hidden_dim"],
@@ -580,5 +583,6 @@ def write_episode_trace(path, episode: Episode) -> None:
 def read_episode_trace(path) -> tuple[dict, list[dict]]:
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
+        containers.check_header(header, "episode_trace", TRACE_SCHEMA_VERSION, path)
         records = [json.loads(line) for line in fh]
     return header, records

@@ -10,13 +10,12 @@ fine phase.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, EnvError
+from . import containers
+from .errors import ConfigError, EnvError, ShapeError
 
 FREE = "free"
 FINE = "fine"
@@ -317,7 +316,7 @@ def score_rollout(task: Task, events) -> tuple[int, bool]:
 
 # --- expert dataset -----------------------------------------------------------
 
-DATASET_SCHEMA_VERSION = 1
+DATASET_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -362,9 +361,6 @@ def generate_dataset(config: SimConfig, n_episodes: int, seed: int) -> Dataset:
 
 
 def save_dataset(path, dataset: Dataset) -> None:
-    """JSON-lines container: one header record, then one record per step."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "kind": "dataset",
         "schema_version": DATASET_SCHEMA_VERSION,
@@ -372,33 +368,23 @@ def save_dataset(path, dataset: Dataset) -> None:
         "n_episodes": dataset.n_episodes,
         "sim_config": asdict(dataset.config),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for i in range(len(dataset)):
-            row = {
-                "obs": dataset.obs[i].tolist(),
-                "instr_id": int(dataset.instr[i]),
-                "action": dataset.actions[i].tolist(),
-                "phase": dataset.phases[i],
-                "episode": int(dataset.episode_ids[i]),
-            }
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    containers.save_arrays(path, header, {
+        "obs": dataset.obs, "instr": dataset.instr, "actions": dataset.actions,
+        "phases": np.array(dataset.phases, dtype=str), "episode_ids": dataset.episode_ids})
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "dataset":
-            raise ConfigError(f"{path} is not a dataset file")
-        obs, instr, actions, phases, ep_ids = [], [], [], [], []
-        for line in fh:
-            row = json.loads(line)
-            obs.append(row["obs"])
-            instr.append(row["instr_id"])
-            actions.append(row["action"])
-            phases.append(row["phase"])
-            ep_ids.append(row["episode"])
+    """ShapeError when the arrays disagree in row count or width."""
+    header, arrays = containers.load_arrays(path)
+    containers.check_header(header, "dataset", DATASET_SCHEMA_VERSION, path)
+    rows = len(arrays.get("obs", ()))
+    for name, shape in (("obs", (rows, OBS_DIM)), ("instr", (rows,)),
+                        ("actions", (rows, 3)), ("phases", (rows,)),
+                        ("episode_ids", (rows,))):
+        found = arrays[name].shape if name in arrays else "no such array"
+        if found != shape:
+            raise ShapeError(f"{path}: dataset array {name!r} has shape {found}, "
+                             f"expected {shape}")
     return Dataset(SimConfig(**header["sim_config"]), header["seed"],
-                   header["n_episodes"], np.array(obs),
-                   np.array(instr, dtype=np.int64), np.array(actions),
-                   phases, np.array(ep_ids, dtype=np.int64))
+                   header["n_episodes"], arrays["obs"], arrays["instr"],
+                   arrays["actions"], arrays["phases"].tolist(), arrays["episode_ids"])

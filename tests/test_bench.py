@@ -1,7 +1,12 @@
+import json
 import logging
 
-from dynskip import bench, flops
-from dynskip.model import PolicyConfig
+import numpy as np
+import pytest
+
+from dynskip import bench, flops, runtime as rt, sim
+from dynskip.errors import TraceIntegrityError
+from dynskip.model import PolicyConfig, build_policy
 from dynskip.profiler import StaticSet
 
 
@@ -26,3 +31,37 @@ def test_match_random_skip_prob_is_silent_below_full_depth(caplog):
         p = bench.match_random_skip_prob(costs, statics, full * 0.9)
     assert 0.0 < p < 1.0
     assert caplog.records == []
+
+
+def test_expected_random_flops_matches_monte_carlo_forward_random():
+    costs, statics = _costs_and_statics()
+    model = build_policy(PolicyConfig(obs_dim=3, instr_dim=2, hidden_dim=8, depth=6,
+                                      action_dim=2))
+    mods = rt.init_skip_modules(model, statics)
+    rng = np.random.default_rng(0)
+    samples = np.array([rt.forward_random(model, mods, 0.3, rng, np.zeros(3), np.zeros(2),
+                                          costs)[1].flops for _ in range(2000)], dtype=float)
+    sem = samples.std(ddof=1) / np.sqrt(samples.size)
+    assert sem > 0
+    assert abs(samples.mean() - bench.expected_random_flops(costs, statics, 0.3)) <= 4 * sem
+
+
+def test_cross_check_report_rejects_an_edited_trace_record(tmp_path):
+    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                      action_dim=3, seed=2))
+    mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
+    stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
+                                    rt.GuidanceConfig(k=2), ["full", "dysl"], 2, 0,
+                                    out_dir=tmp_path)
+    report = tmp_path / "report.csv"
+    bench.write_report_csv(report, stats)
+    bench.cross_check_report(tmp_path, report, model.config)
+
+    trace = tmp_path / "traces" / "dysl" / "ep_0001.jsonl"
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[5])
+    record["flops"] += 1
+    lines[5] = json.dumps(record, sort_keys=True)
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TraceIntegrityError, match="stored flops"):
+        bench.cross_check_report(tmp_path, report, model.config)

@@ -1,0 +1,160 @@
+import json
+
+import numpy as np
+import pytest
+
+from dynskip import bench, containers, distill, profiler, runtime as rt, sim
+from dynskip.errors import ConfigError
+from dynskip.model import PolicyConfig, build_policy, load_policy, save_policy
+from dynskip.profiler import StaticSet
+
+COMMENT = bench.REPORT_HEADER_COMMENT.encode() + b"\n"
+
+
+def _write_every_csv(out):
+    """Every CSV writer of the package, on fixed inputs, into `out`."""
+    bench.write_train_log(out / "train.csv",
+                          [(0, float("nan"), 0.25), (5, 0.1, 1 / 3), (10, 2.5e-17, 1e22)])
+    bench.write_report_csv(out / "report.csv", [
+        bench.ModeStats("full", 2, 1.5, 0.5, 12.0, 198144.0, 0.0, 0.0),
+        bench.ModeStats("random-skip", 2, 0.0, 0.0, 7.25, 1 / 3, 3.0, 0.125, 0.3)])
+    bench.write_ablation_csv(out / "ablation.csv", [
+        bench.AblationRow("k", "3", 1.0, 0.5, 9.75, 123456.5),
+        bench.AblationRow("delta_l_mode", "adaptive", 0.0, 0.0, -0.0, 1e-300)])
+    pairs = np.array([[1.0, 0.5, 1 / 3], [0.5, 1.0, -0.25], [1 / 3, -0.25, 1.0]])
+    profile = profiler.LayerProfile(pair_similarity=pairs,
+                                    io_similarity=np.array([0.9, 1 / 3, -0.0]), samples=4)
+    profiler.write_profile_csv(out / "io.csv", out / "pairs.csv", profile)
+    profiler.write_zero_shot_csv(out / "zero.csv", np.array([0.5, -1e-3, 1 / 7]))
+    profiler.write_noise_csv(out / "noise.csv", profiler.NoiseStudy(1, 10, 22, [
+        profiler.NoiseCell("free", 3, 7, 0.0, 1.0, 4),
+        profiler.NoiseCell("fine", 0, 5, 0.05, 0.75, 4)]))
+    distill._write_stage_log(out / "stage1.csv",
+                             distill.StageReport("stage1", losses=[0.5, 0.25]))
+    distill._write_stage_log(out / "stage2.csv", distill.StageReport(
+        "stage2", losses=[1.0, 0.5], task_losses=[0.75, 1 / 3],
+        norm_losses=[2.0, 0.0], mean_gates=[0.5, 0.125]))
+
+
+# Bytes written by the per-module writers before they shared one CSV writer.
+GOLDEN_CSV = {
+    "train.csv": b"step,train_loss,val_mse\r\n0,,0.25\r\n5,0.1,0.3333333333333333\r\n"
+                 b"10,2.5e-17,1e+22\r\n",
+    "report.csv": COMMENT + b"mode,avg_successful_length,success_rate,avg_executed_layers,"
+                  b"avg_flops,controller_evals_per_step,verify_rate,episodes,random_skip_prob\r\n"
+                  b"full,1.5,0.5,12.0,198144.0,0.0,0.0,2,\r\n"
+                  b"random-skip,0.0,0.0,7.25,0.3333333333333333,3.0,0.125,2,0.3\r\n",
+    "ablation.csv": COMMENT + b"axis,value,avg_successful_length,success_rate,"
+                    b"avg_executed_layers,avg_flops\r\n"
+                    b"k,3,1.0,0.5,9.75,123456.5\r\ndelta_l_mode,adaptive,0.0,0.0,-0.0,1e-300\r\n",
+    "io.csv": b"layer,io_similarity\r\n0,0.9\r\n1,0.3333333333333333\r\n2,-0.0\r\n",
+    "pairs.csv": b"i,j,similarity\r\n0,0,1.0\r\n0,1,0.5\r\n0,2,0.3333333333333333\r\n"
+                 b"1,0,0.5\r\n1,1,1.0\r\n1,2,-0.25\r\n2,0,0.3333333333333333\r\n"
+                 b"2,1,-0.25\r\n2,2,1.0\r\n",
+    "zero.csv": b"layer,mse_delta\r\n-1,0.0\r\n0,0.5\r\n1,-0.001\r\n2,0.14285714285714285\r\n",
+    "noise.csv": b"range_start,range_end,sigma,completion_rate,trials\r\n"
+                 b"3,7,0.0,1.0,4\r\n0,5,0.05,0.75,4\r\n",
+    "stage1.csv": b"step,loss,task_loss,norm_loss,mean_gate\r\n0,0.5,,,\r\n1,0.25,,,\r\n",
+    "stage2.csv": b"step,loss,task_loss,norm_loss,mean_gate\r\n0,1.0,0.75,2.0,0.5\r\n"
+                  b"1,0.5,0.3333333333333333,0.0,0.125\r\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_csv_writer_bytes_are_pinned(tmp_path, name):
+    _write_every_csv(tmp_path)
+    assert (tmp_path / name).read_bytes() == GOLDEN_CSV[name]
+
+
+def test_read_csv_skips_comments_and_keeps_text(tmp_path):
+    _write_every_csv(tmp_path)
+    rows = containers.read_csv(tmp_path / "report.csv")
+    assert [r["mode"] for r in rows] == ["full", "random-skip"]
+    assert rows[0]["random_skip_prob"] == "" and rows[1]["random_skip_prob"] == "0.3"
+    assert float(rows[1]["avg_flops"]) == 1 / 3
+
+
+# --- checked headers ---------------------------------------------------------------
+
+def _tiny_policy():
+    return build_policy(PolicyConfig(obs_dim=3, instr_dim=2, hidden_dim=8, depth=4,
+                                     action_dim=2))
+
+
+def _save_policy(path):
+    save_policy(path, _tiny_policy())
+
+
+def _save_skip_modules(path):
+    rt.save_skip_modules(path, rt.init_skip_modules(_tiny_policy(),
+                                                    StaticSet(indices=(1, 3), depth=4)))
+
+
+def _save_dataset(path):
+    sim.save_dataset(path, sim.generate_dataset(sim.SimConfig(subtasks=1), 1, seed=0))
+
+
+def _save_trace(path):
+    rt.write_episode_trace(path, rt.Episode(mode="full", task_seed=0))
+
+
+def _edit_npz_header(path, edit):
+    header, arrays = containers.load_arrays(path)
+    edit(header)
+    containers.save_arrays(path, header, arrays)
+
+
+def _edit_trace_header(path, edit):
+    first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    header = json.loads(first)
+    edit(header)
+    path.write_text(json.dumps(header) + "\n" + "".join(rest), encoding="utf-8")
+
+
+ARTIFACTS = {
+    "policy": (_save_policy, load_policy, _edit_npz_header),
+    "skip_modules": (_save_skip_modules, rt.load_skip_modules, _edit_npz_header),
+    "dataset": (_save_dataset, sim.load_dataset, _edit_npz_header),
+    "episode_trace": (_save_trace, rt.read_episode_trace, _edit_trace_header),
+}
+
+
+def _wrong_kind(header):
+    header["kind"] = "something_else"
+
+
+def _no_version(header):
+    del header["schema_version"]
+
+
+def _stale_version(header):
+    header["schema_version"] -= 1
+
+
+@pytest.mark.parametrize("edit,message", [(_wrong_kind, "is not a"),
+                                          (_no_version, "schema_version none"),
+                                          (_stale_version, "schema_version")],
+                         ids=["wrong-kind", "missing-version", "stale-version"])
+@pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+def test_loaders_reject_bad_headers(tmp_path, artifact, edit, message):
+    save, load, edit_header = ARTIFACTS[artifact]
+    path = tmp_path / "a"
+    save(path)
+    load(path)  # the untouched artifact loads
+    edit_header(path, edit)
+    with pytest.raises(ConfigError, match=message):
+        load(path)
+
+
+@pytest.mark.parametrize("artifact", ["policy", "skip_modules", "dataset"])
+def test_npz_loaders_reject_non_container_files(tmp_path, artifact):
+    _, load, _ = ARTIFACTS[artifact]
+    old_jsonl = tmp_path / "old.jsonl"  # the dataset format before the npz container
+    old_jsonl.write_text('{"kind": "dataset", "schema_version": 1}\n{"obs": [0.0]}\n')
+    headerless = tmp_path / "plain.npz"
+    np.savez(headerless, x=np.zeros(2))
+    empty = tmp_path / "empty"
+    empty.write_bytes(b"")
+    for path in (old_jsonl, headerless, empty):
+        with pytest.raises(ConfigError, match="not an npz container"):
+            load(path)

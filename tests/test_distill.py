@@ -188,6 +188,25 @@ class TestStage2:
             assert np.array_equal(v, before[k])
 
 
+class TestEstimateSkipRate:
+    def test_saturated_gates_skip_every_dynamic_layer(self):
+        model, ss, mods = make_setup(depth=8, statics=(0, 4, 7), seed=15)
+        for j in ss.dynamic_layers:
+            mods.params[f"controller{j}.W2"][:] = 0.0
+            mods.params[f"controller{j}.b2"][:] = 500.0
+        obs, instr, _ = rand_batch(model, 5, 16)
+        assert dt.estimate_skip_rate(model, mods, obs, instr) == 1.0
+
+    def test_tau_above_every_gate_skips_nothing(self):
+        model, ss, mods = make_setup(depth=8, statics=(0, 4, 7), seed=17)
+        obs, instr, _ = rand_batch(model, 5, 18)
+        gates = [rt.controller_forward(mods, j, x)
+                 for j, x in enumerate(forward_recorded(model, obs, instr)[1][:-1])
+                 if j in ss.dynamic_layers]
+        mods.tau = float(np.max(gates)) + 1e-9
+        assert dt.estimate_skip_rate(model, mods, obs, instr) == 0.0
+
+
 class TestRunTwoStage:
     def _dataset(self, model, n=400, seed=0):
         cfg = sim.SimConfig(subtasks=model.config.instr_dim)

@@ -192,6 +192,15 @@ class TestCheckpoint:
         with pytest.raises(ShapeError, match=key):
             load_policy(path)
 
+    def test_load_rejects_unexpected_array(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_policy(path, build_policy(tiny_config(seed=24)))
+        header, arrays = containers.load_arrays(path)
+        arrays["block9.W1"] = np.zeros((8, 8))
+        containers.save_arrays(path, header, arrays)
+        with pytest.raises(ShapeError, match="unexpected parameter 'block9.W1'"):
+            load_policy(path)
+
     def test_save_is_byte_deterministic(self, tmp_path):
         model = build_policy(tiny_config(seed=22))
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"

@@ -86,6 +86,16 @@ class TestSkipModules:
         with pytest.raises(ShapeError, match=key):
             rt.load_skip_modules(path)
 
+    def test_load_rejects_unexpected_array(self, tmp_path):
+        _, _, mods = make_setup()
+        path = tmp_path / "mods.npz"
+        rt.save_skip_modules(path, mods)
+        header, arrays = containers.load_arrays(path)
+        arrays["adapter2.W1"] = arrays["adapter0.W1"]  # layer 2 is static
+        containers.save_arrays(path, header, arrays)
+        with pytest.raises(ShapeError, match="unexpected parameter 'adapter2.W1'"):
+            rt.load_skip_modules(path)
+
     def test_forward_sees_in_place_adam_updates(self):
         _, _, mods = make_setup()
         rng = np.random.default_rng(2)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dynskip import sim
-from dynskip.errors import ConfigError, EnvError
+from dynskip import containers, sim
+from dynskip.errors import ConfigError, EnvError, ShapeError
 
 
 def small_cfg(**kw):
@@ -216,6 +216,27 @@ class TestDataset:
         assert np.array_equal(back.actions, ds.actions)
         assert back.phases == ds.phases
         assert back.config == ds.config
+
+    @pytest.mark.parametrize("name,keep,blamed", [
+        ("obs", np.s_[:-1], "instr"),  # obs sets the row count
+        ("instr", np.s_[1:], "instr"), ("phases", np.s_[:3], "phases"),
+        ("obs", np.s_[:, 1:], "obs"), ("actions", np.s_[:, 1:], "actions")])
+    def test_load_rejects_row_count_or_width_mismatch(self, tmp_path, name, keep, blamed):
+        path = tmp_path / "d.npz"
+        sim.save_dataset(path, sim.generate_dataset(small_cfg(), 1, seed=15))
+        header, arrays = containers.load_arrays(path)
+        arrays[name] = arrays[name][keep]
+        containers.save_arrays(path, header, arrays)
+        with pytest.raises(ShapeError, match=f"dataset array '{blamed}'"):
+            sim.load_dataset(path)
+
+    def test_phases_stored_without_pickle(self, tmp_path):
+        path = tmp_path / "d.npz"
+        ds = sim.generate_dataset(small_cfg(), 1, seed=17)
+        sim.save_dataset(path, ds)
+        _, arrays = containers.load_arrays(path)  # np.load refuses pickled arrays
+        assert arrays["phases"].dtype.kind == "U"
+        assert sim.load_dataset(path).phases == ds.phases
 
     def test_fine_fraction_is_minority(self):
         ds = sim.generate_dataset(sim.SimConfig(), 30, seed=13)
