@@ -129,11 +129,17 @@ def grad_check(loss_and_grads, params: Params, step: float = 1e-5) -> float:
 
 
 class Adam:
-    """Adaptive-moment optimizer over a named parameter dict.
+    """Adaptive-moment optimizer over a named parameter dict, with flat state.
 
-    Moment buffers are allocated lazily to match parameter shapes; step()
-    mutates the passed parameter arrays in place and returns them. With zero
-    gradients a step leaves parameters unchanged.
+    The first step fixes the layout: the parameter names, their order and
+    their shapes. The moments `m` and `v` and two scratch buffers are then one
+    flat float64 array each, laid out in that order, so every step is a fixed
+    number of whole-buffer operations however many arrays there are. Each
+    later step must pass the same layout, or step() raises ShapeError; give
+    each parameter subset its own Adam. step() still updates the passed
+    parameter arrays in place and returns them, so views bound to them
+    (PolicyModel, SkipModules) see every update. With zero gradients a step
+    leaves parameters unchanged.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
@@ -142,27 +148,55 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m: Params = {}
-        self.v: Params = {}
         self.t = 0
+        self._names: tuple[str, ...] | None = None
+
+    def _lay_out(self, params: Params) -> None:
+        self._names = tuple(params)
+        self._shapes = [p.shape for p in params.values()]
+        sizes = [p.size for p in params.values()]
+        total = sum(sizes)
+        self.m, self.v, self._g, self._upd = (np.zeros(total) for _ in range(4))
+        ends = np.cumsum(sizes)
+        self._upd_views = [self._upd[end - n:end].reshape(shape)
+                           for end, n, shape in zip(ends, sizes, self._shapes)]
 
     def step(self, params: Params, grads: Params) -> Params:
+        if self._names is None:
+            self._lay_out(params)
+        elif tuple(params) != self._names:
+            raise ShapeError("parameter names or order differ from the first Adam step")
+        gs = [grads[name] for name in self._names]
+        shapes = self._shapes
+        if [p.shape for p in params.values()] != shapes or [g.shape for g in gs] != shapes:
+            for name, p, g, shape in zip(self._names, params.values(), gs, shapes):
+                if p.shape != shape:
+                    raise ShapeError(f"parameter {name!r} is {p.shape}, "
+                                     f"was {shape} at the first Adam step")
+                if g.shape != shape:
+                    raise ShapeError(f"grad shape mismatch for {name}")
         self.t += 1
+        if not gs:  # np.concatenate needs at least one array
+            return params
         b1, b2 = self.beta1, self.beta2
-        for name, p in params.items():
-            g = np.asarray(grads[name], dtype=np.float64)
-            if g.shape != p.shape:
-                raise ShapeError(f"grad shape mismatch for {name}")
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            mhat = m / (1.0 - b1 ** self.t)
-            vhat = v / (1.0 - b2 ** self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v, g, upd = self.m, self.v, self._g, self._upd
+        np.concatenate(gs, axis=None, out=g)
+        # The per-array update's operations in its order, so every element
+        # comes out bit-identical to it; g becomes the denominator once m and
+        # v have used it.
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=upd)
+        m += upd
+        v *= b2
+        np.multiply(g, g, out=upd)
+        upd *= 1.0 - b2
+        v += upd
+        np.divide(m, 1.0 - b1 ** self.t, out=upd)
+        upd *= self.lr
+        np.divide(v, 1.0 - b2 ** self.t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        upd /= g
+        for p, u in zip(params.values(), self._upd_views):
+            p -= u
         return params

@@ -37,7 +37,8 @@ MODES = ("full", "dysl", "controllers-only", "random-skip")
 class SkipModules:
     """One gate controller and one suffix adapter per dynamic layer.
 
-    Construction checks every weight against hidden_dim (ShapeError names a
+    Construction checks that the gate threshold tau lies in (0, 1)
+    (ConfigError) and every weight against hidden_dim (ShapeError names a
     missing, mis-shaped or unexpected key), binds each layer's (W.T, b) views
     once and lays out the segment walk: `segment_plan` holds, per segment, the
     static layers before it and its (front, back), and `trailing_statics` the
@@ -52,6 +53,8 @@ class SkipModules:
     params: Params
 
     def __post_init__(self):
+        if not 0.0 < self.tau < 1.0:
+            raise ConfigError(f"tau must be in (0, 1), got {self.tau}")
         p, d, da, dc = self.params, self.hidden_dim, self.adapter_dim, self.controller_dim
         self._adapters = {j: bind_affine(p, f"adapter{j}.W1", f"adapter{j}.b1", da, d)
                           + bind_affine(p, f"adapter{j}.W2", f"adapter{j}.b2", d, da)
@@ -94,8 +97,6 @@ def init_skip_modules(model: PolicyModel, static_set: StaticSet,
     per seed. tau is the gate threshold for skipping."""
     if static_set.depth != model.config.depth:
         raise ConfigError("static set depth does not match the model")
-    if not 0.0 < tau < 1.0:
-        raise ConfigError("tau must be in (0, 1)")
     d = model.config.hidden_dim
     da = flops.adapter_hidden_dim(d)
     dc = flops.controller_hidden_dim(d)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dynskip import bench, flops, runtime as rt, sim
-from dynskip.errors import TraceIntegrityError
+from dynskip.errors import ConfigError, TraceIntegrityError
 from dynskip.model import PolicyConfig, build_policy
 from dynskip.profiler import StaticSet
 
@@ -65,3 +65,27 @@ def test_cross_check_report_rejects_an_edited_trace_record(tmp_path):
     trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(TraceIntegrityError, match="stored flops"):
         bench.cross_check_report(tmp_path, report, model.config)
+
+
+def test_paired_pvalue_rejects_empty_input():
+    with pytest.raises(ConfigError):
+        bench.paired_one_sided_pvalue([], [])
+
+
+def test_paired_pvalue_is_one_when_every_difference_is_zero():
+    assert bench.paired_one_sided_pvalue([0.3] * 8, [0.3] * 8) == 1.0
+
+
+def test_paired_pvalue_is_small_when_every_pair_is_better():
+    worse = np.linspace(0.0, 1.0, 12)
+    assert bench.paired_one_sided_pvalue(worse + 1.0, worse) < 0.01
+
+
+def test_paired_pvalue_is_calibrated_under_the_null():
+    draws = 300
+    hits = 0
+    for seed in range(draws):
+        pairs = np.random.default_rng(seed).normal(size=(2, 20))
+        hits += bench.paired_one_sided_pvalue(pairs[0], pairs[1], n_resamples=2000,
+                                              seed=seed) <= 0.1
+    assert abs(hits / draws - 0.1) <= 4 * np.sqrt(0.09 / draws)

@@ -36,6 +36,10 @@ class TestAffineForward:
             # guaranteed for identical input shapes
             assert np.allclose(batched[i], affine_forward(W, b, X[i]), rtol=1e-13, atol=1e-15)
 
+    def test_empty_parameter_dict_is_a_no_op(self):
+        opt = Adam()
+        assert opt.step({}, {}) == {} and opt.t == 1
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             affine_forward(np.eye(2), np.zeros(2), np.zeros(3))
@@ -135,9 +139,86 @@ class TestAdam:
         opt.step(p, {"w": np.zeros(1)})
         assert opt.t == 2
 
+    def test_empty_parameter_dict_is_a_no_op(self):
+        opt = Adam()
+        assert opt.step({}, {}) == {} and opt.t == 1
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Adam().step({"w": np.zeros(2)}, {"w": np.zeros(3)})
+
+    @pytest.mark.parametrize("later", [
+        {"w": np.zeros((3, 2)), "b": np.zeros(3)},                       # a name dropped
+        {"b": np.zeros(3), "w": np.zeros((3, 2)), "s": np.zeros(1)},     # order changed
+        {"w": np.zeros((2, 3)), "b": np.zeros(3), "s": np.zeros(1)},     # shape changed
+        {"w": np.zeros((3, 2)), "b": np.zeros(3), "s": np.zeros(1), "x": np.zeros(1)},
+    ])
+    def test_later_step_with_another_layout_raises(self, later):
+        opt = Adam(lr=0.1)
+        first = {"w": np.zeros((3, 2)), "b": np.zeros(3), "s": np.zeros(1)}
+        opt.step(first, {k: np.ones_like(v) for k, v in first.items()})
+        # gradients keep the first step's shapes: only the parameters differ
+        with pytest.raises(ShapeError):
+            opt.step(later, {k: np.ones_like(first.get(k, v)) for k, v in later.items()})
+
+
+class _PerArrayAdam:
+    """Reference: the per-array Adam loop the flat update replaced."""
+
+    def __init__(self, lr):
+        self.lr, self.beta1, self.beta2, self.eps = lr, 0.9, 0.999, 1e-8
+        self.m, self.v, self.t = {}, {}, 0
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for name, p in params.items():
+            g = np.asarray(grads[name], dtype=np.float64)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p)
+                self.v[name] = np.zeros_like(p)
+            m = self.m[name]
+            v = self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            mhat = m / (1.0 - b1 ** self.t)
+            vhat = v / (1.0 - b2 ** self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        return params
+
+
+class TestFlatAdamMatchesPerArrayLoop:
+    SHAPES = {"W1": (5, 3), "b1": (5,), "W2": (1, 5), "b2": (1,), "gain": (4,)}
+
+    def _run(self, keys, steps=25, seed=0):
+        rng = np.random.default_rng(seed)
+        init = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
+        flat = {k: v.copy() for k, v in init.items()}
+        ref = {k: v.copy() for k, v in init.items()}
+        opt, ref_opt = Adam(lr=0.03), _PerArrayAdam(lr=0.03)
+        for t in range(steps):
+            zero = t % 6 == 3  # some all-zero steps
+            scale = 10.0 ** rng.integers(-3, 2)
+            grads = {k: np.zeros(s) if zero else rng.normal(scale=scale, size=s)
+                     for k, s in self.SHAPES.items()}
+            # fresh dicts over the same arrays: only in-place updates reach flat
+            opt.step({k: flat[k] for k in keys}, grads)
+            ref_opt.step({k: ref[k] for k in keys}, grads)
+        for k in self.SHAPES:
+            assert np.array_equal(flat[k], ref[k]), k
+        return flat, init
+
+    def test_every_parameter_bit_identical(self):
+        flat, init = self._run(list(self.SHAPES))
+        assert not any(np.array_equal(flat[k], init[k]) for k in self.SHAPES)
+
+    def test_key_subset_bit_identical_and_rest_untouched(self):
+        keys = ["W2", "b1", "gain"]  # not in dict order, like a stage-1 subset
+        flat, init = self._run(keys, seed=1)
+        for k in set(self.SHAPES) - set(keys):
+            assert np.array_equal(flat[k], init[k])
 
 
 def test_sigmoid_range():

@@ -96,6 +96,22 @@ class TestSkipModules:
         with pytest.raises(ShapeError, match="unexpected parameter 'adapter2.W1'"):
             rt.load_skip_modules(path)
 
+    @pytest.mark.parametrize("tau", [2.0, 0.0])
+    def test_load_rejects_tau_outside_unit_interval(self, tmp_path, tau):
+        _, _, mods = make_setup()
+        path = tmp_path / "mods.npz"
+        rt.save_skip_modules(path, mods)
+        header, arrays = containers.load_arrays(path)
+        header["tau"] = tau
+        containers.save_arrays(path, header, arrays)
+        with pytest.raises(ConfigError, match="tau"):
+            rt.load_skip_modules(path)
+
+    def test_construction_rejects_tau_of_one(self):
+        _, _, mods = make_setup()
+        with pytest.raises(ConfigError, match="tau"):
+            rt.SkipModules(mods.static_set, mods.hidden_dim, 1.0, mods.params)
+
     def test_forward_sees_in_place_adam_updates(self):
         _, _, mods = make_setup()
         rng = np.random.default_rng(2)
