@@ -1,6 +1,17 @@
 """Residual MLP policy: an input embedding, depth-N residual tanh blocks, and
 a linear action head, with full activation tracing and hand-derived task-loss
 gradients. Forward functions accept a single sample or a (batch, dim) matrix.
+
+Layer kernels (`embed_forward`, `block_forward`, `head_forward`, and
+`adapter_forward` and `controller_forward` in `runtime`) return freshly
+allocated outputs and never write to their input `x`, which may be an entry
+of the trace `forward_recorded` returns; their in-place ops (bias add, tanh,
+residual add) touch only that fresh output. At every batch size their bits
+equal the `x @ W.T + b` form: `np.dot` makes the same BLAS call as `@` for
+these shapes, and in-place addition does the same IEEE operations (addition
+commutes, so `y += x` after the bias equals `x + (h @ W2.T + b2)`). At batch
+1 this saves numpy calls and temporaries, which at this model size cost more
+than the arithmetic.
 """
 
 from __future__ import annotations
@@ -106,7 +117,9 @@ def embed_forward(model: PolicyModel, obs, instr) -> np.ndarray:
     if instr.shape[-1] != cfg.instr_dim:
         raise ShapeError(f"instr has size {instr.shape[-1]}, expected {cfg.instr_dim}")
     WT, b = model._embed
-    return np.concatenate([obs, instr], axis=-1) @ WT + b
+    y = np.dot(np.concatenate([obs, instr], axis=-1), WT)
+    y += b
+    return y
 
 
 def block_forward(model: PolicyModel, i: int, x: np.ndarray, cache: bool = False):
@@ -114,8 +127,12 @@ def block_forward(model: PolicyModel, i: int, x: np.ndarray, cache: bool = False
     W1T, b1, W2T, b2 = model._blocks[i]
     if x.shape[-1] != model.config.hidden_dim:
         raise ShapeError(f"block{i}: x is {x.shape}, expected hidden size {model.config.hidden_dim}")
-    h = np.tanh(x @ W1T + b1)
-    y = x + (h @ W2T + b2)
+    h = np.dot(x, W1T)
+    h += b1
+    np.tanh(h, out=h)
+    y = np.dot(h, W2T)
+    y += b2
+    y += x  # == x + (h @ W2T + b2): IEEE addition commutes
     return (y, h) if cache else y
 
 
@@ -139,7 +156,9 @@ def head_forward(model: PolicyModel, x: np.ndarray) -> np.ndarray:
     WT, b = model._head
     if x.shape[-1] != model.config.hidden_dim:
         raise ShapeError(f"head: x is {x.shape}, expected hidden size {model.config.hidden_dim}")
-    return x @ WT + b
+    y = np.dot(x, WT)
+    y += b
+    return y
 
 
 def forward_recorded(model: PolicyModel, obs, instr):

@@ -8,6 +8,8 @@ repeated runs on identical inputs are bit-identical.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateInputError, NumericError, ShapeError
@@ -68,6 +70,12 @@ def affine_vjp(W: np.ndarray, x: np.ndarray, dy: np.ndarray):
 def tanh_vjp(h: np.ndarray, dh: np.ndarray) -> np.ndarray:
     """Backward through tanh given the cached forward output h = tanh(z)."""
     return dh * (1.0 - h * h)
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float64 vector, bit-equal to np.linalg.norm(v),
+    which computes sqrt(v.dot(v)) for it too, without that call's dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def sigmoid(z):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import containers, sim
 from .errors import ConfigError, DegenerateInputError
-from .model import PolicyModel, block_forward, embed_forward, forward_recorded, head_forward, mse_and_grad
+from .model import PolicyModel, block_forward, forward_recorded, head_forward, mse_and_grad
 
 logger = logging.getLogger(__name__)
 
@@ -129,28 +129,26 @@ def write_profile_csv(io_path, pairs_path, profile: LayerProfile) -> None:
 
 # --- zero-shot layer sensitivity ----------------------------------------------
 
-def _forward_skipping_one(model: PolicyModel, obs, instr, skip: int | None) -> np.ndarray:
-    x = embed_forward(model, obs, instr)
-    for i in range(model.config.depth):
-        if i == skip:
-            continue  # residual identity
-        x = block_forward(model, i, x)
-    return head_forward(model, x)
-
-
 def zero_shot_sensitivity(model: PolicyModel, obs, instr, targets):
     """Task-MSE increase from replacing each block with the identity.
 
     Returns (baseline_mse, deltas) where deltas[i] is the metric change when
     only layer i is skipped; skipping nothing is the baseline by definition.
+    One recorded full pass gives the baseline and every skip-i pass its
+    input trace[i], so skipping i runs only blocks i+1..N-1 and the head.
     """
     obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
     instr = np.atleast_2d(np.asarray(instr, dtype=np.float64))
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    baseline, _ = mse_and_grad(_forward_skipping_one(model, obs, instr, None), targets)
-    deltas = np.empty(model.config.depth)
-    for i in range(model.config.depth):
-        skipped, _ = mse_and_grad(_forward_skipping_one(model, obs, instr, i), targets)
+    full, trace = forward_recorded(model, obs, instr)
+    baseline, _ = mse_and_grad(full, targets)
+    depth = model.config.depth
+    deltas = np.empty(depth)
+    for i in range(depth):
+        x = trace[i]
+        for j in range(i + 1, depth):
+            x = block_forward(model, j, x)
+        skipped, _ = mse_and_grad(head_forward(model, x), targets)
         deltas[i] = skipped - baseline
     return baseline, deltas
 

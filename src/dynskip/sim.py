@@ -10,12 +10,14 @@ fine phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import containers
 from .errors import ConfigError, EnvError, ShapeError
+from .numerics import l2_norm
 
 FREE = "free"
 FINE = "fine"
@@ -123,7 +125,7 @@ def current_target(task: Task, state: EnvState) -> np.ndarray:
 
 
 def phase_of(task: Task, state: EnvState) -> str:
-    dist = float(np.linalg.norm(state.ee - current_target(task, state)))
+    dist = l2_norm(state.ee - current_target(task, state))
     return FINE if dist <= task.config.grasp_radius else FREE
 
 
@@ -134,9 +136,11 @@ def observe(task: Task, state: EnvState) -> tuple[np.ndarray, int]:
     which keeps the policy's steering function well-conditioned; the absolute
     effector position is included, so the state stays fully observed.
     """
-    goal = current_goal(task, state)
-    obs = np.concatenate([state.ee, [state.grip], state.obj - state.ee,
-                          goal - state.ee])
+    ex, ey = state.ee.tolist()
+    ox, oy = state.obj.tolist()
+    gx, gy = current_goal(task, state).tolist()
+    # float arithmetic is the same IEEE double arithmetic numpy does per entry
+    obs = np.array([ex, ey, state.grip, ox - ex, oy - ey, gx - ex, gy - ey])
     return obs, min(state.subtask, task.config.subtasks - 1)
 
 
@@ -175,7 +179,7 @@ class ScriptedExpert:
         cfg = self.task.config
         target = current_target(self.task, state)
         delta = target - state.ee
-        dist = float(np.linalg.norm(delta))
+        dist = l2_norm(delta)
         dg = self._grip_delta(state, dist)
 
         if dist > cfg.grasp_radius:  # free motion
@@ -207,15 +211,19 @@ def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:
     """
     cfg = task.config
     a = np.asarray(action, dtype=np.float64)
-    if a.shape != (3,) or not np.all(np.isfinite(a)):
+    if a.shape != (3,):
+        raise EnvError(f"invalid action {a!r}")
+    ax, ay, ag = a.tolist()
+    if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(ag)):
         raise EnvError(f"invalid action {a!r}")
     # min(max(v, lo), hi) keeps v on a tie, as np.clip does, so signed zeros match
-    ax, ay, ag = a.tolist()
     dx = min(max(ax, -cfg.d_max), cfg.d_max)
     dy = min(max(ay, -cfg.d_max), cfg.d_max)
     dg = min(max(ag, -cfg.grip_max), cfg.grip_max)
 
-    ee = np.clip(state.ee + [dx, dy], cfg.low, cfg.high)
+    ex, ey = state.ee.tolist()
+    lo, hi = float(cfg.low), float(cfg.high)
+    ee = np.array([min(max(ex + dx, lo), hi), min(max(ey + dy, lo), hi)])
     grip = min(max(state.grip + dg, 0.0), 1.0)
     obj = state.obj
     holding = state.holding
@@ -228,13 +236,13 @@ def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:
             holding = False
             events.append(("release",))
             if (subtask < cfg.subtasks
-                    and np.linalg.norm(obj - task.goals[subtask]) <= cfg.success_tol):
+                    and l2_norm(obj - task.goals[subtask]) <= cfg.success_tol):
                 events.append(("subtask_complete", subtask))
                 subtask += 1
                 steps_in_subtask = 0
         else:
             obj = ee.copy()
-    elif grip < GRIP_CLOSED and np.linalg.norm(ee - state.obj) <= cfg.grasp_radius:
+    elif grip < GRIP_CLOSED and l2_norm(ee - state.obj) <= cfg.grasp_radius:
         holding = True
         obj = ee.copy()
         events.append(("grasp",))

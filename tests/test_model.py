@@ -8,8 +8,10 @@ from dynskip.model import (
     PolicyModel,
     build_policy,
     block_forward,
+    embed_forward,
     expected_n_params,
     forward_recorded,
+    head_forward,
     load_policy,
     save_policy,
     task_loss_and_grads,
@@ -97,6 +99,77 @@ class TestForwardRecorded:
             assert np.allclose(batch_act[i], act, rtol=1e-12, atol=1e-14)
             for a, b in zip(batch_trace, trace):
                 assert np.allclose(a[i], b, rtol=1e-12, atol=1e-14)
+
+
+def kernel_model():
+    """The benchmark's layer sizes, with nonzero biases so the bias add counts."""
+    model = build_policy(PolicyConfig(seed=21))
+    rng = np.random.default_rng(22)
+    for k, v in model.params.items():
+        if k.endswith((".b", ".b1", ".b2")):
+            v[:] = rng.normal(scale=0.5, size=v.shape)
+    return model
+
+
+def assert_fresh(out, x, params):
+    for arr in (x, *params.values()):
+        assert not np.shares_memory(out, arr)
+
+
+class TestLayerKernels:
+    """Each kernel equals the `x @ W.T + b` form bit for bit, leaves x
+    byte-identical and returns memory of its own."""
+
+    @pytest.mark.parametrize("batch", [None, 1, 64])
+    def test_block_matches_matmul_form_and_leaves_x_alone(self, batch):
+        model = kernel_model()
+        p = model.params
+        shape = (64,) if batch is None else (batch, 64)
+        x = np.random.default_rng(23).normal(size=shape)
+        before = x.tobytes()
+        for i in range(model.config.depth):
+            W1, b1, W2, b2 = (p[f"block{i}.{part}"] for part in ("W1", "b1", "W2", "b2"))
+            h_ref = np.tanh(x @ W1.T + b1)
+            y_ref = x + (h_ref @ W2.T + b2)
+            y = block_forward(model, i, x)
+            y_c, h_c = block_forward(model, i, x, cache=True)
+            assert np.array_equal(y, y_ref) and np.array_equal(y_c, y_ref)
+            assert np.array_equal(h_c, h_ref)
+            assert x.tobytes() == before
+            for out in (y, y_c, h_c):
+                assert_fresh(out, x, p)
+            assert not np.shares_memory(y_c, h_c)
+
+    @pytest.mark.parametrize("batch", [None, 1, 64])
+    def test_embed_and_head_match_matmul_form(self, batch):
+        model = kernel_model()
+        p = model.params
+        rng = np.random.default_rng(24)
+        lead = () if batch is None else (batch,)
+        obs, instr, x = (rng.normal(size=lead + (n,)) for n in (7, 5, 64))
+        saved = [a.tobytes() for a in (obs, instr, x)]
+        u = np.concatenate([obs, instr], axis=-1)
+        e = embed_forward(model, obs, instr)
+        a = head_forward(model, x)
+        assert np.array_equal(e, u @ p["embed.W"].T + p["embed.b"])
+        assert np.array_equal(a, x @ p["head.W"].T + p["head.b"])
+        assert [v.tobytes() for v in (obs, instr, x)] == saved
+        assert_fresh(e, obs, p)
+        assert_fresh(e, instr, p)
+        assert_fresh(a, x, p)
+
+    @pytest.mark.parametrize("batch", [None, 64])
+    def test_recorded_trace_is_not_overwritten_by_later_layers(self, batch):
+        model = kernel_model()
+        rng = np.random.default_rng(25)
+        lead = () if batch is None else (batch,)
+        action, trace = forward_recorded(model, rng.normal(size=lead + (7,)),
+                                         rng.normal(size=lead + (5,)))
+        for i in range(model.config.depth):
+            assert np.array_equal(trace[i + 1], block_forward(model, i, trace[i]))
+        assert np.array_equal(action, head_forward(model, trace[-1]))
+        for a, b in zip(trace, trace[1:]):
+            assert not np.shares_memory(a, b)
 
 
 class TestTaskLoss:

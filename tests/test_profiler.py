@@ -49,6 +49,25 @@ class TestZeroShot:
             skipped = np.mean((_skip_one(model, obs, instr, i) - targets) ** 2)
             assert deltas[i] == pytest.approx(skipped - expected_base, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("size", ["small", "benchmark"])
+    def test_deltas_are_bit_equal_to_explicit_skip_one_forwards(self, size):
+        if size == "small":
+            model, obs, instr, targets = self._setup()
+        else:
+            model = build_policy(PolicyConfig(seed=8))
+            rng = np.random.default_rng(9)
+            obs, instr, targets = (rng.normal(size=(32, n)) for n in (7, 5, 3))
+
+        def mse(pred):
+            err = pred - targets
+            return float(np.mean(err * err))
+
+        baseline, deltas = profiler.zero_shot_sensitivity(model, obs, instr, targets)
+        assert baseline == mse(_skip_one(model, obs, instr, None))
+        assert deltas.shape == (model.config.depth,)
+        for i in range(model.config.depth):
+            assert deltas[i] == mse(_skip_one(model, obs, instr, i)) - baseline
+
     def test_csv_starts_with_the_no_skip_reference_row(self, tmp_path):
         model, obs, instr, targets = self._setup()
         _, deltas = profiler.zero_shot_sensitivity(model, obs, instr, targets)

@@ -6,7 +6,7 @@ import pytest
 from dynskip import containers, flops, runtime as rt, sim
 from dynskip.errors import ConfigError, DegenerateInputError, ShapeError
 from dynskip.model import PolicyConfig, build_policy, forward_recorded
-from dynskip.numerics import Adam
+from dynskip.numerics import Adam, sigmoid
 from dynskip.profiler import StaticSet
 
 
@@ -125,6 +125,51 @@ class TestSkipModules:
             assert np.array_equal(rt.adapter_forward(mods, j, x), rt.adapter_forward(fresh, j, x))
             assert np.array_equal(rt.controller_forward(mods, j, x),
                                   rt.controller_forward(fresh, j, x))
+
+
+class TestSkipKernels:
+    """Adapter and controller kernels equal the `x @ W.T + b` form bit for
+    bit, leave x byte-identical and return memory of their own."""
+
+    def _mods(self):
+        model = build_policy(PolicyConfig(seed=31))
+        mods = rt.init_skip_modules(model, StaticSet(indices=(0, 2, 9, 10, 11), depth=12),
+                                    seed=32)
+        rng = np.random.default_rng(33)
+        for k, v in mods.params.items():
+            if ".b" in k:
+                v[:] = rng.normal(scale=0.5, size=v.shape)
+        return mods
+
+    @pytest.mark.parametrize("batch", [None, 1, 64])
+    def test_adapter_and_controller_match_matmul_form(self, batch):
+        mods = self._mods()
+        p = mods.params
+        shape = (64,) if batch is None else (batch, 64)
+        x = np.random.default_rng(34).normal(size=shape)
+        before = x.tobytes()
+        for j in mods.static_set.dynamic_layers:
+            aW1, ab1, aW2, ab2 = (p[f"adapter{j}.{part}"] for part in ("W1", "b1", "W2", "b2"))
+            ah_ref = np.tanh(x @ aW1.T + ab1)
+            ay_ref = ah_ref @ aW2.T + ab2
+            ay = rt.adapter_forward(mods, j, x)
+            ay_c, ah_c = rt.adapter_forward(mods, j, x, cache=True)
+            assert np.array_equal(ay, ay_ref) and np.array_equal(ay_c, ay_ref)
+            assert np.array_equal(ah_c, ah_ref)
+
+            cW1, cb1, cW2, cb2 = (p[f"controller{j}.{part}"] for part in ("W1", "b1", "W2", "b2"))
+            ch_ref = np.tanh(x @ cW1.T + cb1)
+            cg_ref = sigmoid(ch_ref @ cW2.T + cb2)
+            cg_ref = cg_ref[..., 0] if cg_ref.ndim > 1 else float(cg_ref[0])
+            cg_c, ch_c = rt.controller_forward(mods, j, x, cache=True)
+            assert np.array_equal(rt.controller_forward(mods, j, x), cg_ref)
+            assert np.array_equal(cg_c, cg_ref)
+            assert np.array_equal(ch_c, ch_ref)
+
+            assert x.tobytes() == before
+            for out in (ay, ay_c, ah_c, ch_c, *([cg_c] if batch else [])):
+                for arr in (x, *p.values()):
+                    assert not np.shares_memory(out, arr)
 
 
 class TestContinuity:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,40 @@ class TestEnvStep:
         with pytest.raises(EnvError):
             sim.env_step(task, sim.reset_state(task), np.array([np.nan, 0, 0]))
 
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_action_raises(self, slot, value):
+        task = sim.sample_task_sequence(1, small_cfg())
+        action = np.zeros(3)
+        action[slot] = value
+        with pytest.raises(EnvError):
+            sim.env_step(task, sim.reset_state(task), action)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1)])
+    def test_misshaped_action_raises(self, shape):
+        task = sim.sample_task_sequence(1, small_cfg())
+        with pytest.raises(EnvError):
+            sim.env_step(task, sim.reset_state(task), np.zeros(shape))
+
+    def test_effector_clamp_matches_np_clip_bitwise(self):
+        task = sim.sample_task_sequence(1, small_cfg())
+        cfg = task.config
+        lo, hi = cfg.low, cfg.high
+        coords = [lo, hi, -0.0, 0.0, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                  lo - 0.05, hi + 0.05, 0.5 * (lo + hi)]
+        moves = [0.0, -0.0, cfg.d_max, -cfg.d_max, 0.3, -0.3, 1e-17, -1e-17]
+        for ex in coords:
+            for ey in coords:
+                for dx in moves:
+                    for dy in moves[::-1]:
+                        state = sim.reset_state(task)
+                        state.ee = np.array([ex, ey])
+                        step = np.clip(np.array([dx, dy]), -cfg.d_max, cfg.d_max)
+                        expected = np.clip(state.ee + [step[0], step[1]], lo, hi)
+                        out, _ = sim.env_step(task, state, np.array([dx, dy, 0.0]))
+                        assert out.ee.dtype == np.float64
+                        assert out.ee.tobytes() == expected.tobytes(), (ex, ey, dx, dy)
+
     def test_object_conservation(self):
         # object never moves unless held at the end of the step
         cfg = small_cfg()
@@ -127,6 +163,36 @@ class TestEnvStep:
             state, _ = sim.env_step(task, state, action)
             if not np.array_equal(state.obj, prev_obj):
                 assert state.holding
+
+
+class TestObserve:
+    @staticmethod
+    def _concatenate_form(task, state):
+        goal = sim.current_goal(task, state)
+        return np.concatenate([state.ee, [state.grip], state.obj - state.ee, goal - state.ee])
+
+    @pytest.mark.parametrize("holding", [False, True])
+    def test_matches_concatenate_form_bitwise(self, holding):
+        cfg = small_cfg(subtasks=3)
+        task = sim.sample_task_sequence(6, cfg)
+        goals = task.goals.copy()
+        goals[1], goals[2] = [-0.0, 0.0], [0.0, -0.0]
+        task = dataclasses.replace(task, goals=goals)
+        rng = np.random.default_rng(7)
+        points = [np.array([0.0, -0.0]), np.array([-0.0, 0.0]), np.array([-0.0, -0.0]),
+                  task.goals[0].copy(), rng.uniform(cfg.low, cfg.high, 2)]
+        for subtask in range(cfg.subtasks + 1):  # the last is past the chain's end
+            for ee in points:
+                for obj in points:
+                    for grip in (1.0, 0.0, -0.0, 0.37):
+                        state = sim.reset_state(task)
+                        state.ee, state.obj, state.grip = ee.copy(), obj.copy(), grip
+                        state.holding, state.subtask = holding, subtask
+                        obs, instr_id = sim.observe(task, state)
+                        expected = self._concatenate_form(task, state)
+                        assert obs.dtype == np.float64 and obs.shape == (sim.OBS_DIM,)
+                        assert obs.tobytes() == expected.tobytes()
+                        assert instr_id == min(subtask, cfg.subtasks - 1)
 
 
 class TestExpert:
