@@ -50,6 +50,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError("training steps must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.val_every < 1:
+            raise ConfigError("val_every must be >= 1")
         if not 0.0 < self.lr_floor_frac <= 1.0:
             raise ConfigError("lr_floor_frac must be in (0, 1]")
 

@@ -6,6 +6,23 @@ layer suffix. Stage 2 trains controllers and adapters jointly through a
 differentiable soft blend of the adapter path and the full path at one
 sampled layer per segment, plus a normalization loss paying for every layer
 a closed gate keeps executing. Backbone parameters never receive gradients.
+
+Teacher trace. The backbone is frozen, so every activation the stages read is
+a constant of the dataset. `run_two_stage` records it once, with one
+`forward_recorded` pass over all rows, and keeps that pass's depth + 1
+(rows, d) float64 arrays: (depth + 1) x rows x d x 8 B, 6.7 kB a row at
+depth 12 and d = 64. Each step gathers its batch's rows of every array, and
+the stage functions take those rows in place of observations: `trace[j]` is
+the input of block j and `trace[depth]` the last block's output. So stage 1
+runs no backbone block, and stage 2 runs blocks only from segment 0's blend
+onwards and back-propagates no lower than segment 0's modules, below which
+nothing trains.
+
+Rounding caveat: a row of a batched matmul need not equal that row computed
+in another batch. On the OpenBLAS this was measured on, the rows of a
+per-batch forward equal the whole-set pass only at batch >= 19; below that a
+small-matrix kernel rounds differently. The trace makes each row's teacher
+value independent of the batch it is drawn in.
 """
 
 from __future__ import annotations
@@ -17,7 +34,7 @@ import numpy as np
 
 from . import containers
 from .errors import ConfigError
-from .model import PolicyModel, block_forward, block_vjp, embed_forward, forward_recorded, head_forward, mse_and_grad
+from .model import PolicyModel, block_forward, block_vjp, forward_recorded, head_forward, mse_and_grad
 from .numerics import Adam, Params, affine_vjp
 from .runtime import (
     SkipModules,
@@ -47,6 +64,8 @@ class DistillConfig:
             raise ConfigError("lam must be >= 0")
         if self.stage1_steps < 1 or self.stage2_steps < 1:
             raise ConfigError("stage steps must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         if self.selection not in ("harmonic", "linear"):
             raise ConfigError("selection must be 'harmonic' or 'linear'")
 
@@ -66,13 +85,14 @@ class StageReport:
 
 # --- stage 1: adapter suffix regression ---------------------------------------
 
-def stage1_loss_and_grads(model: PolicyModel, mods: SkipModules, obs, instr):
+def stage1_loss_and_grads(mods: SkipModules, trace):
     """Squared-residual loss between each adapter's output and its segment
     suffix target, summed over dynamic layers and averaged over the batch.
-    Only adapter parameters receive gradients; the trace targets are frozen.
+    Adapter j reads its input `trace[j]` and its target `trace[back]` from
+    the batch's teacher rows, so no backbone block runs. Only adapter
+    parameters receive gradients.
     """
-    _, trace = forward_recorded(model, obs, instr)
-    batch = np.atleast_2d(obs).shape[0]
+    batch = len(trace[0])
     grads: Params = {k: np.zeros_like(mods.params[k]) for k in mods.adapter_keys()}
     loss = 0.0
     for front, back in mods.static_set.segments:
@@ -86,8 +106,8 @@ def stage1_loss_and_grads(model: PolicyModel, mods: SkipModules, obs, instr):
     return loss, grads
 
 
-def stage1_step(model: PolicyModel, mods: SkipModules, opt: Adam, obs, instr) -> float:
-    loss, grads = stage1_loss_and_grads(model, mods, obs, instr)
+def stage1_step(mods: SkipModules, opt: Adam, trace) -> float:
+    loss, grads = stage1_loss_and_grads(mods, trace)
     adapters = {k: mods.params[k] for k in mods.adapter_keys()}
     opt.step(adapters, grads)
     return loss
@@ -127,14 +147,16 @@ def draw_selections(mods: SkipModules, batch: int, rng: np.random.Generator,
 
 
 def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
-                         obs, instr, caches: list | None = None):
-    """Soft-gate blended forward pass.
+                         trace, caches: list | None = None):
+    """Soft-gate blended forward pass over the batch's teacher rows `trace`.
 
-    Per segment, the full chain of dynamic blocks runs for every sample
-    (its prefix up to the selected layer doubles as the forced execution,
-    its suffix as the no-skip path); at each sample's selected layer i the
+    Per segment, the full chain of dynamic blocks serves every sample (its
+    prefix up to the selected layer doubles as the forced execution, its
+    suffix as the no-skip path); at each sample's selected layer i the
     segment output becomes g * adapter_i(x_i) + (1 - g) * full_path, with
-    g the controller_i gate. Statics always execute.
+    g the controller_i gate. Statics always execute. Segment 0's input
+    and chain are the teacher's, `trace[front + 1:back + 1]`, so blocks run
+    only from segment 0's blend onwards.
 
     Returns (actions, gates) with gates shaped (batch, n_segments); when
     `caches` is a list it is filled with the intermediates needed by
@@ -144,24 +166,27 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
     if len(selections) != len(segments):
         raise ConfigError("one selection array per segment required")
 
-    x = embed_forward(model, np.atleast_2d(obs), np.atleast_2d(instr))
-    batch = x.shape[0]
+    batch = len(trace[0])
     gates = np.zeros((batch, len(segments)))
+    x = trace[-1]  # the output when every layer is static
 
     for si, (statics, front, back) in enumerate(mods.segment_plan):
         sel = np.asarray(selections[si])
         if sel.shape != (batch,):
             raise ConfigError("selection shape must match the batch")
-        for layer in statics:
-            x, h = block_forward(model, layer, x, cache=True)
-            if caches is not None:
-                caches.append(("static", layer, h))
-        chain = [x]
-        hs = []
-        for j in range(front + 1, back):
-            x, h = block_forward(model, j, x, cache=True)
-            chain.append(x)
-            hs.append(h)
+        if si == 0:
+            chain, hs = trace[front + 1:back + 1], None
+        else:
+            for layer in statics:
+                x, h = block_forward(model, layer, x, cache=True)
+                if caches is not None:
+                    caches.append(("static", layer, h))
+            chain = [x]
+            hs = []
+            for j in range(front + 1, back):
+                x, h = block_forward(model, j, x, cache=True)
+                chain.append(x)
+                hs.append(h)
         full = chain[-1]
         blend = np.empty_like(full)
         seg_cache = []
@@ -177,9 +202,9 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
             gates[idx, si] = g
             seg_cache.append((idx, xj, g, hc, a, ha))
         if caches is not None:
-            caches.append(("segment", si, (front, back), chain, hs, seg_cache, sel))
+            caches.append(("segment", (front, back), chain, hs, seg_cache, sel))
         x = blend
-    for layer in mods.trailing_statics:
+    for layer in mods.trailing_statics if segments else ():
         x, h = block_forward(model, layer, x, cache=True)
         if caches is not None:
             caches.append(("static", layer, h))
@@ -190,15 +215,16 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
 
 
 def stage2_loss_and_grads(model: PolicyModel, mods: SkipModules, selections,
-                          obs, instr, targets, lam: float):
+                          trace, targets, lam: float):
     """Blended task MSE plus lam * mean_batch sum_segments (1-g)*(back-sel).
 
     Gradients flow to controller and adapter parameters only; frozen
-    backbone blocks only propagate upstream gradients.
+    backbone blocks only propagate upstream gradients, and none below
+    segment 0's modules.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     caches: list = []
-    actions, gates = stage2_blend_forward(model, mods, selections, obs, instr, caches)
+    actions, gates = stage2_blend_forward(model, mods, selections, trace, caches)
     batch = actions.shape[0]
     task_loss, dpred = mse_and_grad(actions, targets)
     segments = mods.static_set.segments
@@ -216,18 +242,19 @@ def stage2_loss_and_grads(model: PolicyModel, mods: SkipModules, selections,
             _, layer, h = entry
             dx = block_vjp(model, layer, None, h, dx)
         else:
-            _, si, (front, back), chain, hs, seg_cache, sel = entry
-            dx = _segment_vjp(model, mods, si, front, back, chain, hs,
+            _, (front, back), chain, hs, seg_cache, sel = entry
+            dx = _segment_vjp(model, mods, front, back, chain, hs,
                               seg_cache, sel, dx, lam, batch, grads)
     return loss, task_loss, norm_loss, gates, grads
 
 
-def _segment_vjp(model, mods, si, front, back, chain, hs, seg_cache, sel,
+def _segment_vjp(model, mods, front, back, chain, hs, seg_cache, sel,
                  d_blend, lam, batch, grads):
     """Backward through one segment's blend: splits the upstream gradient
     over the gate, adapter, and full paths, then walks the block chain in
     reverse, injecting each sample's adapter/controller input gradients at
-    its selected layer."""
+    its selected layer. A chain read from the teacher trace (hs is None)
+    has nothing trainable below it, so the walk stops before it."""
     full = chain[-1]
     d_chain = np.zeros_like(full)
     inj = {}
@@ -244,6 +271,8 @@ def _segment_vjp(model, mods, si, front, back, chain, hs, seg_cache, sel,
         dxa = adapter_vjp(mods, j, xj, ha, da, grads)
         dxc = controller_vjp(mods, j, xj, hc, g, dg, grads)
         inj[off] = (idx, dxa + dxc)
+    if hs is None:
+        return None
     d = d_chain
     for off in reversed(range(len(hs))):
         d = block_vjp(model, front + 1 + off, chain[off], hs[off], d)
@@ -253,13 +282,12 @@ def _segment_vjp(model, mods, si, front, back, chain, hs, seg_cache, sel,
     return d
 
 
-def stage2_step(model: PolicyModel, mods: SkipModules, opt: Adam, obs, instr,
+def stage2_step(model: PolicyModel, mods: SkipModules, opt: Adam, trace,
                 targets, lam: float, rng: np.random.Generator,
                 selection: str = "harmonic"):
-    batch = np.atleast_2d(obs).shape[0]
-    selections = draw_selections(mods, batch, rng, selection)
+    selections = draw_selections(mods, len(trace[0]), rng, selection)
     loss, task_loss, norm_loss, gates, grads = stage2_loss_and_grads(
-        model, mods, selections, obs, instr, targets, lam)
+        model, mods, selections, trace, targets, lam)
     opt.step(mods.params, grads)
     return loss, task_loss, norm_loss, float(gates.mean())
 
@@ -283,9 +311,10 @@ def estimate_skip_rate(model: PolicyModel, mods: SkipModules, obs, instr,
     return 1.0 - executed / (n * n_dyn)
 
 
-def _probe_diagnostics(model, mods, report: StageReport, obs, instr) -> None:
-    _, trace = forward_recorded(model, obs, instr)
-    batch = np.atleast_2d(obs).shape[0]
+def _probe_diagnostics(model, mods, report: StageReport, trace, obs, instr) -> None:
+    """Adapter residuals and mean gates on the probe rows' teacher `trace`,
+    and the controller-only skip rate on their observations."""
+    batch = len(trace[0])
     for front, back in mods.static_set.segments:
         target = trace[back]
         for j in range(front + 1, back):
@@ -322,8 +351,12 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
     n_rows = len(dataset)
     if n_rows < 1:
         raise ConfigError("empty distillation dataset")
-    probe = slice(0, min(256, n_rows))
+    teacher = forward_recorded(model, obs, instr)[1]
+    probe = [t[:256] for t in teacher]
     reports: dict[str, StageReport] = {}
+
+    def rows(idx):  # take is about twice as fast as t[idx] here
+        return [t.take(idx, axis=0) for t in teacher]
 
     def batches(steps):
         for _ in range(steps):
@@ -333,12 +366,12 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
         report = StageReport(name="stage1")
         opt = Adam(lr=config.stage1_lr)
         for idx in batches(config.stage1_steps):
-            loss = stage1_step(model, mods, opt, obs[idx], instr[idx])
+            loss = stage1_step(mods, opt, rows(idx))
             report.losses.append(loss)
             if not np.isfinite(loss):
                 report.diverged = True
                 break
-        _probe_diagnostics(model, mods, report, obs[probe], instr[probe])
+        _probe_diagnostics(model, mods, report, probe, obs[:256], instr[:256])
         reports["stage1"] = report
         if log_dir is not None:
             _write_stage_log(Path(log_dir) / "stage1_log.csv", report)
@@ -354,7 +387,7 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
     opt = Adam(lr=config.stage2_lr)
     for idx in batches(stage2_steps):
         loss, task_loss, norm_loss, mean_gate = stage2_step(
-            model, mods, opt, obs[idx], instr[idx], actions[idx],
+            model, mods, opt, rows(idx), actions[idx],
             config.lam, rng, config.selection)
         report.losses.append(loss)
         report.task_losses.append(task_loss)
@@ -363,7 +396,7 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
         if not np.isfinite(loss):
             report.diverged = True
             break
-    _probe_diagnostics(model, mods, report, obs[probe], instr[probe])
+    _probe_diagnostics(model, mods, report, probe, obs[:256], instr[:256])
     reports[name] = report
     if log_dir is not None:
         _write_stage_log(Path(log_dir) / f"{name}_log.csv", report)

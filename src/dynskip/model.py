@@ -22,7 +22,7 @@ import numpy as np
 
 from . import containers
 from .errors import ConfigError, ShapeError
-from .numerics import Params, affine_forward, affine_vjp, as_f64, bind_affine, reject_unknown_keys, tanh_vjp
+from .numerics import Params, affine_vjp, as_f64, bind_affine, reject_unknown_keys, tanh_vjp
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,7 @@ def task_loss_and_grads(model: PolicyModel, obs, instr, targets):
     if obs.ndim != 2 or obs.shape[0] == 0:
         raise ValueError("task loss needs a nonempty 2-D batch")
     cfg = model.config
-    u = np.concatenate([obs, instr], axis=-1)
-    x = affine_forward(model.params["embed.W"], model.params["embed.b"], u)
+    x = embed_forward(model, obs, instr)
     xs = [x]
     hs = []
     for i in range(cfg.depth):
@@ -210,6 +209,7 @@ def task_loss_and_grads(model: PolicyModel, obs, instr, targets):
     grads["head.b"] += db
     for i in reversed(range(cfg.depth)):
         dx = block_vjp(model, i, xs[i], hs[i], dx, grads)
+    u = np.concatenate([obs, instr], axis=-1)
     dW, db, _ = affine_vjp(model.params["embed.W"], u, dx)
     grads["embed.W"] += dW
     grads["embed.b"] += db

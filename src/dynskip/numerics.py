@@ -29,16 +29,6 @@ def as_f64(x, what: str = "array") -> np.ndarray:
     return arr
 
 
-def affine_forward(W: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """W @ x + b for a vector x of size n, or row-wise for a (batch, n) matrix."""
-    m, n = W.shape
-    if x.shape[-1] != n:
-        raise ShapeError(f"affine: W is {W.shape} but x is {x.shape}")
-    if b.shape != (m,):
-        raise ShapeError(f"affine: W is {W.shape} but b is {b.shape}")
-    return x @ W.T + b
-
-
 def bind_affine(params: Params, w_key: str, b_key: str, m: int, n: int):
     """The (W.T, b) pair of y = x @ W.T + b, with params[w_key] checked to be
     (m, n) and params[b_key] to be (m,). W.T is a view, never a copy, so

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from dynskip import bench, flops, runtime as rt, sim
+from dynskip import bench, distill, flops, runtime as rt, sim
 from dynskip.errors import ConfigError, TraceIntegrityError
 from dynskip.model import PolicyConfig, build_policy
 from dynskip.profiler import StaticSet
@@ -89,3 +89,39 @@ def test_paired_pvalue_is_calibrated_under_the_null():
         hits += bench.paired_one_sided_pvalue(pairs[0], pairs[1], n_resamples=2000,
                                               seed=seed) <= 0.1
     assert abs(hits / draws - 0.1) <= 4 * np.sqrt(0.09 / draws)
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name", ["batch_size", "val_every"])
+def test_train_config_rejects_a_nonpositive_batch_or_validation_interval(name, value):
+    with pytest.raises(ConfigError, match=name):
+        bench.TrainConfig(**{name: value})
+
+
+def test_every_optimizer_step_calls_its_timed_step_function_once(monkeypatch):
+    """perfbench times BC and distillation by the interval between calls of
+    these three functions, found by name, so each must run once per step."""
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(bench, "task_loss_and_grads")
+    count(distill, "stage1_step")
+    count(distill, "stage2_step")
+    data = sim.generate_dataset(sim.SimConfig(subtasks=2), 3, seed=5)
+    policy, _ = bench.train_base_policy(
+        PolicyConfig(instr_dim=2, hidden_dim=16, depth=6),
+        bench.TrainConfig(steps=7, batch_size=16, val_every=3), data, data)
+    statics = StaticSet(indices=(2, 5), depth=6)
+    dcfg = distill.DistillConfig(stage1_steps=5, stage2_steps=4, batch_size=16)
+    distill.distill_pipeline(policy, statics, data, dcfg)
+    assert calls == {"task_loss_and_grads": 7, "stage1_step": 5, "stage2_step": 4}
+    distill.distill_pipeline(policy, statics, data, dcfg, joint_from_scratch=True)
+    assert calls == {"task_loss_and_grads": 7, "stage1_step": 5, "stage2_step": 13}

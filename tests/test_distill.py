@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from dynskip import distill as dt, runtime as rt, sim
 from dynskip.errors import ConfigError
-from dynskip.model import PolicyConfig, build_policy, forward_recorded
-from dynskip.numerics import Adam, grad_check
+from dynskip.model import (PolicyConfig, block_forward, block_vjp, build_policy, embed_forward,
+                           forward_recorded, head_forward, mse_and_grad)
+from dynskip.numerics import Adam, affine_vjp, grad_check
 from dynskip.profiler import StaticSet
 
 
@@ -29,11 +32,12 @@ class TestStage1:
         model, ss, mods = make_setup()
         obs, instr, _ = rand_batch(model, 4, 0)
         before = {k: v.copy() for k, v in model.params.items()}
-        _, grads = dt.stage1_loss_and_grads(model, mods, obs, instr)
+        trace = forward_recorded(model, obs, instr)[1]
+        _, grads = dt.stage1_loss_and_grads(mods, trace)
         assert set(grads) == set(mods.adapter_keys())
         opt = Adam(lr=1e-2)
         for _ in range(5):
-            dt.stage1_step(model, mods, opt, obs, instr)
+            dt.stage1_step(mods, opt, trace)
         for k, v in model.params.items():
             assert np.array_equal(v, before[k])
 
@@ -41,8 +45,10 @@ class TestStage1:
         model, ss, mods = make_setup(depth=4, statics=(3,))
         obs, instr, _ = rand_batch(model, 3, 1)
 
+        trace = forward_recorded(model, obs, instr)[1]
+
         def f(p):
-            return dt.stage1_loss_and_grads(model, mods, obs, instr)
+            return dt.stage1_loss_and_grads(mods, trace)
 
         adapters = {k: mods.params[k] for k in mods.adapter_keys()}
         assert grad_check(f, adapters, step=1e-5) < 1e-4
@@ -62,9 +68,10 @@ class TestStage1:
         obs = rng.normal(size=(64, 2))
         instr = np.tile([1.0, 0.0], (64, 1))
         opt = Adam(lr=3e-3)
-        first = dt.stage1_step(model, mods, opt, obs, instr)
+        trace = forward_recorded(model, obs, instr)[1]
+        first = dt.stage1_step(mods, opt, trace)
         for _ in range(499):
-            last = dt.stage1_step(model, mods, opt, obs, instr)
+            last = dt.stage1_step(mods, opt, trace)
         assert last < 0.1 * first
 
 
@@ -105,7 +112,8 @@ class TestStage2:
             mods.params[f"controller{j}.b2"][:] = -500.0  # g -> 0 (underflows)
         obs, instr, _ = rand_batch(model, 3, 6)
         sels = dt.draw_selections(mods, 3, np.random.default_rng(0))
-        actions, gates = dt.stage2_blend_forward(model, mods, sels, obs, instr)
+        actions, gates = dt.stage2_blend_forward(
+            model, mods, sels, forward_recorded(model, obs, instr)[1])
         full, _ = forward_recorded(model, obs, instr)
         assert np.max(np.abs(actions - full)) < 1e-12
 
@@ -117,7 +125,8 @@ class TestStage2:
         rng = np.random.default_rng(1)
         obs, instr = rng.normal(size=(1, 3)), rng.normal(size=(1, 2))
         sel = [np.array([0])]
-        actions, gates = dt.stage2_blend_forward(model, mods, sel, obs, instr)
+        actions, gates = dt.stage2_blend_forward(
+            model, mods, sel, forward_recorded(model, obs, instr)[1])
         assert gates[0, 0] == 1.0
         _, trace = forward_recorded(model, obs, instr)
         adapter_out = dt.adapter_forward(mods, 0, trace[0])
@@ -136,7 +145,7 @@ class TestStage2:
         obs, instr = rng.normal(size=(1, 3)), rng.normal(size=(1, 2))
         _, trace = forward_recorded(model, obs, instr)
         sel = [np.array([1])]
-        actions, gates = dt.stage2_blend_forward(model, mods, sel, obs, instr)
+        actions, gates = dt.stage2_blend_forward(model, mods, sel, trace)
         assert gates[0, 0] == 0.5
         adapter_out = dt.adapter_forward(mods, 1, trace[1])
         full_path = trace[3]  # blocks 1..2 applied to trace[1]
@@ -150,7 +159,7 @@ class TestStage2:
         obs, instr, targets = rand_batch(model, 4, 10)
         sels = dt.draw_selections(mods, 4, np.random.default_rng(3))
         loss, task, norm, _, _ = dt.stage2_loss_and_grads(
-            model, mods, sels, obs, instr, targets, lam=0.0)
+            model, mods, sels, forward_recorded(model, obs, instr)[1], targets, lam=0.0)
         assert loss == task
 
     def test_saturated_gates_zero_norm_loss(self):
@@ -161,17 +170,18 @@ class TestStage2:
         obs, instr, targets = rand_batch(model, 4, 12)
         sels = dt.draw_selections(mods, 4, np.random.default_rng(4))
         _, _, norm, gates, _ = dt.stage2_loss_and_grads(
-            model, mods, sels, obs, instr, targets, lam=0.1)
+            model, mods, sels, forward_recorded(model, obs, instr)[1], targets, lam=0.1)
         assert norm == 0.0 and np.all(gates == 1.0)
 
     def test_grad_check_two_segments(self):
         model, ss, mods = make_setup(depth=6, statics=(2, 5), seed=13)
         obs, instr, targets = rand_batch(model, 3, 14)
         sels = dt.draw_selections(mods, 3, np.random.default_rng(5))
+        trace = forward_recorded(model, obs, instr)[1]
 
         def f(p):
             loss, _, _, _, grads = dt.stage2_loss_and_grads(
-                model, mods, sels, obs, instr, targets, lam=0.05)
+                model, mods, sels, trace, targets, lam=0.05)
             return loss, grads
 
         assert grad_check(f, mods.params, step=1e-5) < 1e-4
@@ -182,8 +192,9 @@ class TestStage2:
         obs, instr, targets = rand_batch(model, 8, 16)
         opt = Adam(lr=1e-3)
         rng = np.random.default_rng(6)
+        trace = forward_recorded(model, obs, instr)[1]
         for _ in range(10):
-            dt.stage2_step(model, mods, opt, obs, instr, targets, 0.05, rng)
+            dt.stage2_step(model, mods, opt, trace, targets, 0.05, rng)
         for k, v in model.params.items():
             assert np.array_equal(v, before[k])
 
@@ -250,3 +261,215 @@ class TestRunTwoStage:
             dt.DistillConfig(stage1_steps=0)
         with pytest.raises(ConfigError):
             dt.DistillConfig(selection="geometric")
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_nonpositive_batch_size_rejected(self, batch_size):
+        with pytest.raises(ConfigError, match="batch_size"):
+            dt.DistillConfig(batch_size=batch_size)
+
+
+# --- the teacher trace ------------------------------------------------------------
+# The per-batch forms that ran a backbone forward on every step, kept as the
+# reference the teacher-trace functions must match bit for bit.
+
+def _per_batch_stage1(model, mods, obs, instr):
+    _, trace = forward_recorded(model, obs, instr)
+    batch = np.atleast_2d(obs).shape[0]
+    grads = {k: np.zeros_like(mods.params[k]) for k in mods.adapter_keys()}
+    loss = 0.0
+    for front, back in mods.static_set.segments:
+        target = trace[back]
+        for j in range(front + 1, back):
+            x = trace[j]
+            out, h = rt.adapter_forward(mods, j, x, cache=True)
+            resid = out - target
+            loss += float(np.sum(resid * resid)) / batch
+            rt.adapter_vjp(mods, j, x, h, (2.0 / batch) * resid, grads)
+    return loss, grads
+
+
+def _per_batch_stage2(model, mods, selections, obs, instr, targets, lam):
+    """Embed, every block, and the backward down to the embedding."""
+    x = embed_forward(model, np.atleast_2d(obs), np.atleast_2d(instr))
+    batch = x.shape[0]
+    gates = np.zeros((batch, len(selections)))
+    caches = []
+    for si, (statics, front, back) in enumerate(mods.segment_plan):
+        sel = selections[si]
+        for layer in statics:
+            x, h = block_forward(model, layer, x, cache=True)
+            caches.append(("static", layer, h))
+        chain, hs = [x], []
+        for j in range(front + 1, back):
+            x, h = block_forward(model, j, x, cache=True)
+            chain.append(x)
+            hs.append(h)
+        full = chain[-1]
+        blend = np.empty_like(full)
+        seg_cache = []
+        for off, j in enumerate(range(front + 1, back)):
+            idx = np.flatnonzero(sel == j)
+            if idx.size == 0:
+                seg_cache.append(None)
+                continue
+            xj = chain[off][idx]
+            g, hc = rt.controller_forward(mods, j, xj, cache=True)
+            a, ha = rt.adapter_forward(mods, j, xj, cache=True)
+            blend[idx] = g[:, None] * a + (1.0 - g)[:, None] * full[idx]
+            gates[idx, si] = g
+            seg_cache.append((idx, xj, g, hc, a, ha))
+        caches.append(("segment", front, back, chain, hs, seg_cache, sel))
+        x = blend
+    for layer in mods.trailing_statics:
+        x, h = block_forward(model, layer, x, cache=True)
+        caches.append(("static", layer, h))
+    actions = head_forward(model, x)
+    task_loss, dpred = mse_and_grad(actions, np.atleast_2d(targets))
+    norm_loss = 0.0
+    for si, (front, back) in enumerate(mods.static_set.segments):
+        norm_loss += float(np.sum((1.0 - gates[:, si]) * (back - selections[si]))) / batch
+    loss = task_loss + lam * norm_loss
+    grads = {k: np.zeros_like(v) for k, v in mods.params.items()}
+    _, _, dx = affine_vjp(model.params["head.W"], x, dpred)
+    for entry in reversed(caches):
+        if entry[0] == "static":
+            dx = block_vjp(model, entry[1], None, entry[2], dx)
+            continue
+        _, front, back, chain, hs, seg_cache, sel = entry
+        full = chain[-1]
+        d = np.zeros_like(full)
+        inj = {}
+        for off, c in enumerate(seg_cache):
+            if c is None:
+                continue
+            j = front + 1 + off
+            idx, xj, g, hc, a, ha = c
+            du = dx[idx]
+            dg = np.sum(du * (a - full[idx]), axis=1)
+            dg += -lam * (back - sel[idx]) / batch
+            d[idx] = (1.0 - g)[:, None] * du
+            dxa = rt.adapter_vjp(mods, j, xj, ha, g[:, None] * du, grads)
+            dxc = rt.controller_vjp(mods, j, xj, hc, g, dg, grads)
+            inj[off] = (idx, dxa + dxc)
+        for off in reversed(range(len(hs))):
+            d = block_vjp(model, front + 1 + off, chain[off], hs[off], d)
+            if off in inj:
+                d[inj[off][0]] += inj[off][1]
+        dx = d
+    return loss, task_loss, norm_loss, gates, grads
+
+
+def _benchmark_sized(statics, rows=600, seed=0):
+    """The benchmark's policy shape (d = 64, depth 12) on random rows, with
+    the whole-set teacher trace run_two_stage builds."""
+    model = build_policy(PolicyConfig(seed=seed))
+    mods = rt.init_skip_modules(model, StaticSet(indices=statics, depth=12), seed=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    obs = rng.normal(size=(rows, 7))
+    instr = np.eye(5)[rng.integers(0, 5, rows)]
+    targets = rng.normal(size=(rows, 3))
+    teacher = forward_recorded(model, obs, instr)[1]
+    return model, mods, obs, instr, targets, teacher, rng
+
+
+def _rows(teacher, idx):
+    """A batch's rows of the teacher trace, gathered as run_two_stage does."""
+    return [t.take(idx, axis=0) for t in teacher]
+
+
+# (0, 2, 9, 10, 11) is the benchmark fixture's static set; (3, 7, 11) has no
+# static layer before segment 0, and (0, 1, 10, 11) one long segment
+STATIC_SETS = [(0, 2, 9, 10, 11), (3, 7, 11), (0, 1, 10, 11)]
+
+
+class TestTeacherTrace:
+    def test_whole_set_rows_equal_a_per_batch_forward_at_batch_64(self):
+        model, _, obs, instr, _, teacher, rng = _benchmark_sized((0, 2, 9, 10, 11))
+        for _ in range(10):
+            idx = rng.integers(0, len(obs), 64)
+            per_batch = forward_recorded(model, obs[idx], instr[idx])[1]
+            assert all(np.array_equal(a, b) for a, b in zip(_rows(teacher, idx), per_batch))
+
+    @pytest.mark.parametrize("statics", STATIC_SETS)
+    def test_stage1_bit_identical_to_the_per_batch_form(self, statics):
+        model, mods, obs, instr, _, teacher, rng = _benchmark_sized(statics)
+        for _ in range(5):
+            idx = rng.integers(0, len(obs), 64)
+            loss, grads = dt.stage1_loss_and_grads(mods, _rows(teacher, idx))
+            ref_loss, ref_grads = _per_batch_stage1(model, mods, obs[idx], instr[idx])
+            assert loss == ref_loss
+            assert list(grads) == list(ref_grads)
+            assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
+
+    @pytest.mark.parametrize("statics", STATIC_SETS)
+    def test_stage2_bit_identical_to_the_per_batch_form(self, statics):
+        model, mods, obs, instr, targets, teacher, rng = _benchmark_sized(statics)
+        for _ in range(5):
+            idx = rng.integers(0, len(obs), 64)
+            sels = dt.draw_selections(mods, 64, rng)
+            got = dt.stage2_loss_and_grads(model, mods, sels, _rows(teacher, idx),
+                                           targets[idx], lam=0.05)
+            ref = _per_batch_stage2(model, mods, sels, obs[idx], instr[idx], targets[idx], 0.05)
+            assert got[:3] == ref[:3]
+            assert np.array_equal(got[3], ref[3])
+            assert list(got[4]) == list(ref[4])
+            assert all(np.array_equal(got[4][k], ref[4][k]) for k in got[4])
+
+    @pytest.mark.parametrize("statics", STATIC_SETS)
+    def test_block_calls_per_step(self, statics, monkeypatch):
+        import dynskip.model as md
+        model, mods, _, _, targets, teacher, rng = _benchmark_sized(statics)
+        calls = {"forward": 0, "vjp": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (dt, md):
+            monkeypatch.setattr(module, "block_forward", counting("forward", md.block_forward))
+            monkeypatch.setattr(module, "block_vjp", counting("vjp", md.block_vjp))
+        rows = _rows(teacher, rng.integers(0, len(teacher[0]), 64))
+        dt.stage1_step(mods, Adam(), rows)
+        assert calls == {"forward": 0, "vjp": 0}
+        dt.stage2_step(model, mods, Adam(), rows, targets[:64], 0.05, rng)
+        back0 = mods.static_set.segments[0][1]
+        assert calls == {"forward": 12 - back0, "vjp": 12 - back0}
+        if statics == (0, 2, 9, 10, 11):
+            assert calls == {"forward": 10, "vjp": 10}
+
+    def test_all_static_stage2_is_the_teachers_action(self):
+        model, ss, mods = make_setup(depth=4, statics=(0, 1, 2, 3), seed=21)
+        obs, instr, targets = rand_batch(model, 5, 22)
+        action, trace = forward_recorded(model, obs, instr)
+        _, task, norm, gates, grads = dt.stage2_loss_and_grads(
+            model, mods, [], trace, targets, lam=0.05)
+        assert task == float(np.mean((action - targets) ** 2))
+        assert norm == 0.0 and gates.shape == (5, 0) and grads == {}
+
+    # digests of these runs' mods.params and stage reports, taken with the
+    # per-batch forms
+    @pytest.mark.parametrize("statics,params_digest,reports_digest", [
+        ((2, 5), "c640fb6c24e943ec", "1ab809a44645fd81"),
+        ((0, 3, 5), "22499bb531b10ce1", "f85c63047d94f9e4")])
+    def test_pipeline_matches_the_per_batch_digests(self, statics, params_digest,
+                                                    reports_digest):
+        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
+                                          action_dim=3, seed=20))
+        ds = sim.generate_dataset(sim.SimConfig(subtasks=2), 4, seed=21)
+        dcfg = dt.DistillConfig(stage1_steps=40, stage2_steps=40, batch_size=24, seed=22)
+        mods, reports = dt.distill_pipeline(model, StaticSet(indices=statics, depth=6), ds, dcfg)
+        h = hashlib.sha256()
+        for k in sorted(mods.params):
+            h.update(k.encode())
+            h.update(np.ascontiguousarray(mods.params[k]).tobytes())
+        assert h.hexdigest()[:16] == params_digest
+        h = hashlib.sha256()
+        for name in sorted(reports):
+            r = reports[name]
+            for col in (r.losses, r.task_losses, r.norm_losses, r.mean_gates,
+                        list(r.final_adapter_residual.items()),
+                        list(r.controller_mean_gate.items()), [r.skip_rate]):
+                h.update(repr(col).encode())
+        assert h.hexdigest()[:16] == reports_digest

@@ -2,59 +2,71 @@ import numpy as np
 import pytest
 
 from dynskip.errors import DegenerateInputError, ShapeError
+from dynskip.model import PolicyConfig, PolicyModel, build_policy, head_forward
 from dynskip.numerics import (
     Adam,
-    affine_forward,
     cosine_similarity,
     grad_check,
     sigmoid,
 )
 
 
+def _head(W, b):
+    """A policy whose action head is y = x @ W.T + b."""
+    m, n = W.shape
+    model = build_policy(PolicyConfig(obs_dim=1, instr_dim=1, hidden_dim=n, depth=4, action_dim=m))
+    model.params["head.W"][:] = W
+    model.params["head.b"][:] = b
+    return model
+
+
 class TestAffineForward:
+    """The algebra of an affine layer kernel, on the action head."""
+
     def test_identity(self):
-        out = affine_forward(np.eye(2), np.zeros(2), np.array([3.0, 4.0]))
+        out = head_forward(_head(np.eye(2), np.zeros(2)), np.array([3.0, 4.0]))
         assert np.array_equal(out, [3.0, 4.0])
 
     def test_zero_weights(self):
-        out = affine_forward(np.zeros((2, 2)), np.ones(2), np.array([5.0, 5.0]))
+        out = head_forward(_head(np.zeros((2, 2)), np.ones(2)), np.array([5.0, 5.0]))
         assert np.array_equal(out, [1.0, 1.0])
 
     def test_hand_arithmetic(self):
         W = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = affine_forward(W, np.zeros(2), np.array([1.0, 1.0]))
+        out = head_forward(_head(W, np.zeros(2)), np.array([1.0, 1.0]))
         assert np.array_equal(out, [3.0, 7.0])
 
     def test_batched_matches_per_row(self):
         rng = np.random.default_rng(0)
-        W = rng.normal(size=(3, 4))
-        b = rng.normal(size=3)
+        model = _head(rng.normal(size=(3, 4)), rng.normal(size=3))
         X = rng.normal(size=(5, 4))
-        batched = affine_forward(W, b, X)
+        batched = head_forward(model, X)
         for i in range(5):
             # GEMV vs GEMM may differ in the last ulp; bit-equality is only
             # guaranteed for identical input shapes
-            assert np.allclose(batched[i], affine_forward(W, b, X[i]), rtol=1e-13, atol=1e-15)
+            assert np.allclose(batched[i], head_forward(model, X[i]), rtol=1e-13, atol=1e-15)
 
     def test_empty_parameter_dict_is_a_no_op(self):
         opt = Adam()
         assert opt.step({}, {}) == {} and opt.t == 1
 
     def test_shape_mismatch(self):
+        model = _head(np.eye(2), np.zeros(2))
         with pytest.raises(ShapeError):
-            affine_forward(np.eye(2), np.zeros(2), np.zeros(3))
+            head_forward(model, np.zeros(3))
         with pytest.raises(ShapeError):
-            affine_forward(np.eye(2), np.zeros(3), np.zeros(2))
+            PolicyModel(model.config, {**model.params, "head.b": np.zeros(3)})
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             W = rng.normal(size=(4, 3))
             b = rng.normal(size=4)
+            model = _head(W, b)
             x, y = rng.normal(size=3), rng.normal(size=3)
             a, c = rng.normal(), rng.normal()
-            lhs = affine_forward(W, b, a * x + c * y)
-            rhs = (a * affine_forward(W, b, x) + c * affine_forward(W, b, y)
+            lhs = head_forward(model, a * x + c * y)
+            rhs = (a * head_forward(model, x) + c * head_forward(model, y)
                    - (a + c - 1.0) * b)
             assert np.allclose(lhs, rhs, atol=1e-12)
 
