@@ -27,6 +27,7 @@ value independent of the batch it is drawn in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +41,7 @@ from .runtime import (
     SkipModules,
     adapter_forward,
     adapter_vjp,
+    check_depth,
     controller_forward,
     controller_vjp,
     forward_skipped,
@@ -115,29 +117,25 @@ def stage1_step(mods: SkipModules, opt: Adam, trace) -> float:
 
 # --- stage 2: soft-gate blended training ---------------------------------------
 
+@functools.cache
 def segment_offset_probs(m: int, selection: str = "harmonic") -> np.ndarray:
     """Probability of picking offset r in {1..m} from the segment start:
-    (1/r)/H_m for harmonic decay, or proportional to m-r+1 for linear."""
+    (1/r)/H_m for harmonic decay, or proportional to m-r+1 for linear.
+    Cached per (m, selection), so the array is read-only."""
     if m < 1:
         raise ConfigError("segment must hold at least one dynamic layer")
     r = np.arange(1, m + 1, dtype=np.float64)
     w = 1.0 / r if selection == "harmonic" else (m - r + 1)
-    return w / w.sum()
-
-
-def sample_segment_layer(segment, rng: np.random.Generator,
-                         selection: str = "harmonic") -> int:
-    """Draw one dynamic layer id from a (front, back) segment; early layers
-    are favoured because their adapters summarize longer suffixes."""
-    front, back = segment
-    m = back - front - 1
-    probs = segment_offset_probs(m, selection)
-    return front + 1 + int(rng.choice(m, p=probs))
+    probs = w / w.sum()
+    probs.flags.writeable = False
+    return probs
 
 
 def draw_selections(mods: SkipModules, batch: int, rng: np.random.Generator,
                     selection: str = "harmonic") -> list[np.ndarray]:
-    """Fresh per-sample draw for every segment: list of (batch,) layer ids."""
+    """Fresh per-sample draw for every segment: list of (batch,) layer ids.
+    Early layers are favoured because their adapters summarize longer
+    suffixes."""
     out = []
     for front, back in mods.static_set.segments:
         m = back - front - 1
@@ -344,6 +342,7 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
     stage-2 loss for the combined step budget. Divergence (non-finite loss)
     aborts the stage and marks its report. The backbone is never modified.
     """
+    check_depth(model, mods.static_set)
     rng = np.random.default_rng(config.seed)
     obs = dataset.obs
     instr = dataset.instr_onehot()

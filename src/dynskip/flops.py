@@ -30,16 +30,18 @@ def controller_hidden_dim(hidden_dim: int) -> int:
     return max(1, hidden_dim // 8)
 
 
+def _mlp_flops(d_in: int, d_hidden: int, d_out: int) -> int:
+    return 2 * (d_in * d_hidden + d_hidden * d_out)
+
+
 def arch_costs(config: PolicyConfig) -> ArchCosts:
     d = config.hidden_dim
-    da = adapter_hidden_dim(d)
-    dc = controller_hidden_dim(d)
     return ArchCosts(
         depth=config.depth,
         embed=2 * config.input_dim * d,
-        block=2 * (d * d + d * d),
-        adapter=2 * (d * da + da * d),
-        controller=2 * (d * dc + dc * 1),
+        block=_mlp_flops(d, d, d),
+        adapter=_mlp_flops(d, adapter_hidden_dim(d), d),
+        controller=_mlp_flops(d, controller_hidden_dim(d), 1),
         head=2 * d * config.action_dim,
     )
 

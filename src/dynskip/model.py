@@ -1,17 +1,8 @@
 """Residual MLP policy: an input embedding, depth-N residual tanh blocks, and
 a linear action head, with full activation tracing and hand-derived task-loss
 gradients. Forward functions accept a single sample or a (batch, dim) matrix.
-
-Layer kernels (`embed_forward`, `block_forward`, `head_forward`, and
-`adapter_forward` and `controller_forward` in `runtime`) return freshly
-allocated outputs and never write to their input `x`, which may be an entry
-of the trace `forward_recorded` returns; their in-place ops (bias add, tanh,
-residual add) touch only that fresh output. At every batch size their bits
-equal the `x @ W.T + b` form: `np.dot` makes the same BLAS call as `@` for
-these shapes, and in-place addition does the same IEEE operations (addition
-commutes, so `y += x` after the bias equals `x + (h @ W2.T + b2)`). At batch
-1 this saves numpy calls and temporaries, which at this model size cost more
-than the arithmetic.
+Each block is the `numerics` two-layer unit plus a residual add; every layer
+kernel keeps the contract stated at `numerics.mlp_forward`.
 """
 
 from __future__ import annotations
@@ -22,7 +13,19 @@ import numpy as np
 
 from . import containers
 from .errors import ConfigError, ShapeError
-from .numerics import Params, affine_vjp, as_f64, bind_affine, reject_unknown_keys, tanh_vjp
+from .numerics import (
+    MLP_PARTS,
+    Params,
+    affine_vjp,
+    as_f64,
+    bind_affine,
+    bind_mlp,
+    init_mlp,
+    mlp_forward,
+    mlp_vjp,
+    reject_unknown_keys,
+    scaled_uniform,
+)
 
 
 @dataclass(frozen=True)
@@ -61,25 +64,18 @@ class PolicyModel:
         self.params = params
         d = config.hidden_dim
         self._embed = bind_affine(params, "embed.W", "embed.b", d, config.input_dim)
-        self._blocks = tuple(
-            bind_affine(params, f"block{i}.W1", f"block{i}.b1", d, d)
-            + bind_affine(params, f"block{i}.W2", f"block{i}.b2", d, d)
-            for i in range(config.depth))
+        self._blocks = tuple(bind_mlp(params, f"block{i}", d, d, d)
+                             for i in range(config.depth))
         self._head = bind_affine(params, "head.W", "head.b", config.action_dim, d)
         reject_unknown_keys(params, ["embed.W", "embed.b", "head.W", "head.b"]
                             + [f"block{i}.{part}" for i in range(config.depth)
-                               for part in ("W1", "b1", "W2", "b2")])
+                               for part in MLP_PARTS])
 
     def n_params(self) -> int:
         return sum(p.size for p in self.params.values())
 
     def copy(self) -> "PolicyModel":
         return PolicyModel(self.config, {k: v.copy() for k, v in self.params.items()})
-
-
-def scaled_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    limit = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def build_policy(config: PolicyConfig) -> PolicyModel:
@@ -90,22 +86,10 @@ def build_policy(config: PolicyConfig) -> PolicyModel:
     params["embed.W"] = scaled_uniform(rng, config.input_dim, (d, config.input_dim))
     params["embed.b"] = np.zeros(d)
     for i in range(config.depth):
-        params[f"block{i}.W1"] = scaled_uniform(rng, d, (d, d))
-        params[f"block{i}.b1"] = np.zeros(d)
-        params[f"block{i}.W2"] = scaled_uniform(rng, d, (d, d))
-        params[f"block{i}.b2"] = np.zeros(d)
+        init_mlp(rng, params, f"block{i}", d, d, d)
     params["head.W"] = scaled_uniform(rng, d, (config.action_dim, d))
     params["head.b"] = np.zeros(config.action_dim)
     return PolicyModel(config, params)
-
-
-def expected_n_params(config: PolicyConfig) -> int:
-    d = config.hidden_dim
-    return (
-        (config.input_dim + 1) * d
-        + config.depth * (2 * d * d + 2 * d)
-        + (d + 1) * config.action_dim
-    )
 
 
 def embed_forward(model: PolicyModel, obs, instr) -> np.ndarray:
@@ -124,32 +108,16 @@ def embed_forward(model: PolicyModel, obs, instr) -> np.ndarray:
 
 def block_forward(model: PolicyModel, i: int, x: np.ndarray, cache: bool = False):
     """y = x + W2 @ tanh(W1 @ x + b1) + b2 for block i."""
-    W1T, b1, W2T, b2 = model._blocks[i]
     if x.shape[-1] != model.config.hidden_dim:
         raise ShapeError(f"block{i}: x is {x.shape}, expected hidden size {model.config.hidden_dim}")
-    h = np.dot(x, W1T)
-    h += b1
-    np.tanh(h, out=h)
-    y = np.dot(h, W2T)
-    y += b2
+    y, h = mlp_forward(model._blocks[i], x)
     y += x  # == x + (h @ W2T + b2): IEEE addition commutes
     return (y, h) if cache else y
 
 
 def block_vjp(model: PolicyModel, i: int, x, h, dy, param_grads: Params | None = None):
     """VJP through block i; accumulates parameter grads into param_grads when given."""
-    p = model.params
-    dh = dy @ p[f"block{i}.W2"]
-    dz = tanh_vjp(h, dh)
-    dx = dy + dz @ p[f"block{i}.W1"]
-    if param_grads is not None:
-        dy2 = np.atleast_2d(dy)
-        dz2 = np.atleast_2d(dz)
-        param_grads[f"block{i}.W2"] += dy2.T @ np.atleast_2d(h)
-        param_grads[f"block{i}.b2"] += dy2.sum(axis=0)
-        param_grads[f"block{i}.W1"] += dz2.T @ np.atleast_2d(x)
-        param_grads[f"block{i}.b1"] += dz2.sum(axis=0)
-    return dx
+    return dy + mlp_vjp(model.params, f"block{i}", x, h, dy, param_grads)
 
 
 def head_forward(model: PolicyModel, x: np.ndarray) -> np.ndarray:

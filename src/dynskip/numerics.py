@@ -4,6 +4,10 @@ The set of differentiable ops is small and closed (affine, tanh, sigmoid,
 residual add, gate blend), so gradients are hand-derived VJPs rather than an
 autodiff graph. Reductions use numpy's default left-to-right summation, so
 repeated runs on identical inputs are bit-identical.
+
+Backbone blocks, adapters and gate controllers are one unit,
+y = W2 tanh(W1 x + b1) + b2; its parameter keys, initialization, binding,
+forward kernel and VJP live here.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericError, ShapeError
+from .errors import NumericError, ShapeError
 
 Params = dict[str, np.ndarray]
 
@@ -57,11 +61,6 @@ def affine_vjp(W: np.ndarray, x: np.ndarray, dy: np.ndarray):
     return dW, db, dx
 
 
-def tanh_vjp(h: np.ndarray, dh: np.ndarray) -> np.ndarray:
-    """Backward through tanh given the cached forward output h = tanh(z)."""
-    return dh * (1.0 - h * h)
-
-
 def l2_norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float64 vector, bit-equal to np.linalg.norm(v),
     which computes sqrt(v.dot(v)) for it too, without that call's dispatch."""
@@ -72,58 +71,77 @@ def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """a.b / (|a||b|). Zero-norm inputs raise; callers decide the fallback."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"cosine: shapes {a.shape} and {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine similarity of a zero-norm vector")
-    return float(np.dot(a, b) / (na * nb))
+# --- the two-layer tanh unit ---------------------------------------------------
+
+MLP_PARTS = ("W1", "b1", "W2", "b2")
 
 
-def grad_check(loss_and_grads, params: Params, step: float = 1e-5) -> float:
-    """Compare analytic gradients with central finite differences.
+def _mlp_keys(prefix: str) -> list[str]:
+    return [f"{prefix}.{part}" for part in MLP_PARTS]
 
-    Args:
-        loss_and_grads: callable mapping the params dict to (scalar loss,
-            grads dict keyed like params). It is re-evaluated at perturbed
-            parameter values, so it must be a pure function of params.
-        params: named float64 arrays, perturbed in place entry by entry
-            (and restored).
-        step: central-difference half step.
 
-    Returns:
-        Max over all parameter entries of |analytic - numeric| / max(1, |analytic|).
+def scaled_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
+    limit = 1.0 / np.sqrt(fan_in)
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def init_mlp(rng: np.random.Generator, params: Params, prefix: str,
+             d_in: int, d_hidden: int, d_out: int) -> None:
+    """Add unit `prefix` to params: W1 then W2 drawn scaled-uniform from rng,
+    in that order, with zero biases."""
+    W1, b1, W2, b2 = _mlp_keys(prefix)
+    params[W1] = scaled_uniform(rng, d_in, (d_hidden, d_in))
+    params[b1] = np.zeros(d_hidden)
+    params[W2] = scaled_uniform(rng, d_hidden, (d_out, d_hidden))
+    params[b2] = np.zeros(d_out)
+
+
+def bind_mlp(params: Params, prefix: str, d_in: int, d_hidden: int, d_out: int):
+    """The (W1.T, b1, W2.T, b2) views of unit `prefix`, each shape-checked
+    as bind_affine does."""
+    W1, b1, W2, b2 = _mlp_keys(prefix)
+    return (bind_affine(params, W1, b1, d_hidden, d_in)
+            + bind_affine(params, W2, b2, d_out, d_hidden))
+
+
+def mlp_forward(bound, x: np.ndarray):
+    """y = W2 tanh(W1 x + b1) + b2 on the views bind_mlp returns, for a
+    single sample or a (batch, d_in) matrix. Returns (y, h), h = tanh(W1 x + b1).
+
+    The kernel contract, which the embedding and head kernels in `model`
+    keep too: outputs are freshly allocated and x, which may be an entry of
+    the trace `forward_recorded` returns, is never written; the in-place ops
+    (bias add, tanh, a block's residual add) touch only the fresh output. At
+    every batch size the bits equal the `x @ W.T + b` form: `np.dot` makes
+    the same BLAS call as `@` for these shapes, the controller's 1-wide
+    second layer included, and in-place addition does the same IEEE
+    operations (addition commutes, so a block's `y += x` after the bias
+    equals `x + (h @ W2.T + b2)`). At batch 1 this saves numpy calls and
+    temporaries, which at this model size cost more than the arithmetic.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    _, grads = loss_and_grads(params)
-    worst = 0.0
-    for name, p in params.items():
-        if name not in grads:
-            raise ShapeError(f"missing gradient for {name}")
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeError(f"gradient shape mismatch for {name}")
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + step
-            up = loss_and_grads(params)[0]
-            flat_p[i] = orig - step
-            down = loss_and_grads(params)[0]
-            flat_p[i] = orig
-            check_finite(up, "loss")
-            check_finite(down, "loss")
-            numeric = (up - down) / (2.0 * step)
-            err = abs(flat_g[i] - numeric) / max(1.0, abs(flat_g[i]))
-            worst = max(worst, err)
-    return worst
+    W1T, b1, W2T, b2 = bound
+    h = np.dot(x, W1T)
+    h += b1
+    np.tanh(h, out=h)
+    y = np.dot(h, W2T)
+    y += b2
+    return y, h
+
+
+def mlp_vjp(params: Params, prefix: str, x, h, dy, grads: Params | None = None):
+    """Input gradient of unit `prefix` given upstream dy and the forward's h.
+    With `grads` given, the unit's parameter gradients are accumulated into
+    it; without, x is not read (a frozen unit needs only h)."""
+    W1, b1, W2, b2 = _mlp_keys(prefix)
+    dz = (dy @ params[W2]) * (1.0 - h * h)  # through tanh, from its output h
+    if grads is not None:
+        dy2 = np.atleast_2d(dy)
+        dz2 = np.atleast_2d(dz)
+        grads[W2] += dy2.T @ np.atleast_2d(h)
+        grads[b2] += dy2.sum(axis=0)
+        grads[W1] += dz2.T @ np.atleast_2d(x)
+        grads[b1] += dz2.sum(axis=0)
+    return dz @ params[W1]
 
 
 class Adam:

@@ -19,6 +19,7 @@ import numpy as np
 from . import containers, sim
 from .errors import ConfigError, DegenerateInputError
 from .model import PolicyModel, block_forward, forward_recorded, head_forward, mse_and_grad
+from .numerics import MLP_PARTS
 
 logger = logging.getLogger(__name__)
 
@@ -161,9 +162,6 @@ def write_zero_shot_csv(path, deltas: np.ndarray) -> None:
 
 # --- weight-noise action-importance study --------------------------------------
 
-_NOISED_PARTS = ("W1", "b1", "W2", "b2")
-
-
 @dataclass
 class NoiseCell:
     label: str            # phase attribution of the step range (free/fine)
@@ -188,7 +186,7 @@ def _noisy_model_policy(model: PolicyModel, lo: int, hi: int, sigma: float,
     [lo, hi), runs a perturbed copy of the block weights; `model` itself is
     never changed."""
     keys = [f"block{i}.{part}" for i in range(model.config.depth)
-            for part in _NOISED_PARTS]
+            for part in MLP_PARTS]
     n_instr = model.config.instr_dim
     counter = {"t": 0}
 

@@ -24,8 +24,18 @@ import numpy as np
 
 from . import containers, flops, sim
 from .errors import ConfigError, DegenerateInputError, ShapeError
-from .model import PolicyModel, block_forward, embed_forward, forward_recorded, head_forward, scaled_uniform
-from .numerics import Params, affine_vjp, bind_affine, l2_norm, reject_unknown_keys, sigmoid, tanh_vjp
+from .model import PolicyModel, block_forward, embed_forward, forward_recorded, head_forward
+from .numerics import (
+    MLP_PARTS,
+    Params,
+    bind_mlp,
+    init_mlp,
+    l2_norm,
+    mlp_forward,
+    mlp_vjp,
+    reject_unknown_keys,
+    sigmoid,
+)
 from .profiler import StaticSet
 
 MODES = ("full", "dysl", "controllers-only", "random-skip")
@@ -56,15 +66,13 @@ class SkipModules:
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must be in (0, 1), got {self.tau}")
         p, d, da, dc = self.params, self.hidden_dim, self.adapter_dim, self.controller_dim
-        self._adapters = {j: bind_affine(p, f"adapter{j}.W1", f"adapter{j}.b1", da, d)
-                          + bind_affine(p, f"adapter{j}.W2", f"adapter{j}.b2", d, da)
+        self._adapters = {j: bind_mlp(p, f"adapter{j}", d, da, d)
                           for j in self.static_set.dynamic_layers}
-        self._controllers = {j: bind_affine(p, f"controller{j}.W1", f"controller{j}.b1", dc, d)
-                             + bind_affine(p, f"controller{j}.W2", f"controller{j}.b2", 1, dc)
+        self._controllers = {j: bind_mlp(p, f"controller{j}", d, dc, 1)
                              for j in self.static_set.dynamic_layers}
         reject_unknown_keys(p, [f"{kind}{j}.{part}" for j in self.static_set.dynamic_layers
                                 for kind in ("adapter", "controller")
-                                for part in ("W1", "b1", "W2", "b2")])
+                                for part in MLP_PARTS])
         plan, start = [], 0  # every layer outside the segments is static
         for front, back in self.static_set.segments:
             plan.append((range(start, front + 1), front, back))
@@ -91,78 +99,53 @@ class SkipModules:
                            {k: v.copy() for k, v in self.params.items()})
 
 
+def check_depth(model: PolicyModel, static_set: StaticSet) -> None:
+    """ConfigError unless the static set spans exactly the model's blocks:
+    skip modules of another depth would drop or misplace layers silently."""
+    if static_set.depth != model.config.depth:
+        raise ConfigError(f"static set depth {static_set.depth} does not match "
+                          f"the model's {model.config.depth}")
+
+
 def init_skip_modules(model: PolicyModel, static_set: StaticSet,
                       tau: float = 0.5, seed: int = 0) -> SkipModules:
     """Scaled-uniform initialization of adapters/controllers, deterministic
     per seed. tau is the gate threshold for skipping."""
-    if static_set.depth != model.config.depth:
-        raise ConfigError("static set depth does not match the model")
+    check_depth(model, static_set)
     d = model.config.hidden_dim
-    da = flops.adapter_hidden_dim(d)
-    dc = flops.controller_hidden_dim(d)
     rng = np.random.default_rng(seed)
     params: Params = {}
     for j in static_set.dynamic_layers:
-        params[f"adapter{j}.W1"] = scaled_uniform(rng, d, (da, d))
-        params[f"adapter{j}.b1"] = np.zeros(da)
-        params[f"adapter{j}.W2"] = scaled_uniform(rng, da, (d, da))
-        params[f"adapter{j}.b2"] = np.zeros(d)
-        params[f"controller{j}.W1"] = scaled_uniform(rng, d, (dc, d))
-        params[f"controller{j}.b1"] = np.zeros(dc)
-        params[f"controller{j}.W2"] = scaled_uniform(rng, dc, (1, dc))
-        params[f"controller{j}.b2"] = np.zeros(1)
+        init_mlp(rng, params, f"adapter{j}", d, flops.adapter_hidden_dim(d), d)
+        init_mlp(rng, params, f"controller{j}", d, flops.controller_hidden_dim(d), 1)
     return SkipModules(static_set=static_set, hidden_dim=d, tau=tau, params=params)
 
 
 def adapter_forward(mods: SkipModules, j: int, x, cache: bool = False):
-    W1T, b1, W2T, b2 = mods._adapters[j]
     if x.shape[-1] != mods.hidden_dim:
         raise ShapeError(f"adapter{j}: x is {x.shape}, expected hidden size {mods.hidden_dim}")
-    h = np.dot(x, W1T)
-    h += b1
-    np.tanh(h, out=h)
-    y = np.dot(h, W2T)
-    y += b2
+    y, h = mlp_forward(mods._adapters[j], x)
     return (y, h) if cache else y
 
 
 def adapter_vjp(mods: SkipModules, j: int, x, h, dy, param_grads: Params):
-    p = mods.params
-    dW2, db2, dh = affine_vjp(p[f"adapter{j}.W2"], h, dy)
-    dz = tanh_vjp(h, dh)
-    dW1, db1, dx = affine_vjp(p[f"adapter{j}.W1"], x, dz)
-    param_grads[f"adapter{j}.W2"] += dW2
-    param_grads[f"adapter{j}.b2"] += db2
-    param_grads[f"adapter{j}.W1"] += dW1
-    param_grads[f"adapter{j}.b1"] += db1
-    return dx
+    return mlp_vjp(mods.params, f"adapter{j}", x, h, dy, param_grads)
 
 
 def controller_forward(mods: SkipModules, j: int, x, cache: bool = False):
     """Gate value in (0, 1); scalar for a vector input, (B,) for a batch."""
-    W1T, b1, W2T, b2 = mods._controllers[j]
     if x.shape[-1] != mods.hidden_dim:
         raise ShapeError(f"controller{j}: x is {x.shape}, expected hidden size {mods.hidden_dim}")
-    h = np.dot(x, W1T)
-    h += b1
-    np.tanh(h, out=h)
-    g = sigmoid(h @ W2T + b2)  # 1-wide layer: np.dot and out= measured no faster at batch 1
+    z, h = mlp_forward(mods._controllers[j], x)
+    g = sigmoid(z)
     g = g[..., 0] if g.ndim > 1 else float(g[0])
     return (g, h) if cache else g
 
 
 def controller_vjp(mods: SkipModules, j: int, x, h, g, dg, param_grads: Params):
-    p = mods.params
-    dz2 = np.asarray(dg) * g * (1.0 - g)
-    dz2 = dz2[..., None] if np.ndim(dz2) else np.array([dz2])
-    dW2, db2, dh = affine_vjp(p[f"controller{j}.W2"], h, dz2)
-    dz = tanh_vjp(h, dh)
-    dW1, db1, dx = affine_vjp(p[f"controller{j}.W1"], x, dz)
-    param_grads[f"controller{j}.W2"] += dW2
-    param_grads[f"controller{j}.b2"] += db2
-    param_grads[f"controller{j}.W1"] += dW1
-    param_grads[f"controller{j}.b1"] += db1
-    return dx
+    dz = np.asarray(dg) * g * (1.0 - g)  # through the sigmoid
+    dz = dz[..., None] if np.ndim(dz) else np.array([dz])
+    return mlp_vjp(mods.params, f"controller{j}", x, h, dz, param_grads)
 
 
 _SKIPMODS_SCHEMA_VERSION = 1
@@ -326,6 +309,7 @@ def _walk(model: PolicyModel, mods: SkipModules, decide, obs, instr,
     each dynamic layer runs its block until decide(trace, segment index,
     layer, x) is true, when the layer's adapter carries x straight to the
     closing static layer."""
+    check_depth(model, mods.static_set)
     if costs is None:
         costs = flops.arch_costs(model.config)
     x = embed_forward(model, obs, instr)

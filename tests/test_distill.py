@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from dynskip import distill as dt, runtime as rt, sim
 from dynskip.errors import ConfigError
 from dynskip.model import (PolicyConfig, block_forward, block_vjp, build_policy, embed_forward,
                            forward_recorded, head_forward, mse_and_grad)
-from dynskip.numerics import Adam, affine_vjp, grad_check
+from dynskip.numerics import Adam, affine_vjp
 from dynskip.profiler import StaticSet
+from gradcheck import grad_check
 
 
 def make_setup(depth=6, statics=(2, 5), seed=0, hidden=8):
@@ -77,8 +79,10 @@ class TestStage1:
 
 class TestHarmonicSampling:
     def test_single_layer_is_certain(self):
-        rng = np.random.default_rng(0)
-        assert dt.sample_segment_layer((4, 6), rng) == 5
+        _, ss, mods = make_setup(depth=8, statics=(4, 6, 7))
+        assert ss.segments == ((-1, 4), (4, 6))
+        draws = dt.draw_selections(mods, 50, np.random.default_rng(0))
+        assert np.array_equal(draws[1], np.full(50, 5))
 
     def test_probabilities_hand_computed(self):
         probs = dt.segment_offset_probs(3, "harmonic")
@@ -91,7 +95,8 @@ class TestHarmonicSampling:
     def test_empirical_frequencies_within_3_sigma(self, m):
         rng = np.random.default_rng(100 + m)
         n = 100_000
-        draws = np.array([dt.sample_segment_layer((-1, m), rng) for _ in range(n)])
+        _, _, mods = make_setup(depth=m + 2, statics=(m, m + 1))  # one segment (-1, m)
+        draws = dt.draw_selections(mods, n, rng)[0]
         probs = dt.segment_offset_probs(m, "harmonic")
         for offset in range(m):
             p = probs[offset]
@@ -102,6 +107,12 @@ class TestHarmonicSampling:
     def test_linear_decay_mode(self):
         probs = dt.segment_offset_probs(3, "linear")
         assert np.allclose(probs, [3 / 6, 2 / 6, 1 / 6])
+
+    def test_probabilities_are_cached_and_read_only(self):
+        probs = dt.segment_offset_probs(5, "harmonic")
+        assert dt.segment_offset_probs(5, "harmonic") is probs
+        with pytest.raises(ValueError):
+            probs[0] = 1.0
 
 
 class TestStage2:
@@ -261,6 +272,15 @@ class TestRunTwoStage:
             dt.DistillConfig(stage1_steps=0)
         with pytest.raises(ConfigError):
             dt.DistillConfig(selection="geometric")
+
+    def test_skip_modules_of_another_depth_rejected(self):
+        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
+                           action_dim=3, seed=23)
+        mods = rt.init_skip_modules(build_policy(cfg), StaticSet(indices=(2, 5, 7), depth=8))
+        model = build_policy(replace(cfg, depth=12))
+        ds = self._dataset(model, seed=24)
+        with pytest.raises(ConfigError, match="static set depth 8 does not match the model's 12"):
+            dt.run_two_stage(model, mods, ds, dt.DistillConfig(stage1_steps=5, stage2_steps=5))
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_nonpositive_batch_size_rejected(self, batch_size):

@@ -9,14 +9,14 @@ from dynskip.model import (
     build_policy,
     block_forward,
     embed_forward,
-    expected_n_params,
     forward_recorded,
     head_forward,
     load_policy,
     save_policy,
     task_loss_and_grads,
 )
-from dynskip.numerics import Adam, grad_check
+from dynskip.numerics import Adam
+from gradcheck import grad_check
 
 
 def tiny_config(**kw):
@@ -41,7 +41,6 @@ class TestBuildPolicy:
         cfg = PolicyConfig(obs_dim=7, instr_dim=5, hidden_dim=64, depth=12,
                            action_dim=3, seed=0)
         model = build_policy(cfg)
-        assert model.n_params() == expected_n_params(cfg)
         assert model.n_params() == (7 + 5 + 1) * 64 + 12 * (2 * 64 * 64 + 2 * 64) + 65 * 3
 
     def test_invalid_dims(self):

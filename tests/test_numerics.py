@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from dynskip.errors import DegenerateInputError, ShapeError
+from dynskip.errors import ShapeError
 from dynskip.model import PolicyConfig, PolicyModel, build_policy, head_forward
-from dynskip.numerics import (
-    Adam,
-    cosine_similarity,
-    grad_check,
-    sigmoid,
-)
+from dynskip.numerics import Adam, bind_mlp, init_mlp, mlp_forward, mlp_vjp, sigmoid
+from gradcheck import grad_check
 
 
 def _head(W, b):
@@ -71,38 +67,6 @@ class TestAffineForward:
             assert np.allclose(lhs, rhs, atol=1e-12)
 
 
-class TestCosineSimilarity:
-    def test_self_similarity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            a = rng.normal(size=rng.integers(1, 10))
-            if np.linalg.norm(a) == 0:
-                continue
-            assert abs(cosine_similarity(a, a) - 1.0) < 1e-12
-
-    def test_orthogonal(self):
-        assert cosine_similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_hand_value(self):
-        got = cosine_similarity(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        assert abs(got - 0.70710678) < 1e-8
-
-    def test_symmetry_and_scale_invariance(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            a = rng.normal(size=6)
-            b = rng.normal(size=6)
-            s = cosine_similarity(a, b)
-            assert abs(s - cosine_similarity(b, a)) < 1e-15
-            assert abs(s - cosine_similarity(3.7 * a, b)) < 1e-12
-            assert abs(s - cosine_similarity(a, 0.01 * b)) < 1e-12
-            assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
-
-    def test_zero_vector_raises(self):
-        with pytest.raises(DegenerateInputError):
-            cosine_similarity(np.zeros(3), np.ones(3))
-
-
 class TestGradCheck:
     def test_quadratic_exact(self):
         params = {"w": np.array([3.0])}
@@ -121,6 +85,49 @@ class TestGradCheck:
             return w * w, {"w": np.array([3.0 * w])}  # wrong on purpose
 
         assert grad_check(f, params, step=1e-5) > 1e-2
+
+
+class TestMlpUnit:
+    """The two-layer tanh unit that every block, adapter and controller is,
+    at the shapes of each (d_in, d_hidden, d_out) at d = 8."""
+
+    SHAPES = {"block": (8, 8, 8), "adapter": (8, 2, 8), "controller": (8, 1, 1)}
+
+    def _unit(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        params = {}
+        init_mlp(rng, params, "unit", *shape)
+        for key in ("unit.b1", "unit.b2"):
+            params[key][:] = rng.normal(scale=0.5, size=params[key].shape)
+        return params, rng
+
+    @pytest.mark.parametrize("unit", sorted(SHAPES))
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_vjp_input_gradient_is_the_same_with_and_without_grads(self, unit, batch):
+        shape = self.SHAPES[unit]
+        params, rng = self._unit(shape, 0)
+        x = rng.normal(size=(shape[0],) if batch is None else (batch, shape[0]))
+        y, h = mlp_forward(bind_mlp(params, "unit", *shape), x)
+        dy = rng.normal(size=y.shape)
+        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        assert np.array_equal(mlp_vjp(params, "unit", x, h, dy),
+                              mlp_vjp(params, "unit", x, h, dy, grads))
+        assert all(np.any(g != 0.0) for g in grads.values())
+
+    @pytest.mark.parametrize("unit", sorted(SHAPES))
+    def test_gradients_match_finite_differences(self, unit):
+        shape = self.SHAPES[unit]
+        params, rng = self._unit(shape, 1)
+        params["x"] = rng.normal(size=(3, shape[0]))
+        c = rng.normal(size=(3, shape[2]))  # loss = sum(c * y), so dy = c
+
+        def f(p):
+            y, h = mlp_forward(bind_mlp(p, "unit", *shape), p["x"])
+            grads = {k: np.zeros_like(v) for k, v in p.items()}
+            grads["x"] = mlp_vjp(p, "unit", p["x"], h, c, grads)
+            return float(np.sum(c * y)), grads
+
+        assert grad_check(f, params, step=1e-5) < 1e-7
 
 
 class TestAdam:

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ class TestSkipModules:
         b = rt.init_skip_modules(model, ss, seed=9)
         for k in a.params:
             assert np.array_equal(a.params[k], b.params[k])
+
+    def test_init_draw_order_matches_pinned_digests(self):
+        # keys and bytes in dict order, which is also the Adam and checkpoint
+        # layout; the digests were taken before the unit moved to numerics
+        def digest(params):
+            h = hashlib.sha256()
+            for name, arr in params.items():
+                h.update(name.encode())
+                h.update(np.ascontiguousarray(arr).tobytes())
+            return h.hexdigest()[:16]
+
+        model = build_policy(PolicyConfig(seed=3))
+        mods = rt.init_skip_modules(model, StaticSet(indices=(1, 4, 7, 11), depth=12), seed=5)
+        assert digest(model.params) == "da39412daeda1e51"
+        assert digest(mods.params) == "e0291bfc0934e5e9"
 
     def test_default_tau(self):
         model, ss, _ = make_setup()
@@ -382,6 +398,43 @@ class TestForwardRandom:
                                      np.zeros(3), np.zeros(2))
         assert [j for j in trace.executed_layers if j in ss.dynamic_layers] == []
         assert set(ss.indices) <= set(trace.executed_layers)
+
+
+class TestDepthMismatch:
+    """Skip modules built for a depth-8 model, run on a depth-12 model: every
+    skipping path raises instead of silently dropping blocks 8-11."""
+
+    def _pair(self):
+        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
+                           action_dim=3, seed=0)
+        mods = rt.init_skip_modules(build_policy(cfg), StaticSet(indices=(2, 5, 7), depth=8),
+                                    seed=1)
+        return build_policy(replace(cfg, depth=12)), mods
+
+    MATCH = "static set depth 8 does not match the model's 12"
+
+    def test_init_rejects(self):
+        model, mods = self._pair()
+        with pytest.raises(ConfigError, match=self.MATCH):
+            rt.init_skip_modules(model, mods.static_set)
+
+    def test_forward_skipped_rejects(self):
+        model, mods = self._pair()
+        points = [front + 1 for front, _ in mods.static_set.segments]
+        with pytest.raises(ConfigError, match=self.MATCH):
+            rt.forward_skipped(model, mods, points, np.zeros(7), np.zeros(2))
+
+    def test_forward_random_rejects(self):
+        model, mods = self._pair()
+        with pytest.raises(ConfigError, match=self.MATCH):
+            rt.forward_random(model, mods, 0.0, np.random.default_rng(0),
+                              np.zeros(7), np.zeros(2))
+
+    def test_controllers_only_rollout_rejects(self):
+        model, mods = self._pair()
+        task = sim.sample_task_sequence(3, sim.SimConfig(subtasks=2))
+        with pytest.raises(ConfigError, match=self.MATCH):
+            rt.rollout_episode(task, model, mods, "controllers-only", rt.GuidanceConfig())
 
 
 class TestRolloutEpisode:
