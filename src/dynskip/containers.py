@@ -11,12 +11,14 @@
   zero-shot and noise studies): `write_csv`, read back with `read_csv`.
 
 Every header carries `kind` and `schema_version`; loaders pass it through
-`check_header`, so a wrong or stale artifact fails with ConfigError.
+`check_header`, so a wrong or stale artifact, or a header field that is
+missing, unexpected or of the wrong JSON type, fails with ConfigError.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -28,13 +30,57 @@ _HEADER_KEY = "__header__"
 _ARRAY_PREFIX = "a:"
 
 
-def check_header(header: dict, kind: str, version: int, path) -> None:
-    """ConfigError unless the header names `kind` at schema `version`."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON value checks by type name; a JSON true/false is no number
+_JSON_TYPES = {
+    "int": _is_int,
+    "float": lambda v: _is_int(v) or isinstance(v, float),
+    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "dict": lambda v: isinstance(v, dict),
+}
+
+
+def _check_fields(values, spec: dict[str, str], path, what: str) -> None:
+    """ConfigError, naming the field, unless `values` is a JSON object with
+    exactly the fields of `spec`, each of the type spec names for it: "int",
+    "float" (an int passes), "list[int]" or "dict"."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{path}: {what} is {values!r}, not an object")
+    for name, type_name in spec.items():
+        if name not in values:
+            raise ConfigError(f"{path}: {what} has no field {name!r}")
+        if not _JSON_TYPES[type_name](values[name]):
+            raise ConfigError(f"{path}: {what} field {name!r} is {values[name]!r}, "
+                              f"expected {type_name}")
+    unknown = sorted(set(values) - set(spec))
+    if unknown:
+        raise ConfigError(f"{path}: {what} has unexpected field {unknown[0]!r}")
+
+
+def check_header(header: dict, kind: str, version: int, path,
+                 fields: dict[str, str] | None = None) -> None:
+    """ConfigError unless the header names `kind` at schema `version`; with
+    `fields` given, the rest of the header must pass _check_fields on it."""
     if header.get("kind") != kind:
         raise ConfigError(f"{path} is not a {kind} artifact (kind {header.get('kind')!r})")
     found = header.get("schema_version", "none")
     if found != version:
         raise ConfigError(f"{path}: {kind} artifact has schema_version {found}, expected {version}")
+    if fields is not None:
+        rest = {k: v for k, v in header.items() if k not in ("kind", "schema_version")}
+        _check_fields(rest, fields, path, f"{kind} header")
+
+
+def config_from_header(cls, values, path, what: str):
+    """cls(**values) for a dataclass `cls`, once _check_fields has found in
+    values exactly its fields, each of its annotated type."""
+    spec = {f.name: f.type if isinstance(f.type, str) else f.type.__name__
+            for f in dataclasses.fields(cls)}
+    _check_fields(values, spec, path, what)
+    return cls(**values)
 
 
 def save_arrays(path, header: dict, arrays: dict[str, np.ndarray]) -> None:

@@ -101,7 +101,7 @@ def embed_forward(model: PolicyModel, obs, instr) -> np.ndarray:
     if instr.shape[-1] != cfg.instr_dim:
         raise ShapeError(f"instr has size {instr.shape[-1]}, expected {cfg.instr_dim}")
     WT, b = model._embed
-    y = np.dot(np.concatenate([obs, instr], axis=-1), WT)
+    y = np.concatenate([obs, instr], axis=-1).dot(WT)
     y += b
     return y
 
@@ -124,7 +124,7 @@ def head_forward(model: PolicyModel, x: np.ndarray) -> np.ndarray:
     WT, b = model._head
     if x.shape[-1] != model.config.hidden_dim:
         raise ShapeError(f"head: x is {x.shape}, expected hidden size {model.config.hidden_dim}")
-    y = np.dot(x, WT)
+    y = x.dot(WT)
     y += b
     return y
 
@@ -195,5 +195,6 @@ def save_policy(path, model: PolicyModel) -> None:
 
 def load_policy(path) -> PolicyModel:
     header, arrays = containers.load_arrays(path)
-    containers.check_header(header, "policy", _SCHEMA_VERSION, path)
-    return PolicyModel(PolicyConfig(**header["config"]), arrays)
+    containers.check_header(header, "policy", _SCHEMA_VERSION, path, {"config": "dict"})
+    config = containers.config_from_header(PolicyConfig, header["config"], path, "policy config")
+    return PolicyModel(config, arrays)

@@ -109,23 +109,43 @@ def mlp_forward(bound, x: np.ndarray):
     single sample or a (batch, d_in) matrix. Returns (y, h), h = tanh(W1 x + b1).
 
     The kernel contract, which the embedding and head kernels in `model`
-    keep too: outputs are freshly allocated and x, which may be an entry of
-    the trace `forward_recorded` returns, is never written; the in-place ops
-    (bias add, tanh, a block's residual add) touch only the fresh output. At
-    every batch size the bits equal the `x @ W.T + b` form: `np.dot` makes
-    the same BLAS call as `@` for these shapes, the controller's 1-wide
-    second layer included, and in-place addition does the same IEEE
-    operations (addition commutes, so a block's `y += x` after the bias
-    equals `x + (h @ W2.T + b2)`). At batch 1 this saves numpy calls and
-    temporaries, which at this model size cost more than the arithmetic.
+    and `gate_forward` keep too: outputs are freshly allocated and x, which
+    may be an entry of the trace `forward_recorded` returns, is never
+    written; the in-place ops (bias add, tanh, a block's residual add) touch
+    only the fresh output. At every batch size the bits equal the
+    `x @ W.T + b` form: `a.dot(B)` makes the same BLAS call as `@` for these
+    shapes, and in-place addition does the same IEEE operations (addition
+    commutes, so a block's `y += x` after the bias equals
+    `x + (h @ W2.T + b2)`). The method form, not `np.dot(a, B)`, skips
+    numpy's Python-level `__array_function__` dispatch. At batch 1 this
+    saves numpy calls and temporaries, which at this model size cost more
+    than the arithmetic.
     """
     W1T, b1, W2T, b2 = bound
-    h = np.dot(x, W1T)
+    h = x.dot(W1T)
     h += b1
     np.tanh(h, out=h)
-    y = np.dot(h, W2T)
+    y = h.dot(W2T)
     y += b2
     return y, h
+
+
+def gate_forward(bound, w2: np.ndarray, x: np.ndarray) -> float:
+    """sigmoid(W2 tanh(W1 x + b1) + b2) of a 1-wide unit on a 1-D x, as a
+    Python float: a gate decision at batch 1.
+
+    The first layer is mlp_forward's. `w2` is the 1-D view `W2[0]` (bound
+    once, so in-place updates stay visible), and the second layer
+    `float(h.dot(w2)) + b2[0]` is the same dot product and addition as the
+    1-element `h @ W2.T + b2`. The sigmoid stays `sigmoid` on that numpy
+    scalar: `np.exp` is the vectorised loop, whose bits `math.exp` does not
+    always match. Bit-equal to `float(sigmoid(h @ W2.T + b2)[0])`.
+    """
+    W1T, b1, _, b2 = bound
+    h = x.dot(W1T)
+    h += b1
+    np.tanh(h, out=h)
+    return float(sigmoid(float(h.dot(w2)) + b2[0]))
 
 
 def mlp_vjp(params: Params, prefix: str, x, h, dy, grads: Params | None = None):

@@ -10,6 +10,7 @@ input/output vector.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -29,7 +30,9 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class StaticSet:
     """Strictly increasing always-executed layer ids; the final block is
-    always a member so every skip has a jump target."""
+    always a member so every skip has a jump target. `segments` and
+    `dynamic_layers` are computed on first use and kept; equality, hashing
+    and repr still see only the two fields."""
 
     indices: tuple[int, ...]
     depth: int
@@ -44,7 +47,7 @@ class StaticSet:
         if self.indices[-1] != self.depth - 1:
             raise ConfigError("final block must be static")
 
-    @property
+    @functools.cached_property
     def segments(self) -> tuple[tuple[int, int], ...]:
         """(front, back) static pairs enclosing at least one dynamic layer;
         front is -1 for layers before the first static block."""
@@ -56,7 +59,7 @@ class StaticSet:
             front = back
         return tuple(segs)
 
-    @property
+    @functools.cached_property
     def dynamic_layers(self) -> tuple[int, ...]:
         static = set(self.indices)
         return tuple(i for i in range(self.depth) if i not in static)

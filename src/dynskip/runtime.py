@@ -29,6 +29,7 @@ from .numerics import (
     MLP_PARTS,
     Params,
     bind_mlp,
+    gate_forward,
     init_mlp,
     l2_norm,
     mlp_forward,
@@ -50,9 +51,9 @@ class SkipModules:
     Construction checks that the gate threshold tau lies in (0, 1)
     (ConfigError) and every weight against hidden_dim (ShapeError names a
     missing, mis-shaped or unexpected key), binds each layer's (W.T, b) views
-    once and lays out the segment walk: `segment_plan` holds, per segment, the
-    static layers before it and its (front, back), and `trailing_statics` the
-    rest.
+    and each gate's second-layer row W2[0] once and lays out the segment
+    walk: `segment_plan` holds, per segment, the static layers before it and
+    its (front, back), and `trailing_statics` the rest.
     As with PolicyModel, update `params` arrays in place; a replaced entry
     needs a new SkipModules.
     """
@@ -70,6 +71,7 @@ class SkipModules:
                           for j in self.static_set.dynamic_layers}
         self._controllers = {j: bind_mlp(p, f"controller{j}", d, dc, 1)
                              for j in self.static_set.dynamic_layers}
+        self._gate_w2 = {j: p[f"controller{j}.W2"][0] for j in self._controllers}
         reject_unknown_keys(p, [f"{kind}{j}.{part}" for j in self.static_set.dynamic_layers
                                 for kind in ("adapter", "controller")
                                 for part in MLP_PARTS])
@@ -136,6 +138,8 @@ def controller_forward(mods: SkipModules, j: int, x, cache: bool = False):
     """Gate value in (0, 1); scalar for a vector input, (B,) for a batch."""
     if x.shape[-1] != mods.hidden_dim:
         raise ShapeError(f"controller{j}: x is {x.shape}, expected hidden size {mods.hidden_dim}")
+    if x.ndim == 1 and not cache:
+        return gate_forward(mods._controllers[j], mods._gate_w2[j], x)
     z, h = mlp_forward(mods._controllers[j], x)
     g = sigmoid(z)
     g = g[..., 0] if g.ndim > 1 else float(g[0])
@@ -165,7 +169,9 @@ def save_skip_modules(path, mods: SkipModules) -> None:
 
 def load_skip_modules(path) -> SkipModules:
     header, arrays = containers.load_arrays(path)
-    containers.check_header(header, "skip_modules", _SKIPMODS_SCHEMA_VERSION, path)
+    containers.check_header(header, "skip_modules", _SKIPMODS_SCHEMA_VERSION, path,
+                            {"static_indices": "list[int]", "depth": "int",
+                             "hidden_dim": "int", "tau": "float"})
     static_set = StaticSet(indices=tuple(header["static_indices"]),
                            depth=header["depth"])
     return SkipModules(static_set=static_set, hidden_dim=header["hidden_dim"],

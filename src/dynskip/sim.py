@@ -384,7 +384,9 @@ def save_dataset(path, dataset: Dataset) -> None:
 def load_dataset(path) -> Dataset:
     """ShapeError when the arrays disagree in row count or width."""
     header, arrays = containers.load_arrays(path)
-    containers.check_header(header, "dataset", DATASET_SCHEMA_VERSION, path)
+    containers.check_header(header, "dataset", DATASET_SCHEMA_VERSION, path,
+                            {"seed": "int", "n_episodes": "int", "sim_config": "dict"})
+    config = containers.config_from_header(SimConfig, header["sim_config"], path, "sim_config")
     rows = len(arrays.get("obs", ()))
     for name, shape in (("obs", (rows, OBS_DIM)), ("instr", (rows,)),
                         ("actions", (rows, 3)), ("phases", (rows,)),
@@ -393,6 +395,6 @@ def load_dataset(path) -> Dataset:
         if found != shape:
             raise ShapeError(f"{path}: dataset array {name!r} has shape {found}, "
                              f"expected {shape}")
-    return Dataset(SimConfig(**header["sim_config"]), header["seed"],
+    return Dataset(config, header["seed"],
                    header["n_episodes"], arrays["obs"], arrays["instr"],
                    arrays["actions"], arrays["phases"].tolist(), arrays["episode_ids"])

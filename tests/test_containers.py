@@ -146,6 +146,59 @@ def test_loaders_reject_bad_headers(tmp_path, artifact, edit, message):
         load(path)
 
 
+def _drop(*keys):
+    """Header edit deleting the field at the path `keys`."""
+    def edit(header):
+        for key in keys[:-1]:
+            header = header[key]
+        del header[keys[-1]]
+    return edit
+
+
+def _put(value, *keys):
+    """Header edit setting the field at the path `keys` to `value`."""
+    def edit(header):
+        for key in keys[:-1]:
+            header = header[key]
+        header[keys[-1]] = value
+    return edit
+
+
+MALFORMED_HEADERS = {
+    "policy-no-config": ("policy", _drop("config"), "config"),
+    "policy-config-not-object": ("policy", _put([64], "config"), "config"),
+    "policy-extra-config-key": ("policy", _put(3, "config", "width"), "width"),
+    "policy-no-depth": ("policy", _drop("config", "depth"), "depth"),
+    "policy-depth-as-text": ("policy", _put("4", "config", "depth"), "depth"),
+    "policy-extra-field": ("policy", _put(1, "note"), "note"),
+    "skip_modules-no-static_indices": ("skip_modules", _drop("static_indices"),
+                                       "static_indices"),
+    "skip_modules-no-tau": ("skip_modules", _drop("tau"), "tau"),
+    "skip_modules-tau-as-text": ("skip_modules", _put("0.5", "tau"), "tau"),
+    "skip_modules-bool-depth": ("skip_modules", _put(True, "depth"), "depth"),
+    "skip_modules-text-index": ("skip_modules", _put([1, "3"], "static_indices"),
+                                "static_indices"),
+    "dataset-no-sim_config": ("dataset", _drop("sim_config"), "sim_config"),
+    "dataset-no-seed": ("dataset", _drop("seed"), "seed"),
+    "dataset-no-n_episodes": ("dataset", _drop("n_episodes"), "n_episodes"),
+    "dataset-extra-sim_config-key": ("dataset", _put(1, "sim_config", "gravity"),
+                                     "gravity"),
+    "dataset-no-subtasks": ("dataset", _drop("sim_config", "subtasks"), "subtasks"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_loaders_name_the_malformed_header_field(tmp_path, case):
+    artifact, edit, field = MALFORMED_HEADERS[case]
+    save, load, edit_header = ARTIFACTS[artifact]
+    path = tmp_path / "a"
+    save(path)
+    load(path)  # the untouched artifact loads
+    edit_header(path, edit)
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        load(path)
+
+
 @pytest.mark.parametrize("artifact", ["policy", "skip_modules", "dataset"])
 def test_npz_loaders_reject_non_container_files(tmp_path, artifact):
     _, load, _ = ARTIFACTS[artifact]

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from dynskip import containers, flops, runtime as rt, sim
 from dynskip.errors import ConfigError, DegenerateInputError, ShapeError
 from dynskip.model import PolicyConfig, build_policy, forward_recorded
-from dynskip.numerics import Adam, sigmoid
+from dynskip.numerics import Adam, bind_mlp, gate_forward, init_mlp, sigmoid
 from dynskip.profiler import StaticSet
 
 
@@ -34,6 +35,15 @@ class TestStaticSet:
     def test_first_segment_has_virtual_front(self):
         ss = StaticSet(indices=(2, 5), depth=6)
         assert ss.segments[0] == (-1, 2)
+
+    def test_derived_layouts_are_computed_once_and_not_compared(self):
+        ss = StaticSet(indices=(0, 3, 4, 7), depth=8)
+        assert ss.segments is ss.segments
+        assert ss.dynamic_layers is ss.dynamic_layers
+        fresh = StaticSet(indices=(0, 3, 4, 7), depth=8)
+        assert ss == fresh and hash(ss) == hash(fresh) and repr(ss) == repr(fresh)
+        again = pickle.loads(pickle.dumps(ss))
+        assert again == ss and again.segments == ss.segments
 
 
 class TestSkipModules:
@@ -186,6 +196,82 @@ class TestSkipKernels:
             for out in (ay, ay_c, ah_c, ch_c, *([cg_c] if batch else [])):
                 for arr in (x, *p.values()):
                     assert not np.shares_memory(out, arr)
+
+
+def _gate_reference(p, prefix, x):
+    h = np.tanh(x @ p[f"{prefix}.W1"].T + p[f"{prefix}.b1"])
+    return float(sigmoid(h @ p[f"{prefix}.W2"].T + p[f"{prefix}.b2"])[0])
+
+
+class TestGateKernel:
+    """The batch-1 gate kernel equals the 1-element `h @ W2.T + b2` form
+    under `sigmoid` bit for bit, reads x without writing it and sees
+    in-place updates of the weights it was bound to."""
+
+    @staticmethod
+    def _draws(rng, d, width, n_units, n_x):
+        """n_units random 1-wide units of d -> width -> 1, each on n_x random
+        inputs; every pair compared bit for bit. Returns the pair count."""
+        for _ in range(n_units):
+            p = {}
+            init_mlp(rng, p, "c", d, width, 1)
+            p["c.b1"][:] = rng.normal(scale=0.5, size=width)
+            p["c.b2"][:] = rng.normal(scale=2.0, size=1)
+            p["c.W2"] *= rng.uniform(0.5, 8.0)  # gates from saturated to balanced
+            bound, w2 = bind_mlp(p, "c", d, width, 1), p["c.W2"][0]
+            for x in rng.normal(scale=rng.uniform(0.1, 4.0), size=(n_x, d)):
+                before = x.tobytes()
+                g = gate_forward(bound, w2, x)
+                assert type(g) is float
+                assert g == _gate_reference(p, "c", x)
+                assert x.tobytes() == before
+        return n_units * n_x
+
+    def test_bit_equal_at_the_fixture_widths(self):
+        d = 64
+        width = flops.controller_hidden_dim(d)
+        assert width == 8
+        assert self._draws(np.random.default_rng(41), d, width, 200, 100) >= 20_000
+
+    def test_bit_equal_at_random_widths(self):
+        rng = np.random.default_rng(42)
+        n = sum(self._draws(rng, int(rng.integers(1, 129)), int(rng.integers(1, 33)), 1, 20)
+                for _ in range(1000))
+        assert n >= 20_000
+
+    def test_controller_forward_routes_batch_one_through_the_kernel(self, monkeypatch):
+        model = build_policy(PolicyConfig(seed=43))
+        mods = rt.init_skip_modules(model, StaticSet(indices=(0, 2, 9, 10, 11), depth=12),
+                                    seed=44)
+        x = np.random.default_rng(45).normal(size=64)
+        j = mods.static_set.dynamic_layers[0]
+        g_kernel = rt.controller_forward(mods, j, x)
+        g_cached, _ = rt.controller_forward(mods, j, x, cache=True)
+        assert type(g_kernel) is float and type(g_cached) is float
+        assert g_kernel == g_cached == _gate_reference(mods.params, f"controller{j}", x)
+        calls = []
+        monkeypatch.setattr(rt, "gate_forward", lambda *a: calls.append(a) or 0.5)
+        rt.controller_forward(mods, j, x)
+        rt.controller_forward(mods, j, x, cache=True)
+        rt.controller_forward(mods, j, x[None, :])
+        assert len(calls) == 1
+
+    def test_sees_in_place_adam_updates(self):
+        model = build_policy(PolicyConfig(seed=46))
+        mods = rt.init_skip_modules(model, StaticSet(indices=(0, 2, 9, 10, 11), depth=12),
+                                    seed=47)
+        rng = np.random.default_rng(48)
+        x = rng.normal(size=64)
+        before = {j: rt.controller_forward(mods, j, x) for j in mods.static_set.dynamic_layers}
+        opt = Adam(lr=0.05)
+        for _ in range(3):
+            opt.step(mods.params, {k: rng.normal(size=v.shape) for k, v in mods.params.items()})
+        fresh = rt.SkipModules(mods.static_set, mods.hidden_dim, mods.tau, mods.params)
+        for j in mods.static_set.dynamic_layers:
+            g = rt.controller_forward(mods, j, x)
+            assert g != before[j]
+            assert g == rt.controller_forward(fresh, j, x)
+            assert g == _gate_reference(mods.params, f"controller{j}", x)
 
 
 class TestContinuity:
