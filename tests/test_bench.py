@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 
@@ -125,3 +126,20 @@ def test_every_optimizer_step_calls_its_timed_step_function_once(monkeypatch):
     assert calls == {"task_loss_and_grads": 7, "stage1_step": 5, "stage2_step": 4}
     distill.distill_pipeline(policy, statics, data, dcfg, joint_from_scratch=True)
     assert calls == {"task_loss_and_grads": 7, "stage1_step": 5, "stage2_step": 13}
+
+
+def test_train_base_policy_matches_its_pinned_digests():
+    """Digests of a short BC run's params and log rows, taken before the
+    gradient functions stored each gradient instead of accumulating it."""
+    data = sim.generate_dataset(sim.SimConfig(subtasks=2), 4, seed=31)
+    val = sim.generate_dataset(sim.SimConfig(subtasks=2), 2, seed=32)
+    model, log = bench.train_base_policy(
+        PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6, action_dim=3, seed=30),
+        bench.TrainConfig(steps=40, batch_size=24, val_every=20, seed=33), data, val)
+    h = hashlib.sha256()
+    for k in sorted(model.params):
+        h.update(k.encode())
+        h.update(np.ascontiguousarray(model.params[k]).tobytes())
+    assert h.hexdigest()[:16] == "13d76d1c9358f1ff"
+    assert [step for step, _, _ in log] == [0, 20, 40]
+    assert hashlib.sha256(repr(log).encode()).hexdigest()[:16] == "9ff3ad4fdec2db40"
