@@ -246,7 +246,10 @@ def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None
         step_costs = []
         for f in files:
             _, records = rt.read_episode_trace(f)
-            for rec in records:
+            for n, rec in enumerate(records, 1):
+                for name in ("executed_layers", "flops"):
+                    if name not in rec:
+                        raise TraceIntegrityError(f"{f.name}: step record {n} has no {name!r}")
                 recomputed = flops.flop_estimate_record(costs, rec)
                 if recomputed != rec["flops"]:
                     raise TraceIntegrityError(

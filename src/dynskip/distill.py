@@ -36,7 +36,7 @@ import numpy as np
 from . import containers
 from .errors import ConfigError
 from .model import PolicyModel, block_forward, block_vjp, forward_recorded, head_forward, mse_and_grad
-from .numerics import Adam, Params, affine_vjp
+from .numerics import MLP_PARTS, Adam, Params
 from .runtime import (
     SkipModules,
     adapter_forward,
@@ -92,10 +92,11 @@ def stage1_loss_and_grads(mods: SkipModules, trace):
     suffix target, summed over dynamic layers and averaged over the batch.
     Adapter j reads its input `trace[j]` and its target `trace[back]` from
     the batch's teacher rows, so no backbone block runs. Only adapter
-    parameters receive gradients.
+    parameters receive gradients, keyed in `adapter_keys()` order; each
+    adapter's VJP runs once and stores its gradients.
     """
     batch = len(trace[0])
-    grads: Params = {k: np.zeros_like(mods.params[k]) for k in mods.adapter_keys()}
+    grads: Params = dict.fromkeys(mods.adapter_keys())
     loss = 0.0
     for front, back in mods.static_set.segments:
         target = trace[back]
@@ -206,19 +207,18 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
         x, h = block_forward(model, layer, x, cache=True)
         if caches is not None:
             caches.append(("static", layer, h))
-    actions = head_forward(model, x)
-    if caches is not None:
-        caches.append(("head", x))
-    return actions, gates
+    return head_forward(model, x), gates
 
 
 def stage2_loss_and_grads(model: PolicyModel, mods: SkipModules, selections,
                           trace, targets, lam: float):
     """Blended task MSE plus lam * mean_batch sum_segments (1-g)*(back-sel).
 
-    Gradients flow to controller and adapter parameters only; frozen
-    backbone blocks only propagate upstream gradients, and none below
-    segment 0's modules.
+    Gradients flow to controller and adapter parameters only, keyed in
+    `mods.params` order; frozen backbone blocks only propagate upstream
+    gradients, and none below segment 0's modules. Each selected unit's VJP
+    runs once and stores its gradients; a unit no sample selected gets
+    exact zeros.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     caches: list = []
@@ -231,11 +231,9 @@ def stage2_loss_and_grads(model: PolicyModel, mods: SkipModules, selections,
         norm_loss += float(np.sum((1.0 - gates[:, si]) * (back - selections[si]))) / batch
     loss = task_loss + lam * norm_loss
 
-    grads: Params = {k: np.zeros_like(v) for k, v in mods.params.items()}
-    kind = caches[-1]
-    assert kind[0] == "head"
-    _, _, dx = affine_vjp(model.params["head.W"], kind[1], dpred)
-    for entry in reversed(caches[:-1]):
+    grads: Params = dict.fromkeys(mods.params)
+    dx = dpred @ model.params["head.W"]  # the head is frozen: input gradient only
+    for entry in reversed(caches):
         if entry[0] == "static":
             _, layer, h = entry
             dx = block_vjp(model, layer, None, h, dx)
@@ -258,7 +256,10 @@ def _segment_vjp(model, mods, front, back, chain, hs, seg_cache, sel,
     inj = {}
     for off, j in enumerate(range(front + 1, back)):
         entry = seg_cache[off]
-        if entry is None:
+        if entry is None:  # no sample selected layer j
+            for key in (f"{unit}{j}.{part}" for unit in ("adapter", "controller")
+                        for part in MLP_PARTS):
+                grads[key] = np.zeros_like(mods.params[key])
             continue
         idx, xj, g, hc, a, ha = entry
         du = d_blend[idx]

@@ -116,8 +116,12 @@ def block_forward(model: PolicyModel, i: int, x: np.ndarray, cache: bool = False
 
 
 def block_vjp(model: PolicyModel, i: int, x, h, dy, param_grads: Params | None = None):
-    """VJP through block i; accumulates parameter grads into param_grads when given."""
-    return dy + mlp_vjp(model.params, f"block{i}", x, h, dy, param_grads)
+    """Input gradient of block i, the unit's plus the residual's dy, added in
+    place into the unit's fresh array. With param_grads given, the block's
+    parameter gradients are stored in it, as mlp_vjp does."""
+    dx = mlp_vjp(model.params, f"block{i}", x, h, dy, param_grads)
+    dx += dy  # == dy + dx: IEEE addition commutes
+    return dx
 
 
 def head_forward(model: PolicyModel, x: np.ndarray) -> np.ndarray:
@@ -154,7 +158,9 @@ def mse_and_grad(pred: np.ndarray, targets: np.ndarray):
 
 def task_loss_and_grads(model: PolicyModel, obs, instr, targets):
     """Batch MSE between predicted and target actions, with gradients for
-    every model parameter. The batch must be nonempty."""
+    every model parameter, keyed in `model.params` order. Each gradient is
+    stored once: every block's VJP runs once, and the embedding's backward
+    forms no input gradient. The batch must be nonempty."""
     obs = as_f64(obs, "obs")
     instr = as_f64(instr, "instr")
     targets = as_f64(targets, "targets")
@@ -171,16 +177,13 @@ def task_loss_and_grads(model: PolicyModel, obs, instr, targets):
     pred = head_forward(model, x)
     loss, dpred = mse_and_grad(pred, targets)
 
-    grads: Params = {k: np.zeros_like(v) for k, v in model.params.items()}
-    dW, db, dx = affine_vjp(model.params["head.W"], xs[-1], dpred)
-    grads["head.W"] += dW
-    grads["head.b"] += db
+    grads: Params = dict.fromkeys(model.params)
+    grads["head.W"], grads["head.b"], dx = affine_vjp(model.params["head.W"], xs[-1], dpred)
     for i in reversed(range(cfg.depth)):
         dx = block_vjp(model, i, xs[i], hs[i], dx, grads)
     u = np.concatenate([obs, instr], axis=-1)
-    dW, db, _ = affine_vjp(model.params["embed.W"], u, dx)
-    grads["embed.W"] += dW
-    grads["embed.b"] += db
+    grads["embed.W"] = dx.T @ u
+    grads["embed.b"] = dx.sum(axis=0)
     return loss, grads
 
 

@@ -150,17 +150,23 @@ def gate_forward(bound, w2: np.ndarray, x: np.ndarray) -> float:
 
 def mlp_vjp(params: Params, prefix: str, x, h, dy, grads: Params | None = None):
     """Input gradient of unit `prefix` given upstream dy and the forward's h.
-    With `grads` given, the unit's parameter gradients are accumulated into
-    it; without, x is not read (a frozen unit needs only h)."""
+    With `grads` given, the unit's four parameter gradients are stored in it,
+    replacing any entry already there, so a caller runs each unit's VJP at
+    most once per gradient dict; without, x is not read (a frozen unit needs
+    only h). The tanh derivative 1 - h * h is formed in a temporary, never
+    in h."""
     W1, b1, W2, b2 = _mlp_keys(prefix)
-    dz = (dy @ params[W2]) * (1.0 - h * h)  # through tanh, from its output h
+    dz = dy @ params[W2]
+    t = h * h
+    np.subtract(1.0, t, out=t)
+    dz *= t  # through tanh, from its output h
     if grads is not None:
         dy2 = np.atleast_2d(dy)
         dz2 = np.atleast_2d(dz)
-        grads[W2] += dy2.T @ np.atleast_2d(h)
-        grads[b2] += dy2.sum(axis=0)
-        grads[W1] += dz2.T @ np.atleast_2d(x)
-        grads[b1] += dz2.sum(axis=0)
+        grads[W2] = dy2.T @ np.atleast_2d(h)
+        grads[b2] = dy2.sum(axis=0)
+        grads[W1] = dz2.T @ np.atleast_2d(x)
+        grads[b1] = dz2.sum(axis=0)
     return dz @ params[W1]
 
 
@@ -175,7 +181,9 @@ class Adam:
     each parameter subset its own Adam. step() still updates the passed
     parameter arrays in place and returns them, so views bound to them
     (PolicyModel, SkipModules) see every update. With zero gradients a step
-    leaves parameters unchanged.
+    leaves parameters unchanged. A gradient missing from `grads`, or one that
+    is not an array (a `dict.fromkeys` entry never assigned), raises
+    ShapeError naming the parameter: it is never taken as zero.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
@@ -202,13 +210,19 @@ class Adam:
             self._lay_out(params)
         elif tuple(params) != self._names:
             raise ShapeError("parameter names or order differ from the first Adam step")
-        gs = [grads[name] for name in self._names]
+        gs = [grads.get(name) for name in self._names]
         shapes = self._shapes
-        if [p.shape for p in params.values()] != shapes or [g.shape for g in gs] != shapes:
+        if ([p.shape for p in params.values()] != shapes
+                or [getattr(g, "shape", None) for g in gs] != shapes):
             for name, p, g, shape in zip(self._names, params.values(), gs, shapes):
                 if p.shape != shape:
                     raise ShapeError(f"parameter {name!r} is {p.shape}, "
                                      f"was {shape} at the first Adam step")
+                if name not in grads:
+                    raise ShapeError(f"no gradient for parameter {name!r}")
+                if not isinstance(g, np.ndarray):
+                    raise ShapeError(f"gradient for parameter {name!r} is "
+                                     f"{type(g).__name__}, not an array")
                 if g.shape != shape:
                     raise ShapeError(f"grad shape mismatch for {name}")
         self.t += 1

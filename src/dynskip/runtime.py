@@ -131,6 +131,8 @@ def adapter_forward(mods: SkipModules, j: int, x, cache: bool = False):
 
 
 def adapter_vjp(mods: SkipModules, j: int, x, h, dy, param_grads: Params):
+    """Input gradient of adapter j; its parameter gradients are stored in
+    param_grads, as mlp_vjp does, so run it at most once per dict."""
     return mlp_vjp(mods.params, f"adapter{j}", x, h, dy, param_grads)
 
 
@@ -147,6 +149,9 @@ def controller_forward(mods: SkipModules, j: int, x, cache: bool = False):
 
 
 def controller_vjp(mods: SkipModules, j: int, x, h, g, dg, param_grads: Params):
+    """Input gradient of controller j given the gate g and upstream dg; its
+    parameter gradients are stored in param_grads, as mlp_vjp does, so run
+    it at most once per dict."""
     dz = np.asarray(dg) * g * (1.0 - g)  # through the sigmoid
     dz = dz[..., None] if np.ndim(dz) else np.array([dz])
     return mlp_vjp(mods.params, f"controller{j}", x, h, dz, param_grads)

@@ -68,6 +68,25 @@ def test_cross_check_report_rejects_an_edited_trace_record(tmp_path):
         bench.cross_check_report(tmp_path, report, model.config)
 
 
+@pytest.mark.parametrize("field", ["executed_layers", "flops"])
+def test_cross_check_report_names_a_field_missing_from_a_trace_record(tmp_path, field):
+    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=1, hidden_dim=8, depth=6,
+                                      action_dim=3, seed=2))
+    stats, _ = bench.evaluate_modes(model, None, sim.SimConfig(subtasks=1, step_cap=1),
+                                    rt.GuidanceConfig(k=2), ["full"], 1, 0, out_dir=tmp_path)
+    report = tmp_path / "report.csv"
+    bench.write_report_csv(report, stats)
+    trace = tmp_path / "traces" / "full" / "ep_0000.jsonl"
+    header, record = trace.read_text(encoding="utf-8").splitlines()
+    bench.cross_check_report(tmp_path, report, model.config)
+
+    record = json.loads(record)
+    del record[field]
+    trace.write_text(f"{header}\n{json.dumps(record, sort_keys=True)}\n", encoding="utf-8")
+    with pytest.raises(TraceIntegrityError, match=f"ep_0000.jsonl: .*{field!r}"):
+        bench.cross_check_report(tmp_path, report, model.config)
+
+
 def test_paired_pvalue_rejects_empty_input():
     with pytest.raises(ConfigError):
         bench.paired_one_sided_pvalue([], [])

@@ -209,6 +209,22 @@ class TestStage2:
         for k, v in model.params.items():
             assert np.array_equal(v, before[k])
 
+    def test_unselected_units_get_exact_zeros_and_adam_leaves_them(self):
+        model, ss, mods = make_setup(depth=6, statics=(2, 5), seed=19)
+        obs, instr, targets = rand_batch(model, 6, 20)
+        sels = [np.full(6, 0), np.full(6, 3)]  # layers 1 and 4 never selected
+        *_, grads = dt.stage2_loss_and_grads(
+            model, mods, sels, forward_recorded(model, obs, instr)[1], targets, lam=0.05)
+        assert list(grads) == list(mods.params)
+        for k, g in grads.items():
+            unselected = k.startswith(("adapter1.", "controller1.", "adapter4.", "controller4."))
+            assert isinstance(g, np.ndarray) and g.shape == mods.params[k].shape
+            assert np.all(g == 0.0) == unselected, k
+        before = {k: v.copy() for k, v in mods.params.items()}
+        Adam(lr=1e-2).step(mods.params, grads)
+        for k, v in mods.params.items():
+            assert np.array_equal(v, before[k]) == np.all(grads[k] == 0.0), k
+
 
 class TestEstimateSkipRate:
     def test_saturated_gates_skip_every_dynamic_layer(self):

@@ -115,6 +115,19 @@ class TestMlpUnit:
         assert all(np.any(g != 0.0) for g in grads.values())
 
     @pytest.mark.parametrize("unit", sorted(SHAPES))
+    def test_vjp_stores_gradients_over_whatever_grads_holds(self, unit):
+        shape = self.SHAPES[unit]
+        params, rng = self._unit(shape, 2)
+        x = rng.normal(size=(5, shape[0]))
+        y, h = mlp_forward(bind_mlp(params, "unit", *shape), x)
+        dy = rng.normal(size=y.shape)
+        fresh, prefilled = {}, {k: np.full_like(v, 7.0) for k, v in params.items()}
+        dx = mlp_vjp(params, "unit", x, h, dy, fresh)
+        assert np.array_equal(mlp_vjp(params, "unit", x, h, dy, prefilled), dx)
+        assert set(fresh) == set(params)
+        assert all(np.array_equal(prefilled[k], fresh[k]) for k in params)
+
+    @pytest.mark.parametrize("unit", sorted(SHAPES))
     def test_gradients_match_finite_differences(self, unit):
         shape = self.SHAPES[unit]
         params, rng = self._unit(shape, 1)
@@ -165,6 +178,15 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             Adam().step({"w": np.zeros(2)}, {"w": np.zeros(3)})
+
+    @pytest.mark.parametrize("grads", [{"w": np.zeros(2)},               # "b" missing
+                                       {"w": np.zeros(2), "b": None},  # never assigned
+                                       {"w": np.zeros(2), "b": [0.0]}])
+    def test_a_missing_or_non_array_gradient_names_its_parameter(self, grads):
+        params = {"w": np.ones(2), "b": np.ones(1)}
+        with pytest.raises(ShapeError, match="'b'"):
+            Adam().step(params, grads)
+        assert np.array_equal(params["w"], np.ones(2))
 
     @pytest.mark.parametrize("later", [
         {"w": np.zeros((3, 2)), "b": np.zeros(3)},                       # a name dropped
