@@ -32,7 +32,6 @@ REPORT_HEADER_COMMENT = (
 TRAIN_SEED_OFFSET = 100_000
 VAL_SEED_OFFSET = 200_000
 EVAL_SEED_OFFSET = 300_000
-NOISE_SEED_OFFSET = 400_000
 
 logger = logging.getLogger(__name__)
 
@@ -176,9 +175,9 @@ def evaluate_modes(model: PolicyModel, mods: SkipModules | None, sim_config,
                    base_seed: int, out_dir=None):
     """Run n_episodes per mode on shared task seeds.
 
-    Returns (stats rows in requested order, episodes per mode). The
-    random-skip probability is calibrated to match the dysl mode's measured
-    average FLOPs, so dysl episodes are computed first when needed.
+    Returns (stats rows in requested order, episodes per mode). When
+    random-skip is requested, its probability is calibrated to match the
+    dysl mode's measured average FLOPs, so dysl episodes are computed first.
     """
     for mode in modes:
         if mode not in rt.MODES:
@@ -201,8 +200,7 @@ def evaluate_modes(model: PolicyModel, mods: SkipModules | None, sim_config,
         return out
 
     ordered = list(modes)
-    needs_dysl = "random-skip" in ordered
-    if needs_dysl or "dysl" in ordered:
+    if "random-skip" in ordered:
         episodes["dysl"] = run_mode("dysl")
         dysl_flops = summarize_episodes("dysl", episodes["dysl"]).avg_flops
         skip_prob = match_random_skip_prob(costs, mods.static_set, dysl_flops)
@@ -281,28 +279,6 @@ def paired_one_sided_pvalue(better, worse, n_resamples: int = 10_000,
 # --- ablation sweeps -----------------------------------------------------------------
 
 ABLATION_AXES = ("static_ratio", "k", "delta_l_mode", "eta", "lambda")
-
-
-def parse_axis_values(axis: str, raw: list[str]):
-    if axis == "static_ratio":
-        return [float(v) for v in raw]
-    if axis == "k":
-        return [int(v) for v in raw]
-    if axis == "eta":
-        return [float(v) for v in raw]
-    if axis == "lambda":
-        return [float(v) for v in raw]
-    if axis == "delta_l_mode":
-        values = []
-        for v in raw:
-            if v == "adaptive":
-                values.append(None)
-            elif v.startswith("const:"):
-                values.append(int(v.split(":", 1)[1]))
-            else:
-                raise ConfigError(f"delta_l_mode value {v!r}; use adaptive or const:N")
-        return values
-    raise ConfigError(f"unknown ablation axis {axis!r}; expected one of {ABLATION_AXES}")
 
 
 def format_axis_value(axis: str, value) -> str:

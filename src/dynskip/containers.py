@@ -7,8 +7,8 @@
   pickled), so round-trips are bit-exact.
 - Episode traces: JSON lines, a header record then one record per step,
   written and read by `runtime`.
-- CSV tables (train and stage logs, reports, ablations, profiles, the
-  zero-shot and noise studies): `write_csv`, read back with `read_csv`.
+- CSV tables (train and stage logs, reports, ablations, profiles and the
+  zero-shot study): `write_csv`, read back with `read_csv`.
 
 Every header carries `kind` and `schema_version`; loaders pass it through
 `check_header`, so a wrong or stale artifact, or a header field that is
@@ -127,6 +127,7 @@ def write_csv(path, columns, rows, comment: str | None = None) -> None:
     """One header row then `rows`, preceded by a `comment` line when given.
     Cells: None is empty, a float is written with repr (round-trip exact),
     anything else as the csv module formats it."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if comment is not None:
             fh.write(comment + "\n")

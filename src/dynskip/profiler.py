@@ -1,5 +1,5 @@
-"""Layer informativeness profiling, static-layer selection, zero-shot layer
-ablation, and the weight-noise action-importance study.
+"""Layer informativeness profiling, static-layer selection and zero-shot
+layer ablation.
 
 Informativeness is read as low input/output activation similarity: layers
 that change the hidden-state distribution the most hurt the most when
@@ -13,14 +13,13 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import containers, sim
+from . import containers
 from .errors import ConfigError, DegenerateInputError
 from .model import PolicyModel, block_forward, forward_recorded, head_forward, mse_and_grad
-from .numerics import MLP_PARTS
 
 logger = logging.getLogger(__name__)
 
@@ -161,147 +160,3 @@ def write_zero_shot_csv(path, deltas: np.ndarray) -> None:
     """Layer -1 is the no-skip reference row, with delta 0 by definition."""
     rows = [(-1, 0.0)] + list(enumerate(np.asarray(deltas, dtype=np.float64).tolist()))
     containers.write_csv(path, ["layer", "mse_delta"], rows)
-
-
-# --- weight-noise action-importance study --------------------------------------
-
-@dataclass
-class NoiseCell:
-    label: str            # phase attribution of the step range (free/fine)
-    range_start: int
-    range_end: int
-    sigma: float
-    completion_rate: float
-    trials: int
-
-
-@dataclass
-class NoiseStudy:
-    task_seed: int
-    clean_steps: int
-    horizon: int
-    cells: list
-
-
-def _noisy_model_policy(model: PolicyModel, lo: int, hi: int, sigma: float,
-                        rng: np.random.Generator):
-    """Full-depth policy that, on every forward whose step index falls in
-    [lo, hi), runs a perturbed copy of the block weights; `model` itself is
-    never changed."""
-    keys = [f"block{i}.{part}" for i in range(model.config.depth)
-            for part in MLP_PARTS]
-    n_instr = model.config.instr_dim
-    counter = {"t": 0}
-
-    def policy(obs, instr_id, state):
-        t = counter["t"]
-        counter["t"] = t + 1
-        instr = sim.instr_onehot(instr_id, n_instr)
-        net = model
-        if lo <= t < hi:
-            p = model.params
-            net = PolicyModel(model.config, {
-                **p, **{k: p[k] + rng.normal(0.0, sigma, p[k].shape) for k in keys}})
-        action, _ = forward_recorded(net, obs, instr)
-        return action
-
-    return policy
-
-
-def _model_policy(model: PolicyModel):
-    n_instr = model.config.instr_dim
-
-    def policy(obs, instr_id, state):
-        action, _ = forward_recorded(model, obs, sim.instr_onehot(instr_id, n_instr))
-        return action
-
-    return policy
-
-
-def _phase_windows(phases: list) -> list[tuple[str, int, int]]:
-    windows = []
-    start = 0
-    for t in range(1, len(phases) + 1):
-        if t == len(phases) or phases[t] != phases[start]:
-            windows.append((phases[start], start, t))
-            start = t
-    return windows
-
-
-def derive_phase_ranges(phases: list) -> list[tuple[str, int, int]]:
-    """One fine and one free step range from a clean rollout's phase labels:
-    the first fine window (the initial grasp) and an equally long slice from
-    the longest free window."""
-    windows = _phase_windows(phases)
-    fine = next((w for w in windows if w[0] == sim.FINE), None)
-    frees = [w for w in windows if w[0] == sim.FREE]
-    if fine is None or not frees:
-        raise DegenerateInputError("clean rollout lacks both phases")
-    length = fine[2] - fine[1]
-    label, lo, hi = max(frees, key=lambda w: w[2] - w[1])
-    mid = (lo + hi) // 2
-    half = max(1, length // 2)
-    flo = max(lo, mid - half)
-    fhi = min(hi, flo + max(length, 1))
-    return [(sim.FREE, flo, fhi), (sim.FINE, fine[1], fine[2])]
-
-
-def noise_importance(model: PolicyModel, sim_config: sim.SimConfig,
-                     sigmas, trials: int = 50, seed: int = 0,
-                     step_ranges=None, subtasks: int = 1,
-                     horizon_slack: int = 12,
-                     max_task_scan: int = 50) -> NoiseStudy:
-    """Closed-loop completion rate under per-step Gaussian weight noise.
-
-    Protocol: fix one task (the first seed whose clean full-depth rollout
-    succeeds), derive a free-phase and a fine-phase step range from the
-    clean rollout, then for every (range, sigma) cell run `trials` rollouts
-    with noise injected into all block weights before each forward inside
-    the range. Completion is binary chain success within a horizon of the
-    clean episode length plus `horizon_slack` steps. With sigma 0 the noise
-    is exactly zero, so those cells reproduce the clean outcome.
-    """
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if any(s < 0 for s in sigmas):
-        raise ConfigError("noise magnitudes must be >= 0")
-    study_cfg = replace(sim_config, subtasks=subtasks)
-    policy = _model_policy(model)
-    task = None
-    clean = None
-    for offset in range(max_task_scan):
-        cand = sim.sample_task_sequence(seed + offset, study_cfg)
-        ep = sim.run_episode(cand, policy)
-        if ep.success:
-            task, clean = cand, ep
-            break
-    if task is None:
-        raise DegenerateInputError(
-            f"no clean-success task found in {max_task_scan} seeds; train the model first")
-
-    horizon = clean.n_steps + horizon_slack
-    if step_ranges is None:
-        ranges = derive_phase_ranges(clean.phases)
-    else:
-        ranges = [("custom", int(lo), int(hi)) for lo, hi in step_ranges]
-
-    cells = []
-    for ri, (label, lo, hi) in enumerate(ranges):
-        for si, sigma in enumerate(sigmas):
-            ok = 0
-            for trial in range(trials):
-                rng = np.random.default_rng([seed, ri, si, trial])
-                noisy = _noisy_model_policy(model, lo, hi, float(sigma), rng)
-                ep = sim.run_episode(task, noisy, max_total_steps=horizon)
-                ok += ep.success
-            cells.append(NoiseCell(label=label, range_start=lo, range_end=hi,
-                                   sigma=float(sigma),
-                                   completion_rate=ok / trials, trials=trials))
-    return NoiseStudy(task_seed=task.seed, clean_steps=clean.n_steps,
-                      horizon=horizon, cells=cells)
-
-
-def write_noise_csv(path, study: NoiseStudy) -> None:
-    columns = ["range_start", "range_end", "sigma", "completion_rate", "trials"]
-    containers.write_csv(path, columns,
-                         ([getattr(c, name) for name in columns] for c in study.cells))

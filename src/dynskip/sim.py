@@ -270,21 +270,18 @@ class SimEpisode:
         return len(self.actions)
 
 
-def run_episode(task: Task, policy_fn, max_total_steps: int | None = None) -> SimEpisode:
+def run_episode(task: Task, policy_fn) -> SimEpisode:
     """Closed-loop rollout of policy_fn(obs, instr_id, state) -> action.
 
     The state argument exists for scripted controllers and instrumentation;
     learned policies must act on (obs, instr_id) alone. Ends on chain
-    completion, on exhausting the per-subtask step budget, on
-    max_total_steps if given, or on a divergent action (non-finite), which
-    marks the episode failed with a diagnostic.
+    completion, on exhausting the per-subtask step budget, or on a divergent
+    action (non-finite), which marks the episode failed with a diagnostic.
     """
     cfg = task.config
     state = reset_state(task)
     ep = SimEpisode(task_seed=task.seed)
     while state.subtask < cfg.subtasks and state.steps_in_subtask < cfg.step_cap:
-        if max_total_steps is not None and state.total_steps >= max_total_steps:
-            break
         obs, instr_id = observe(task, state)
         ep.observations.append(obs)
         ep.instr_ids.append(instr_id)

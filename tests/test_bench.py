@@ -1,11 +1,12 @@
 import hashlib
 import json
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dynskip import bench, distill, flops, runtime as rt, sim
+from dynskip import bench, distill, flops, profiler, runtime as rt, sim
 from dynskip.errors import ConfigError, TraceIntegrityError
 from dynskip.model import PolicyConfig, build_policy
 from dynskip.profiler import StaticSet
@@ -87,6 +88,19 @@ def test_cross_check_report_names_a_field_missing_from_a_trace_record(tmp_path, 
         bench.cross_check_report(tmp_path, report, model.config)
 
 
+def test_a_dysl_only_evaluation_calibrates_no_random_skip(caplog):
+    """The random-skip probability, and its warning that dysl costs full
+    depth or more, belong only to evaluations that run random-skip."""
+    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                      action_dim=3, seed=2))
+    mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
+    with caplog.at_level(logging.DEBUG):
+        stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
+                                        rt.GuidanceConfig(k=2), ["dysl"], 2, 0)
+    assert caplog.records == []
+    assert stats == [bench.ModeStats("dysl", 2, 0.0, 0.0, 7.875, 2401.75, 1.875, 0.5)]
+
+
 def test_paired_pvalue_rejects_empty_input():
     with pytest.raises(ConfigError):
         bench.paired_one_sided_pvalue([], [])
@@ -162,3 +176,67 @@ def test_train_base_policy_matches_its_pinned_digests():
     assert h.hexdigest()[:16] == "13d76d1c9358f1ff"
     assert [step for step, _, _ in log] == [0, 20, 40]
     assert hashlib.sha256(repr(log).encode()).hexdigest()[:16] == "9ff3ad4fdec2db40"
+
+
+# --- ablation sweeps -----------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def ablation():
+    """run_ablation's arguments, less axis and values, on a tiny fixture."""
+    data = sim.generate_dataset(sim.SimConfig(subtasks=2), 3, seed=40)
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=41))
+    profile = profiler.profile_layers(model, data.obs, data.instr_onehot())
+    dcfg = distill.DistillConfig(stage1_steps=5, stage2_steps=5, batch_size=8, seed=42)
+    mods, _ = distill.distill_pipeline(model, profiler.select_static(profile, 0.5), data, dcfg)
+    return dict(model=model, profile=profile, dataset=data,
+                sim_config=sim.SimConfig(subtasks=2, step_cap=12),
+                guidance=rt.GuidanceConfig(k=3), distill_config=dcfg, static_ratio=0.5,
+                tau=0.5, n_episodes=2, base_seed=7, baseline_mods=mods)
+
+
+def _dysl_row_stats(ablation, mods, guidance):
+    stats, _ = bench.evaluate_modes(ablation["model"], mods, ablation["sim_config"], guidance,
+                                    ["dysl"], ablation["n_episodes"], ablation["base_seed"])
+    s = stats[0]
+    return s.avg_successful_length, s.success_rate, s.avg_executed_layers, s.avg_flops
+
+
+def _row_stats(row):
+    return row.avg_successful_length, row.success_rate, row.avg_executed_layers, row.avg_flops
+
+
+@pytest.mark.parametrize("axis, field, values, rendered", [
+    ("k", "k", [2, 5], ["2", "5"]),
+    ("eta", "eta", [0.002, 1.0], ["0.002", "1.0"]),
+    ("delta_l_mode", "stride", [None, 2], ["adaptive", "const:2"]),
+])
+def test_run_ablation_guidance_rows_equal_dysl_evaluations(ablation, axis, field, values,
+                                                           rendered):
+    rows = bench.run_ablation(axis, values, **ablation)
+    assert [(r.axis, r.value) for r in rows] == [(axis, v) for v in rendered]
+    for row, value in zip(rows, values):
+        guidance = replace(ablation["guidance"], **{field: value})
+        assert _row_stats(row) == _dysl_row_stats(ablation, ablation["baseline_mods"], guidance)
+    if axis != "delta_l_mode":  # on this fixture every stride gives the same walk
+        assert _row_stats(rows[0]) != _row_stats(rows[1])
+
+
+@pytest.mark.parametrize("axis, value", [("static_ratio", 0.2), ("lambda", 0.5)])
+def test_run_ablation_retrains_the_modules_per_value(ablation, axis, value):
+    rows = bench.run_ablation(axis, [value], **ablation)
+    if axis == "static_ratio":
+        ratio, dcfg = value, ablation["distill_config"]
+    else:
+        ratio, dcfg = ablation["static_ratio"], replace(ablation["distill_config"], lam=value)
+    mods, _ = distill.distill_pipeline(ablation["model"],
+                                       profiler.select_static(ablation["profile"], ratio),
+                                       ablation["dataset"], dcfg, tau=ablation["tau"])
+    assert [(r.axis, r.value) for r in rows] == [(axis, repr(value))]
+    assert _row_stats(rows[0]) == _dysl_row_stats(ablation, mods, ablation["guidance"])
+
+
+def test_run_ablation_rejects_an_unknown_axis_and_guidance_without_modules(ablation):
+    with pytest.raises(ConfigError, match="unknown ablation axis 'tau'"):
+        bench.run_ablation("tau", [0.5], **ablation)
+    with pytest.raises(ConfigError, match="needs trained modules"):
+        bench.run_ablation("k", [2], **{**ablation, "baseline_mods": None})

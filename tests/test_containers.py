@@ -26,9 +26,6 @@ def _write_every_csv(out):
                                     io_similarity=np.array([0.9, 1 / 3, -0.0]), samples=4)
     profiler.write_profile_csv(out / "io.csv", out / "pairs.csv", profile)
     profiler.write_zero_shot_csv(out / "zero.csv", np.array([0.5, -1e-3, 1 / 7]))
-    profiler.write_noise_csv(out / "noise.csv", profiler.NoiseStudy(1, 10, 22, [
-        profiler.NoiseCell("free", 3, 7, 0.0, 1.0, 4),
-        profiler.NoiseCell("fine", 0, 5, 0.05, 0.75, 4)]))
     distill._write_stage_log(out / "stage1.csv",
                              distill.StageReport("stage1", losses=[0.5, 0.25]))
     distill._write_stage_log(out / "stage2.csv", distill.StageReport(
@@ -52,8 +49,6 @@ GOLDEN_CSV = {
                  b"1,0,0.5\r\n1,1,1.0\r\n1,2,-0.25\r\n2,0,0.3333333333333333\r\n"
                  b"2,1,-0.25\r\n2,2,1.0\r\n",
     "zero.csv": b"layer,mse_delta\r\n-1,0.0\r\n0,0.5\r\n1,-0.001\r\n2,0.14285714285714285\r\n",
-    "noise.csv": b"range_start,range_end,sigma,completion_rate,trials\r\n"
-                 b"3,7,0.0,1.0,4\r\n0,5,0.05,0.75,4\r\n",
     "stage1.csv": b"step,loss,task_loss,norm_loss,mean_gate\r\n0,0.5,,,\r\n1,0.25,,,\r\n",
     "stage2.csv": b"step,loss,task_loss,norm_loss,mean_gate\r\n0,1.0,0.75,2.0,0.5\r\n"
                   b"1,0.5,0.3333333333333333,0.0,0.125\r\n",

@@ -266,6 +266,16 @@ class TestRunTwoStage:
         assert (tmp_path / "stage2_log.csv").exists()
         assert len(reports["stage2"].losses) == 100
 
+    def test_stage_logs_go_into_a_directory_that_does_not_exist_yet(self, tmp_path):
+        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
+                                          action_dim=3, seed=25))
+        dcfg = dt.DistillConfig(stage1_steps=5, stage2_steps=5, batch_size=8, seed=26)
+        log_dir = tmp_path / "a" / "b"
+        dt.distill_pipeline(model, StaticSet(indices=(2, 5), depth=6),
+                            self._dataset(model, seed=27), dcfg, log_dir=log_dir)
+        assert sorted(p.name for p in log_dir.iterdir()) == ["stage1_log.csv",
+                                                             "stage2_log.csv"]
+
     def test_backbone_checkpoint_identical_after_training(self, tmp_path):
         from dynskip.model import save_policy
         cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynskip import containers, profiler, sim
+from dynskip import containers, profiler
 from dynskip.model import PolicyConfig, block_forward, build_policy, embed_forward, forward_recorded, head_forward
 
 
@@ -77,26 +77,3 @@ class TestZeroShot:
         assert rows[0] == {"layer": "-1", "mse_delta": "0.0"}
         assert [int(r["layer"]) for r in rows[1:]] == list(range(model.config.depth))
         assert [float(r["mse_delta"]) for r in rows[1:]] == deltas.tolist()
-
-
-class TestNoisyPolicy:
-    def test_model_is_untouched_and_action_matches_a_perturbed_copy(self):
-        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=4,
-                                          action_dim=3, seed=6))
-        before = {k: v.tobytes() for k, v in model.params.items()}
-        obs = np.random.default_rng(7).normal(size=7)
-        instr = sim.instr_onehot(1, 2)
-        policy = profiler._noisy_model_policy(model, 0, 1, 0.05, np.random.default_rng(8))
-
-        action = policy(obs, 1, None)
-        assert {k: v.tobytes() for k, v in model.params.items()} == before
-
-        rng = np.random.default_rng(8)
-        perturbed = model.copy()
-        for i in range(model.config.depth):
-            for part in ("W1", "b1", "W2", "b2"):
-                w = perturbed.params[f"block{i}.{part}"]
-                w += rng.normal(0.0, 0.05, w.shape)
-        assert np.array_equal(action, forward_recorded(perturbed, obs, instr)[0])
-        # step 1 is outside [0, 1): the clean model acts
-        assert np.array_equal(policy(obs, 1, None), forward_recorded(model, obs, instr)[0])
