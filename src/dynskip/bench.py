@@ -108,6 +108,13 @@ class ModeStats:
     verify_rate: float
     random_skip_prob: float | None = None
 
+    @property
+    def random_skip_full_depth(self) -> bool | None:
+        """True when the random-skip row ran at probability 0, that is at full
+        depth, because dysl cost no less (see match_random_skip_prob); None
+        on the rows of the other modes."""
+        return None if self.random_skip_prob is None else self.random_skip_prob == 0.0
+
 
 def summarize_episodes(mode: str, episodes: list[Episode],
                        random_skip_prob: float | None = None) -> ModeStats:
@@ -221,7 +228,7 @@ def evaluate_modes(model: PolicyModel, mods: SkipModules | None, sim_config,
 
 REPORT_FIELDS = ["mode", "avg_successful_length", "success_rate",
                  "avg_executed_layers", "avg_flops", "controller_evals_per_step",
-                 "verify_rate", "episodes", "random_skip_prob"]
+                 "verify_rate", "episodes", "random_skip_prob", "random_skip_full_depth"]
 
 
 def write_report_csv(path, stats: list[ModeStats]) -> None:

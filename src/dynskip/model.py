@@ -74,9 +74,6 @@ class PolicyModel:
     def n_params(self) -> int:
         return sum(p.size for p in self.params.values())
 
-    def copy(self) -> "PolicyModel":
-        return PolicyModel(self.config, {k: v.copy() for k, v in self.params.items()})
-
 
 def build_policy(config: PolicyConfig) -> PolicyModel:
     """Deterministically initialize a policy from its config seed."""

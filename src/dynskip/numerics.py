@@ -63,7 +63,9 @@ def affine_vjp(W: np.ndarray, x: np.ndarray, dy: np.ndarray):
 
 def l2_norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float64 vector, bit-equal to np.linalg.norm(v),
-    which computes sqrt(v.dot(v)) for it too, without that call's dispatch."""
+    which computes sqrt(v.dot(v)) for it too, without that call's dispatch.
+    Scalar `x*x + y*y` is no substitute: BLAS's dot may fuse a multiply-add
+    (OpenBLAS's 2-vector ddot rounds as fma(y, y, x*x)), so its sum differs."""
     return math.sqrt(v.dot(v))
 
 

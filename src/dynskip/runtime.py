@@ -96,10 +96,6 @@ class SkipModules:
     def controller_keys(self) -> list[str]:
         return [k for k in self.params if k.startswith("controller")]
 
-    def copy(self) -> "SkipModules":
-        return SkipModules(self.static_set, self.hidden_dim, self.tau,
-                           {k: v.copy() for k, v in self.params.items()})
-
 
 def check_depth(model: PolicyModel, static_set: StaticSet) -> None:
     """ConfigError unless the static set spans exactly the model's blocks:

@@ -95,7 +95,7 @@ def sample_task_sequence(seed: int, config: SimConfig) -> Task:
         for _ in range(config.subtasks):
             for _ in range(500):
                 cand = rng.uniform(lo, hi, size=2)
-                if all(np.linalg.norm(cand - p) >= min_sep for p in points):
+                if all(l2_norm(cand - p) >= min_sep for p in points):
                     points.append(cand)
                     break
             else:
@@ -160,12 +160,17 @@ class ScriptedExpert:
     toward the desired open fraction (open in transit, closed while
     carrying, flipped inside commit_dist), which is zero along clean
     trajectories outside the fine phase and self-correcting everywhere else.
+
+    The distance is numpy's (`l2_norm`, a BLAS dot that may fuse a
+    multiply-add); everything after it runs on Python floats in the order
+    the numpy 2-vector form computes it, so each action is bit-equal to
+    that form's.
     """
 
     def __init__(self, task: Task, rng: np.random.Generator):
         self.task = task
         self.rng = rng
-        self._drift = np.zeros(2)
+        self._drift = (0.0, 0.0)
 
     def _grip_delta(self, state: EnvState, dist: float) -> float:
         cfg = self.task.config
@@ -181,24 +186,28 @@ class ScriptedExpert:
         delta = target - state.ee
         dist = l2_norm(delta)
         dg = self._grip_delta(state, dist)
+        dx, dy = delta.tolist()
 
         if dist > cfg.grasp_radius:  # free motion
-            self._drift = (cfg.noise_rho * self._drift
-                           + cfg.noise_sigma * self.rng.standard_normal(2))
-            step = cfg.step_len * delta / dist + self._drift
-            return np.array([step[0], step[1], dg])
+            n0, n1 = self.rng.standard_normal(2).tolist()
+            d0, d1 = self._drift
+            d0 = cfg.noise_rho * d0 + cfg.noise_sigma * n0
+            d1 = cfg.noise_rho * d1 + cfg.noise_sigma * n1
+            self._drift = (d0, d1)
+            return np.array([cfg.step_len * dx / dist + d0,
+                             cfg.step_len * dy / dist + d1, dg])
 
         # stop-and-go micro-steps: distance-banded crawl/step alternation.
         # The speed profile is a deterministic function of the observable
         # state (no conditional noise), so a regression fit tracks it instead
         # of averaging it away, and its only zero is the target itself.
-        step = np.zeros(2)
         if dist > 0.0:
             fine_len = cfg.step_len * cfg.fine_frac
             in_crawl_band = (dist / cfg.pause_band) % 1.0 < cfg.p_pause
             scale = cfg.crawl_frac if in_crawl_band else 1.0
-            step = min(0.6 * dist, scale * fine_len) * delta / dist
-        return np.array([step[0], step[1], dg])
+            k = min(0.6 * dist, scale * fine_len)
+            return np.array([k * dx / dist, k * dy / dist, dg])
+        return np.array([0.0, 0.0, dg])
 
 
 def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:

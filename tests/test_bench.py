@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dynskip import bench, distill, flops, profiler, runtime as rt, sim
+from dynskip import bench, containers, distill, flops, profiler, runtime as rt, sim
 from dynskip.errors import ConfigError, TraceIntegrityError
 from dynskip.model import PolicyConfig, build_policy
 from dynskip.profiler import StaticSet
@@ -99,6 +99,22 @@ def test_a_dysl_only_evaluation_calibrates_no_random_skip(caplog):
                                         rt.GuidanceConfig(k=2), ["dysl"], 2, 0)
     assert caplog.records == []
     assert stats == [bench.ModeStats("dysl", 2, 0.0, 0.0, 7.875, 2401.75, 1.875, 0.5)]
+
+
+@pytest.mark.parametrize("prob,flags", [(0.0, ["", "", "True"]), (0.3, ["", "", "False"])])
+def test_report_flags_a_random_skip_row_at_full_depth(tmp_path, monkeypatch, prob, flags):
+    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                      action_dim=3, seed=2))
+    mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
+    monkeypatch.setattr(bench, "match_random_skip_prob", lambda *args: prob)
+    stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
+                                    rt.GuidanceConfig(k=2), ["full", "dysl", "random-skip"],
+                                    2, 0)
+    assert [s.random_skip_full_depth for s in stats] == [None, None, prob == 0.0]
+    bench.write_report_csv(tmp_path / "report.csv", stats)
+    rows = containers.read_csv(tmp_path / "report.csv")
+    assert [r["random_skip_full_depth"] for r in rows] == flags
+    assert [r["random_skip_prob"] for r in rows] == ["", "", repr(prob)]
 
 
 def test_paired_pvalue_rejects_empty_input():

@@ -33,14 +33,16 @@ def _write_every_csv(out):
         norm_losses=[2.0, 0.0], mean_gates=[0.5, 0.125]))
 
 
-# Bytes written by the per-module writers before they shared one CSV writer.
+# Bytes written by the per-module writers before they shared one CSV writer;
+# report.csv has since gained the random_skip_full_depth column.
 GOLDEN_CSV = {
     "train.csv": b"step,train_loss,val_mse\r\n0,,0.25\r\n5,0.1,0.3333333333333333\r\n"
                  b"10,2.5e-17,1e+22\r\n",
     "report.csv": COMMENT + b"mode,avg_successful_length,success_rate,avg_executed_layers,"
-                  b"avg_flops,controller_evals_per_step,verify_rate,episodes,random_skip_prob\r\n"
-                  b"full,1.5,0.5,12.0,198144.0,0.0,0.0,2,\r\n"
-                  b"random-skip,0.0,0.0,7.25,0.3333333333333333,3.0,0.125,2,0.3\r\n",
+                  b"avg_flops,controller_evals_per_step,verify_rate,episodes,random_skip_prob,"
+                  b"random_skip_full_depth\r\n"
+                  b"full,1.5,0.5,12.0,198144.0,0.0,0.0,2,,\r\n"
+                  b"random-skip,0.0,0.0,7.25,0.3333333333333333,3.0,0.125,2,0.3,False\r\n",
     "ablation.csv": COMMENT + b"axis,value,avg_successful_length,success_rate,"
                     b"avg_executed_layers,avg_flops\r\n"
                     b"k,3,1.0,0.5,9.75,123456.5\r\ndelta_l_mode,adaptive,0.0,0.0,-0.0,1e-300\r\n",

@@ -3,7 +3,7 @@ import pytest
 
 from dynskip.errors import ShapeError
 from dynskip.model import PolicyConfig, PolicyModel, build_policy, head_forward
-from dynskip.numerics import Adam, bind_mlp, init_mlp, mlp_forward, mlp_vjp, sigmoid
+from dynskip.numerics import Adam, bind_mlp, init_mlp, l2_norm, mlp_forward, mlp_vjp, sigmoid
 from gradcheck import grad_check
 
 
@@ -266,3 +266,19 @@ def test_sigmoid_range():
     z = np.linspace(-20, 20, 101)
     s = sigmoid(z)
     assert np.all(s > 0.0) and np.all(s < 1.0)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 64])
+def test_l2_norm_is_bit_equal_to_linalg_norm(size):
+    rng = np.random.default_rng(size)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    entries = [lambda: rng.normal(size=size), lambda: np.zeros(size),
+               lambda: rng.choice([0.0, -0.0], size=size),
+               lambda: rng.choice([tiny, -tiny, 7 * tiny, 2e-308], size=size),
+               lambda: rng.uniform(-1, 1, size=size) * 1e150,
+               lambda: rng.uniform(-1, 1, size=size) * 1e-150,
+               lambda: rng.choice([1e150, -1e-150, 0.0, -0.0, 1.0], size=size)]
+    for draw in entries:
+        for _ in range(200):
+            v = draw()
+            assert np.float64(l2_norm(v)).tobytes() == np.linalg.norm(v).tobytes(), v

@@ -1,10 +1,13 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from dynskip import containers, sim
 from dynskip.errors import ConfigError, EnvError, ShapeError
+from dynskip.numerics import l2_norm
+from perfbench.workloads import derive_seed
 
 
 def small_cfg(**kw):
@@ -40,6 +43,39 @@ class TestTaskSampling:
         with pytest.raises(ConfigError):
             cfg = sim.SimConfig(high=0.5, margin=0.2, separation_factor=40.0)
             sim.sample_task_sequence(0, cfg)
+
+    @staticmethod
+    def _linalg_form(seed, config):
+        """The sampler with its separation test on np.linalg.norm."""
+        rng = np.random.default_rng(seed)
+        lo = config.low + config.margin
+        hi = config.high - config.margin
+        min_sep = config.separation_factor * config.grasp_radius
+        for _ in range(200):
+            points = [rng.uniform(lo, hi, size=2)]
+            placed = True
+            for _ in range(config.subtasks):
+                for _ in range(500):
+                    cand = rng.uniform(lo, hi, size=2)
+                    if all(np.linalg.norm(cand - p) >= min_sep for p in points):
+                        points.append(cand)
+                        break
+                else:
+                    placed = False
+                    break
+            if placed:
+                return rng.uniform(lo, hi, size=2), points[0], np.array(points[1:])
+        raise AssertionError("reference sampler placed no chain")
+
+    @pytest.mark.parametrize("subtasks", [1, 2, 5])
+    def test_matches_the_linalg_norm_form_bitwise(self, subtasks):
+        cfg = sim.SimConfig(subtasks=subtasks)
+        for seed in range(200):
+            task = sim.sample_task_sequence(seed, cfg)
+            start, obj, goals = self._linalg_form(seed, cfg)
+            assert task.start.tobytes() == start.tobytes()
+            assert task.obj.tobytes() == obj.tobytes()
+            assert task.goals.tobytes() == goals.tobytes()
 
 
 class TestEnvStep:
@@ -195,7 +231,97 @@ class TestObserve:
                         assert instr_id == min(subtask, cfg.subtasks - 1)
 
 
+class NumpyExpert(sim.ScriptedExpert):
+    """The expert with its action computed on numpy 2-vectors: the reference
+    that ScriptedExpert.action must equal bit for bit."""
+
+    def __init__(self, task, rng):
+        super().__init__(task, rng)
+        self._drift = np.zeros(2)
+
+    def action(self, state):
+        cfg = self.task.config
+        target = sim.current_target(self.task, state)
+        delta = target - state.ee
+        dist = l2_norm(delta)
+        dg = self._grip_delta(state, dist)
+
+        if dist > cfg.grasp_radius:  # free motion
+            self._drift = (cfg.noise_rho * self._drift
+                           + cfg.noise_sigma * self.rng.standard_normal(2))
+            step = cfg.step_len * delta / dist + self._drift
+            return np.array([step[0], step[1], dg])
+
+        step = np.zeros(2)
+        if dist > 0.0:
+            fine_len = cfg.step_len * cfg.fine_frac
+            in_crawl_band = (dist / cfg.pause_band) % 1.0 < cfg.p_pause
+            scale = cfg.crawl_frac if in_crawl_band else 1.0
+            step = min(0.6 * dist, scale * fine_len) * delta / dist
+        return np.array([step[0], step[1], dg])
+
+
+def _ulps_around(x, n=6):
+    """x and its n nearest doubles on either side."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return [float(v) for v in below[:0:-1] + above]
+
+
 class TestExpert:
+    def test_actions_equal_the_numpy_form_over_whole_episodes(self):
+        cfg = sim.SimConfig()
+        compared = 0
+        for s in range(50):
+            task = sim.sample_task_sequence(s, cfg)
+            expert = sim.ScriptedExpert(task, np.random.default_rng([4, s]))
+            reference = NumpyExpert(task, np.random.default_rng([4, s]))
+
+            def policy(obs, iid, state):
+                nonlocal compared
+                a, b = expert.action(state), reference.action(state)
+                assert a.tobytes() == b.tobytes(), (s, state.total_steps, a, b)
+                compared += 1
+                return a
+
+            sim.run_episode(task, policy)
+        assert compared > 5_000
+
+    def test_actions_equal_the_numpy_form_at_the_branch_edges(self):
+        """Offsets from an effector at the origin, so the target minus the
+        effector is the offset exactly, signed zeros included."""
+        cfg = sim.SimConfig()
+        base = sim.sample_task_sequence(7, cfg)
+        r, c = cfg.grasp_radius, cfg.commit_dist
+        offsets = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+                   (0.5, -0.0), (-0.0, -0.5), (0.3, 0.4), (-0.6, 0.8)]
+        offsets += [(x, 0.0) for x in _ulps_around(r)] + [(-0.0, -x) for x in _ulps_around(r)]
+        offsets += [(x, 0.0) for x in _ulps_around(c)] + [(-0.0, -x) for x in _ulps_around(c)]
+        assert {l2_norm(np.array([x, 0.0])) <= c for x in _ulps_around(c)} == {True, False}
+        band_edges = [cfg.pause_band * (n + f) for n in range(4) for f in (0.0, cfg.p_pause)]
+        for edge in band_edges[1:]:
+            ds = _ulps_around(edge)
+            crawl = {(d / cfg.pause_band) % 1.0 < cfg.p_pause for d in ds}
+            assert crawl == {True, False}, edge  # the neighbours straddle the edge
+            offsets += [(d, 0.0) for d in ds] + [(-0.0, d) for d in ds]
+            offsets += [(0.6 * d, -0.8 * d) for d in ds]
+
+        assert r in {l2_norm(np.array(o)) for o in offsets}
+        expert = sim.ScriptedExpert(base, np.random.default_rng(8))
+        reference = NumpyExpert(base, np.random.default_rng(8))
+        for holding in (False, True):
+            for grip in (1.0, 0.0, 0.3):
+                for offset in offsets:
+                    target = np.array(offset)
+                    task = dataclasses.replace(base, goals=np.array([target] * cfg.subtasks))
+                    expert.task = reference.task = task
+                    state = sim.EnvState(ee=np.zeros(2), obj=target, grip=grip,
+                                         holding=holding)
+                    a, b = expert.action(state), reference.action(state)
+                    assert a.tobytes() == b.tobytes(), (holding, grip, offset, a, b)
+
     def test_free_phase_geometry(self):
         cfg = sim.SimConfig(noise_sigma=0.0)
         task = sim.sample_task_sequence(6, cfg)
@@ -263,6 +389,19 @@ class TestScoring:
 
 
 class TestDataset:
+    @pytest.mark.parametrize("n_episodes,stream,expected", [
+        (30, 1, "267d93dad5fd5c1c"), (8, 2, "7f6c43ec84741ceb")])
+    def test_benchmark_datasets_match_their_pinned_digests(self, n_episodes, stream,
+                                                           expected):
+        """The train and validation sets of the benchmark's training set-up;
+        digests taken while the expert still stepped on numpy 2-vectors."""
+        ds = sim.generate_dataset(sim.SimConfig(subtasks=2), n_episodes,
+                                  derive_seed(0, stream))
+        h = hashlib.sha256()
+        for a in (ds.obs, ds.instr, ds.actions, np.array(ds.phases), ds.episode_ids):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest()[:16] == expected
+
     def test_deterministic_bytes(self, tmp_path):
         cfg = small_cfg()
         ds = sim.generate_dataset(cfg, 3, seed=11)
