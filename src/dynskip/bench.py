@@ -54,6 +54,8 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.val_every < 1:
             raise ConfigError("val_every must be >= 1")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 < self.lr_floor_frac <= 1.0:
             raise ConfigError("lr_floor_frac must be in (0, 1]")
 

@@ -62,8 +62,12 @@ class DistillConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
+        if not 0.0 <= self.lam < np.inf:
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
+        for name in ("stage1_lr", "stage2_lr"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         if self.stage1_steps < 1 or self.stage2_steps < 1:
             raise ConfigError("stage steps must be >= 1")
         if self.batch_size < 1:
@@ -149,65 +153,62 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
                          trace, caches: list | None = None):
     """Soft-gate blended forward pass over the batch's teacher rows `trace`.
 
-    Per segment, the full chain of dynamic blocks serves every sample (its
-    prefix up to the selected layer doubles as the forced execution, its
-    suffix as the no-skip path); at each sample's selected layer i the
-    segment output becomes g * adapter_i(x_i) + (1 - g) * full_path, with
-    g the controller_i gate. Statics always execute. Segment 0's input
-    and chain are the teacher's, `trace[front + 1:back + 1]`, so blocks run
-    only from segment 0's blend onwards.
+    One loop over the layers start .. depth, where start is segment 0's
+    closing static layer (depth when there is no segment). The block inputs
+    below start are the teacher's, `trace[:start + 1]`, so blocks run only
+    from segment 0's blend onwards. At a segment's closing static layer
+    back, the block input becomes the blend: each sample's row is
+    g * adapter_i(x_i) + (1 - g) * full, with x_i the input of its selected
+    layer i, g the controller_i gate and full the unblended input of back.
+    So the dynamic blocks serve every sample: their prefix up to the
+    selected layer is its forced execution, their suffix its no-skip path.
+    Statics always execute.
 
-    Returns (actions, gates) with gates shaped (batch, n_segments); when
-    `caches` is a list it is filled with the intermediates needed by
-    stage2_loss_and_grads.
+    Returns (actions, gates) with gates shaped (batch, n_segments). When
+    `caches` is a list it receives what stage2_loss_and_grads reads: every
+    block's tanh activation in layer order, then each segment's blend cache.
     """
     segments = mods.static_set.segments
     if len(selections) != len(segments):
         raise ConfigError("one selection array per segment required")
 
+    depth = mods.static_set.depth
+    start = segments[0][1] if segments else depth
     batch = len(trace[0])
     gates = np.zeros((batch, len(segments)))
-    x = trace[-1]  # the output when every layer is static
-
-    for si, (statics, front, back) in enumerate(mods.segment_plan):
-        sel = np.asarray(selections[si])
-        if sel.shape != (batch,):
-            raise ConfigError("selection shape must match the batch")
-        if si == 0:
-            chain, hs = trace[front + 1:back + 1], None
-        else:
-            for layer in statics:
-                x, h = block_forward(model, layer, x, cache=True)
-                if caches is not None:
-                    caches.append(("static", layer, h))
-            chain = [x]
-            hs = []
+    closing = {back: si for si, (_, back) in enumerate(segments)}
+    xs = list(trace[:start + 1])  # xs[layer] is the input of block layer
+    hs, blends = [], []
+    for layer in range(start, depth + 1):
+        if layer in closing:
+            si = closing[layer]
+            front, back = segments[si]
+            sel = np.asarray(selections[si])
+            if sel.shape != (batch,):
+                raise ConfigError("selection shape must match the batch")
+            full = xs[back]
+            blend = np.empty_like(full)
+            units = []
             for j in range(front + 1, back):
-                x, h = block_forward(model, j, x, cache=True)
-                chain.append(x)
-                hs.append(h)
-        full = chain[-1]
-        blend = np.empty_like(full)
-        seg_cache = []
-        for off, j in enumerate(range(front + 1, back)):
-            idx = np.flatnonzero(sel == j)
-            if idx.size == 0:
-                seg_cache.append(None)
-                continue
-            xj = chain[off][idx]
-            g, hc = controller_forward(mods, j, xj, cache=True)
-            a, ha = adapter_forward(mods, j, xj, cache=True)
-            blend[idx] = g[:, None] * a + (1.0 - g)[:, None] * full[idx]
-            gates[idx, si] = g
-            seg_cache.append((idx, xj, g, hc, a, ha))
-        if caches is not None:
-            caches.append(("segment", (front, back), chain, hs, seg_cache, sel))
-        x = blend
-    for layer in mods.trailing_statics if segments else ():
-        x, h = block_forward(model, layer, x, cache=True)
-        if caches is not None:
-            caches.append(("static", layer, h))
-    return head_forward(model, x), gates
+                idx = np.flatnonzero(sel == j)
+                if idx.size == 0:
+                    units.append((j, None))
+                    continue
+                xj = xs[j][idx]
+                g, hc = controller_forward(mods, j, xj, cache=True)
+                a, ha = adapter_forward(mods, j, xj, cache=True)
+                blend[idx] = g[:, None] * a + (1.0 - g)[:, None] * full[idx]
+                gates[idx, si] = g
+                units.append((j, (idx, xj, g, hc, a, ha)))
+            blends.append((back, full, units))
+            xs[back] = blend
+        if layer < depth:
+            x, h = block_forward(model, layer, xs[layer], cache=True)
+            xs.append(x)
+            hs.append(h)
+    if caches is not None:
+        caches += hs + blends
+    return head_forward(model, xs[depth]), gates
 
 
 def stage2_loss_and_grads(model: PolicyModel, mods: SkipModules, selections,
@@ -216,9 +217,12 @@ def stage2_loss_and_grads(model: PolicyModel, mods: SkipModules, selections,
 
     Gradients flow to controller and adapter parameters only, keyed in
     `mods.params` order; frozen backbone blocks only propagate upstream
-    gradients, and none below segment 0's modules. Each selected unit's VJP
-    runs once and stores its gradients; a unit no sample selected gets
-    exact zeros.
+    gradients. One reverse loop over stage2_blend_forward's layers: each
+    block's VJP, then the input gradients the blend VJP left for the
+    samples that selected that layer. Segment 0's blend VJP runs last and
+    its input gradients are dropped, because nothing below it trains. Each
+    selected unit's VJP runs once and stores its gradients; a unit no
+    sample selected gets exact zeros.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     caches: list = []
@@ -232,53 +236,44 @@ def stage2_loss_and_grads(model: PolicyModel, mods: SkipModules, selections,
     loss = task_loss + lam * norm_loss
 
     grads: Params = dict.fromkeys(mods.params)
+    n_blocks = len(caches) - len(segments)
+    hs, blends = caches[:n_blocks], caches[n_blocks:]
+    depth = mods.static_set.depth
+    inj = {}  # layer -> (rows that selected it, their unit input gradient)
     dx = dpred @ model.params["head.W"]  # the head is frozen: input gradient only
-    for entry in reversed(caches):
-        if entry[0] == "static":
-            _, layer, h = entry
-            dx = block_vjp(model, layer, None, h, dx)
-        else:
-            _, (front, back), chain, hs, seg_cache, sel = entry
-            dx = _segment_vjp(model, mods, front, back, chain, hs,
-                              seg_cache, sel, dx, lam, batch, grads)
+    for layer in reversed(range(depth - n_blocks, depth)):
+        dx = block_vjp(model, layer, None, hs.pop(), dx)
+        if layer in inj:
+            idx, dxi = inj.pop(layer)
+            dx[idx] += dxi
+        if blends[-1][0] == layer:  # the loop ends at segment 0's blend, the last one
+            dx = _blend_vjp(mods, blends.pop(), dx, lam, batch, grads, inj)
     return loss, task_loss, norm_loss, gates, grads
 
 
-def _segment_vjp(model, mods, front, back, chain, hs, seg_cache, sel,
-                 d_blend, lam, batch, grads):
+def _blend_vjp(mods, blend, d_blend, lam, batch, grads, inj):
     """Backward through one segment's blend: splits the upstream gradient
-    over the gate, adapter, and full paths, then walks the block chain in
-    reverse, injecting each sample's adapter/controller input gradients at
-    its selected layer. A chain read from the teacher trace (hs is None)
-    has nothing trainable below it, so the walk stops before it."""
-    full = chain[-1]
-    d_chain = np.zeros_like(full)
-    inj = {}
-    for off, j in enumerate(range(front + 1, back)):
-        entry = seg_cache[off]
-        if entry is None:  # no sample selected layer j
-            for key in (f"{unit}{j}.{part}" for unit in ("adapter", "controller")
+    over the gate, adapter and full paths, stores the units' parameter
+    gradients, leaves each selected unit's input gradient in `inj` under
+    its layer and returns the gradient of the full path."""
+    back, full, units = blend
+    d_full = np.zeros_like(full)
+    for j, unit in units:
+        if unit is None:  # no sample selected layer j
+            for key in (f"{kind}{j}.{part}" for kind in ("adapter", "controller")
                         for part in MLP_PARTS):
                 grads[key] = np.zeros_like(mods.params[key])
             continue
-        idx, xj, g, hc, a, ha = entry
+        idx, xj, g, hc, a, ha = unit
         du = d_blend[idx]
         dg = np.sum(du * (a - full[idx]), axis=1)
-        dg += -lam * (back - sel[idx]) / batch
-        d_chain[idx] = (1.0 - g)[:, None] * du
+        dg += -lam * (back - j) / batch
+        d_full[idx] = (1.0 - g)[:, None] * du
         da = g[:, None] * du
         dxa = adapter_vjp(mods, j, xj, ha, da, grads)
         dxc = controller_vjp(mods, j, xj, hc, g, dg, grads)
-        inj[off] = (idx, dxa + dxc)
-    if hs is None:
-        return None
-    d = d_chain
-    for off in reversed(range(len(hs))):
-        d = block_vjp(model, front + 1 + off, chain[off], hs[off], d)
-        if off in inj:
-            idx, dxi = inj[off]
-            d[idx] += dxi
-    return d
+        inj[j] = (idx, dxa + dxc)
+    return d_full
 
 
 def stage2_step(model: PolicyModel, mods: SkipModules, opt: Adam, trace,

@@ -145,12 +145,11 @@ def controller_forward(mods: SkipModules, j: int, x, cache: bool = False):
 
 
 def controller_vjp(mods: SkipModules, j: int, x, h, g, dg, param_grads: Params):
-    """Input gradient of controller j given the gate g and upstream dg; its
-    parameter gradients are stored in param_grads, as mlp_vjp does, so run
-    it at most once per dict."""
-    dz = np.asarray(dg) * g * (1.0 - g)  # through the sigmoid
-    dz = dz[..., None] if np.ndim(dz) else np.array([dz])
-    return mlp_vjp(mods.params, f"controller{j}", x, h, dz, param_grads)
+    """Input gradient of controller j given the (B,) gates g and upstream
+    dg; its parameter gradients are stored in param_grads, as mlp_vjp does,
+    so run it at most once per dict."""
+    dz = dg * g * (1.0 - g)  # through the sigmoid
+    return mlp_vjp(mods.params, f"controller{j}", x, h, dz[:, None], param_grads)
 
 
 _SKIPMODS_SCHEMA_VERSION = 1
@@ -394,8 +393,8 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError("k must be >= 1")
-        if self.eta <= 0:
-            raise ConfigError("eta must be positive")
+        if not 0.0 < self.eta < math.inf:
+            raise ConfigError(f"eta must be finite and positive, got {self.eta}")
         if self.stride is not None and self.stride < 1:
             raise ConfigError("stride must be >= 1")
 
@@ -468,6 +467,8 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
     and verification, with skipping disabled for the first k+1 warm-up
     steps. controllers-only: allow points pinned at the segment starts, no
     continuity machinery. random-skip: i.i.d. skipping at random_skip_prob.
+    A task with more subtasks than the model's instruction width raises
+    ConfigError before the first step.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -478,6 +479,9 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
     cfg = task.config
     costs = flops.arch_costs(model.config)
     n_instr = model.config.instr_dim
+    if cfg.subtasks > n_instr:
+        raise ConfigError(f"the task has {cfg.subtasks} subtasks but the model's "
+                          f"instruction width is {n_instr}")
     allow = None
     pinned = None
     if mode == "dysl":

@@ -148,6 +148,12 @@ def test_train_config_rejects_a_nonpositive_batch_or_validation_interval(name, v
         bench.TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize("lr", [0.0, -1e-3, np.nan, np.inf])
+def test_train_config_rejects_a_learning_rate_that_is_not_finite_and_positive(lr):
+    with pytest.raises(ConfigError, match="lr must be finite and positive"):
+        bench.TrainConfig(lr=lr)
+
+
 def test_every_optimizer_step_calls_its_timed_step_function_once(monkeypatch):
     """perfbench times BC and distillation by the interval between calls of
     these three functions, found by name, so each must run once per step."""

@@ -225,6 +225,16 @@ class TestStage2:
         for k, v in mods.params.items():
             assert np.array_equal(v, before[k]) == np.all(grads[k] == 0.0), k
 
+    @pytest.mark.parametrize("sels, match", [
+        ([np.full(4, 0)], "one selection array per segment"),
+        ([np.full(4, 0), np.full(3, 3)], "selection shape"),
+        ([np.full(4, 0), np.full((4, 1), 3)], "selection shape")])
+    def test_blend_forward_rejects_malformed_selections(self, sels, match):
+        model, ss, mods = make_setup(depth=6, statics=(2, 5), seed=21)
+        obs, instr, _ = rand_batch(model, 4, 22)
+        with pytest.raises(ConfigError, match=match):
+            dt.stage2_blend_forward(model, mods, sels, forward_recorded(model, obs, instr)[1])
+
 
 class TestEstimateSkipRate:
     def test_saturated_gates_skip_every_dynamic_layer(self):
@@ -298,6 +308,11 @@ class TestRunTwoStage:
             dt.DistillConfig(stage1_steps=0)
         with pytest.raises(ConfigError):
             dt.DistillConfig(selection="geometric")
+        for name, value in [("lam", np.nan), ("lam", np.inf), ("stage1_lr", 0.0),
+                            ("stage1_lr", -1e-3), ("stage1_lr", np.nan), ("stage2_lr", 0.0),
+                            ("stage2_lr", -1e-3), ("stage2_lr", np.nan)]:
+            with pytest.raises(ConfigError, match=name):
+                dt.DistillConfig(**{name: value})
 
     def test_skip_modules_of_another_depth_rejected(self):
         cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,

@@ -581,6 +581,19 @@ class TestRolloutEpisode:
         with pytest.raises(ConfigError):
             rt.rollout_episode(task, model, mods, "warp", rt.GuidanceConfig())
 
+    def test_chain_longer_than_the_instruction_width_rejected(self):
+        # an untrained policy never reaches subtask 2, so without the up-front
+        # check this rollout would finish
+        _, model, mods = self._trained_free_setup()
+        task = sim.sample_task_sequence(3, sim.SimConfig(subtasks=3))
+        with pytest.raises(ConfigError, match="3 subtasks .* instruction width is 2"):
+            rt.rollout_episode(task, model, mods, "full", rt.GuidanceConfig())
+
+    @pytest.mark.parametrize("eta", [0.0, -0.004, np.nan, np.inf])
+    def test_guidance_rejects_an_eta_that_is_not_finite_and_positive(self, eta):
+        with pytest.raises(ConfigError, match="eta must be finite and positive"):
+            rt.GuidanceConfig(eta=eta)
+
 
 class TestGoldenTraces:
     """Seeded rollouts of an untrained policy, pinned by digest so that any
