@@ -162,7 +162,8 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
     layer i, g the controller_i gate and full the unblended input of back.
     So the dynamic blocks serve every sample: their prefix up to the
     selected layer is its forced execution, their suffix its no-skip path.
-    Statics always execute.
+    Statics always execute. A selection that is not one of its segment's
+    dynamic layers raises ConfigError naming the segment.
 
     Returns (actions, gates) with gates shaped (batch, n_segments). When
     `caches` is a list it receives what stage2_loss_and_grads reads: every
@@ -188,9 +189,10 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
                 raise ConfigError("selection shape must match the batch")
             full = xs[back]
             blend = np.empty_like(full)
-            units = []
+            units, n_selected = [], 0
             for j in range(front + 1, back):
                 idx = np.flatnonzero(sel == j)
+                n_selected += idx.size
                 if idx.size == 0:
                     units.append((j, None))
                     continue
@@ -200,6 +202,9 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
                 blend[idx] = g[:, None] * a + (1.0 - g)[:, None] * full[idx]
                 gates[idx, si] = g
                 units.append((j, (idx, xj, g, hc, a, ha)))
+            if n_selected != batch:  # a row left out would keep empty_like's garbage
+                raise ConfigError(f"segment {si} {(front, back)}: every selection must be "
+                                  f"one of its dynamic layers {front + 1}..{back - 1}")
             blends.append((back, full, units))
             xs[back] = blend
         if layer < depth:

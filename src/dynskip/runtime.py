@@ -7,6 +7,10 @@ that move with the trajectory-continuity signal (hysteresis: fast forward
 on continuity drops, single-step retreat on recovery), and a verification
 pass re-predicts the first post-drop action at full depth.
 
+An AllowPointState holds the guidance state. `observe_action` alone appends
+to its `window` and `c_history`, which `rollout_episode` and
+`post_skip_verify` read; `post_skip_verify` alone reads and writes `armed`.
+
 `forward_skipped` (controller gates) and `forward_random` (the random-skip
 baseline) share one segment walk over the plan SkipModules builds once, and
 differ only in the per-dynamic-layer skip decision they hand it.
@@ -200,21 +204,24 @@ class AllowPointState:
     """Per-segment skipping-allow points plus the continuity bookkeeping that
     drives them. Point l for segment (front, back) means: controllers are
     disabled (layers forced) strictly below l; confined to front < l <= back.
-    `norms` keeps the distances of the last k action pairs, so a new
-    continuity value costs one norm, not k."""
+    `observe_action` alone appends to `window` (the last two actions),
+    `norms` (the last k pair distances, so a new continuity value costs one
+    norm, not k) and `c_history` (the last two continuity values); the
+    verification trigger `armed` is read and written only by
+    `post_skip_verify`."""
 
     static_set: StaticSet
     k: int
     points: list[int]
-    window: deque = field(default_factory=deque)
-    c_history: deque = field(default_factory=lambda: deque(maxlen=3))
+    window: deque = field(default_factory=lambda: deque(maxlen=2))
+    c_history: deque = field(default_factory=lambda: deque(maxlen=2))
     armed: bool = True
     norms: deque = field(default_factory=deque)
 
     @property
     def warm(self) -> bool:
         """True until a full window of k+1 actions has been observed."""
-        return len(self.window) < self.k + 1
+        return len(self.norms) < self.k
 
 
 def init_allow_state(static_set: StaticSet, k: int) -> AllowPointState:
@@ -222,30 +229,29 @@ def init_allow_state(static_set: StaticSet, k: int) -> AllowPointState:
         raise ConfigError("k must be >= 1")
     points = [front + 1 for front, _ in static_set.segments]
     return AllowPointState(static_set=static_set, k=k, points=points,
-                           window=deque(maxlen=k + 1), norms=deque(maxlen=k))
-
-
-def _cached_continuity(norms) -> float:
-    total = 0.0
-    for n in norms:  # continuity()'s order; builtin sum() may compensate rounding
-        total += n
-    return -total / len(norms)
+                           norms=deque(maxlen=k))
 
 
 def observe_action(state: AllowPointState, action) -> None:
+    """Append an action and, from the second on, its pair distance and the
+    continuity value of the last k pair distances."""
     state.window.append(np.asarray(action, dtype=np.float64).copy())
     if len(state.window) >= 2:
         state.norms.append(l2_norm(state.window[-1] - state.window[-2]))
-        state.c_history.append(_cached_continuity(state.norms))
+        total = 0.0
+        for n in state.norms:  # continuity()'s order; builtin sum() may compensate rounding
+            total += n
+        state.c_history.append(-total / len(state.norms))
 
 
 def replace_last_action(state: AllowPointState, action) -> None:
-    """Swap the newest window action (verification re-prediction) and
-    recompute the newest pair distance and continuity value from it."""
-    state.window[-1] = np.asarray(action, dtype=np.float64).copy()
-    if state.c_history:
-        state.norms[-1] = l2_norm(state.window[-1] - state.window[-2])
-        state.c_history[-1] = _cached_continuity(state.norms)
+    """Swap the newest action (verification re-prediction): drop the newest
+    action, pair distance and continuity value, then observe the
+    replacement. Needs two observed actions."""
+    state.window.pop()
+    state.norms.pop()
+    state.c_history.pop()
+    observe_action(state, action)
 
 
 def update_allow_points(state: AllowPointState, c_t: float, c_prev: float,
@@ -271,12 +277,6 @@ def update_allow_points(state: AllowPointState, c_t: float, c_prev: float,
         state.points = [max(front + 1, l - 1)
                         for (front, back), l in zip(segments, state.points)]
     return state
-
-
-def should_verify(armed: bool, delta_c: float, eta: float) -> bool:
-    """Verification trigger: fire only on the first continuity drop after
-    (re-)arming; re-arming happens when delta_c returns above -eta."""
-    return armed and delta_c < -eta
 
 
 # --- skipping forward passes ------------------------------------------------------
@@ -391,12 +391,12 @@ class GuidanceConfig:
     verification: bool = True
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
+        for name in ("k", "stride") if self.stride is not None else ("k",):
+            value = getattr(self, name)  # a float k breaks deque, a float stride truncates
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
         if not 0.0 < self.eta < math.inf:
             raise ConfigError(f"eta must be finite and positive, got {self.eta}")
-        if self.stride is not None and self.stride < 1:
-            raise ConfigError("stride must be >= 1")
 
 
 @dataclass
@@ -426,35 +426,35 @@ class Episode:
 
 def post_skip_verify(model: PolicyModel, costs, allow_state: AllowPointState,
                      trace: ExecTrace, obs, instr, eta: float):
-    """On the first armed continuity drop, re-predict the current action at
-    full depth, merge the compute of both passes into one trace, and
-    recompute the newest continuity value from the replacement.
+    """The verification trigger; the only reader and writer of `armed`.
 
-    Returns (action, trace, fired) with fired False when the trigger did not
-    fire; a drop on a step that skipped nothing disarms without a re-run
-    because the re-prediction would be identical.
+    With two `c_history` values (the caller's guarantee), armed and
+    dC < -eta fires and disarms. A fire on a step that skipped anything
+    re-predicts the action at full depth, merges both passes' compute into
+    one trace and replaces the newest action, and with it the newest
+    continuity value; a step that skipped nothing would re-predict the same
+    action. Then dC >= -eta, read after any replacement, re-arms. Returns
+    (action, trace), action None unless re-run.
     """
     hist = allow_state.c_history
-    if len(hist) < 2:
-        return None, trace, False
-    dc = hist[-1] - hist[-2]
-    if not should_verify(allow_state.armed, dc, eta):
-        return None, trace, False
-    allow_state.armed = False
-    if not trace.skipped_segments:
-        return None, trace, False
-    action, _ = forward_recorded(model, obs, instr)
-    merged = ExecTrace(
-        executed_layers=list(range(costs.depth)),
-        controllers_evaluated=trace.controllers_evaluated,
-        adapters_invoked=trace.adapters_invoked,
-        skipped_segments=trace.skipped_segments,
-        verified=True,
-        skip_run_layers=trace.executed_layers,
-        flops=trace.flops + flops.forward_flops(costs, costs.depth),
-    )
-    replace_last_action(allow_state, action)
-    return action, merged, True
+    action = None
+    if allow_state.armed and hist[-1] - hist[-2] < -eta:
+        allow_state.armed = False
+        if trace.skipped_segments:
+            action, _ = forward_recorded(model, obs, instr)
+            trace = ExecTrace(
+                executed_layers=list(range(costs.depth)),
+                controllers_evaluated=trace.controllers_evaluated,
+                adapters_invoked=trace.adapters_invoked,
+                skipped_segments=trace.skipped_segments,
+                verified=True,
+                skip_run_layers=trace.executed_layers,
+                flops=trace.flops + flops.forward_flops(costs, costs.depth),
+            )
+            replace_last_action(allow_state, action)
+    if hist[-1] - hist[-2] >= -eta:
+        allow_state.armed = True
+    return action, trace
 
 
 def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None,
@@ -512,13 +512,11 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
             observe_action(allow, action)
             if not allow.warm and len(allow.c_history) >= 2:
                 if guidance.verification:
-                    redo, trace, fired = post_skip_verify(
-                        model, costs, allow, trace, obs, instr, guidance.eta)
-                    if fired:
+                    redo, trace = post_skip_verify(model, costs, allow, trace,
+                                                   obs, instr, guidance.eta)
+                    if redo is not None:
                         action = redo
-                c_t, c_prev = allow.c_history[-1], allow.c_history[-2]
-                if c_t - c_prev >= -guidance.eta:
-                    allow.armed = True
+                c_prev, c_t = allow.c_history
                 update_allow_points(allow, c_t, c_prev, guidance.eta,
                                     guidance.stride)
             points_log = list(allow.points)

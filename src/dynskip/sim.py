@@ -11,7 +11,7 @@ fine phase.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -48,6 +48,9 @@ class SimConfig:
     separation_factor: float = 6.0  # min placement distance, in grasp radii
 
     def __post_init__(self):
+        for f in fields(self):  # nan passes every comparison below
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.high <= self.low:
             raise ConfigError("workspace bounds must satisfy low < high")
         for name in ("grasp_radius", "success_tol", "step_len", "d_max", "grip_max"):
@@ -55,6 +58,8 @@ class SimConfig:
                 raise ConfigError(f"{name} must be positive")
         if self.subtasks < 1:
             raise ConfigError("subtasks must be >= 1")
+        if self.step_cap < 1:
+            raise ConfigError("step_cap must be >= 1")
         if not 0.0 <= self.p_pause < 1.0:
             raise ConfigError("p_pause must be in [0, 1)")
         if self.high - self.low <= 2 * self.margin:

@@ -228,7 +228,9 @@ class TestStage2:
     @pytest.mark.parametrize("sels, match", [
         ([np.full(4, 0)], "one selection array per segment"),
         ([np.full(4, 0), np.full(3, 3)], "selection shape"),
-        ([np.full(4, 0), np.full((4, 1), 3)], "selection shape")])
+        ([np.full(4, 0), np.full((4, 1), 3)], "selection shape"),
+        ([[0, 0, 0, 0], [3, 3, 3, 9]], r"segment 1 \(2, 5\): every selection"),
+        ([[2, 0, 0, 0], [3, 3, 3, 4]], r"segment 0 \(-1, 2\): every selection")])
     def test_blend_forward_rejects_malformed_selections(self, sels, match):
         model, ss, mods = make_setup(depth=6, statics=(2, 5), seed=21)
         obs, instr, _ = rand_batch(model, 4, 22)

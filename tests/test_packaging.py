@@ -1,14 +1,15 @@
+import ast
 import importlib
+import tokenize
 from pathlib import Path
 
 import pytest
-
-tomllib = pytest.importorskip("tomllib")
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def test_every_console_script_target_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+; the guard below runs on 3.10 too
     project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
@@ -16,3 +17,33 @@ def test_every_console_script_target_imports():
         for part in attr.split("."):
             entry = getattr(entry, part)
         assert callable(entry), f"console script {name!r} -> {target!r} is not callable"
+
+
+# Public names that only tests reach: the entry points of a `dynskip.cli` module
+# that does not exist yet. A public function or class reached by nothing in
+# src/dynskip or perfbench must join this list on purpose, or get a caller.
+TEST_ONLY_API = {
+    "save_dataset", "load_dataset", "save_policy", "load_policy",
+    "save_skip_modules", "load_skip_modules", "write_train_log", "write_profile_csv",
+    "write_zero_shot_csv", "write_ablation_csv", "paired_one_sided_pvalue", "run_ablation",
+}
+
+
+def test_no_new_public_name_is_reached_only_by_tests():
+    root = PYPROJECT.parent
+    package = sorted((root / "src" / "dynskip").glob("*.py"))
+    defs = {}  # name -> (file, first line, last line) of its top-level definition
+    for path in package:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defs[node.name] = (path, node.lineno, node.end_lineno)
+    reached = set()
+    for path in package + sorted((root / "perfbench").rglob("*.py")):
+        with open(path, "rb") as fh:  # NAME tokens: code only, no comments or strings
+            for tok in tokenize.tokenize(fh.readline):
+                if tok.type == tokenize.NAME and tok.string in defs:
+                    own, first, last = defs[tok.string]
+                    if path != own or not first <= tok.start[0] <= last:
+                        reached.add(tok.string)
+    assert set(defs) - reached <= TEST_ONLY_API

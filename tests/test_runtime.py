@@ -381,32 +381,33 @@ class TestAllowPoints:
 
 
 class TestVerificationTrigger:
-    def test_scripted_sequence_fires_once(self):
-        deltas = [-0.01, -0.3, -0.3, -0.01]
-        eta = 0.1
-        armed = True
+    """The trigger through observe_action and post_skip_verify. At k = 1,
+    C_t is minus the newest pair distance, so scripted 1-D actions give the
+    continuity changes; the re-prediction returns the observed action, so a
+    replacement leaves C unchanged. A fire is a re-run."""
+
+    def _fires(self, monkeypatch, deltas, eta=0.1):
+        model, ss, _ = make_setup()
+        costs = flops.arch_costs(model.config)
+        state = rt.init_allow_state(ss, k=1)
+        monkeypatch.setattr(rt, "forward_recorded",
+                            lambda model, obs, instr: (state.window[-1], None))
+        gaps = -np.cumsum([0.0] + deltas)  # |a_t - a_(t-1)| = -C_t, C starts at 0
         fires = []
-        for dc in deltas:
-            fired = rt.should_verify(armed, dc, eta)
-            if fired:
-                armed = False
-            if dc >= -eta:
-                armed = True
-            fires.append(fired)
+        for a in np.cumsum([0.0, *gaps]):
+            rt.observe_action(state, [a])
+            if len(state.c_history) >= 2:
+                skipped = rt.ExecTrace(executed_layers=[2, 5], skipped_segments=[0, 1])
+                action, _ = rt.post_skip_verify(model, costs, state, skipped, None, None, eta)
+                fires.append(action is not None)  # only a re-run returns an action
+        return fires
+
+    def test_scripted_sequence_fires_once(self, monkeypatch):
+        fires = self._fires(monkeypatch, [-0.01, -0.3, -0.3, -0.01])
         assert fires == [False, True, False, False]
 
-    def test_rearm_allows_second_fire(self):
-        deltas = [-0.3, -0.3, -0.01, -0.3]
-        eta = 0.1
-        armed = True
-        fires = []
-        for dc in deltas:
-            fired = rt.should_verify(armed, dc, eta)
-            if fired:
-                armed = False
-            if dc >= -eta:
-                armed = True
-            fires.append(fired)
+    def test_rearm_allows_second_fire(self, monkeypatch):
+        fires = self._fires(monkeypatch, [-0.3, -0.3, -0.01, -0.3])
         assert fires == [True, False, False, True]
 
 
@@ -594,6 +595,12 @@ class TestRolloutEpisode:
         with pytest.raises(ConfigError, match="eta must be finite and positive"):
             rt.GuidanceConfig(eta=eta)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", 2.5), ("k", True), ("k", 0), ("stride", 1.5), ("stride", True), ("stride", 0)])
+    def test_guidance_rejects_a_k_or_stride_that_is_not_a_positive_int(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an int >= 1"):
+            rt.GuidanceConfig(**{field: value})
+
 
 class TestGoldenTraces:
     """Seeded rollouts of an untrained policy, pinned by digest so that any
@@ -604,6 +611,8 @@ class TestGoldenTraces:
         "full": ("full", {}, "c200d8ea86ec4d75"),
         "dysl": ("dysl", {}, "65573b76d0aa4934"),
         "dysl-unverified": ("dysl", {"verification": False}, "1ad66dddbcee0a20"),
+        # at k = 1 warm-up ends one step before the second continuity value
+        "dysl-k1": ("dysl", {"k": 1}, "674b405c1a771fc8"),
         "controllers-only": ("controllers-only", {}, "7eb138fdb173b8bb"),
         "random-skip": ("random-skip", {}, "1c1c1cac2125697f"),
     }
@@ -617,7 +626,7 @@ class TestGoldenTraces:
         model = build_policy(cfg)
         mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5, 7), depth=8), seed=4)
         ep = rt.rollout_episode(task, model, mods, mode,
-                                rt.GuidanceConfig(k=3, **guidance),
+                                rt.GuidanceConfig(**{"k": 3, **guidance}),
                                 rng=np.random.default_rng(5), random_skip_prob=0.3)
         h = hashlib.sha256()
         for line in rt.episode_trace_lines(ep):

@@ -44,6 +44,16 @@ class TestTaskSampling:
             cfg = sim.SimConfig(high=0.5, margin=0.2, separation_factor=40.0)
             sim.sample_task_sequence(0, cfg)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("step_len", np.nan, "step_len must be finite"),
+        ("margin", np.nan, "margin must be finite"),
+        ("grasp_radius", np.inf, "grasp_radius must be finite"),
+        ("noise_rho", np.nan, "noise_rho must be finite"),
+        ("step_cap", 0, "step_cap must be >= 1")])
+    def test_config_rejects_a_value_that_is_not_finite_or_in_range(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            sim.SimConfig(**{field: value})
+
     @staticmethod
     def _linalg_form(seed, config):
         """The sampler with its separation test on np.linalg.norm."""
