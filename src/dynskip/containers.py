@@ -6,7 +6,7 @@
   twice produces byte-identical files; arrays are stored raw (never
   pickled), so round-trips are bit-exact.
 - Episode traces: JSON lines, a header record then one record per step,
-  written and read by `runtime`.
+  as many as the header's `n_steps`, written and read by `runtime`.
 - CSV tables (train and stage logs, reports, ablations, profiles and the
   zero-shot study): `write_csv`, read back with `read_csv`.
 

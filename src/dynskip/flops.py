@@ -52,6 +52,13 @@ def forward_flops(costs: ArchCosts, n_blocks: int, n_adapters: int = 0,
             + n_adapters * costs.adapter + n_controllers * costs.controller)
 
 
+def verify_flops(costs: ArchCosts, first_skipped: int) -> int:
+    """FLOPs of a verification re-run that resumes at the skip pass's first
+    skipped layer: blocks first_skipped..depth-1 and the head. The
+    embedding and the blocks below ran in the skip pass, charged there."""
+    return (costs.depth - first_skipped) * costs.block + costs.head
+
+
 def _check_layer_list(costs: ArchCosts, layers, what: str) -> None:
     prev = -1
     for lid in layers:
@@ -67,8 +74,13 @@ def flop_estimate(costs: ArchCosts, executed_layers, controllers_evaluated=(),
                   skip_run_layers=None) -> int:
     """Total FLOPs of one inference step.
 
-    For a verified step, executed_layers is the full re-run path and
-    skip_run_layers the discarded first pass; both are charged.
+    A verified step ran the skip pass, whose path is skip_run_layers, then
+    re-ran from its first skipped layer s = adapters_invoked[0]: blocks
+    s..depth-1 and the head, on the skip pass's input to layer s. It is
+    charged the skip pass plus verify_flops(costs, s); executed_layers is
+    the whole path of the returned action, every layer. TraceIntegrityError
+    when a verified record has no adapter or its skip pass lacks a layer
+    below s, so that the re-run's input is not the full pass's.
     """
     _check_layer_list(costs, executed_layers, "executed_layers")
     if verified:
@@ -77,9 +89,16 @@ def flop_estimate(costs: ArchCosts, executed_layers, controllers_evaluated=(),
         if len(executed_layers) != costs.depth:
             raise TraceIntegrityError("verified re-run must execute every layer")
         _check_layer_list(costs, skip_run_layers, "skip_run_layers")
+        _check_layer_list(costs, adapters_invoked, "adapters_invoked")
+        if not adapters_invoked:
+            raise TraceIntegrityError("verified step without a skipped layer to resume at")
+        s = adapters_invoked[0]
+        if list(skip_run_layers[:s]) != list(range(s)):
+            raise TraceIntegrityError(
+                f"verified step resumes at layer {s}, but skip_run_layers lacks a layer below it")
         first = forward_flops(costs, len(skip_run_layers),
                               len(adapters_invoked), len(controllers_evaluated))
-        return first + forward_flops(costs, costs.depth)
+        return first + verify_flops(costs, s)
     if skip_run_layers is not None:
         raise TraceIntegrityError("skip_run_layers present on an unverified step")
     return forward_flops(costs, len(executed_layers), len(adapters_invoked),

@@ -56,7 +56,8 @@ class PolicyModel:
     missing, mis-shaped or unexpected key) and binds each layer's (W.T, b)
     views once. The views share memory with `params`, so update its arrays in
     place (as Adam does); a replaced dict entry is not seen and needs a new
-    PolicyModel.
+    PolicyModel. A copy (copy.deepcopy, pickle) is rebuilt from its own
+    params, so its views bind to the copied arrays.
     """
 
     def __init__(self, config: PolicyConfig, params: Params):
@@ -70,6 +71,9 @@ class PolicyModel:
         reject_unknown_keys(params, ["embed.W", "embed.b", "head.W", "head.b"]
                             + [f"block{i}.{part}" for i in range(config.depth)
                                for part in MLP_PARTS])
+
+    def __reduce__(self):
+        return PolicyModel, (self.config, self.params)
 
     def n_params(self) -> int:
         return sum(p.size for p in self.params.values())

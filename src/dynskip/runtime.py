@@ -5,7 +5,11 @@ whether to jump straight to the segment's closing static layer through a
 small adapter. Gate activity is gated in turn by per-segment allow points
 that move with the trajectory-continuity signal (hysteresis: fast forward
 on continuity drops, single-step retreat on recovery), and a verification
-pass re-predicts the first post-drop action at full depth.
+pass re-predicts the first post-drop action at full depth. It resumes from
+the skip pass's input to its first skipped layer and re-runs only that
+layer, the layers above it and the head: every layer below ran in the skip
+pass, unskipped and with the same kernels, so the re-prediction equals a
+fresh full-depth pass bit for bit.
 
 An AllowPointState holds the guidance state. `observe_action` alone appends
 to its `window` and `c_history`, which `rollout_episode` and
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import containers, flops, sim
-from .errors import ConfigError, DegenerateInputError, ShapeError
+from .errors import ConfigError, DegenerateInputError, ShapeError, TraceIntegrityError
 from .model import PolicyModel, block_forward, embed_forward, forward_recorded, head_forward
 from .numerics import (
     MLP_PARTS,
@@ -59,7 +63,7 @@ class SkipModules:
     walk: `segment_plan` holds, per segment, the static layers before it and
     its (front, back), and `trailing_statics` the rest.
     As with PolicyModel, update `params` arrays in place; a replaced entry
-    needs a new SkipModules.
+    needs a new SkipModules, and a copy is rebuilt from its own params.
     """
 
     static_set: StaticSet
@@ -85,6 +89,9 @@ class SkipModules:
             start = back
         self.segment_plan = tuple(plan)
         self.trailing_statics = range(start, self.static_set.depth)
+
+    def __reduce__(self):
+        return SkipModules, (self.static_set, self.hidden_dim, self.tau, self.params)
 
     @property
     def adapter_dim(self) -> int:
@@ -285,9 +292,13 @@ def update_allow_points(state: AllowPointState, c_t: float, c_prev: float,
 class ExecTrace:
     """Per-inference execution record; the latency proxy.
 
-    executed_layers is the path that produced the returned action (all
-    layers for a verified re-run, with the discarded first pass preserved in
-    skip_run_layers so its cost stays accounted)."""
+    executed_layers is the path that produced the returned action. A
+    verified step re-ran from the skip pass's first skipped layer
+    s = adapters_invoked[0]: executed_layers is then every layer (the skip
+    pass's blocks below s, then the re-run), skip_run_layers the skip pass's
+    own path, and flops both passes' work, the shared prefix once (see
+    flops.flop_estimate). resume_input is the skip pass's input to layer s,
+    handed to the re-run; it lives for one step and is never dumped."""
 
     executed_layers: list[int]
     controllers_evaluated: list[int] = field(default_factory=list)
@@ -296,11 +307,14 @@ class ExecTrace:
     verified: bool = False
     skip_run_layers: list[int] | None = None
     flops: int = 0
+    resume_input: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def block_executions(self) -> int:
-        first = len(self.skip_run_layers) if self.verified else 0
-        return first + len(self.executed_layers)
+        if not self.verified:
+            return len(self.executed_layers)
+        return (len(self.skip_run_layers) + len(self.executed_layers)
+                - self.adapters_invoked[0])
 
 
 def forward_full(model: PolicyModel, costs: flops.ArchCosts, obs, instr):
@@ -314,7 +328,7 @@ def _walk(model: PolicyModel, mods: SkipModules, decide, obs, instr,
     """The one segment walk. Static layers always execute; within a segment
     each dynamic layer runs its block until decide(trace, segment index,
     layer, x) is true, when the layer's adapter carries x straight to the
-    closing static layer."""
+    closing static layer. The first such x is kept as trace.resume_input."""
     check_depth(model, mods.static_set)
     if costs is None:
         costs = flops.arch_costs(model.config)
@@ -327,6 +341,8 @@ def _walk(model: PolicyModel, mods: SkipModules, decide, obs, instr,
             executed.append(layer)
         for j in range(front + 1, back):
             if decide(trace, si, j, x):
+                if not trace.adapters_invoked:
+                    trace.resume_input = x
                 x = adapter_forward(mods, j, x)
                 trace.adapters_invoked.append(j)
                 trace.skipped_segments.append(si)
@@ -425,23 +441,29 @@ class Episode:
 
 
 def post_skip_verify(model: PolicyModel, costs, allow_state: AllowPointState,
-                     trace: ExecTrace, obs, instr, eta: float):
+                     trace: ExecTrace, eta: float):
     """The verification trigger; the only reader and writer of `armed`.
 
     With two `c_history` values (the caller's guarantee), armed and
     dC < -eta fires and disarms. A fire on a step that skipped anything
-    re-predicts the action at full depth, merges both passes' compute into
-    one trace and replaces the newest action, and with it the newest
-    continuity value; a step that skipped nothing would re-predict the same
-    action. Then dC >= -eta, read after any replacement, re-arms. Returns
-    (action, trace), action None unless re-run.
+    re-predicts the action at full depth: from the skip pass's input to its
+    first skipped layer s (`trace.resume_input`) it runs blocks s..depth-1
+    and the head. It merges both passes' compute into one trace and replaces
+    the newest action, and with it the newest continuity value; a step that
+    skipped nothing would re-predict the same action. Then dC >= -eta, read
+    after any replacement, re-arms. Returns (action, trace), action None
+    unless re-run.
     """
     hist = allow_state.c_history
     action = None
     if allow_state.armed and hist[-1] - hist[-2] < -eta:
         allow_state.armed = False
         if trace.skipped_segments:
-            action, _ = forward_recorded(model, obs, instr)
+            s = trace.adapters_invoked[0]
+            x = trace.resume_input
+            for layer in range(s, costs.depth):
+                x = block_forward(model, layer, x)
+            action = head_forward(model, x)
             trace = ExecTrace(
                 executed_layers=list(range(costs.depth)),
                 controllers_evaluated=trace.controllers_evaluated,
@@ -449,7 +471,7 @@ def post_skip_verify(model: PolicyModel, costs, allow_state: AllowPointState,
                 skipped_segments=trace.skipped_segments,
                 verified=True,
                 skip_run_layers=trace.executed_layers,
-                flops=trace.flops + flops.forward_flops(costs, costs.depth),
+                flops=trace.flops + flops.verify_flops(costs, s),
             )
             replace_last_action(allow_state, action)
     if hist[-1] - hist[-2] >= -eta:
@@ -513,7 +535,7 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
             if not allow.warm and len(allow.c_history) >= 2:
                 if guidance.verification:
                     redo, trace = post_skip_verify(model, costs, allow, trace,
-                                                   obs, instr, guidance.eta)
+                                                   guidance.eta)
                     if redo is not None:
                         action = redo
                 c_prev, c_t = allow.c_history
@@ -525,6 +547,7 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
             episode.diverged = True
             episode.diagnostic = "policy produced a non-finite action"
             break
+        trace.resume_input = None  # the verification hand-off lives one step
         episode.steps.append(StepRecord(step=state.total_steps, trace=trace,
                                         continuity=c_t, allow_points=points_log))
         episode.actions.append(np.asarray(action, dtype=np.float64))
@@ -539,7 +562,10 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
 
 # --- trace dump --------------------------------------------------------------------
 
-TRACE_SCHEMA_VERSION = 1
+# version 2: a verified step's flops charge the re-run from its first skipped
+# layer (flops.verify_flops), so a version-1 dump fails here by name rather
+# than in the FLOP cross-check
+TRACE_SCHEMA_VERSION = 2
 
 
 def episode_trace_lines(episode: Episode) -> list[str]:
@@ -580,8 +606,14 @@ def write_episode_trace(path, episode: Episode) -> None:
 
 
 def read_episode_trace(path) -> tuple[dict, list[dict]]:
+    """Header and step records of a dumped trace. TraceIntegrityError when
+    the records are fewer or more than the header's n_steps: a truncated
+    trace of equal-cost steps would pass the FLOP cross-check."""
     with open(path, encoding="utf-8") as fh:
         header = json.loads(fh.readline())
         containers.check_header(header, "episode_trace", TRACE_SCHEMA_VERSION, path)
         records = [json.loads(line) for line in fh]
+    if len(records) != header.get("n_steps"):
+        raise TraceIntegrityError(f"{path}: header n_steps {header.get('n_steps')} "
+                                  f"but {len(records)} step records")
     return header, records

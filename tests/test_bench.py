@@ -69,6 +69,55 @@ def test_cross_check_report_rejects_an_edited_trace_record(tmp_path):
         bench.cross_check_report(tmp_path, report, model.config)
 
 
+def _drop_prefix_layer(record):
+    record["skip_run_layers"].remove(record["adapters_invoked"][0] - 1)
+
+
+@pytest.mark.parametrize("forge,message", [
+    (lambda record: record.update(adapters_invoked=[]), "without a skipped layer"),
+    (_drop_prefix_layer, "resumes at layer 1, but skip_run_layers lacks a layer below it"),
+], ids=["no-adapter", "prefix-layer-missing"])
+def test_cross_check_report_rejects_a_forged_verified_record(tmp_path, forge, message):
+    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                      action_dim=3, seed=2))
+    mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
+    stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
+                                    rt.GuidanceConfig(k=2), ["dysl"], 2, 0, out_dir=tmp_path)
+    report = tmp_path / "report.csv"
+    bench.write_report_csv(report, stats)
+    bench.cross_check_report(tmp_path, report, model.config)
+
+    trace = tmp_path / "traces" / "dysl" / "ep_0001.jsonl"
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[4])
+    assert record["verified"] and record["adapters_invoked"][0] == 1
+    forge(record)
+    lines[4] = json.dumps(record, sort_keys=True)
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TraceIntegrityError, match=message):
+        bench.cross_check_report(tmp_path, report, model.config)
+
+
+def test_cross_check_report_rejects_a_truncated_trace(tmp_path):
+    # every full-depth step costs the same, so a lost step never shows in the mean
+    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                      action_dim=3, seed=2))
+    stats, _ = bench.evaluate_modes(model, None, sim.SimConfig(subtasks=2, step_cap=12),
+                                    rt.GuidanceConfig(k=2), ["full"], 2, 0, out_dir=tmp_path)
+    report = tmp_path / "report.csv"
+    bench.write_report_csv(report, stats)
+    bench.cross_check_report(tmp_path, report, model.config)
+
+    trace = tmp_path / "traces" / "full" / "ep_0001.jsonl"
+    header, *records = trace.read_text(encoding="utf-8").splitlines()
+    kept = len(records) // 2
+    trace.write_text("\n".join([header, *records[:kept]]) + "\n", encoding="utf-8")
+    with pytest.raises(TraceIntegrityError,
+                       match=f"ep_0001.jsonl: header n_steps {len(records)} but {kept} "
+                             "step records"):
+        bench.cross_check_report(tmp_path, report, model.config)
+
+
 @pytest.mark.parametrize("field", ["executed_layers", "flops"])
 def test_cross_check_report_names_a_field_missing_from_a_trace_record(tmp_path, field):
     model = build_policy(PolicyConfig(obs_dim=7, instr_dim=1, hidden_dim=8, depth=6,
@@ -98,7 +147,7 @@ def test_a_dysl_only_evaluation_calibrates_no_random_skip(caplog):
         stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
                                         rt.GuidanceConfig(k=2), ["dysl"], 2, 0)
     assert caplog.records == []
-    assert stats == [bench.ModeStats("dysl", 2, 0.0, 0.0, 7.875, 2401.75, 1.875, 0.5)]
+    assert stats == [bench.ModeStats("dysl", 2, 0.0, 0.0, 7.5, 2233.75, 1.875, 0.5)]
 
 
 @pytest.mark.parametrize("prob,flags", [(0.0, ["", "", "True"]), (0.3, ["", "", "False"])])

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -279,3 +282,29 @@ class TestCheckpoint:
         save_policy(p1, model)
         save_policy(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_a_copy_binds_its_own_params(how):
+    """A copied model reads the copy's params: it acts as the original,
+    sees in-place updates of the copy's arrays and leaves the original's
+    untouched."""
+    model = build_policy(tiny_config(seed=25))
+    before = {k: v.copy() for k, v in model.params.items()}
+    twin = COPIES[how](model)
+    rng = np.random.default_rng(26)
+    obs, instr = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+    action = forward_recorded(model, obs, instr)[0]
+    assert np.array_equal(forward_recorded(twin, obs, instr)[0], action)
+    for arr in twin.params.values():
+        arr += rng.normal(scale=0.1, size=arr.shape)
+    fresh = PolicyModel(twin.config, {k: v.copy() for k, v in twin.params.items()})
+    moved = forward_recorded(twin, obs, instr)[0]
+    assert np.array_equal(moved, forward_recorded(fresh, obs, instr)[0])
+    assert not np.array_equal(moved, action)
+    for k, v in model.params.items():
+        assert np.array_equal(v, before[k])
+    assert np.array_equal(forward_recorded(model, obs, instr)[0], action)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import pickle
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dynskip import containers, flops, runtime as rt, sim
+from dynskip import containers, flops, model as policy_model, runtime as rt, sim
 from dynskip.errors import ConfigError, DegenerateInputError, ShapeError
 from dynskip.model import PolicyConfig, build_policy, forward_recorded
 from dynskip.numerics import Adam, bind_mlp, gate_forward, init_mlp, sigmoid
@@ -151,6 +152,33 @@ class TestSkipModules:
             assert np.array_equal(rt.adapter_forward(mods, j, x), rt.adapter_forward(fresh, j, x))
             assert np.array_equal(rt.controller_forward(mods, j, x),
                                   rt.controller_forward(fresh, j, x))
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_a_copy_binds_its_own_params(self, how):
+        copy_of = copy.deepcopy if how == "deepcopy" else lambda m: pickle.loads(pickle.dumps(m))
+        model, ss, mods = make_setup(depth=8, statics=(2, 5, 7), seed=9)
+        before = {k: v.copy() for k, v in mods.params.items()}
+        twin = copy_of(mods)
+        rng = np.random.default_rng(10)
+        points = [f + 1 for f, _ in ss.segments]
+        x = rng.normal(size=(4, 8))
+        for _ in range(10):
+            obs, instr = rng.normal(size=3), rng.normal(size=2)
+            a, trace = rt.forward_skipped(model, mods, points, obs, instr)
+            a_twin, trace_twin = rt.forward_skipped(model, twin, points, obs, instr)
+            assert np.array_equal(a_twin, a)
+            assert trace_twin.adapters_invoked == trace.adapters_invoked
+        for arr in twin.params.values():
+            arr += rng.normal(scale=0.1, size=arr.shape)
+        fresh = rt.SkipModules(twin.static_set, twin.hidden_dim, twin.tau,
+                               {k: v.copy() for k, v in twin.params.items()})
+        for j in ss.dynamic_layers:
+            moved = rt.adapter_forward(twin, j, x)
+            assert np.array_equal(moved, rt.adapter_forward(fresh, j, x))
+            assert not np.array_equal(moved, rt.adapter_forward(mods, j, x))
+            assert rt.controller_forward(twin, j, x[0]) == rt.controller_forward(fresh, j, x[0])
+        for k, v in mods.params.items():
+            assert np.array_equal(v, before[k])
 
 
 class TestSkipKernels:
@@ -390,15 +418,15 @@ class TestVerificationTrigger:
         model, ss, _ = make_setup()
         costs = flops.arch_costs(model.config)
         state = rt.init_allow_state(ss, k=1)
-        monkeypatch.setattr(rt, "forward_recorded",
-                            lambda model, obs, instr: (state.window[-1], None))
+        monkeypatch.setattr(rt, "head_forward", lambda model, x: state.window[-1])
         gaps = -np.cumsum([0.0] + deltas)  # |a_t - a_(t-1)| = -C_t, C starts at 0
         fires = []
         for a in np.cumsum([0.0, *gaps]):
             rt.observe_action(state, [a])
             if len(state.c_history) >= 2:
-                skipped = rt.ExecTrace(executed_layers=[2, 5], skipped_segments=[0, 1])
-                action, _ = rt.post_skip_verify(model, costs, state, skipped, None, None, eta)
+                skipped = rt.ExecTrace(executed_layers=[2, 5], adapters_invoked=[0, 3],
+                                       skipped_segments=[0, 1], resume_input=np.zeros(8))
+                action, _ = rt.post_skip_verify(model, costs, state, skipped, eta)
                 fires.append(action is not None)  # only a re-run returns an action
         return fires
 
@@ -409,6 +437,57 @@ class TestVerificationTrigger:
     def test_rearm_allows_second_fire(self, monkeypatch):
         fires = self._fires(monkeypatch, [-0.3, -0.3, -0.01, -0.3])
         assert fires == [True, False, False, True]
+
+
+class TestVerificationRerun:
+    """The re-run from the first skipped layer reproduces a fresh full pass
+    bit for bit and is charged as the record says."""
+
+    def test_verified_action_equals_a_fresh_full_pass(self):
+        rng = np.random.default_rng(50)
+        resumed_at = []
+        for trial in range(300):
+            depth = int(rng.integers(4, 13))
+            inner = rng.choice(depth - 1, size=int(rng.integers(0, depth - 1)), replace=False)
+            ss = StaticSet(indices=tuple(sorted({*map(int, inner), depth - 1})), depth=depth)
+            model = build_policy(PolicyConfig(obs_dim=3, instr_dim=2, hidden_dim=8,
+                                              depth=depth, action_dim=2, seed=trial))
+            mods = rt.init_skip_modules(model, ss, seed=trial + 1)
+            for j in ss.dynamic_layers:
+                mods.params[f"controller{j}.b2"][:] = rng.uniform(-4, 4)
+            costs = flops.arch_costs(model.config)
+            points = [int(rng.integers(f + 1, b + 1)) for f, b in ss.segments]
+            obs, instr = rng.normal(size=3), rng.normal(size=2)
+            _, trace = rt.forward_skipped(model, mods, points, obs, instr, costs)
+            state = rt.init_allow_state(ss, k=1)
+            for a in (np.zeros(2), np.zeros(2), np.ones(2)):  # dC = -sqrt(2): fires
+                rt.observe_action(state, a)
+            action, verified = rt.post_skip_verify(model, costs, state, trace, 0.004)
+            if not trace.adapters_invoked:
+                assert action is None and verified is trace
+                continue
+            s = trace.adapters_invoked[0]
+            resumed_at.append(s)
+            assert np.array_equal(action, forward_recorded(model, obs, instr)[0])
+            assert verified.verified and verified.executed_layers == list(range(depth))
+            assert verified.skip_run_layers == trace.executed_layers
+            assert verified.block_executions == len(trace.executed_layers) + depth - s
+            assert verified.flops == trace.flops + (depth - s) * costs.block + costs.head
+            assert verified.flops == flops.flop_estimate(
+                costs, verified.executed_layers, verified.controllers_evaluated,
+                verified.adapters_invoked, True, verified.skip_run_layers)
+        assert len(resumed_at) >= 100 and len(set(resumed_at)) >= 8
+
+    def test_step_records_keep_no_resume_input(self):
+        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
+                                          action_dim=3, seed=3))
+        mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5, 7), depth=8), seed=4)
+        task = sim.sample_task_sequence(7, sim.SimConfig(subtasks=2, step_cap=40))
+        for mode in ("dysl", "controllers-only", "random-skip"):
+            ep = rt.rollout_episode(task, model, mods, mode, rt.GuidanceConfig(k=3),
+                                    rng=np.random.default_rng(5), random_skip_prob=0.3)
+            assert any(rec.trace.adapters_invoked for rec in ep.steps)
+            assert all(rec.trace.resume_input is None for rec in ep.steps)
 
 
 class TestForwardSkipped:
@@ -608,13 +687,13 @@ class TestGoldenTraces:
     trace byte."""
 
     CASES = {
-        "full": ("full", {}, "c200d8ea86ec4d75"),
-        "dysl": ("dysl", {}, "65573b76d0aa4934"),
-        "dysl-unverified": ("dysl", {"verification": False}, "1ad66dddbcee0a20"),
+        "full": ("full", {}, "8b33384d98651297"),
+        "dysl": ("dysl", {}, "0c74882292ad4600"),
+        "dysl-unverified": ("dysl", {"verification": False}, "bf1f4a5921930d93"),
         # at k = 1 warm-up ends one step before the second continuity value
-        "dysl-k1": ("dysl", {"k": 1}, "674b405c1a771fc8"),
-        "controllers-only": ("controllers-only", {}, "7eb138fdb173b8bb"),
-        "random-skip": ("random-skip", {}, "1c1c1cac2125697f"),
+        "dysl-k1": ("dysl", {"k": 1}, "b8eae806ee639214"),
+        "controllers-only": ("controllers-only", {}, "be2c872de3dea9c2"),
+        "random-skip": ("random-skip", {}, "9ab8908cde042073"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -633,3 +712,63 @@ class TestGoldenTraces:
             h.update(line.encode() + b"\n")
         h.update(np.array(ep.actions).tobytes())
         assert h.hexdigest()[:16] == expected
+
+
+class TestExecutedWork:
+    """Every step's `trace.flops` equals the summed ArchCosts of the embed,
+    block, head, adapter and controller calls that step really made, counted
+    by wrapping them in the module namespaces that call them: the FLOP
+    counter means work executed."""
+
+    CASES = {
+        "full": ("full", (2, 5, 7), {}),
+        "dysl": ("dysl", (2, 5, 7), {}),
+        "dysl-k1": ("dysl", (2, 5, 7), {"k": 1}),
+        "dysl-four-segments": ("dysl", (1, 3, 5, 7), {}),
+        "controllers-only": ("controllers-only", (1, 3, 5, 7), {}),
+        "random-skip": ("random-skip", (1, 3, 5, 7), {}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_step_flops_equal_the_calls_made(self, monkeypatch, case):
+        mode, statics, guidance = self.CASES[case]
+        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
+                           action_dim=3, seed=3)
+        model = build_policy(cfg)
+        mods = rt.init_skip_modules(model, StaticSet(indices=statics, depth=8), seed=4)
+        costs = flops.arch_costs(cfg)
+        spent, per_step = [0], []
+
+        def count(owner, name, cost):
+            fn = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                spent[0] += cost
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner in (policy_model, rt):
+            count(owner, "embed_forward", costs.embed)
+            count(owner, "block_forward", costs.block)
+            count(owner, "head_forward", costs.head)
+        count(rt, "adapter_forward", costs.adapter)
+        count(rt, "controller_forward", costs.controller)
+        env_step = sim.env_step
+
+        def step(*args):
+            per_step.append(spent[0])
+            spent[0] = 0
+            return env_step(*args)
+
+        monkeypatch.setattr(sim, "env_step", step)
+        task = sim.sample_task_sequence(7, sim.SimConfig(subtasks=2, step_cap=40))
+        ep = rt.rollout_episode(task, model, mods, mode,
+                                rt.GuidanceConfig(**{"k": 3, **guidance}),
+                                rng=np.random.default_rng(5), random_skip_prob=0.3)
+        assert per_step == [rec.trace.flops for rec in ep.steps]
+        verified = [rec.trace for rec in ep.steps if rec.trace.verified]
+        if mode == "dysl":
+            assert verified
+        if case == "dysl-k1":
+            assert any(t.adapters_invoked[0] == 0 for t in verified)
