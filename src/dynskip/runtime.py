@@ -18,6 +18,10 @@ to its `window` and `c_history`, which `rollout_episode` and
 `forward_skipped` (controller gates) and `forward_random` (the random-skip
 baseline) share one segment walk over the plan SkipModules builds once, and
 differ only in the per-dynamic-layer skip decision they hand it.
+
+`rollout_episode` hands the mode's step to `sim.run_episode`, the one closed
+loop, as its policy, so `sim.env_step` alone judges divergence; the
+diverging step keeps its StepRecord and is recorded as a zero action.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .numerics import (
     sigmoid,
 )
 from .profiler import StaticSet
+from .sim import Episode  # the one episode type, re-exported as runtime.Episode
 
 MODES = ("full", "dysl", "controllers-only", "random-skip")
 
@@ -423,23 +428,6 @@ class StepRecord:
     allow_points: list[int] | None
 
 
-@dataclass
-class Episode:
-    mode: str
-    task_seed: int
-    steps: list = field(default_factory=list)     # StepRecord
-    actions: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-    success_length: int = 0
-    success: bool = False
-    diverged: bool = False
-    diagnostic: str = ""
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.steps)
-
-
 def post_skip_verify(model: PolicyModel, costs, allow_state: AllowPointState,
                      trace: ExecTrace, eta: float):
     """The verification trigger; the only reader and writer of `armed`.
@@ -483,14 +471,16 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
                     mode: str, guidance: GuidanceConfig,
                     rng: np.random.Generator | None = None,
                     random_skip_prob: float = 0.0) -> Episode:
-    """Closed-loop rollout in one of the benchmark modes.
+    """Closed-loop rollout in one of the benchmark modes: `sim.run_episode`
+    with the mode's step as its policy, which records one StepRecord per action.
 
     full: every step at full depth. dysl: skipping with allow-point guidance
     and verification, with skipping disabled for the first k+1 warm-up
     steps. controllers-only: allow points pinned at the segment starts, no
     continuity machinery. random-skip: i.i.d. skipping at random_skip_prob.
-    A task with more subtasks than the model's instruction width raises
-    ConfigError before the first step.
+    A task with more subtasks than the model's instruction width, or a model
+    whose action width is not the environment's, raises ConfigError before
+    the first step.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -498,26 +488,22 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
         raise ConfigError(f"mode {mode!r} requires skip modules")
     if mode == "random-skip" and rng is None:
         raise ConfigError("random-skip mode needs an rng")
-    cfg = task.config
     costs = flops.arch_costs(model.config)
     n_instr = model.config.instr_dim
-    if cfg.subtasks > n_instr:
-        raise ConfigError(f"the task has {cfg.subtasks} subtasks but the model's "
+    if task.config.subtasks > n_instr:
+        raise ConfigError(f"the task has {task.config.subtasks} subtasks but the model's "
                           f"instruction width is {n_instr}")
-    allow = None
-    pinned = None
-    if mode == "dysl":
-        allow = init_allow_state(mods.static_set, guidance.k)
-    elif mode == "controllers-only":
-        pinned = [front + 1 for front, _ in mods.static_set.segments]
+    if model.config.action_dim != sim.ACTION_DIM:
+        raise ConfigError(f"the model's action width is {model.config.action_dim} but "
+                          f"the environment's is {sim.ACTION_DIM}")
+    allow = init_allow_state(mods.static_set, guidance.k) if mode == "dysl" else None
+    pinned = ([front + 1 for front, _ in mods.static_set.segments]
+              if mode == "controllers-only" else None)
+    steps = []
 
-    episode = Episode(mode=mode, task_seed=task.seed)
-    state = sim.reset_state(task)
-    while state.subtask < cfg.subtasks and state.steps_in_subtask < cfg.step_cap:
-        obs, instr_id = sim.observe(task, state)
+    def act(obs, instr_id, state):
         instr = sim.instr_onehot(instr_id, n_instr)
-        c_t = None
-        points_log = None
+        c_t = points_log = None
         if mode == "full":
             action, trace = forward_full(model, costs, obs, instr)
         elif mode == "controllers-only":
@@ -542,21 +528,13 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
                 update_allow_points(allow, c_t, c_prev, guidance.eta,
                                     guidance.stride)
             points_log = list(allow.points)
-
-        if not np.isfinite(action).all():
-            episode.diverged = True
-            episode.diagnostic = "policy produced a non-finite action"
-            break
         trace.resume_input = None  # the verification hand-off lives one step
-        episode.steps.append(StepRecord(step=state.total_steps, trace=trace,
-                                        continuity=c_t, allow_points=points_log))
-        episode.actions.append(np.asarray(action, dtype=np.float64))
-        state, events = sim.env_step(task, state, action)
-        for ev in events:
-            episode.events.append((state.total_steps - 1, ev))
-    episode.success_length, episode.success = sim.score_rollout(task, episode.events)
-    if episode.diverged:
-        episode.success_length, episode.success = 0, False
+        steps.append(StepRecord(step=state.total_steps, trace=trace,
+                                continuity=c_t, allow_points=points_log))
+        return action
+
+    episode = sim.run_episode(task, act)
+    episode.mode, episode.steps = mode, steps
     return episode
 
 

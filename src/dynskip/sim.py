@@ -6,6 +6,10 @@ free space and switches to jerky pause/micro-step behaviour near grasp and
 release targets, so its action stream carries the smooth/jerky split that
 the continuity signal relies on. Gripper transitions happen only in the
 fine phase.
+
+`run_episode` is the one closed loop, for the expert (`run_expert_episode`)
+and the learned policy (`runtime.rollout_episode`) alike; it alone calls
+`env_step`, whose EnvError alone marks an episode diverged.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ FREE = "free"
 FINE = "fine"
 
 OBS_DIM = 7  # ee (2) + gripper fraction (1) + object (2) + active goal (2)
+ACTION_DIM = 3  # displacement (2) + gripper delta (1)
 GRIP_CLOSED = 0.5  # holding requires open fraction strictly below this
 
 
@@ -225,7 +230,7 @@ def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:
     """
     cfg = task.config
     a = np.asarray(action, dtype=np.float64)
-    if a.shape != (3,):
+    if a.shape != (ACTION_DIM,):
         raise EnvError(f"invalid action {a!r}")
     ax, ay, ag = a.tolist()
     if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(ag)):
@@ -267,13 +272,20 @@ def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:
 
 
 @dataclass
-class SimEpisode:
+class Episode:
+    """One closed-loop rollout. `run_episode` fills `task_seed`, `actions`,
+    `events`, the score and the divergence fields; `run_expert_episode` adds
+    `observations`, `instr_ids` and `phases`, and `runtime.rollout_episode`
+    `mode` and `steps` (runtime.StepRecord), each one per action."""
+
     task_seed: int
+    mode: str = ""
+    actions: list = field(default_factory=list)
+    events: list = field(default_factory=list)   # (step, event tuple)
     observations: list = field(default_factory=list)
     instr_ids: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
     phases: list = field(default_factory=list)
-    events: list = field(default_factory=list)   # (step, event tuple)
+    steps: list = field(default_factory=list)
     success_length: int = 0
     success: bool = False
     diverged: bool = False
@@ -284,36 +296,32 @@ class SimEpisode:
         return len(self.actions)
 
 
-def run_episode(task: Task, policy_fn) -> SimEpisode:
-    """Closed-loop rollout of policy_fn(obs, instr_id, state) -> action.
+def run_episode(task: Task, policy_fn) -> Episode:
+    """The closed loop, for the expert and the learned policy alike:
+    observe, act with policy_fn(obs, instr_id, state) -> action, step.
 
     The state argument exists for scripted controllers and instrumentation;
     learned policies must act on (obs, instr_id) alone. Ends on chain
-    completion, on exhausting the per-subtask step budget, or on a divergent
-    action (non-finite), which marks the episode failed with a diagnostic.
+    completion, on exhausting the per-subtask step budget, or on an action
+    `env_step` rejects (EnvError), which is recorded as a zero action and
+    marks the episode diverged, failed and scored 0, with a diagnostic.
     """
     cfg = task.config
     state = reset_state(task)
-    ep = SimEpisode(task_seed=task.seed)
+    ep = Episode(task_seed=task.seed)
     while state.subtask < cfg.subtasks and state.steps_in_subtask < cfg.step_cap:
         obs, instr_id = observe(task, state)
-        ep.observations.append(obs)
-        ep.instr_ids.append(instr_id)
-        ep.phases.append(phase_of(task, state))
         try:
             action = policy_fn(obs, instr_id, state)
             state, events = env_step(task, state, action)
         except EnvError as exc:
-            ep.diverged = True
-            ep.diagnostic = str(exc)
-            ep.actions.append(np.zeros(3))
+            ep.diverged, ep.diagnostic = True, str(exc)
+            ep.actions.append(np.zeros(ACTION_DIM))
             break
         ep.actions.append(np.asarray(action, dtype=np.float64))
         for ev in events:
             ep.events.append((state.total_steps - 1, ev))
-    ep.success_length, ep.success = score_rollout(task, ep.events)
-    if ep.diverged:
-        ep.success_length, ep.success = 0, False
+    ep.success_length, ep.success = (0, False) if ep.diverged else score_rollout(task, ep.events)
     return ep
 
 
@@ -345,7 +353,7 @@ class Dataset:
     n_episodes: int
     obs: np.ndarray       # (S, OBS_DIM)
     instr: np.ndarray     # (S,) int subtask ids
-    actions: np.ndarray   # (S, 3)
+    actions: np.ndarray   # (S, ACTION_DIM)
     phases: list          # analysis only, never fed to a model
     episode_ids: np.ndarray
 
@@ -356,9 +364,20 @@ class Dataset:
         return np.eye(self.config.subtasks)[self.instr]
 
 
-def run_expert_episode(task: Task, rng: np.random.Generator) -> SimEpisode:
+def run_expert_episode(task: Task, rng: np.random.Generator) -> Episode:
+    """An expert rollout with its observation, instruction-id and phase rows."""
     expert = ScriptedExpert(task, rng)
-    return run_episode(task, lambda obs, iid, state: expert.action(state))
+    observations, instr_ids, phases = [], [], []
+
+    def act(obs, instr_id, state):
+        observations.append(obs)
+        instr_ids.append(instr_id)
+        phases.append(phase_of(task, state))
+        return expert.action(state)
+
+    ep = run_episode(task, act)
+    ep.observations, ep.instr_ids, ep.phases = observations, instr_ids, phases
+    return ep
 
 
 def generate_dataset(config: SimConfig, n_episodes: int, seed: int) -> Dataset:
@@ -400,7 +419,7 @@ def load_dataset(path) -> Dataset:
     config = containers.config_from_header(SimConfig, header["sim_config"], path, "sim_config")
     rows = len(arrays.get("obs", ()))
     for name, shape in (("obs", (rows, OBS_DIM)), ("instr", (rows,)),
-                        ("actions", (rows, 3)), ("phases", (rows,)),
+                        ("actions", (rows, ACTION_DIM)), ("phases", (rows,)),
                         ("episode_ids", (rows,))):
         found = arrays[name].shape if name in arrays else "no such array"
         if found != shape:
