@@ -79,17 +79,19 @@ def flop_estimate(costs: ArchCosts, executed_layers, controllers_evaluated=(),
     s..depth-1 and the head, on the skip pass's input to layer s. It is
     charged the skip pass plus verify_flops(costs, s); executed_layers is
     the whole path of the returned action, every layer. TraceIntegrityError
-    when a verified record has no adapter or its skip pass lacks a layer
+    when a layer list holds an id out of range or not strictly increasing,
+    or when a verified record has no adapter or its skip pass lacks a layer
     below s, so that the re-run's input is not the full pass's.
     """
     _check_layer_list(costs, executed_layers, "executed_layers")
+    _check_layer_list(costs, controllers_evaluated, "controllers_evaluated")
+    _check_layer_list(costs, adapters_invoked, "adapters_invoked")
     if verified:
         if skip_run_layers is None:
             raise TraceIntegrityError("verified step without skip_run_layers")
         if len(executed_layers) != costs.depth:
             raise TraceIntegrityError("verified re-run must execute every layer")
         _check_layer_list(costs, skip_run_layers, "skip_run_layers")
-        _check_layer_list(costs, adapters_invoked, "adapters_invoked")
         if not adapters_invoked:
             raise TraceIntegrityError("verified step without a skipped layer to resume at")
         s = adapters_invoked[0]

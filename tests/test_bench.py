@@ -98,6 +98,50 @@ def test_cross_check_report_rejects_a_forged_verified_record(tmp_path, forge, me
         bench.cross_check_report(tmp_path, report, model.config)
 
 
+@pytest.mark.parametrize("field,forged,message", [
+    ("controllers_evaluated", [42, 42, 7], "controllers_evaluated: layer id 42 out of range"),
+    ("adapters_invoked", [99, -3], "adapters_invoked: layer id 99 out of range"),
+], ids=["controllers", "adapters"])
+def test_flop_estimate_record_rejects_forged_ids_on_an_unverified_record(field, forged,
+                                                                         message):
+    costs = flops.arch_costs(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                          action_dim=3))
+    record = {"executed_layers": [2, 5], "adapters_invoked": [], "controllers_evaluated": []}
+    record[field] = forged
+    with pytest.raises(TraceIntegrityError, match=message):
+        flops.flop_estimate_record(costs, record)
+
+
+@pytest.mark.parametrize("field,forge,message", [
+    ("controllers_evaluated", lambda ids: [4] * len(ids),
+     "controllers_evaluated: layer ids not strictly increasing"),
+    ("adapters_invoked", lambda ids: [99] + ids[1:],
+     "adapters_invoked: layer id 99 out of range"),
+], ids=["controllers-repeated", "adapter-out-of-range"])
+def test_cross_check_report_rejects_forged_ids_of_an_unchanged_count(tmp_path, field,
+                                                                     forge, message):
+    # the forged list keeps its length, so the stored flops still match
+    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                      action_dim=3, seed=2))
+    mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
+    stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
+                                    rt.GuidanceConfig(k=2), ["controllers-only"], 2, 0,
+                                    out_dir=tmp_path)
+    report = tmp_path / "report.csv"
+    bench.write_report_csv(report, stats)
+    bench.cross_check_report(tmp_path, report, model.config)
+
+    trace = tmp_path / "traces" / "controllers-only" / "ep_0001.jsonl"
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    assert not record["verified"] and len(record[field]) >= 2
+    record[field] = forge(record[field])
+    lines[1] = json.dumps(record, sort_keys=True)
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TraceIntegrityError, match=message):
+        bench.cross_check_report(tmp_path, report, model.config)
+
+
 def test_cross_check_report_rejects_a_truncated_trace(tmp_path):
     # every full-depth step costs the same, so a lost step never shows in the mean
     model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,

@@ -669,6 +669,52 @@ class TestRolloutEpisode:
         with pytest.raises(ConfigError, match="3 subtasks .* instruction width is 2"):
             rt.rollout_episode(task, model, mods, "full", rt.GuidanceConfig())
 
+    def test_an_action_width_other_than_the_environments_rejected(self):
+        # env_step would reject every action, and the episode end as diverged
+        task, _, _ = self._trained_free_setup()
+        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
+                                          action_dim=2, seed=0))
+        with pytest.raises(ConfigError, match="action width is 2 but the environment's is 3"):
+            rt.rollout_episode(task, model, None, "full", rt.GuidanceConfig())
+
+    @pytest.mark.parametrize("mode", ["full", "dysl"])
+    def test_a_diverging_step_is_kept_as_a_zero_action(self, monkeypatch, tmp_path, mode):
+        """The policy's action turns non-finite at step T: sim.env_step
+        rejects it, and the episode keeps that step's record and a zero action."""
+        T = 10
+        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
+                           action_dim=3, seed=3)
+        model = build_policy(cfg)
+        mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5, 7), depth=8), seed=4)
+        observe, head = sim.observe, policy_model.head_forward
+        observed = [0]
+
+        def counted_observe(*args):
+            observed[0] += 1
+            return observe(*args)
+
+        def head_nan_from_step_t(*args):
+            action = head(*args)
+            return np.full_like(action, np.nan) if observed[0] > T else action
+
+        monkeypatch.setattr(sim, "observe", counted_observe)
+        for owner in (policy_model, rt):  # forward_full's head is the model module's
+            monkeypatch.setattr(owner, "head_forward", head_nan_from_step_t)
+        task = sim.sample_task_sequence(7, sim.SimConfig(subtasks=2, step_cap=40))
+        ep = rt.rollout_episode(task, model, mods, mode, rt.GuidanceConfig(k=3))
+        assert ep.diverged and ep.diagnostic
+        assert not ep.success and ep.success_length == 0
+        assert ep.n_steps == len(ep.steps) == len(ep.actions) == T + 1
+        assert ep.actions[-1].tolist() == [0.0, 0.0, 0.0]
+        assert all(np.isfinite(a).all() for a in ep.actions)
+        path = tmp_path / "ep.jsonl"
+        rt.write_episode_trace(path, ep)
+        header, records = rt.read_episode_trace(path)
+        assert header["diverged"] and header["n_steps"] == T + 1
+        costs = flops.arch_costs(cfg)
+        assert [flops.flop_estimate_record(costs, rec) for rec in records] == [
+            rec["flops"] for rec in records]
+
     @pytest.mark.parametrize("eta", [0.0, -0.004, np.nan, np.inf])
     def test_guidance_rejects_an_eta_that_is_not_finite_and_positive(self, eta):
         with pytest.raises(ConfigError, match="eta must be finite and positive"):
