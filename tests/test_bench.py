@@ -277,8 +277,10 @@ def test_every_optimizer_step_calls_its_timed_step_function_once(monkeypatch):
 
 
 def test_train_base_policy_matches_its_pinned_digests():
-    """Digests of a short BC run's params and log rows, taken before the
-    gradient functions stored each gradient instead of accumulating it."""
+    """Digests of a short BC run's params and log rows under the Haswell
+    kernel that conftest.py forces. The SkylakeX digests they replace were
+    taken before the gradient functions stored each gradient instead of
+    accumulating it."""
     data = sim.generate_dataset(sim.SimConfig(subtasks=2), 4, seed=31)
     val = sim.generate_dataset(sim.SimConfig(subtasks=2), 2, seed=32)
     model, log = bench.train_base_policy(
@@ -288,9 +290,9 @@ def test_train_base_policy_matches_its_pinned_digests():
     for k in sorted(model.params):
         h.update(k.encode())
         h.update(np.ascontiguousarray(model.params[k]).tobytes())
-    assert h.hexdigest()[:16] == "13d76d1c9358f1ff"
+    assert h.hexdigest()[:16] == "260ea11c3cf7a7f8"
     assert [step for step, _, _ in log] == [0, 20, 40]
-    assert hashlib.sha256(repr(log).encode()).hexdigest()[:16] == "9ff3ad4fdec2db40"
+    assert hashlib.sha256(repr(log).encode()).hexdigest()[:16] == "39f300303cd5e336"
 
 
 # --- ablation sweeps -----------------------------------------------------------------
