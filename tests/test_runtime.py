@@ -670,7 +670,7 @@ class TestRolloutEpisode:
             rt.rollout_episode(task, model, mods, "full", rt.GuidanceConfig())
 
     def test_an_action_width_other_than_the_environments_rejected(self):
-        # env_step would reject every action, and the episode end as diverged
+        # env_step would reject every action, and the episode would end as diverged
         task, _, _ = self._trained_free_setup()
         model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
                                           action_dim=2, seed=0))
