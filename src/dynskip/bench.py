@@ -123,7 +123,7 @@ def summarize_episodes(mode: str, episodes: list[Episode],
     layers, flop_counts, ctrl, verify = [], [], [], []
     for ep in episodes:
         for rec in ep.steps:
-            layers.append(rec.trace.block_executions)
+            layers.append(len(rec.trace.executed_layers))
             flop_counts.append(rec.trace.flops)
             ctrl.append(len(rec.trace.controllers_evaluated))
             verify.append(rec.trace.verified)
@@ -241,7 +241,8 @@ def write_report_csv(path, stats: list[ModeStats]) -> None:
 
 def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None:
     """Verify that every reported avg_flops equals the mean of per-step
-    costs re-derived from the dumped traces; raises on any mismatch."""
+    costs re-derived from the dumped traces. TraceIntegrityError on any
+    mismatch, and on a malformed record, naming its file, number and field."""
     costs = flops.arch_costs(model_config)
     out_dir = Path(out_dir)
     for row in containers.read_csv(report_path):
@@ -254,13 +255,16 @@ def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None
         for f in files:
             _, records = rt.read_episode_trace(f)
             for n, rec in enumerate(records, 1):
-                for name in ("executed_layers", "flops"):
-                    if name not in rec:
-                        raise TraceIntegrityError(f"{f.name}: step record {n} has no {name!r}")
-                recomputed = flops.flop_estimate_record(costs, rec)
+                where = f"{f.name}: step record {n}"
+                if "flops" not in rec:
+                    raise TraceIntegrityError(f"{where}: no 'flops'")
+                try:
+                    recomputed = flops.flop_estimate_record(costs, rec)
+                except TraceIntegrityError as err:
+                    raise TraceIntegrityError(f"{where}: {err}") from None
                 if recomputed != rec["flops"]:
                     raise TraceIntegrityError(
-                        f"{f.name}: stored flops {rec['flops']} != recomputed {recomputed}")
+                        f"{where}: stored flops {rec['flops']} != recomputed {recomputed}")
                 step_costs.append(recomputed)
         mean = float(np.mean(step_costs))
         reported = float(row["avg_flops"])

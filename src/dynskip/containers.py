@@ -6,7 +6,10 @@
   twice produces byte-identical files; arrays are stored raw (never
   pickled), so round-trips are bit-exact.
 - Episode traces: JSON lines, a header record then one record per step,
-  as many as the header's `n_steps`, written and read by `runtime`.
+  as many as the header's `n_steps`, written and read by `runtime`. A
+  step record lists every block the step ran in `executed_layers`, a
+  verified step's re-run included, so `flops.flop_estimate_record` can
+  re-price it alone.
 - CSV tables (train and stage logs, reports, ablations, profiles and the
   zero-shot study): `write_csv`, read back with `read_csv`.
 

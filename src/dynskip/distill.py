@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import containers
+from . import containers, flops
 from .errors import ConfigError
 from .model import PolicyModel, block_forward, block_vjp, forward_recorded, head_forward, mse_and_grad
 from .numerics import MLP_PARTS, Adam, Params
@@ -302,10 +302,11 @@ def estimate_skip_rate(model: PolicyModel, mods: SkipModules, obs, instr,
     n_static = len(mods.static_set.indices)
     if n_dyn == 0:
         return 0.0
+    costs = flops.arch_costs(model.config)
     executed = 0
     n = min(limit, np.atleast_2d(obs).shape[0])
     for i in range(n):  # every static layer runs, so the rest are dynamic
-        _, trace = forward_skipped(model, mods, points, obs[i], instr[i])
+        _, trace = forward_skipped(model, mods, points, obs[i], instr[i], costs)
         executed += len(trace.executed_layers) - n_static
     return 1.0 - executed / (n * n_dyn)
 

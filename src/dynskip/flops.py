@@ -70,50 +70,60 @@ def _check_layer_list(costs: ArchCosts, layers, what: str) -> None:
 
 
 def flop_estimate(costs: ArchCosts, executed_layers, controllers_evaluated=(),
-                  adapters_invoked=(), verified: bool = False,
-                  skip_run_layers=None) -> int:
-    """Total FLOPs of one inference step.
+                  adapters_invoked=(), verified: bool = False) -> int:
+    """Total FLOPs of one inference step; executed_layers lists every block
+    it ran.
 
-    A verified step ran the skip pass, whose path is skip_run_layers, then
-    re-ran from its first skipped layer s = adapters_invoked[0]: blocks
-    s..depth-1 and the head, on the skip pass's input to layer s. It is
-    charged the skip pass plus verify_flops(costs, s); executed_layers is
-    the whole path of the returned action, every layer. TraceIntegrityError
-    when a layer list holds an id out of range or not strictly increasing,
-    or when a verified record has no adapter or its skip pass lacks a layer
-    below s, so that the re-run's input is not the full pass's.
+    A verified step ran the pass, then re-ran from the pass's first skipped
+    layer s = adapters_invoked[0]: blocks s..depth-1 and the head, on the
+    pass's input to layer s. Its list is the pass's path followed by
+    s..depth-1, and it is charged the pass plus verify_flops(costs, s).
+    TraceIntegrityError when a layer list holds an id out of range or not
+    strictly increasing, or when a verified record has no adapter, its list
+    does not end with s..depth-1, or its pass lacks a layer below s, so
+    that the re-run's input is not the full pass's.
     """
-    _check_layer_list(costs, executed_layers, "executed_layers")
     _check_layer_list(costs, controllers_evaluated, "controllers_evaluated")
     _check_layer_list(costs, adapters_invoked, "adapters_invoked")
-    if verified:
-        if skip_run_layers is None:
-            raise TraceIntegrityError("verified step without skip_run_layers")
-        if len(executed_layers) != costs.depth:
-            raise TraceIntegrityError("verified re-run must execute every layer")
-        _check_layer_list(costs, skip_run_layers, "skip_run_layers")
-        if not adapters_invoked:
-            raise TraceIntegrityError("verified step without a skipped layer to resume at")
-        s = adapters_invoked[0]
-        if list(skip_run_layers[:s]) != list(range(s)):
-            raise TraceIntegrityError(
-                f"verified step resumes at layer {s}, but skip_run_layers lacks a layer below it")
-        first = forward_flops(costs, len(skip_run_layers),
-                              len(adapters_invoked), len(controllers_evaluated))
-        return first + verify_flops(costs, s)
-    if skip_run_layers is not None:
-        raise TraceIntegrityError("skip_run_layers present on an unverified step")
-    return forward_flops(costs, len(executed_layers), len(adapters_invoked),
-                         len(controllers_evaluated))
+    if not verified:
+        _check_layer_list(costs, executed_layers, "executed_layers")
+        return forward_flops(costs, len(executed_layers), len(adapters_invoked),
+                             len(controllers_evaluated))
+    if not adapters_invoked:
+        raise TraceIntegrityError("verified step without a skipped layer to resume at")
+    s = adapters_invoked[0]
+    n_pass = len(executed_layers) - (costs.depth - s)
+    if n_pass < 0 or list(executed_layers[n_pass:]) != list(range(s, costs.depth)):
+        raise TraceIntegrityError(
+            f"verified step resumes at layer {s}, but executed_layers does not end "
+            f"with its re-run {s}..{costs.depth - 1}")
+    pass_layers = executed_layers[:n_pass]
+    _check_layer_list(costs, pass_layers, "executed_layers")
+    if list(pass_layers[:s]) != list(range(s)):
+        raise TraceIntegrityError(
+            f"verified step resumes at layer {s}, but its pass lacks a layer below it")
+    return (forward_flops(costs, n_pass, len(adapters_invoked), len(controllers_evaluated))
+            + verify_flops(costs, s))
+
+
+def _priced_field(record: dict, name: str, valid, kind: str):
+    if name not in record:
+        raise TraceIntegrityError(f"no {name!r}")
+    if not valid(record[name]):
+        raise TraceIntegrityError(f"{name!r} is not {kind}: {record[name]!r}")
+    return record[name]
+
+
+def _is_id_list(value) -> bool:
+    return isinstance(value, list) and all(type(i) is int for i in value)  # no bool or float
 
 
 def flop_estimate_record(costs: ArchCosts, record: dict) -> int:
-    """Recompute the cost of a dumped JSONL step record."""
-    return flop_estimate(
-        costs,
-        record["executed_layers"],
-        record.get("controllers_evaluated", ()),
-        record.get("adapters_invoked", ()),
-        bool(record.get("verified", False)),
-        record.get("skip_run_layers"),
-    )
+    """Recompute the cost of a dumped JSONL step record. TraceIntegrityError,
+    naming the field, when a priced field is missing, a layer list is not a
+    list of ints or verified is not a bool; online steps build their own
+    lists and skip these checks."""
+    layer_lists = [_priced_field(record, name, _is_id_list, "a list of ints")
+                   for name in ("executed_layers", "controllers_evaluated", "adapters_invoked")]
+    verified = _priced_field(record, "verified", lambda v: isinstance(v, bool), "a bool")
+    return flop_estimate(costs, *layer_lists, verified)

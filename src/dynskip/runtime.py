@@ -297,29 +297,19 @@ def update_allow_points(state: AllowPointState, c_t: float, c_prev: float,
 class ExecTrace:
     """Per-inference execution record; the latency proxy.
 
-    executed_layers is the path that produced the returned action. A
-    verified step re-ran from the skip pass's first skipped layer
-    s = adapters_invoked[0]: executed_layers is then every layer (the skip
-    pass's blocks below s, then the re-run), skip_run_layers the skip pass's
-    own path, and flops both passes' work, the shared prefix once (see
-    flops.flop_estimate). resume_input is the skip pass's input to layer s,
-    handed to the re-run; it lives for one step and is never dumped."""
+    executed_layers lists every block the step ran, in order: the pass's
+    path, then on a verified step the re-run's blocks s..depth-1 from the
+    pass's first skipped layer s = adapters_invoked[0], which
+    post_skip_verify appends. flops is that work (see flops.flop_estimate).
+    resume_input is the pass's input to layer s, handed to the re-run; it
+    lives for one step and is never dumped."""
 
     executed_layers: list[int]
     controllers_evaluated: list[int] = field(default_factory=list)
     adapters_invoked: list[int] = field(default_factory=list)
-    skipped_segments: list[int] = field(default_factory=list)
     verified: bool = False
-    skip_run_layers: list[int] | None = None
     flops: int = 0
     resume_input: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def block_executions(self) -> int:
-        if not self.verified:
-            return len(self.executed_layers)
-        return (len(self.skip_run_layers) + len(self.executed_layers)
-                - self.adapters_invoked[0])
 
 
 def forward_full(model: PolicyModel, costs: flops.ArchCosts, obs, instr):
@@ -329,14 +319,12 @@ def forward_full(model: PolicyModel, costs: flops.ArchCosts, obs, instr):
 
 
 def _walk(model: PolicyModel, mods: SkipModules, decide, obs, instr,
-          costs: flops.ArchCosts | None):
+          costs: flops.ArchCosts):
     """The one segment walk. Static layers always execute; within a segment
     each dynamic layer runs its block until decide(trace, segment index,
     layer, x) is true, when the layer's adapter carries x straight to the
     closing static layer. The first such x is kept as trace.resume_input."""
     check_depth(model, mods.static_set)
-    if costs is None:
-        costs = flops.arch_costs(model.config)
     x = embed_forward(model, obs, instr)
     trace = ExecTrace(executed_layers=[])
     executed = trace.executed_layers
@@ -350,7 +338,6 @@ def _walk(model: PolicyModel, mods: SkipModules, decide, obs, instr,
                     trace.resume_input = x
                 x = adapter_forward(mods, j, x)
                 trace.adapters_invoked.append(j)
-                trace.skipped_segments.append(si)
                 break
             x = block_forward(model, j, x)
             executed.append(j)
@@ -364,7 +351,7 @@ def _walk(model: PolicyModel, mods: SkipModules, decide, obs, instr,
 
 
 def forward_skipped(model: PolicyModel, mods: SkipModules, points, obs, instr,
-                    costs: flops.ArchCosts | None = None):
+                    costs: flops.ArchCosts):
     """Skipping forward pass under the given allow points.
 
     Per segment: layers below the segment's point execute unconditionally
@@ -390,8 +377,7 @@ def forward_skipped(model: PolicyModel, mods: SkipModules, points, obs, instr,
 
 
 def forward_random(model: PolicyModel, mods: SkipModules, p: float,
-                   rng: np.random.Generator, obs, instr,
-                   costs: flops.ArchCosts | None = None):
+                   rng: np.random.Generator, obs, instr, costs: flops.ArchCosts):
     """Random-skip baseline: every dynamic layer skips i.i.d. with
     probability p (through its adapter, jumping to the closing static
     layer); controllers are never consulted. One draw per dynamic layer
@@ -436,35 +422,30 @@ def post_skip_verify(model: PolicyModel, costs, allow_state: AllowPointState,
     dC < -eta fires and disarms. A fire on a step that skipped anything
     re-predicts the action at full depth: from the skip pass's input to its
     first skipped layer s (`trace.resume_input`) it runs blocks s..depth-1
-    and the head. It merges both passes' compute into one trace and replaces
+    and the head, extends the trace in place (those blocks appended to
+    executed_layers, verified set, flops.verify_flops added) and replaces
     the newest action, and with it the newest continuity value; a step that
     skipped nothing would re-predict the same action. Then dC >= -eta, read
-    after any replacement, re-arms. Returns (action, trace), action None
-    unless re-run.
+    after any replacement, re-arms. Returns the re-predicted action, or
+    None unless re-run.
     """
     hist = allow_state.c_history
     action = None
     if allow_state.armed and hist[-1] - hist[-2] < -eta:
         allow_state.armed = False
-        if trace.skipped_segments:
+        if trace.adapters_invoked:
             s = trace.adapters_invoked[0]
             x = trace.resume_input
             for layer in range(s, costs.depth):
                 x = block_forward(model, layer, x)
             action = head_forward(model, x)
-            trace = ExecTrace(
-                executed_layers=list(range(costs.depth)),
-                controllers_evaluated=trace.controllers_evaluated,
-                adapters_invoked=trace.adapters_invoked,
-                skipped_segments=trace.skipped_segments,
-                verified=True,
-                skip_run_layers=trace.executed_layers,
-                flops=trace.flops + flops.verify_flops(costs, s),
-            )
+            trace.executed_layers.extend(range(s, costs.depth))
+            trace.verified = True
+            trace.flops += flops.verify_flops(costs, s)
             replace_last_action(allow_state, action)
     if hist[-1] - hist[-2] >= -eta:
         allow_state.armed = True
-    return action, trace
+    return action
 
 
 def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None,
@@ -520,8 +501,7 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
             observe_action(allow, action)
             if not allow.warm and len(allow.c_history) >= 2:
                 if guidance.verification:
-                    redo, trace = post_skip_verify(model, costs, allow, trace,
-                                                   guidance.eta)
+                    redo = post_skip_verify(model, costs, allow, trace, guidance.eta)
                     if redo is not None:
                         action = redo
                 c_prev, c_t = allow.c_history
@@ -540,10 +520,11 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
 
 # --- trace dump --------------------------------------------------------------------
 
-# version 2: a verified step's flops charge the re-run from its first skipped
-# layer (flops.verify_flops), so a version-1 dump fails here by name rather
-# than in the FLOP cross-check
-TRACE_SCHEMA_VERSION = 2
+# version 3: executed_layers lists every block a step ran, a verified step's
+# re-run included, and the skip_run_layers and skipped_segments keys are gone
+# (a segment's id follows from adapters_invoked and the static set), so an
+# older dump fails here by name rather than in the FLOP cross-check
+TRACE_SCHEMA_VERSION = 3
 
 
 def episode_trace_lines(episode: Episode) -> list[str]:
@@ -560,20 +541,16 @@ def episode_trace_lines(episode: Episode) -> list[str]:
     }
     lines = [json.dumps(header, sort_keys=True)]
     for rec in episode.steps:
-        row = {
+        lines.append(json.dumps({
             "step": rec.step,
             "executed_layers": rec.trace.executed_layers,
             "controllers_evaluated": rec.trace.controllers_evaluated,
-            "skipped_segments": rec.trace.skipped_segments,
             "adapters_invoked": rec.trace.adapters_invoked,
             "C_t": rec.continuity,
             "allow_points": rec.allow_points,
             "verified": rec.trace.verified,
             "flops": rec.trace.flops,
-        }
-        if rec.trace.verified:
-            row["skip_run_layers"] = rec.trace.skip_run_layers
-        lines.append(json.dumps(row, sort_keys=True))
+        }, sort_keys=True))
     return lines
 
 

@@ -70,13 +70,15 @@ def test_cross_check_report_rejects_an_edited_trace_record(tmp_path):
 
 
 def _drop_prefix_layer(record):
-    record["skip_run_layers"].remove(record["adapters_invoked"][0] - 1)
+    record["executed_layers"].remove(record["adapters_invoked"][0] - 1)
 
 
 @pytest.mark.parametrize("forge,message", [
     (lambda record: record.update(adapters_invoked=[]), "without a skipped layer"),
-    (_drop_prefix_layer, "resumes at layer 1, but skip_run_layers lacks a layer below it"),
-], ids=["no-adapter", "prefix-layer-missing"])
+    (_drop_prefix_layer, "resumes at layer 1, but its pass lacks a layer below it"),
+    (lambda record: record["executed_layers"].pop(),
+     "resumes at layer 1, but executed_layers does not end with its re-run 1..5"),
+], ids=["no-adapter", "prefix-layer-missing", "rerun-incomplete"])
 def test_cross_check_report_rejects_a_forged_verified_record(tmp_path, forge, message):
     model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
                                       action_dim=3, seed=2))
@@ -106,7 +108,8 @@ def test_flop_estimate_record_rejects_forged_ids_on_an_unverified_record(field, 
                                                                          message):
     costs = flops.arch_costs(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
                                           action_dim=3))
-    record = {"executed_layers": [2, 5], "adapters_invoked": [], "controllers_evaluated": []}
+    record = {"executed_layers": [2, 5], "adapters_invoked": [], "controllers_evaluated": [],
+              "verified": False}
     record[field] = forged
     with pytest.raises(TraceIntegrityError, match=message):
         flops.flop_estimate_record(costs, record)
@@ -162,8 +165,31 @@ def test_cross_check_report_rejects_a_truncated_trace(tmp_path):
         bench.cross_check_report(tmp_path, report, model.config)
 
 
-@pytest.mark.parametrize("field", ["executed_layers", "flops"])
-def test_cross_check_report_names_a_field_missing_from_a_trace_record(tmp_path, field):
+_MISSING = object()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    pytest.param("executed_layers", _MISSING, "no 'executed_layers'", id="executed_layers"),
+    pytest.param("flops", _MISSING, "no 'flops'", id="flops"),
+    # a defaulted read would price these as empty or false
+    pytest.param("controllers_evaluated", _MISSING, "no 'controllers_evaluated'",
+                 id="controllers_evaluated"),
+    pytest.param("adapters_invoked", _MISSING, "no 'adapters_invoked'", id="adapters_invoked"),
+    pytest.param("verified", _MISSING, "no 'verified'", id="verified"),
+    # an unchecked read raises a bare TypeError
+    pytest.param("executed_layers", "abc", "'executed_layers' is not a list of ints",
+                 id="executed_layers-str"),
+    pytest.param("adapters_invoked", None, "'adapters_invoked' is not a list of ints",
+                 id="adapters_invoked-null"),
+    # bool and float ids compare as ints, so an unchecked read prices them
+    pytest.param("executed_layers", [0, 1, 2.5, 3, 4, 5],
+                 "'executed_layers' is not a list of ints", id="executed_layers-float-id"),
+    pytest.param("executed_layers", [0, True, 2, 3, 4, 5],
+                 "'executed_layers' is not a list of ints", id="executed_layers-bool-id"),
+    pytest.param("verified", 0, "'verified' is not a bool", id="verified-int"),
+])
+def test_cross_check_report_names_a_field_missing_from_a_trace_record(tmp_path, field, value,
+                                                                      message):
     model = build_policy(PolicyConfig(obs_dim=7, instr_dim=1, hidden_dim=8, depth=6,
                                       action_dim=3, seed=2))
     stats, _ = bench.evaluate_modes(model, None, sim.SimConfig(subtasks=1, step_cap=1),
@@ -175,9 +201,12 @@ def test_cross_check_report_names_a_field_missing_from_a_trace_record(tmp_path, 
     bench.cross_check_report(tmp_path, report, model.config)
 
     record = json.loads(record)
-    del record[field]
+    if value is _MISSING:
+        del record[field]
+    else:
+        record[field] = value
     trace.write_text(f"{header}\n{json.dumps(record, sort_keys=True)}\n", encoding="utf-8")
-    with pytest.raises(TraceIntegrityError, match=f"ep_0000.jsonl: .*{field!r}"):
+    with pytest.raises(TraceIntegrityError, match=f"ep_0000.jsonl: step record 1: {message}"):
         bench.cross_check_report(tmp_path, report, model.config)
 
 
@@ -334,7 +363,9 @@ def test_run_ablation_guidance_rows_equal_dysl_evaluations(ablation, axis, field
     for row, value in zip(rows, values):
         guidance = replace(ablation["guidance"], **{field: value})
         assert _row_stats(row) == _dysl_row_stats(ablation, ablation["baseline_mods"], guidance)
-    if axis != "delta_l_mode":  # on this fixture every stride gives the same walk
+    # delta_l_mode is exempt: adaptive and a constant stride gave the same dysl rows on
+    # this fixture, and on static sets (2, 4, 5), (0, 5), (5,) and (1, 5) with forced gates
+    if axis != "delta_l_mode":
         assert _row_stats(rows[0]) != _row_stats(rows[1])
 
 
@@ -350,6 +381,13 @@ def test_run_ablation_retrains_the_modules_per_value(ablation, axis, value):
                                        ablation["dataset"], dcfg, tau=ablation["tau"])
     assert [(r.axis, r.value) for r in rows] == [(axis, repr(value))]
     assert _row_stats(rows[0]) == _dysl_row_stats(ablation, mods, ablation["guidance"])
+
+
+def test_the_lambda_axis_moves_the_dysl_row(ablation):
+    # at the fixture's default stage2_lr, lam 0 and 100 train gates that give the same row
+    dcfg = replace(ablation["distill_config"], stage2_lr=0.05)
+    rows = bench.run_ablation("lambda", [0.0, 100.0], **{**ablation, "distill_config": dcfg})
+    assert _row_stats(rows[0]) != _row_stats(rows[1])
 
 
 def test_run_ablation_rejects_an_unknown_axis_and_guidance_without_modules(ablation):

@@ -162,10 +162,11 @@ class TestSkipModules:
         rng = np.random.default_rng(10)
         points = [f + 1 for f, _ in ss.segments]
         x = rng.normal(size=(4, 8))
+        costs = flops.arch_costs(model.config)
         for _ in range(10):
             obs, instr = rng.normal(size=3), rng.normal(size=2)
-            a, trace = rt.forward_skipped(model, mods, points, obs, instr)
-            a_twin, trace_twin = rt.forward_skipped(model, twin, points, obs, instr)
+            a, trace = rt.forward_skipped(model, mods, points, obs, instr, costs)
+            a_twin, trace_twin = rt.forward_skipped(model, twin, points, obs, instr, costs)
             assert np.array_equal(a_twin, a)
             assert trace_twin.adapters_invoked == trace.adapters_invoked
         for arr in twin.params.values():
@@ -425,8 +426,8 @@ class TestVerificationTrigger:
             rt.observe_action(state, [a])
             if len(state.c_history) >= 2:
                 skipped = rt.ExecTrace(executed_layers=[2, 5], adapters_invoked=[0, 3],
-                                       skipped_segments=[0, 1], resume_input=np.zeros(8))
-                action, _ = rt.post_skip_verify(model, costs, state, skipped, eta)
+                                       resume_input=np.zeros(8))
+                action = rt.post_skip_verify(model, costs, state, skipped, eta)
                 fires.append(action is not None)  # only a re-run returns an action
         return fires
 
@@ -459,23 +460,23 @@ class TestVerificationRerun:
             points = [int(rng.integers(f + 1, b + 1)) for f, b in ss.segments]
             obs, instr = rng.normal(size=3), rng.normal(size=2)
             _, trace = rt.forward_skipped(model, mods, points, obs, instr, costs)
+            before = copy.deepcopy(trace)
             state = rt.init_allow_state(ss, k=1)
             for a in (np.zeros(2), np.zeros(2), np.ones(2)):  # dC = -sqrt(2): fires
                 rt.observe_action(state, a)
-            action, verified = rt.post_skip_verify(model, costs, state, trace, 0.004)
+            action = rt.post_skip_verify(model, costs, state, trace, 0.004)
             if not trace.adapters_invoked:
-                assert action is None and verified is trace
+                assert action is None and trace == before
                 continue
             s = trace.adapters_invoked[0]
             resumed_at.append(s)
             assert np.array_equal(action, forward_recorded(model, obs, instr)[0])
-            assert verified.verified and verified.executed_layers == list(range(depth))
-            assert verified.skip_run_layers == trace.executed_layers
-            assert verified.block_executions == len(trace.executed_layers) + depth - s
-            assert verified.flops == trace.flops + (depth - s) * costs.block + costs.head
-            assert verified.flops == flops.flop_estimate(
-                costs, verified.executed_layers, verified.controllers_evaluated,
-                verified.adapters_invoked, True, verified.skip_run_layers)
+            assert trace.verified
+            assert trace.executed_layers == before.executed_layers + list(range(s, depth))
+            assert trace.flops == before.flops + (depth - s) * costs.block + costs.head
+            assert trace.flops == flops.flop_estimate(
+                costs, trace.executed_layers, trace.controllers_evaluated,
+                trace.adapters_invoked, True)
         assert len(resumed_at) >= 100 and len(set(resumed_at)) >= 8
 
     def test_step_records_keep_no_resume_input(self):
@@ -498,7 +499,8 @@ class TestForwardSkipped:
         points = [f + 1 for f, _ in ss.segments]
         for _ in range(20):
             obs, instr = rng.normal(size=3), rng.normal(size=2)
-            a_skip, trace = rt.forward_skipped(model, mods, points, obs, instr)
+            a_skip, trace = rt.forward_skipped(model, mods, points, obs, instr,
+                                               flops.arch_costs(model.config))
             a_full, _ = forward_recorded(model, obs, instr)
             assert np.array_equal(a_skip, a_full)
             assert trace.executed_layers == list(range(model.config.depth))
@@ -511,14 +513,14 @@ class TestForwardSkipped:
             mods.params[f"controller{j}.b2"][:] = 50.0  # gate ~ 1
         points = [1, 5]
         obs, instr = np.zeros(3), np.zeros(2)
-        _, trace = rt.forward_skipped(model, mods, points, obs, instr)
+        _, trace = rt.forward_skipped(model, mods, points, obs, instr,
+                                      flops.arch_costs(model.config))
         # forced prefixes: layers 0 (before point 1) and 4 (before point 5)
         executed_dynamic = [j for j in trace.executed_layers
                             if j in ss.dynamic_layers]
         assert executed_dynamic == [0, 4]
         assert trace.controllers_evaluated == [1, 5]
         assert trace.adapters_invoked == [1, 5]
-        assert trace.skipped_segments == [0, 1]
 
     def test_controller_evaluations_bounded_by_active_layers(self):
         model, ss, mods = make_setup(depth=12, statics=(2, 5, 8, 11), seed=6)
@@ -526,7 +528,8 @@ class TestForwardSkipped:
         for _ in range(50):
             points = [rng.integers(f + 1, b + 1) for f, b in ss.segments]
             obs, instr = rng.normal(size=3), rng.normal(size=2)
-            _, trace = rt.forward_skipped(model, mods, points, obs, instr)
+            _, trace = rt.forward_skipped(model, mods, points, obs, instr,
+                                          flops.arch_costs(model.config))
             active = sum(b - max(p, f + 1) for (f, b), p in zip(ss.segments, points))
             assert len(trace.controllers_evaluated) <= active
             for j in trace.executed_layers:
@@ -534,17 +537,17 @@ class TestForwardSkipped:
 
     def test_static_layers_always_executed(self):
         model, ss, mods = make_setup(depth=12, statics=(0, 4, 9, 11), seed=7)
+        costs = flops.arch_costs(model.config)
         rng = np.random.default_rng(4)
         for trial in range(100):
             points = [rng.integers(f + 1, b + 1) for f, b in ss.segments]
             for j in ss.dynamic_layers:  # randomize gates hard
                 mods.params[f"controller{j}.b2"][:] = rng.uniform(-30, 30)
             _, trace = rt.forward_skipped(model, mods, points,
-                                          rng.normal(size=3), rng.normal(size=2))
+                                          rng.normal(size=3), rng.normal(size=2), costs)
             assert set(ss.indices) <= set(trace.executed_layers)
             assert trace.executed_layers == sorted(set(trace.executed_layers))
-            assert trace.flops >= flops.forward_flops(
-                flops.arch_costs(model.config), len(ss.indices))
+            assert trace.flops >= flops.forward_flops(costs, len(ss.indices))
 
 
 class TestForwardRandom:
@@ -552,7 +555,8 @@ class TestForwardRandom:
         model, ss, mods = make_setup(seed=8)
         rng = np.random.default_rng(1)
         obs, instr = rng.normal(size=3), rng.normal(size=2)
-        a, trace = rt.forward_random(model, mods, 0.0, rng, obs, instr)
+        a, trace = rt.forward_random(model, mods, 0.0, rng, obs, instr,
+                                     flops.arch_costs(model.config))
         full, _ = forward_recorded(model, obs, instr)
         assert np.array_equal(a, full)
         assert trace.executed_layers == list(range(6))
@@ -560,8 +564,8 @@ class TestForwardRandom:
     def test_p_one_skips_all_dynamics(self):
         model, ss, mods = make_setup(seed=9)
         rng = np.random.default_rng(2)
-        _, trace = rt.forward_random(model, mods, 1.0, rng,
-                                     np.zeros(3), np.zeros(2))
+        _, trace = rt.forward_random(model, mods, 1.0, rng, np.zeros(3), np.zeros(2),
+                                     flops.arch_costs(model.config))
         assert [j for j in trace.executed_layers if j in ss.dynamic_layers] == []
         assert set(ss.indices) <= set(trace.executed_layers)
 
@@ -588,13 +592,14 @@ class TestDepthMismatch:
         model, mods = self._pair()
         points = [front + 1 for front, _ in mods.static_set.segments]
         with pytest.raises(ConfigError, match=self.MATCH):
-            rt.forward_skipped(model, mods, points, np.zeros(7), np.zeros(2))
+            rt.forward_skipped(model, mods, points, np.zeros(7), np.zeros(2),
+                               flops.arch_costs(model.config))
 
     def test_forward_random_rejects(self):
         model, mods = self._pair()
         with pytest.raises(ConfigError, match=self.MATCH):
             rt.forward_random(model, mods, 0.0, np.random.default_rng(0),
-                              np.zeros(7), np.zeros(2))
+                              np.zeros(7), np.zeros(2), flops.arch_costs(model.config))
 
     def test_controllers_only_rollout_rejects(self):
         model, mods = self._pair()
@@ -734,13 +739,13 @@ class TestGoldenTraces:
     dysl cases record continuity values, which are BLAS dots."""
 
     CASES = {
-        "full": ("full", {}, "8b33384d98651297"),
-        "dysl": ("dysl", {}, "26d72bec6f0fc53f"),
-        "dysl-unverified": ("dysl", {"verification": False}, "0821d5863bdd9185"),
+        "full": ("full", {}, "1bb8aaa580c79d90"),
+        "dysl": ("dysl", {}, "1fdadcb78a670382"),
+        "dysl-unverified": ("dysl", {"verification": False}, "88e8a1fa18328e4a"),
         # at k = 1 warm-up ends one step before the second continuity value
-        "dysl-k1": ("dysl", {"k": 1}, "b5efb556a350ac21"),
-        "controllers-only": ("controllers-only", {}, "be2c872de3dea9c2"),
-        "random-skip": ("random-skip", {}, "9ab8908cde042073"),
+        "dysl-k1": ("dysl", {"k": 1}, "e90c3743dd659ef6"),
+        "controllers-only": ("controllers-only", {}, "c449a57c4583f791"),
+        "random-skip": ("random-skip", {}, "ef84bf0092c225a8"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -763,9 +768,10 @@ class TestGoldenTraces:
 
 class TestExecutedWork:
     """Every step's `trace.flops` equals the summed ArchCosts of the embed,
-    block, head, adapter and controller calls that step really made, counted
-    by wrapping them in the module namespaces that call them: the FLOP
-    counter means work executed."""
+    block, head, adapter and controller calls that step really made, and its
+    `executed_layers` is as long as its block calls, counted by wrapping
+    them in the module namespaces that call them: the record means work
+    executed."""
 
     CASES = {
         "full": ("full", (2, 5, 7), {}),
@@ -784,13 +790,14 @@ class TestExecutedWork:
         model = build_policy(cfg)
         mods = rt.init_skip_modules(model, StaticSet(indices=statics, depth=8), seed=4)
         costs = flops.arch_costs(cfg)
-        spent, per_step = [0], []
+        spent, blocks, per_step = [0], [0], []
 
         def count(owner, name, cost):
             fn = getattr(owner, name)
 
             def counted(*args, **kwargs):
                 spent[0] += cost
+                blocks[0] += name == "block_forward"
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
@@ -804,8 +811,8 @@ class TestExecutedWork:
         env_step = sim.env_step
 
         def step(*args):
-            per_step.append(spent[0])
-            spent[0] = 0
+            per_step.append((spent[0], blocks[0]))
+            spent[0] = blocks[0] = 0
             return env_step(*args)
 
         monkeypatch.setattr(sim, "env_step", step)
@@ -813,7 +820,8 @@ class TestExecutedWork:
         ep = rt.rollout_episode(task, model, mods, mode,
                                 rt.GuidanceConfig(**{"k": 3, **guidance}),
                                 rng=np.random.default_rng(5), random_skip_prob=0.3)
-        assert per_step == [rec.trace.flops for rec in ep.steps]
+        assert per_step == [(rec.trace.flops, len(rec.trace.executed_layers))
+                            for rec in ep.steps]
         verified = [rec.trace for rec in ep.steps if rec.trace.verified]
         if mode == "dysl":
             assert verified
