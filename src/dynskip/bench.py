@@ -48,12 +48,7 @@ class TrainConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError("training steps must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.val_every < 1:
-            raise ConfigError("val_every must be >= 1")
+        containers.check_int_fields(self, steps=1, batch_size=1, val_every=1)
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if not 0.0 < self.lr_floor_frac <= 1.0:

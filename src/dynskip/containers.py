@@ -1,4 +1,4 @@
-"""Every on-disk format of the package, and the one header check.
+"""Every on-disk format of the package, the one header check and its int rule.
 
 - npz container: a JSON header plus named arrays in one npz. Policy and
   skip-module checkpoints and expert datasets use it. np.savez stamps zip
@@ -65,8 +65,10 @@ def _check_fields(values, spec: dict[str, str], path, what: str) -> None:
 
 def check_header(header: dict, kind: str, version: int, path,
                  fields: dict[str, str] | None = None) -> None:
-    """ConfigError unless the header names `kind` at schema `version`; with
-    `fields` given, the rest of the header must pass _check_fields on it."""
+    """ConfigError unless the header is an object naming `kind` at schema
+    `version`; with `fields` given, the rest must pass _check_fields on it."""
+    if not isinstance(header, dict):
+        raise ConfigError(f"{path}: header is a {type(header).__name__}, not an object")
     if header.get("kind") != kind:
         raise ConfigError(f"{path} is not a {kind} artifact (kind {header.get('kind')!r})")
     found = header.get("schema_version", "none")
@@ -75,6 +77,20 @@ def check_header(header: dict, kind: str, version: int, path,
     if fields is not None:
         rest = {k: v for k, v in header.items() if k not in ("kind", "schema_version")}
         _check_fields(rest, fields, path, f"{kind} header")
+
+
+def check_int_fields(config, **minimums: int) -> None:
+    """ConfigError, naming the field, unless each int field of the dataclass
+    `config` passes _is_int (no bool, float, nan or inf) and is >= its entry
+    in `minimums` (a seed's is 0); an `int | None` field may be None."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type not in ("int", "int | None") or (value is None and f.type != "int"):
+            continue
+        low = minimums.get(f.name, 0 if f.name == "seed" else None)
+        if not _is_int(value) or (low is not None and value < low):
+            bound = "" if low is None else f" >= {low}"
+            raise ConfigError(f"{f.name} must be an int{bound}, got {value!r}")
 
 
 def config_from_header(cls, values, path, what: str):

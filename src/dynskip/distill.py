@@ -62,16 +62,13 @@ class DistillConfig:
     seed: int = 0
 
     def __post_init__(self):
+        containers.check_int_fields(self, stage1_steps=1, stage2_steps=1, batch_size=1)
         if not 0.0 <= self.lam < np.inf:
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         for name in ("stage1_lr", "stage2_lr"):
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
-        if self.stage1_steps < 1 or self.stage2_steps < 1:
-            raise ConfigError("stage steps must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         if self.selection not in ("harmonic", "linear"):
             raise ConfigError("selection must be 'harmonic' or 'linear'")
 
@@ -293,8 +290,7 @@ def stage2_step(model: PolicyModel, mods: SkipModules, opt: Adam, trace,
 
 # --- orchestration --------------------------------------------------------------
 
-def estimate_skip_rate(model: PolicyModel, mods: SkipModules, obs, instr,
-                       limit: int = 256) -> float:
+def estimate_skip_rate(model: PolicyModel, mods: SkipModules, obs, instr) -> float:
     """Fraction of dynamic layers skipped by the pure controller policy
     (allow points pinned at the segment starts) on probe inputs."""
     points = [front + 1 for front, _ in mods.static_set.segments]
@@ -304,7 +300,7 @@ def estimate_skip_rate(model: PolicyModel, mods: SkipModules, obs, instr,
         return 0.0
     costs = flops.arch_costs(model.config)
     executed = 0
-    n = min(limit, np.atleast_2d(obs).shape[0])
+    n = np.atleast_2d(obs).shape[0]
     for i in range(n):  # every static layer runs, so the rest are dynamic
         _, trace = forward_skipped(model, mods, points, obs[i], instr[i], costs)
         executed += len(trace.executed_layers) - n_static
@@ -342,65 +338,53 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
     With joint_from_scratch=True (the ablation), stage 1 is skipped and the
     randomly initialized controllers and adapters train jointly on the
     stage-2 loss for the combined step budget. Divergence (non-finite loss)
-    aborts the stage and marks its report. The backbone is never modified.
+    marks the stage's report and ends the run. The backbone is never modified.
     """
     check_depth(model, mods.static_set)
     rng = np.random.default_rng(config.seed)
     obs = dataset.obs
     instr = dataset.instr_onehot()
-    actions = dataset.actions
     n_rows = len(dataset)
     if n_rows < 1:
         raise ConfigError("empty distillation dataset")
     teacher = forward_recorded(model, obs, instr)[1]
-    probe = [t[:256] for t in teacher]
-    reports: dict[str, StageReport] = {}
+    probe = slice(256)  # the leading rows the end-of-stage diagnostics read
+    probe_trace = [t[probe] for t in teacher]
+    batch = min(config.batch_size, n_rows)
 
     def rows(idx):  # take is about twice as fast as t[idx] here
         return [t.take(idx, axis=0) for t in teacher]
 
-    def batches(steps):
-        for _ in range(steps):
-            yield rng.integers(0, n_rows, size=min(config.batch_size, n_rows))
+    def stage1(report, opt, idx):
+        report.losses.append(stage1_step(mods, opt, rows(idx)))
 
-    if not joint_from_scratch:
-        report = StageReport(name="stage1")
-        opt = Adam(lr=config.stage1_lr)
-        for idx in batches(config.stage1_steps):
-            loss = stage1_step(mods, opt, rows(idx))
-            report.losses.append(loss)
-            if not np.isfinite(loss):
-                report.diverged = True
-                break
-        _probe_diagnostics(model, mods, report, probe, obs[:256], instr[:256])
-        reports["stage1"] = report
-        if log_dir is not None:
-            _write_stage_log(Path(log_dir) / "stage1_log.csv", report)
-        if report.diverged:
-            return mods, reports
-
-    stage2_steps = config.stage2_steps
-    name = "stage2"
-    if joint_from_scratch:
-        stage2_steps = config.stage1_steps + config.stage2_steps
-        name = "joint"
-    report = StageReport(name=name)
-    opt = Adam(lr=config.stage2_lr)
-    for idx in batches(stage2_steps):
+    def stage2(report, opt, idx):
         loss, task_loss, norm_loss, mean_gate = stage2_step(
-            model, mods, opt, rows(idx), actions[idx],
-            config.lam, rng, config.selection)
+            model, mods, opt, rows(idx), dataset.actions[idx], config.lam, rng, config.selection)
         report.losses.append(loss)
         report.task_losses.append(task_loss)
         report.norm_losses.append(norm_loss)
         report.mean_gates.append(mean_gate)
-        if not np.isfinite(loss):
-            report.diverged = True
+
+    if joint_from_scratch:
+        stages = [("joint", config.stage1_steps + config.stage2_steps, config.stage2_lr, stage2)]
+    else:
+        stages = [("stage1", config.stage1_steps, config.stage1_lr, stage1),
+                  ("stage2", config.stage2_steps, config.stage2_lr, stage2)]
+    reports: dict[str, StageReport] = {}
+    for name, steps, lr, step in stages:
+        report = reports[name] = StageReport(name=name)
+        opt = Adam(lr=lr)
+        for _ in range(steps):
+            step(report, opt, rng.integers(0, n_rows, size=batch))
+            if not np.isfinite(report.losses[-1]):
+                report.diverged = True
+                break
+        _probe_diagnostics(model, mods, report, probe_trace, obs[probe], instr[probe])
+        if log_dir is not None:
+            _write_stage_log(Path(log_dir) / f"{name}_log.csv", report)
+        if report.diverged:
             break
-    _probe_diagnostics(model, mods, report, probe, obs[:256], instr[:256])
-    reports[name] = report
-    if log_dir is not None:
-        _write_stage_log(Path(log_dir) / f"{name}_log.csv", report)
     return mods, reports
 
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import containers
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .numerics import (
     MLP_PARTS,
     Params,
@@ -38,11 +38,8 @@ class PolicyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("obs_dim", "instr_dim", "hidden_dim", "action_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.depth < 4:
-            raise ConfigError("depth must be >= 4")
+        containers.check_int_fields(self, obs_dim=1, instr_dim=1, hidden_dim=1, depth=4,
+                                    action_dim=1)
 
     @property
     def input_dim(self) -> int:

@@ -397,11 +397,8 @@ class GuidanceConfig:
     stride: int | None = None   # None = adaptive ceil(|dC| / eta)
     verification: bool = True
 
-    def __post_init__(self):
-        for name in ("k", "stride") if self.stride is not None else ("k",):
-            value = getattr(self, name)  # a float k breaks deque, a float stride truncates
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
+    def __post_init__(self):  # a float k breaks deque, a float stride truncates
+        containers.check_int_fields(self, k=1, stride=1)
         if not 0.0 < self.eta < math.inf:
             raise ConfigError(f"eta must be finite and positive, got {self.eta}")
 
@@ -561,13 +558,23 @@ def write_episode_trace(path, episode: Episode) -> None:
 
 
 def read_episode_trace(path) -> tuple[dict, list[dict]]:
-    """Header and step records of a dumped trace. TraceIntegrityError when
-    the records are fewer or more than the header's n_steps: a truncated
-    trace of equal-cost steps would pass the FLOP cross-check."""
+    """Header and step records of a dumped trace. TraceIntegrityError naming
+    the file and line for a line that is not JSON or a record that is not an
+    object, and when the records are fewer or more than the header's n_steps:
+    a truncated trace of equal-cost steps would pass the FLOP cross-check."""
+    values = []
     with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        containers.check_header(header, "episode_trace", TRACE_SCHEMA_VERSION, path)
-        records = [json.loads(line) for line in fh]
+        try:
+            for line in [fh.readline(), *fh]:  # an empty file reads as one empty line
+                values.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise TraceIntegrityError(f"{path}: line {len(values) + 1} is not JSON "
+                                      f"({exc.msg})") from exc
+    header, records = values[0], values[1:]
+    containers.check_header(header, "episode_trace", TRACE_SCHEMA_VERSION, path)
+    for lineno, rec in enumerate(records, 2):
+        if not isinstance(rec, dict):
+            raise TraceIntegrityError(f"{path}: line {lineno} is {rec!r}, not a step record")
     if len(records) != header.get("n_steps"):
         raise TraceIntegrityError(f"{path}: header n_steps {header.get('n_steps')} "
                                   f"but {len(records)} step records")

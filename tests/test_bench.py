@@ -354,19 +354,21 @@ def _row_stats(row):
 @pytest.mark.parametrize("axis, field, values, rendered", [
     ("k", "k", [2, 5], ["2", "5"]),
     ("eta", "eta", [0.002, 1.0], ["0.002", "1.0"]),
-    ("delta_l_mode", "stride", [None, 2], ["adaptive", "const:2"]),
+    ("delta_l_mode", "stride", [None, 1], ["adaptive", "const:1"]),
 ])
 def test_run_ablation_guidance_rows_equal_dysl_evaluations(ablation, axis, field, values,
                                                            rendered):
+    if axis == "delta_l_mode":
+        # the stride is read only on a continuity drop, and verification replaces each
+        # drop step's action before update_allow_points reads the change, so with it on
+        # every stride gives the same row on this fixture
+        ablation = {**ablation, "guidance": replace(ablation["guidance"], verification=False)}
     rows = bench.run_ablation(axis, values, **ablation)
     assert [(r.axis, r.value) for r in rows] == [(axis, v) for v in rendered]
     for row, value in zip(rows, values):
         guidance = replace(ablation["guidance"], **{field: value})
         assert _row_stats(row) == _dysl_row_stats(ablation, ablation["baseline_mods"], guidance)
-    # delta_l_mode is exempt: adaptive and a constant stride gave the same dysl rows on
-    # this fixture, and on static sets (2, 4, 5), (0, 5), (5,) and (1, 5) with forced gates
-    if axis != "delta_l_mode":
-        assert _row_stats(rows[0]) != _row_stats(rows[1])
+    assert _row_stats(rows[0]) != _row_stats(rows[1])
 
 
 @pytest.mark.parametrize("axis, value", [("static_ratio", 0.2), ("lambda", 0.5)])

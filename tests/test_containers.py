@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynskip import bench, containers, distill, profiler, runtime as rt, sim
-from dynskip.errors import ConfigError
+from dynskip.errors import ConfigError, TraceIntegrityError
 from dynskip.model import PolicyConfig, build_policy, load_policy, save_policy
 from dynskip.profiler import StaticSet
 
@@ -194,6 +194,44 @@ def test_loaders_name_the_malformed_header_field(tmp_path, case):
     edit_header(path, edit)
     with pytest.raises(ConfigError, match=f"'{field}'"):
         load(path)
+
+
+@pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+def test_loaders_reject_a_header_that_is_not_an_object(tmp_path, artifact):
+    save, load, _ = ARTIFACTS[artifact]
+    path = tmp_path / "a"
+    save(path)
+    if artifact == "episode_trace":
+        header, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(f"[{header.strip()}]\n" + "".join(rest), encoding="utf-8")
+    else:
+        header, arrays = containers.load_arrays(path)
+        containers.save_arrays(path, [header], arrays)
+    with pytest.raises(ConfigError, match="header is a list, not an object"):
+        load(path)
+
+
+# a one-step trace's header and record lines -> the malformed file's text
+MALFORMED_TRACES = {
+    "empty": (lambda header, record: "", "line 1 is not JSON"),
+    "cut-off-record": (lambda header, record: header + record[:25], "line 2 is not JSON"),
+    "record-not-an-object": (lambda header, record: header + "5\n",
+                             "line 2 is 5, not a step record"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRACES))
+def test_read_episode_trace_names_the_line_it_cannot_read(tmp_path, case):
+    path = tmp_path / "ep.jsonl"
+    rt.write_episode_trace(path, rt.Episode(
+        task_seed=0, mode="full", actions=[np.zeros(3)],
+        steps=[rt.StepRecord(0, rt.ExecTrace(executed_layers=[0, 1, 2, 3]), None, None)]))
+    rt.read_episode_trace(path)  # the untouched trace reads
+    text, message = MALFORMED_TRACES[case]
+    path.write_text(text(*path.read_text(encoding="utf-8").splitlines(keepends=True)),
+                    encoding="utf-8")
+    with pytest.raises(TraceIntegrityError, match=f"ep.jsonl: {message}"):
+        rt.read_episode_trace(path)
 
 
 @pytest.mark.parametrize("artifact", ["policy", "skip_modules", "dataset"])

@@ -288,6 +288,30 @@ class TestRunTwoStage:
         assert sorted(p.name for p in log_dir.iterdir()) == ["stage1_log.csv",
                                                              "stage2_log.csv"]
 
+    def test_a_stage1_divergence_ends_the_run(self, tmp_path):
+        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
+                                          action_dim=3, seed=28))
+        ds = self._dataset(model, seed=29)
+        ds.obs[:] = np.nan  # a NaN teacher trace: the first stage-1 loss is nan, with no warning
+        dcfg = dt.DistillConfig(stage1_steps=5, stage2_steps=5, batch_size=8, seed=30)
+        _, reports = dt.distill_pipeline(model, StaticSet(indices=(2, 5), depth=6), ds, dcfg,
+                                         log_dir=tmp_path)
+        assert list(reports) == ["stage1"]
+        assert reports["stage1"].diverged and len(reports["stage1"].losses) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["stage1_log.csv"]
+
+    def test_joint_from_scratch_trains_one_stage_for_both_budgets(self, tmp_path):
+        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
+                                          action_dim=3, seed=31))
+        dcfg = dt.DistillConfig(stage1_steps=5, stage2_steps=4, batch_size=8, seed=32)
+        _, reports = dt.distill_pipeline(model, StaticSet(indices=(2, 5), depth=6),
+                                         self._dataset(model, seed=33), dcfg, log_dir=tmp_path,
+                                         joint_from_scratch=True)
+        assert list(reports) == ["joint"]
+        assert not reports["joint"].diverged
+        assert len(reports["joint"].losses) == len(reports["joint"].mean_gates) == 9
+        assert [p.name for p in tmp_path.iterdir()] == ["joint_log.csv"]
+
     def test_backbone_checkpoint_identical_after_training(self, tmp_path):
         from dynskip.model import save_policy
         cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,

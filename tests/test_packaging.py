@@ -1,9 +1,15 @@
 import ast
+import dataclasses
 import importlib
+import math
+import pkgutil
 import tokenize
 from pathlib import Path
 
 import pytest
+
+import dynskip
+from dynskip.errors import ConfigError
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -66,3 +72,25 @@ def test_no_new_public_name_is_reached_only_by_tests():
                     if path != own or not first <= tok.start[0] <= last:
                         reached.add(name)
     assert set(defs) - reached - TEST_ONLY_API - TEST_ONLY_MEMBERS == set()
+
+
+def test_every_config_int_field_takes_only_an_int():
+    """An int field that took True would run as 1, and one that took 2.5 or
+    nan would fail later with a bare error (in range(), default_rng) or run
+    truncated; a seed must be >= 0. Walks every *Config dataclass, so a new
+    int field fails here until its config checks it."""
+    configs = [cls for info in pkgutil.iter_modules(dynskip.__path__)
+               for cls in vars(importlib.import_module(f"dynskip.{info.name}")).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+               and cls.__name__.endswith("Config") and cls.__module__ == f"dynskip.{info.name}"]
+    checked = set()
+    for cls in configs:
+        for f in dataclasses.fields(cls):
+            if f.type not in ("int", "int | None"):  # every module has postponed annotations
+                continue
+            for value in [True, 2.5, math.nan, math.inf] + ([-1] if f.name == "seed" else []):
+                with pytest.raises(ConfigError, match=f.name):
+                    cls(**{f.name: value})
+            checked.add(f"{cls.__name__}.{f.name}")
+    assert {"TrainConfig.steps", "DistillConfig.batch_size", "PolicyConfig.seed",
+            "SimConfig.step_cap", "GuidanceConfig.stride"} <= checked
