@@ -42,20 +42,27 @@ _JSON_TYPES = {
     "int": _is_int,
     "float": lambda v: _is_int(v) or isinstance(v, float),
     "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "bool": lambda v: isinstance(v, bool),
     "dict": lambda v: isinstance(v, dict),
 }
 
 
+def is_json_type(value, type_name: str) -> bool:
+    """Whether a decoded JSON value is of the type `type_name` names: "int",
+    "float" (an int passes), "list[int]", "bool" or "dict"."""
+    return _JSON_TYPES[type_name](value)
+
+
 def _check_fields(values, spec: dict[str, str], path, what: str) -> None:
     """ConfigError, naming the field, unless `values` is a JSON object with
-    exactly the fields of `spec`, each of the type spec names for it: "int",
-    "float" (an int passes), "list[int]" or "dict"."""
+    exactly the fields of `spec`, each of the type spec names for it (see
+    is_json_type)."""
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: {what} is {values!r}, not an object")
     for name, type_name in spec.items():
         if name not in values:
             raise ConfigError(f"{path}: {what} has no field {name!r}")
-        if not _JSON_TYPES[type_name](values[name]):
+        if not is_json_type(values[name], type_name):
             raise ConfigError(f"{path}: {what} field {name!r} is {values[name]!r}, "
                               f"expected {type_name}")
     unknown = sorted(set(values) - set(spec))

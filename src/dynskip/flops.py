@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import containers
 from .errors import TraceIntegrityError
 from .model import PolicyConfig
 
@@ -106,16 +107,12 @@ def flop_estimate(costs: ArchCosts, executed_layers, controllers_evaluated=(),
             + verify_flops(costs, s))
 
 
-def _priced_field(record: dict, name: str, valid, kind: str):
+def _priced_field(record: dict, name: str, type_name: str, kind: str):
     if name not in record:
         raise TraceIntegrityError(f"no {name!r}")
-    if not valid(record[name]):
+    if not containers.is_json_type(record[name], type_name):
         raise TraceIntegrityError(f"{name!r} is not {kind}: {record[name]!r}")
     return record[name]
-
-
-def _is_id_list(value) -> bool:
-    return isinstance(value, list) and all(type(i) is int for i in value)  # no bool or float
 
 
 def flop_estimate_record(costs: ArchCosts, record: dict) -> int:
@@ -123,7 +120,7 @@ def flop_estimate_record(costs: ArchCosts, record: dict) -> int:
     naming the field, when a priced field is missing, a layer list is not a
     list of ints or verified is not a bool; online steps build their own
     lists and skip these checks."""
-    layer_lists = [_priced_field(record, name, _is_id_list, "a list of ints")
+    layer_lists = [_priced_field(record, name, "list[int]", "a list of ints")
                    for name in ("executed_layers", "controllers_evaluated", "adapters_invoked")]
-    verified = _priced_field(record, "verified", lambda v: isinstance(v, bool), "a bool")
+    verified = _priced_field(record, "verified", "bool", "a bool")
     return flop_estimate(costs, *layer_lists, verified)

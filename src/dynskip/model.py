@@ -98,6 +98,9 @@ def embed_forward(model: PolicyModel, obs, instr) -> np.ndarray:
         raise ShapeError(f"obs has size {obs.shape[-1]}, expected {cfg.obs_dim}")
     if instr.shape[-1] != cfg.instr_dim:
         raise ShapeError(f"instr has size {instr.shape[-1]}, expected {cfg.instr_dim}")
+    if obs.shape[:-1] != instr.shape[:-1]:
+        raise ShapeError(f"obs and instr differ in rows: obs is {obs.shape}, "
+                         f"instr is {instr.shape}")
     WT, b = model._embed
     y = np.concatenate([obs, instr], axis=-1).dot(WT)
     y += b

@@ -124,18 +124,19 @@ def reset_state(task: Task) -> EnvState:
     return EnvState(ee=task.start.copy(), obj=task.obj.copy())
 
 
+def _goal_index(task: Task, state: EnvState) -> int:
+    """The active subtask, held at the chain's last once it is complete;
+    also the instruction id."""
+    last = task.config.subtasks - 1
+    return state.subtask if state.subtask < last else last
+
+
 def current_goal(task: Task, state: EnvState) -> np.ndarray:
-    idx = min(state.subtask, task.config.subtasks - 1)
-    return task.goals[idx]
+    return task.goals[_goal_index(task, state)]
 
 
 def current_target(task: Task, state: EnvState) -> np.ndarray:
     return current_goal(task, state) if state.holding else state.obj
-
-
-def phase_of(task: Task, state: EnvState) -> str:
-    dist = l2_norm(state.ee - current_target(task, state))
-    return FINE if dist <= task.config.grasp_radius else FREE
 
 
 def observe(task: Task, state: EnvState) -> tuple[np.ndarray, int]:
@@ -145,15 +146,20 @@ def observe(task: Task, state: EnvState) -> tuple[np.ndarray, int]:
     which keeps the policy's steering function well-conditioned; the absolute
     effector position is included, so the state stays fully observed.
     """
+    instr_id = _goal_index(task, state)
     ex, ey = state.ee.tolist()
     ox, oy = state.obj.tolist()
-    gx, gy = current_goal(task, state).tolist()
+    gx, gy = task.goals[instr_id].tolist()
     # float arithmetic is the same IEEE double arithmetic numpy does per entry
     obs = np.array([ex, ey, state.grip, ox - ex, oy - ey, gx - ex, gy - ey])
-    return obs, min(state.subtask, task.config.subtasks - 1)
+    return obs, instr_id
 
 
 def instr_onehot(instr_id: int, n: int) -> np.ndarray:
+    """One-hot row of `instr_id`; ShapeError for an id outside [0, n), which
+    indexing would wrap (-1 is the last slot) or reject with a bare IndexError."""
+    if not 0 <= instr_id < n:
+        raise ShapeError(f"instruction id {instr_id} is outside [0, {n})")
     v = np.zeros(n)
     v[instr_id] = 1.0
     return v
@@ -170,10 +176,13 @@ class ScriptedExpert:
     carrying, flipped inside commit_dist), which is zero along clean
     trajectories outside the fine phase and self-correcting everywhere else.
 
-    The distance is numpy's (`l2_norm`, a BLAS dot that may fuse a
-    multiply-add); everything after it runs on Python floats in the order
-    the numpy 2-vector form computes it, so each action is bit-equal to
-    that form's.
+    `label` computes one target distance per step and derives both the
+    action and the step's phase from it: FINE within the grasp radius, its
+    edge included, else FREE. The phase is the branch the action takes, so
+    the two cannot disagree. The distance is numpy's (`l2_norm`, a BLAS dot
+    that may fuse a multiply-add); everything after it runs on Python
+    floats in the order the numpy 2-vector form computes it, so each action
+    is bit-equal to that form's.
     """
 
     def __init__(self, task: Task, rng: np.random.Generator):
@@ -189,22 +198,23 @@ class ScriptedExpert:
             desired = 0.0 if dist <= cfg.commit_dist else 1.0
         return desired - state.grip
 
-    def action(self, state: EnvState) -> np.ndarray:
+    def label(self, state: EnvState) -> tuple[np.ndarray, str]:
+        """The expert's action for `state` and the state's phase, FINE or FREE."""
         cfg = self.task.config
-        target = current_target(self.task, state)
-        delta = target - state.ee
+        delta = current_target(self.task, state) - state.ee
         dist = l2_norm(delta)
+        phase = FINE if dist <= cfg.grasp_radius else FREE
         dg = self._grip_delta(state, dist)
         dx, dy = delta.tolist()
 
-        if dist > cfg.grasp_radius:  # free motion
+        if phase == FREE:  # constant-speed motion
             n0, n1 = self.rng.standard_normal(2).tolist()
             d0, d1 = self._drift
             d0 = cfg.noise_rho * d0 + cfg.noise_sigma * n0
             d1 = cfg.noise_rho * d1 + cfg.noise_sigma * n1
             self._drift = (d0, d1)
             return np.array([cfg.step_len * dx / dist + d0,
-                             cfg.step_len * dy / dist + d1, dg])
+                             cfg.step_len * dy / dist + d1, dg]), phase
 
         # stop-and-go micro-steps: distance-banded crawl/step alternation.
         # The speed profile is a deterministic function of the observable
@@ -215,8 +225,8 @@ class ScriptedExpert:
             in_crawl_band = (dist / cfg.pause_band) % 1.0 < cfg.p_pause
             scale = cfg.crawl_frac if in_crawl_band else 1.0
             k = min(0.6 * dist, scale * fine_len)
-            return np.array([k * dx / dist, k * dy / dist, dg])
-        return np.array([0.0, 0.0, dg])
+            return np.array([k * dx / dist, k * dy / dist, dg]), phase
+        return np.array([0.0, 0.0, dg]), phase
 
 
 def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:
@@ -226,6 +236,11 @@ def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:
     closed threshold within grasp_radius of the object picks it up. While
     held, the object is co-located with the effector; a released object
     stays where it was last carried to.
+
+    Each clamp is a pair of comparisons that replaces a value only when it
+    lies strictly outside its bounds, so a value on a bound is kept, as
+    np.clip keeps it, and a signed zero keeps its sign. The workspace bounds
+    are taken as floats, so integer bounds still give a float64 effector.
     """
     cfg = task.config
     a = np.asarray(action, dtype=np.float64)
@@ -234,15 +249,19 @@ def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:
     ax, ay, ag = a.tolist()
     if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(ag)):
         raise EnvError(f"invalid action {a!r}")
-    # min(max(v, lo), hi) keeps v on a tie, as np.clip does, so signed zeros match
-    dx = min(max(ax, -cfg.d_max), cfg.d_max)
-    dy = min(max(ay, -cfg.d_max), cfg.d_max)
-    dg = min(max(ag, -cfg.grip_max), cfg.grip_max)
+    d, g = cfg.d_max, cfg.grip_max
+    dx = -d if ax < -d else d if ax > d else ax
+    dy = -d if ay < -d else d if ay > d else ay
+    dg = -g if ag < -g else g if ag > g else ag
 
-    ex, ey = state.ee.tolist()
     lo, hi = float(cfg.low), float(cfg.high)
-    ee = np.array([min(max(ex + dx, lo), hi), min(max(ey + dy, lo), hi)])
-    grip = min(max(state.grip + dg, 0.0), 1.0)
+    ex, ey = state.ee.tolist()
+    ex += dx
+    ey += dy
+    ee = np.array([lo if ex < lo else hi if ex > hi else ex,
+                   lo if ey < lo else hi if ey > hi else ey])
+    grip = state.grip + dg
+    grip = 0.0 if grip < 0.0 else 1.0 if grip > 1.0 else grip
     obj = state.obj
     holding = state.holding
     subtask = state.subtask
@@ -371,8 +390,9 @@ def run_expert_episode(task: Task, rng: np.random.Generator) -> Episode:
     def act(obs, instr_id, state):
         observations.append(obs)
         instr_ids.append(instr_id)
-        phases.append(phase_of(task, state))
-        return expert.action(state)
+        action, phase = expert.label(state)
+        phases.append(phase)
+        return action
 
     ep = run_episode(task, act)
     ep.observations, ep.instr_ids, ep.phases = observations, instr_ids, phases
@@ -411,7 +431,9 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """ShapeError when the arrays disagree in row count or width."""
+    """ShapeError when the arrays disagree in row count or width, or `instr`
+    is not an integer array; ConfigError when an instruction id is outside
+    [0, subtasks) or a phase label is neither FREE nor FINE."""
     header, arrays = containers.load_arrays(path)
     containers.check_header(header, "dataset", DATASET_SCHEMA_VERSION, path,
                             {"seed": "int", "n_episodes": "int", "sim_config": "dict"})
@@ -424,6 +446,18 @@ def load_dataset(path) -> Dataset:
         if found != shape:
             raise ShapeError(f"{path}: dataset array {name!r} has shape {found}, "
                              f"expected {shape}")
-    return Dataset(config, header["seed"],
-                   header["n_episodes"], arrays["obs"], arrays["instr"],
-                   arrays["actions"], arrays["phases"].tolist(), arrays["episode_ids"])
+    instr = arrays["instr"]
+    if instr.dtype.kind not in "iu":
+        raise ShapeError(f"{path}: dataset array 'instr' has dtype {instr.dtype}, "
+                         "expected integers")
+    outside = instr[(instr < 0) | (instr >= config.subtasks)]
+    if outside.size:
+        raise ConfigError(f"{path}: dataset array 'instr' holds id {outside[0]}, "
+                          f"outside [0, {config.subtasks})")
+    phases = arrays["phases"].tolist()
+    unknown = sorted(set(phases) - {FREE, FINE}, key=repr)
+    if unknown:
+        raise ConfigError(f"{path}: dataset array 'phases' holds {unknown[0]!r}, "
+                          f"expected {FREE!r} or {FINE!r}")
+    return Dataset(config, header["seed"], header["n_episodes"], arrays["obs"], instr,
+                   arrays["actions"], phases, arrays["episode_ids"])

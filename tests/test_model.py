@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,15 @@ class TestTaskLoss:
         model = build_policy(tiny_config())
         with pytest.raises(ShapeError):
             block_forward(model, 0, np.zeros(7))
+
+    @pytest.mark.parametrize("obs_rows, instr_rows", [(5, 4), (1, 3), (None, 2)])
+    def test_obs_and_instr_row_mismatch_rejected(self, obs_rows, instr_rows):
+        """numpy's concatenate would raise a bare ValueError."""
+        model = build_policy(tiny_config())
+        obs = np.zeros((3,) if obs_rows is None else (obs_rows, 3))
+        instr = np.zeros((instr_rows, 2))
+        with pytest.raises(ShapeError, match=re.escape(f"obs is {obs.shape}, instr is {instr.shape}")):
+            embed_forward(model, obs, instr)
 
 
 class TestCheckpoint:

@@ -197,6 +197,20 @@ class TestEnvStep:
                         assert out.ee.dtype == np.float64
                         assert out.ee.tobytes() == expected.tobytes(), (ex, ey, dx, dy)
 
+    def test_integer_workspace_bounds_clamp_to_a_float64_effector(self):
+        """Both coordinates clamp, so bounds kept as ints would make an int64 ee."""
+        task = sim.sample_task_sequence(1, small_cfg(low=0, high=2))
+        cfg = task.config
+        for ee, move in (([0.01, 1.99], [-cfg.d_max, cfg.d_max]),
+                         ([1.99, 0.01], [cfg.d_max, -cfg.d_max])):
+            state = sim.reset_state(task)
+            state.ee = np.array(ee)
+            out, _ = sim.env_step(task, state, np.array(move + [0.0]))
+            expected = np.clip(state.ee + move, cfg.low, cfg.high)
+            assert out.ee.dtype == np.float64 and expected.dtype == np.float64
+            assert out.ee.tobytes() == expected.tobytes()
+            assert sorted(out.ee.tolist()) == [0.0, 2.0]
+
     def test_object_conservation(self):
         # object never moves unless held at the end of the step
         cfg = small_cfg()
@@ -241,9 +255,15 @@ class TestObserve:
                         assert instr_id == min(subtask, cfg.subtasks - 1)
 
 
+@pytest.mark.parametrize("instr_id", [-1, 3, 4])
+def test_instr_onehot_rejects_an_id_outside_its_width(instr_id):
+    with pytest.raises(ShapeError, match=f"instruction id {instr_id} is outside \\[0, 3\\)"):
+        sim.instr_onehot(instr_id, 3)
+
+
 class NumpyExpert(sim.ScriptedExpert):
     """The expert with its action computed on numpy 2-vectors: the reference
-    that ScriptedExpert.action must equal bit for bit."""
+    that the action of ScriptedExpert.label must equal bit for bit."""
 
     def __init__(self, task, rng):
         super().__init__(task, rng)
@@ -291,7 +311,7 @@ class TestExpert:
 
             def policy(obs, iid, state):
                 nonlocal compared
-                a, b = expert.action(state), reference.action(state)
+                a, b = expert.label(state)[0], reference.action(state)
                 assert a.tobytes() == b.tobytes(), (s, state.total_steps, a, b)
                 compared += 1
                 return a
@@ -329,8 +349,53 @@ class TestExpert:
                     expert.task = reference.task = task
                     state = sim.EnvState(ee=np.zeros(2), obj=target, grip=grip,
                                          holding=holding)
-                    a, b = expert.action(state), reference.action(state)
+                    a, b = expert.label(state)[0], reference.action(state)
                     assert a.tobytes() == b.tobytes(), (holding, grip, offset, a, b)
+
+    @staticmethod
+    def _distance_phase(task, state):
+        """The phase by the effector's distance to its target, computed on
+        ee - target: the negation of the offset the expert acts on."""
+        dist = l2_norm(state.ee - sim.current_target(task, state))
+        return sim.FINE if dist <= task.config.grasp_radius else sim.FREE
+
+    def test_labelled_phase_equals_the_distance_rule_over_whole_episodes(self):
+        cfg = sim.SimConfig()
+        counts = {sim.FREE: 0, sim.FINE: 0}
+        for s in range(50):
+            task = sim.sample_task_sequence(s, cfg)
+            expert = sim.ScriptedExpert(task, np.random.default_rng([5, s]))
+            labelled = []
+
+            def policy(obs, iid, state):
+                action, phase = expert.label(state)
+                assert phase == self._distance_phase(task, state), (s, state.total_steps)
+                labelled.append(phase)
+                counts[phase] += 1
+                return action
+
+            sim.run_episode(task, policy)
+            assert sim.run_expert_episode(task, np.random.default_rng([5, s])).phases == labelled
+        assert counts[sim.FREE] > 1_000 and counts[sim.FINE] > 1_000
+
+    def test_labelled_phase_at_the_grasp_radius_and_one_ulp_either_side(self):
+        """Offsets from an effector at the origin, so each distance is the
+        offset's length exactly."""
+        cfg = sim.SimConfig()
+        base = sim.sample_task_sequence(7, cfg)
+        r = cfg.grasp_radius
+        expert = sim.ScriptedExpert(base, np.random.default_rng(9))
+        for x, phase in ((np.nextafter(r, 0.0), sim.FINE), (r, sim.FINE),
+                         (np.nextafter(r, 1.0), sim.FREE)):
+            for offset in ((x, 0.0), (-0.0, -x), (-x, -0.0)):
+                target = np.array(offset)
+                assert l2_norm(target) == x
+                expert.task = task = dataclasses.replace(
+                    base, goals=np.array([target] * cfg.subtasks))
+                for holding in (False, True):
+                    state = sim.EnvState(ee=np.zeros(2), obj=target, holding=holding)
+                    assert expert.label(state)[1] == phase, (offset, holding)
+                    assert self._distance_phase(task, state) == phase
 
     def test_free_phase_geometry(self):
         cfg = sim.SimConfig(noise_sigma=0.0)
@@ -338,7 +403,7 @@ class TestExpert:
         state = sim.reset_state(task)
         state.ee = task.obj - np.array([0.5, 0.0])  # object due east, far away
         expert = sim.ScriptedExpert(task, np.random.default_rng(0))
-        action = expert.action(state)
+        action, _ = expert.label(state)
         assert np.allclose(action, [cfg.step_len, 0.0, 0.0], atol=1e-12)
 
     def test_fine_steps_jerkier_than_free(self):
@@ -445,6 +510,28 @@ class TestDataset:
         arrays[name] = arrays[name][keep]
         containers.save_arrays(path, header, arrays)
         with pytest.raises(ShapeError, match=f"dataset array '{blamed}'"):
+            sim.load_dataset(path)
+
+    @pytest.mark.parametrize("name,value,error,match", [
+        ("instr", -1, ConfigError, "'instr' holds id -1, outside \\[0, 2\\)"),
+        ("instr", 2, ConfigError, "'instr' holds id 2, outside \\[0, 2\\)"),
+        ("instr", 0.0, ShapeError, "'instr' has dtype float64"),
+        ("phases", "warp", ConfigError, "'phases' holds 'warp'")],
+        ids=["instr-minus-one", "instr-past-the-chain", "instr-float", "phase-warp"])
+    def test_load_rejects_an_instruction_id_or_phase_outside_its_set(
+            self, tmp_path, name, value, error, match):
+        """An id of -1 would index the last subtask's one-hot, a float id
+        fail later in instr_onehot, and an unknown phase load silently."""
+        path = tmp_path / "d.npz"
+        sim.save_dataset(path, sim.generate_dataset(small_cfg(), 1, seed=15))
+        header, arrays = containers.load_arrays(path)
+        if isinstance(value, float):
+            arrays[name] = arrays[name].astype(np.float64)
+        else:
+            arrays[name] = arrays[name].copy()
+            arrays[name][-1] = value
+        containers.save_arrays(path, header, arrays)
+        with pytest.raises(error, match=match):
             sim.load_dataset(path)
 
     def test_phases_stored_without_pickle(self, tmp_path):
