@@ -18,7 +18,8 @@ import numpy as np
 from . import containers, flops, runtime as rt, sim
 from .distill import distill_pipeline
 from .errors import ConfigError, TraceIntegrityError
-from .model import PolicyConfig, PolicyModel, build_policy, forward_recorded, mse_and_grad, task_loss_and_grads
+from .model import (PolicyConfig, PolicyModel, TaskWorkspace, build_policy, forward_recorded,
+                    mse_and_grad, task_loss_and_grads)
 from .numerics import Adam
 from .profiler import LayerProfile, select_static
 from .runtime import Episode, GuidanceConfig, SkipModules
@@ -65,10 +66,13 @@ def train_base_policy(model_config: PolicyConfig, train_config: TrainConfig,
     """Behaviour-clone the policy on expert rows with Adam and cosine decay.
 
     Returns (model, log rows); each log row is (step, train_loss, val_mse)
-    with a step-0 row recording the pre-training validation MSE.
+    with a step-0 row recording the pre-training validation MSE. Every step
+    runs through one TaskWorkspace, so once its arrays have been touched a
+    step allocates nothing of batch size.
     """
     model = build_policy(model_config)
     obs, instr, actions = train_set.obs, train_set.instr_onehot(), train_set.actions
+    workspace = TaskWorkspace(model, train_config.batch_size)
     opt = Adam(lr=train_config.lr)
     rng = np.random.default_rng(train_config.seed)
     log = [(0, float("nan"), validation_mse(model, val_set))]
@@ -77,7 +81,8 @@ def train_base_policy(model_config: PolicyConfig, train_config: TrainConfig,
         opt.lr = train_config.lr * (
             0.5 * (1 + np.cos(np.pi * step / train_config.steps)) * (1 - floor) + floor)
         idx = rng.integers(0, len(train_set), train_config.batch_size)
-        loss, grads = task_loss_and_grads(model, obs[idx], instr[idx], actions[idx])
+        loss, grads = task_loss_and_grads(model, obs[idx], instr[idx], actions[idx],
+                                          workspace=workspace)
         opt.step(model.params, grads)
         if step % train_config.val_every == 0 or step == train_config.steps:
             log.append((step, loss, validation_mse(model, val_set)))

@@ -3,6 +3,14 @@ a linear action head, with full activation tracing and hand-derived task-loss
 gradients. Forward functions accept a single sample or a (batch, dim) matrix.
 Each block is the `numerics` two-layer unit plus a residual add; every layer
 kernel keeps the contract stated at `numerics.mlp_forward`.
+
+Only `task_loss_and_grads` passes out= to the kernels: it writes every
+activation, temporary and gradient of a training step into a TaskWorkspace,
+so a step through a reused workspace allocates no array of its own (numpy's
+iterator buffer for a broadcast bias add, at most 64 KiB, is the largest
+transient left). The gradients it returns are views into that workspace and
+alias it until its next use. Every other caller, the batch-1 rollouts
+included, gets fresh arrays.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from .errors import ShapeError
 from .numerics import (
     MLP_PARTS,
     Params,
+    affine_param_grads,
     affine_vjp,
     as_f64,
     bind_affine,
@@ -90,7 +99,9 @@ def build_policy(config: PolicyConfig) -> PolicyModel:
     return PolicyModel(config, params)
 
 
-def embed_forward(model: PolicyModel, obs, instr) -> np.ndarray:
+def embed_forward(model: PolicyModel, obs, instr, out=None) -> np.ndarray:
+    """The embedded input. With `out`, a (y, u) pair, the output is written
+    into y and the embedding input [obs, instr] into u, as out= does."""
     cfg = model.config
     obs = np.asarray(obs, dtype=np.float64)
     instr = np.asarray(instr, dtype=np.float64)
@@ -102,34 +113,41 @@ def embed_forward(model: PolicyModel, obs, instr) -> np.ndarray:
         raise ShapeError(f"obs and instr differ in rows: obs is {obs.shape}, "
                          f"instr is {instr.shape}")
     WT, b = model._embed
-    y = np.concatenate([obs, instr], axis=-1).dot(WT)
+    if out is None:
+        y = np.concatenate([obs, instr], axis=-1).dot(WT)
+    else:
+        y = np.concatenate([obs, instr], axis=-1, out=out[1]).dot(WT, out=out[0])
     y += b
     return y
 
 
-def block_forward(model: PolicyModel, i: int, x: np.ndarray, cache: bool = False):
-    """y = x + W2 @ tanh(W1 @ x + b1) + b2 for block i."""
+def block_forward(model: PolicyModel, i: int, x: np.ndarray, cache: bool = False,
+                  out=None):
+    """y = x + W2 @ tanh(W1 @ x + b1) + b2 for block i. `out` is a (y, h)
+    pair, as for mlp_forward."""
     if x.shape[-1] != model.config.hidden_dim:
         raise ShapeError(f"block{i}: x is {x.shape}, expected hidden size {model.config.hidden_dim}")
-    y, h = mlp_forward(model._blocks[i], x)
+    y, h = mlp_forward(model._blocks[i], x, out)
     y += x  # == x + (h @ W2T + b2): IEEE addition commutes
     return (y, h) if cache else y
 
 
-def block_vjp(model: PolicyModel, i: int, x, h, dy, param_grads: Params | None = None):
+def block_vjp(model: PolicyModel, i: int, x, h, dy, param_grads: Params | None = None,
+              out=None):
     """Input gradient of block i, the unit's plus the residual's dy, added in
-    place into the unit's fresh array. With param_grads given, the block's
-    parameter gradients are stored in it, as mlp_vjp does."""
-    dx = mlp_vjp(model.params, f"block{i}", x, h, dy, param_grads)
+    place into the unit's array. With param_grads given, the block's
+    parameter gradients are stored in it, and `out` is used, as mlp_vjp
+    does."""
+    dx = mlp_vjp(model.params, f"block{i}", x, h, dy, param_grads, out)
     dx += dy  # == dy + dx: IEEE addition commutes
     return dx
 
 
-def head_forward(model: PolicyModel, x: np.ndarray) -> np.ndarray:
+def head_forward(model: PolicyModel, x: np.ndarray, out=None) -> np.ndarray:
     WT, b = model._head
     if x.shape[-1] != model.config.hidden_dim:
         raise ShapeError(f"head: x is {x.shape}, expected hidden size {model.config.hidden_dim}")
-    y = x.dot(WT)
+    y = x.dot(WT) if out is None else x.dot(WT, out=out)
     y += b
     return y
 
@@ -148,43 +166,78 @@ def forward_recorded(model: PolicyModel, obs, instr):
     return head_forward(model, x), trace
 
 
-def mse_and_grad(pred: np.ndarray, targets: np.ndarray):
-    """Mean squared error over all entries and its gradient w.r.t. pred."""
+def mse_and_grad(pred: np.ndarray, targets: np.ndarray, out=None):
+    """Mean squared error over all entries and its gradient w.r.t. pred. The
+    error, then the gradient, is formed in `out` when given, as out= does."""
     if pred.shape != targets.shape:
         raise ShapeError(f"prediction {pred.shape} vs target {targets.shape}")
-    err = pred - targets
+    err = np.subtract(pred, targets, out=out)
     loss = float(np.mean(err * err))
-    return loss, (2.0 / err.size) * err
+    err *= 2.0 / err.size  # == (2.0 / err.size) * err: IEEE multiplication commutes
+    return loss, err
 
 
-def task_loss_and_grads(model: PolicyModel, obs, instr, targets):
+class TaskWorkspace:
+    """Every array that task_loss_and_grads writes for `batch` rows of
+    `model`, allocated once: the embedding input `u`, the trace `xs` (the
+    embedding output, then each block's output), each block's tanh
+    activation `hs`, the head output `pred` and error `err`, the backward
+    temporaries, and `grads`, which maps each parameter name, in
+    `model.params` order, to a view into one flat array."""
+
+    def __init__(self, model: PolicyModel, batch: int):
+        cfg = model.config
+        d = cfg.hidden_dim
+        self.model = model
+        self.batch = batch
+        self.u = np.empty((batch, cfg.input_dim))
+        self.xs = [np.empty((batch, d)) for _ in range(cfg.depth + 1)]
+        self.hs = [np.empty((batch, d)) for _ in range(cfg.depth)]
+        self.pred = np.empty((batch, cfg.action_dim))
+        self.err = np.empty((batch, cfg.action_dim))
+        self.dz, self.t, self.dx, self.spare = (np.empty((batch, d)) for _ in range(4))
+        flat = np.empty(model.n_params())
+        self.grads: Params = {}
+        start = 0
+        for name, p in model.params.items():
+            self.grads[name] = flat[start:start + p.size].reshape(p.shape)
+            start += p.size
+
+
+def task_loss_and_grads(model: PolicyModel, obs, instr, targets,
+                        workspace: TaskWorkspace | None = None):
     """Batch MSE between predicted and target actions, with gradients for
     every model parameter, keyed in `model.params` order. Each gradient is
     stored once: every block's VJP runs once, and the embedding's backward
-    forms no input gradient. The batch must be nonempty."""
+    forms no input gradient. The batch must be nonempty.
+
+    Every activation, temporary and gradient is written into `workspace`
+    (ShapeError unless it was built for this model and batch size), or into
+    a fresh TaskWorkspace when none is given, so a caller that keeps the
+    gradients of several calls passes none. The returned gradients are
+    `workspace.grads`: views that the workspace's next use overwrites."""
     obs = as_f64(obs, "obs")
     instr = as_f64(instr, "instr")
     targets = as_f64(targets, "targets")
     if obs.ndim != 2 or obs.shape[0] == 0:
         raise ValueError("task loss needs a nonempty 2-D batch")
-    cfg = model.config
-    x = embed_forward(model, obs, instr)
-    xs = [x]
-    hs = []
-    for i in range(cfg.depth):
-        x, h = block_forward(model, i, x, cache=True)
-        xs.append(x)
-        hs.append(h)
-    pred = head_forward(model, x)
-    loss, dpred = mse_and_grad(pred, targets)
+    ws = TaskWorkspace(model, len(obs)) if workspace is None else workspace
+    if ws.model is not model:
+        raise ShapeError("the workspace was built for another model")
+    if ws.batch != len(obs):
+        raise ShapeError(f"the workspace holds {ws.batch} rows, the batch has {len(obs)}")
+    xs, hs, grads = ws.xs, ws.hs, ws.grads
+    embed_forward(model, obs, instr, out=(xs[0], ws.u))
+    for i in range(model.config.depth):
+        block_forward(model, i, xs[i], out=(xs[i + 1], hs[i]))
+    loss, dpred = mse_and_grad(head_forward(model, xs[-1], out=ws.pred), targets, out=ws.err)
 
-    grads: Params = dict.fromkeys(model.params)
-    grads["head.W"], grads["head.b"], dx = affine_vjp(model.params["head.W"], xs[-1], dpred)
-    for i in reversed(range(cfg.depth)):
-        dx = block_vjp(model, i, xs[i], hs[i], dx, grads)
-    u = np.concatenate([obs, instr], axis=-1)
-    grads["embed.W"] = dx.T @ u
-    grads["embed.b"] = dx.sum(axis=0)
+    dx, spare = ws.dx, ws.spare  # the input gradient alternates between these two
+    affine_vjp(model.params["head.W"], xs[-1], dpred, out=(grads["head.W"], grads["head.b"], dx))
+    for i in reversed(range(model.config.depth)):
+        block_vjp(model, i, xs[i], hs[i], dx, grads, out=(ws.dz, ws.t, spare))
+        dx, spare = spare, dx
+    affine_param_grads(ws.u, dx, out=(grads["embed.W"], grads["embed.b"]))
     return loss, grads
 
 

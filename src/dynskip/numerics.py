@@ -51,14 +51,22 @@ def reject_unknown_keys(params: Params, known) -> None:
         raise ShapeError(f"unexpected parameter {unknown[0]!r}")
 
 
-def affine_vjp(W: np.ndarray, x: np.ndarray, dy: np.ndarray):
-    """Gradients of y = x @ W.T + b given upstream dy. Returns (dW, db, dx)."""
-    x2 = np.atleast_2d(x)
+def affine_param_grads(x: np.ndarray, dy: np.ndarray, out=None):
+    """Parameter gradients (dW, db) of y = x @ W.T + b given upstream dy.
+    With `out`, a (dW, db) pair of C-contiguous float64 arrays of those
+    shapes, they are written there and returned, as numpy's out= does; the
+    bits are the same either way."""
+    dW, db = (None, None) if out is None else out
     dy2 = np.atleast_2d(dy)
-    dW = dy2.T @ x2
-    db = dy2.sum(axis=0)
-    dx = dy @ W
-    return dW, db, dx
+    return np.matmul(dy2.T, np.atleast_2d(x), out=dW), dy2.sum(axis=0, out=db)
+
+
+def affine_vjp(W: np.ndarray, x: np.ndarray, dy: np.ndarray, out=None):
+    """Gradients of y = x @ W.T + b given upstream dy. Returns (dW, db, dx);
+    with `out`, a (dW, db, dx) triple, they are written there and returned."""
+    dW, db, dx = (None, None, None) if out is None else out
+    dW, db = affine_param_grads(x, dy, (dW, db))
+    return dW, db, np.matmul(dy, W, out=dx)
 
 
 def l2_norm(v: np.ndarray) -> float:
@@ -106,28 +114,32 @@ def bind_mlp(params: Params, prefix: str, d_in: int, d_hidden: int, d_out: int):
             + bind_affine(params, W2, b2, d_out, d_hidden))
 
 
-def mlp_forward(bound, x: np.ndarray):
+def mlp_forward(bound, x: np.ndarray, out=None):
     """y = W2 tanh(W1 x + b1) + b2 on the views bind_mlp returns, for a
     single sample or a (batch, d_in) matrix. Returns (y, h), h = tanh(W1 x + b1).
 
     The kernel contract, which the embedding and head kernels in `model`
-    and `gate_forward` keep too: outputs are freshly allocated and x, which
-    may be an entry of the trace `forward_recorded` returns, is never
-    written; the in-place ops (bias add, tanh, a block's residual add) touch
-    only the fresh output. At every batch size the bits equal the
-    `x @ W.T + b` form: `a.dot(B)` makes the same BLAS call as `@` for these
-    shapes, and in-place addition does the same IEEE operations (addition
-    commutes, so a block's `y += x` after the bias equals
+    and `gate_forward` keep too: without `out`, outputs are freshly
+    allocated; with `out`, a (y, h) pair of C-contiguous float64 arrays of
+    the output shapes, they are written there and returned, as numpy's out=
+    does. Only `model.task_loss_and_grads` passes out=, into its reused
+    workspace (mlp_vjp's out= likewise); every other call, a rollout's
+    included, gets fresh arrays. Either way x, which may be an entry of the
+    trace `forward_recorded` returns, is never written, and the in-place ops
+    (bias add, tanh, a block's residual add) touch only the outputs. At every batch size the bits equal the `x @ W.T + b` form:
+    `a.dot(B)` makes the same BLAS call as `@` for these shapes, with or
+    without out=, and in-place addition does the same IEEE operations
+    (addition commutes, so a block's `y += x` after the bias equals
     `x + (h @ W2.T + b2)`). The method form, not `np.dot(a, B)`, skips
-    numpy's Python-level `__array_function__` dispatch. At batch 1 this
-    saves numpy calls and temporaries, which at this model size cost more
-    than the arithmetic.
+    numpy's Python-level `__array_function__` dispatch, and out= is passed
+    only when given: at batch 1, where rollouts call this, numpy calls and
+    temporaries cost more than the arithmetic at this model size.
     """
     W1T, b1, W2T, b2 = bound
-    h = x.dot(W1T)
+    h = x.dot(W1T) if out is None else x.dot(W1T, out=out[1])
     h += b1
     np.tanh(h, out=h)
-    y = h.dot(W2T)
+    y = h.dot(W2T) if out is None else h.dot(W2T, out=out[0])
     y += b2
     return y, h
 
@@ -150,26 +162,35 @@ def gate_forward(bound, w2: np.ndarray, x: np.ndarray) -> float:
     return float(sigmoid(float(h.dot(w2)) + b2[0]))
 
 
-def mlp_vjp(params: Params, prefix: str, x, h, dy, grads: Params | None = None):
+def mlp_vjp(params: Params, prefix: str, x, h, dy, grads: Params | None = None,
+            out=None):
     """Input gradient of unit `prefix` given upstream dy and the forward's h.
     With `grads` given, the unit's four parameter gradients are stored in it,
     replacing any entry already there, so a caller runs each unit's VJP at
     most once per gradient dict; without, x is not read (a frozen unit needs
     only h). The tanh derivative 1 - h * h is formed in a temporary, never
-    in h."""
+    in h.
+
+    Without `out`, every result and temporary is freshly allocated. With
+    `out`, a (dz, t, dx) triple of C-contiguous float64 arrays shaped like
+    h, h and the input gradient, the VJP follows numpy's out= convention: dz
+    and the tanh derivative t are formed in the first two, the input
+    gradient is written into dx and returned, and each parameter gradient is
+    written into the array `grads` already holds for it. The bits are the
+    same either way."""
     W1, b1, W2, b2 = _mlp_keys(prefix)
-    dz = dy @ params[W2]
-    t = h * h
+    dz, t, dx = (None, None, None) if out is None else out
+    dz = np.matmul(dy, params[W2], out=dz)
+    t = np.multiply(h, h, out=t)
     np.subtract(1.0, t, out=t)
     dz *= t  # through tanh, from its output h
     if grads is not None:
-        dy2 = np.atleast_2d(dy)
-        dz2 = np.atleast_2d(dz)
-        grads[W2] = dy2.T @ np.atleast_2d(h)
-        grads[b2] = dy2.sum(axis=0)
-        grads[W1] = dz2.T @ np.atleast_2d(x)
-        grads[b1] = dz2.sum(axis=0)
-    return dz @ params[W1]
+        into = out is not None
+        grads[W2], grads[b2] = affine_param_grads(
+            h, dy, (grads[W2], grads[b2]) if into else None)
+        grads[W1], grads[b1] = affine_param_grads(
+            x, dz, (grads[W1], grads[b1]) if into else None)
+    return np.matmul(dz, params[W1], out=dx)
 
 
 class Adam:

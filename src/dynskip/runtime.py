@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import containers, flops, sim
-from .errors import ConfigError, DegenerateInputError, ShapeError, TraceIntegrityError
+from .errors import ConfigError, ShapeError, TraceIntegrityError
 from .model import PolicyModel, block_forward, embed_forward, forward_recorded, head_forward
 from .numerics import (
     MLP_PARTS,
@@ -196,21 +196,6 @@ def load_skip_modules(path) -> SkipModules:
 
 # --- continuity and allow points -------------------------------------------------
 
-def continuity(window, k: int) -> float:
-    """Negative mean L2 difference of consecutive actions over the trailing
-    window of up to k+1 actions. Short windows (episode warm-up) use however
-    many pairs are available, keeping the mean normalization."""
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    acts = [np.asarray(a, dtype=np.float64) for a in list(window)[-(k + 1):]]
-    if len(acts) < 2:
-        raise DegenerateInputError("continuity needs at least two actions")
-    total = 0.0
-    for prev, cur in zip(acts[:-1], acts[1:]):
-        total += float(np.linalg.norm(cur - prev))
-    return -total / (len(acts) - 1)
-
-
 @dataclass
 class AllowPointState:
     """Per-segment skipping-allow points plus the continuity bookkeeping that
@@ -245,13 +230,15 @@ def init_allow_state(static_set: StaticSet, k: int) -> AllowPointState:
 
 
 def observe_action(state: AllowPointState, action) -> None:
-    """Append an action and, from the second on, its pair distance and the
-    continuity value of the last k pair distances."""
+    """Append an action and, from the second on, its pair distance (the L2
+    norm of its difference from the action before) and the continuity value:
+    minus the mean of the last k pair distances, or of all of them while
+    fewer than k have been observed (episode warm-up)."""
     state.window.append(np.asarray(action, dtype=np.float64).copy())
     if len(state.window) >= 2:
         state.norms.append(l2_norm(state.window[-1] - state.window[-2]))
         total = 0.0
-        for n in state.norms:  # continuity()'s order; builtin sum() may compensate rounding
+        for n in state.norms:  # left to right: builtin sum() may compensate rounding
             total += n
         state.c_history.append(-total / len(state.norms))
 

@@ -12,7 +12,9 @@ def grad_check(loss_and_grads, params: Params, step: float = 1e-5) -> float:
     Args:
         loss_and_grads: callable mapping the params dict to (scalar loss,
             grads dict keyed like params). It is re-evaluated at perturbed
-            parameter values, so it must be a pure function of params.
+            parameter values, so it must be a pure function of params. Its
+            gradients are copied before the first perturbed call, which may
+            overwrite them (a reused workspace does).
         params: named float64 arrays, perturbed in place entry by entry
             (and restored).
         step: central-difference half step.
@@ -23,11 +25,12 @@ def grad_check(loss_and_grads, params: Params, step: float = 1e-5) -> float:
     if step <= 0:
         raise ValueError("step must be positive")
     _, grads = loss_and_grads(params)
+    grads = {name: np.array(g, dtype=np.float64) for name, g in grads.items()}
     worst = 0.0
     for name, p in params.items():
         if name not in grads:
             raise ShapeError(f"missing gradient for {name}")
-        g = np.asarray(grads[name], dtype=np.float64)
+        g = grads[name]
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape mismatch for {name}")
         flat_p = p.reshape(-1)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import logging
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +304,41 @@ def test_every_optimizer_step_calls_its_timed_step_function_once(monkeypatch):
     assert calls == {"task_loss_and_grads": 7, "stage1_step": 5, "stage2_step": 4}
     distill.distill_pipeline(policy, statics, data, dcfg, joint_from_scratch=True)
     assert calls == {"task_loss_and_grads": 7, "stage1_step": 5, "stage2_step": 13}
+
+
+def test_a_warm_behaviour_cloning_step_allocates_at_most_two_activations(monkeypatch):
+    """Between two task_loss_and_grads calls lies one BC step: the loss and
+    gradients, the Adam update and the next batch draw. After two warm-up
+    steps, none may hold more than two (128, 64) float64 activations of
+    fresh memory at once; the allocate-per-call pass held 2669 KiB. The run
+    builds one workspace."""
+    marks = []  # (traced bytes at a call, peak since the previous call)
+    loss_and_grads = bench.task_loss_and_grads
+    built = []
+
+    def measured(*args, **kwargs):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return loss_and_grads(*args, **kwargs)
+
+    class CountedWorkspace(bench.TaskWorkspace):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(bench, "task_loss_and_grads", measured)
+    monkeypatch.setattr(bench, "TaskWorkspace", CountedWorkspace)
+    data = sim.generate_dataset(sim.SimConfig(subtasks=2), 3, seed=5)
+    tracemalloc.start()
+    try:
+        bench.train_base_policy(PolicyConfig(instr_dim=2),
+                                bench.TrainConfig(steps=6, batch_size=128, val_every=6),
+                                data, data)
+    finally:
+        tracemalloc.stop()
+    steps = [peak - at_call for (at_call, _), (_, peak) in zip(marks, marks[1:])]
+    assert len(steps) == 5 and len(built) == 1
+    assert max(steps[2:]) <= 2 * 128 * 64 * 8, steps
 
 
 def test_train_base_policy_matches_its_pinned_digests():

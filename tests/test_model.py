@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import re
 
@@ -10,6 +11,7 @@ from dynskip.errors import ConfigError, ShapeError
 from dynskip.model import (
     PolicyConfig,
     PolicyModel,
+    TaskWorkspace,
     build_policy,
     block_forward,
     embed_forward,
@@ -250,6 +252,113 @@ class TestTaskLoss:
         instr = np.zeros((instr_rows, 2))
         with pytest.raises(ShapeError, match=re.escape(f"obs is {obs.shape}, instr is {instr.shape}")):
             embed_forward(model, obs, instr)
+
+
+def _reference_task_loss_and_grads(model, obs, instr, targets):
+    """The allocate-per-call pass that the workspace replaced, kept as the
+    reference: every activation, temporary and gradient is a fresh array."""
+    p = model.params
+    x = embed_forward(model, obs, instr)
+    xs, hs = [x], []
+    for i in range(model.config.depth):
+        x, h = block_forward(model, i, x, cache=True)
+        xs.append(x)
+        hs.append(h)
+    err = head_forward(model, x) - targets
+    loss = float(np.mean(err * err))
+    dx = (2.0 / err.size) * err
+    grads = dict.fromkeys(p)
+    grads["head.W"], grads["head.b"] = dx.T @ xs[-1], dx.sum(axis=0)
+    dx = dx @ p["head.W"]
+    for i in reversed(range(model.config.depth)):
+        W1, b1, W2, b2 = (f"block{i}.{part}" for part in ("W1", "b1", "W2", "b2"))
+        dz = dx @ p[W2]
+        t = hs[i] * hs[i]
+        np.subtract(1.0, t, out=t)
+        dz *= t
+        grads[W2], grads[b2] = dx.T @ hs[i], dx.sum(axis=0)
+        grads[W1], grads[b1] = dz.T @ xs[i], dz.sum(axis=0)
+        dx_in = dz @ p[W1]
+        dx_in += dx
+        dx = dx_in
+    u = np.concatenate([obs, instr], axis=-1)
+    grads["embed.W"], grads["embed.b"] = dx.T @ u, dx.sum(axis=0)
+    return loss, grads
+
+
+def _digest(params):
+    h = hashlib.sha256()
+    for k in sorted(params):
+        h.update(k.encode())
+        h.update(np.ascontiguousarray(params[k]).tobytes())
+    return h.hexdigest()
+
+
+class TestTaskWorkspace:
+    """task_loss_and_grads through a workspace equals the allocate-per-call
+    reference bit for bit, at the benchmark's layer sizes."""
+
+    def _batch(self, n, seed, dims=(7, 5, 3)):
+        rng = np.random.default_rng(seed)
+        return tuple(rng.normal(size=(n, d)) for d in dims)
+
+    def _batch_tiny(self, n):
+        return self._batch(n, n, dims=(3, 2, 2))
+
+    def _assert_equal_to_reference(self, model, batch, out):
+        loss_ref, grads_ref = _reference_task_loss_and_grads(model, *batch)
+        loss, grads = out
+        assert loss == loss_ref
+        assert list(grads) == list(model.params)
+        for k in model.params:
+            assert np.array_equal(grads[k], grads_ref[k]), k
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 18, 19, 64, 128])
+    def test_fresh_and_reused_workspaces_match_the_reference(self, n):
+        model = kernel_model()
+        first, second = self._batch(n, n), self._batch(n, n + 1000)
+        self._assert_equal_to_reference(model, first, task_loss_and_grads(model, *first))
+        ws = TaskWorkspace(model, n)
+        for batch in (first, second, first):
+            self._assert_equal_to_reference(
+                model, batch, task_loss_and_grads(model, *batch, workspace=ws))
+
+    def test_gradients_are_views_into_one_flat_array_in_params_order(self):
+        model = build_policy(tiny_config())
+        ws = TaskWorkspace(model, 3)
+        _, grads = task_loss_and_grads(model, *self._batch_tiny(3), workspace=ws)
+        assert grads is ws.grads
+        flat = grads["embed.W"].base
+        offset = 0
+        for k, g in grads.items():
+            assert g.base is flat and g.shape == model.params[k].shape
+            assert g.__array_interface__["data"][0] == flat.ctypes.data + 8 * offset
+            offset += g.size
+        assert offset == flat.size
+
+    def test_fifty_adam_steps_through_one_workspace_give_the_reference_digest(self):
+        ref_model, model = kernel_model(), kernel_model()
+        ref_opt, opt = Adam(lr=3e-3), Adam(lr=3e-3)
+        ws = TaskWorkspace(model, 24)
+        for step in range(50):
+            batch = self._batch(24, 100 + step)
+            ref_opt.step(ref_model.params, _reference_task_loss_and_grads(ref_model, *batch)[1])
+            opt.step(model.params, task_loss_and_grads(model, *batch, workspace=ws)[1])
+        assert _digest(model.params) == _digest(ref_model.params)
+        assert _digest(model.params) != _digest(kernel_model().params)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_batch_of_another_size_is_rejected_by_name(self, n):
+        model = build_policy(tiny_config())
+        ws = TaskWorkspace(model, 3)
+        with pytest.raises(ShapeError, match=f"workspace holds 3 rows, the batch has {n}"):
+            task_loss_and_grads(model, *self._batch_tiny(n), workspace=ws)
+
+    def test_a_workspace_of_another_model_is_rejected_by_name(self):
+        ws = TaskWorkspace(build_policy(tiny_config()), 3)
+        with pytest.raises(ShapeError, match="another model"):
+            task_loss_and_grads(build_policy(tiny_config()), *self._batch_tiny(3),
+                                workspace=ws)
 
 
 class TestCheckpoint:

@@ -86,6 +86,20 @@ class TestGradCheck:
 
         assert grad_check(f, params, step=1e-5) > 1e-2
 
+    def test_gradients_written_into_one_reused_array_are_read_unperturbed(self):
+        """Each call overwrites the same gradient array, as a reused
+        workspace does. Read after the perturbed calls, it would hold the
+        gradient at w - step and err by about 6 w step / 27 = 7e-4."""
+        params = {"w": np.array([3.0])}
+        reused = np.empty(1)
+
+        def f(p):
+            w = p["w"][0]
+            reused[0] = 3.0 * w * w
+            return w ** 3, {"w": reused}
+
+        assert grad_check(f, params, step=1e-3) < 1e-6
+
 
 class TestMlpUnit:
     """The two-layer tanh unit that every block, adapter and controller is,
@@ -126,6 +140,27 @@ class TestMlpUnit:
         assert np.array_equal(mlp_vjp(params, "unit", x, h, dy, prefilled), dx)
         assert set(fresh) == set(params)
         assert all(np.array_equal(prefilled[k], fresh[k]) for k in params)
+
+    @pytest.mark.parametrize("unit", sorted(SHAPES))
+    def test_out_arrays_receive_the_fresh_results_bit_for_bit(self, unit):
+        shape = self.SHAPES[unit]
+        params, rng = self._unit(shape, 3)
+        x = rng.normal(size=(5, shape[0]))
+        bound = bind_mlp(params, "unit", *shape)
+        y, h = mlp_forward(bound, x)
+        out = (np.empty_like(y), np.empty_like(h))
+        assert all(a is b for a, b in zip(mlp_forward(bound, x, out), out))
+        assert np.array_equal(out[0], y) and np.array_equal(out[1], h)
+        dy = rng.normal(size=y.shape)
+        fresh = {}
+        dx = mlp_vjp(params, "unit", x, h, dy, fresh)
+        given = {k: np.empty_like(v) for k, v in params.items()}
+        arrays = dict(given)
+        out = (np.empty_like(h), np.empty_like(h), np.empty_like(x))
+        assert mlp_vjp(params, "unit", x, h, dy, given, out) is out[2]
+        assert np.array_equal(out[2], dx)
+        for k in params:
+            assert given[k] is arrays[k] and np.array_equal(given[k], fresh[k]), k
 
     @pytest.mark.parametrize("unit", sorted(SHAPES))
     def test_gradients_match_finite_differences(self, unit):
