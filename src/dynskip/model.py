@@ -4,11 +4,12 @@ gradients. Forward functions accept a single sample or a (batch, dim) matrix.
 Each block is the `numerics` two-layer unit plus a residual add; every layer
 kernel keeps the contract stated at `numerics.mlp_forward`.
 
-Only `task_loss_and_grads` passes out= to the kernels: it writes every
-activation, temporary and gradient of a training step into a TaskWorkspace,
-so a step through a reused workspace allocates no array of its own (numpy's
-iterator buffer for a broadcast bias add, at most 64 KiB, is the largest
-transient left). The gradients it returns are views into that workspace and
+Here only `task_loss_and_grads` passes out= to the kernels (the
+distillation stages in `distill` do too, into their own workspaces): it
+writes every activation, temporary and gradient of a training step into a
+TaskWorkspace, so a step through a reused workspace allocates no array of
+its own (numpy's iterator buffer for a broadcast bias add, at most 64 KiB,
+is the largest transient left). The gradients it returns are views into that workspace and
 alias it until its next use. Every other caller, the batch-1 rollouts
 included, gets fresh arrays.
 """
@@ -29,6 +30,7 @@ from .numerics import (
     as_f64,
     bind_affine,
     bind_mlp,
+    flat_views,
     init_mlp,
     mlp_forward,
     mlp_vjp,
@@ -196,12 +198,7 @@ class TaskWorkspace:
         self.pred = np.empty((batch, cfg.action_dim))
         self.err = np.empty((batch, cfg.action_dim))
         self.dz, self.t, self.dx, self.spare = (np.empty((batch, d)) for _ in range(4))
-        flat = np.empty(model.n_params())
-        self.grads: Params = {}
-        start = 0
-        for name, p in model.params.items():
-            self.grads[name] = flat[start:start + p.size].reshape(p.shape)
-            start += p.size
+        self.grads = flat_views(model.params)
 
 
 def task_loss_and_grads(model: PolicyModel, obs, instr, targets,

@@ -12,6 +12,7 @@ forward kernel and VJP live here.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -57,8 +58,9 @@ def affine_param_grads(x: np.ndarray, dy: np.ndarray, out=None):
     shapes, they are written there and returned, as numpy's out= does; the
     bits are the same either way."""
     dW, db = (None, None) if out is None else out
-    dy2 = np.atleast_2d(dy)
-    return np.matmul(dy2.T, np.atleast_2d(x), out=dW), dy2.sum(axis=0, out=db)
+    if dy.ndim < 2 or x.ndim < 2:  # one sample: dW is an outer product
+        dy, x = np.atleast_2d(dy, x)
+    return np.matmul(dy.T, x, out=dW), dy.sum(axis=0, out=db)
 
 
 def affine_vjp(W: np.ndarray, x: np.ndarray, dy: np.ndarray, out=None):
@@ -86,8 +88,9 @@ def sigmoid(z):
 MLP_PARTS = ("W1", "b1", "W2", "b2")
 
 
-def _mlp_keys(prefix: str) -> list[str]:
-    return [f"{prefix}.{part}" for part in MLP_PARTS]
+@functools.cache
+def _mlp_keys(prefix: str) -> tuple[str, ...]:
+    return tuple(f"{prefix}.{part}" for part in MLP_PARTS)
 
 
 def scaled_uniform(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -122,8 +125,9 @@ def mlp_forward(bound, x: np.ndarray, out=None):
     and `gate_forward` keep too: without `out`, outputs are freshly
     allocated; with `out`, a (y, h) pair of C-contiguous float64 arrays of
     the output shapes, they are written there and returned, as numpy's out=
-    does. Only `model.task_loss_and_grads` passes out=, into its reused
-    workspace (mlp_vjp's out= likewise); every other call, a rollout's
+    does. Only the training steps pass out= (mlp_vjp's out= likewise):
+    `model.task_loss_and_grads` into its TaskWorkspace and the distillation
+    stages into their stage workspaces; every other call, a rollout's
     included, gets fresh arrays. Either way x, which may be an entry of the
     trace `forward_recorded` returns, is never written, and the in-place ops
     (bias add, tanh, a block's residual add) touch only the outputs. At every batch size the bits equal the `x @ W.T + b` form:
@@ -163,7 +167,7 @@ def gate_forward(bound, w2: np.ndarray, x: np.ndarray) -> float:
 
 
 def mlp_vjp(params: Params, prefix: str, x, h, dy, grads: Params | None = None,
-            out=None):
+            out=None, input_grad: bool = True):
     """Input gradient of unit `prefix` given upstream dy and the forward's h.
     With `grads` given, the unit's four parameter gradients are stored in it,
     replacing any entry already there, so a caller runs each unit's VJP at
@@ -171,13 +175,18 @@ def mlp_vjp(params: Params, prefix: str, x, h, dy, grads: Params | None = None,
     only h). The tanh derivative 1 - h * h is formed in a temporary, never
     in h.
 
+    The input gradient is formed only when the caller reads it: with
+    `input_grad=False` its matmul is not run and None is returned, for a
+    unit whose input nothing upstream trains. The parameter gradients are
+    the same bits either way.
+
     Without `out`, every result and temporary is freshly allocated. With
     `out`, a (dz, t, dx) triple of C-contiguous float64 arrays shaped like
     h, h and the input gradient, the VJP follows numpy's out= convention: dz
     and the tanh derivative t are formed in the first two, the input
     gradient is written into dx and returned, and each parameter gradient is
-    written into the array `grads` already holds for it. The bits are the
-    same either way."""
+    written into the array `grads` already holds for it. dx may be None
+    when `input_grad` is False. The bits are the same either way."""
     W1, b1, W2, b2 = _mlp_keys(prefix)
     dz, t, dx = (None, None, None) if out is None else out
     dz = np.matmul(dy, params[W2], out=dz)
@@ -190,7 +199,20 @@ def mlp_vjp(params: Params, prefix: str, x, h, dy, grads: Params | None = None,
             h, dy, (grads[W2], grads[b2]) if into else None)
         grads[W1], grads[b1] = affine_param_grads(
             x, dz, (grads[W1], grads[b1]) if into else None)
-    return np.matmul(dz, params[W1], out=dx)
+    return np.matmul(dz, params[W1], out=dx) if input_grad else None
+
+
+def flat_views(params: Params) -> Params:
+    """One view per entry of `params`, in its order and of its shape, into
+    a single fresh flat float64 array: gradients a workspace writes in
+    place, laid out as Adam lays out its state."""
+    flat = np.empty(sum(p.size for p in params.values()))
+    views: Params = {}
+    start = 0
+    for name, p in params.items():
+        views[name] = flat[start:start + p.size].reshape(p.shape)
+        start += p.size
+    return views
 
 
 class Adam:

@@ -135,17 +135,21 @@ def init_skip_modules(model: PolicyModel, static_set: StaticSet,
     return SkipModules(static_set=static_set, hidden_dim=d, tau=tau, params=params)
 
 
-def adapter_forward(mods: SkipModules, j: int, x, cache: bool = False):
+def adapter_forward(mods: SkipModules, j: int, x, cache: bool = False, out=None):
+    """Adapter j's output, and with `cache` its tanh activation; `out` is a
+    (y, h) pair, as for mlp_forward."""
     if x.shape[-1] != mods.hidden_dim:
         raise ShapeError(f"adapter{j}: x is {x.shape}, expected hidden size {mods.hidden_dim}")
-    y, h = mlp_forward(mods._adapters[j], x)
+    y, h = mlp_forward(mods._adapters[j], x, out)
     return (y, h) if cache else y
 
 
-def adapter_vjp(mods: SkipModules, j: int, x, h, dy, param_grads: Params):
+def adapter_vjp(mods: SkipModules, j: int, x, h, dy, param_grads: Params, out=None,
+                input_grad: bool = True):
     """Input gradient of adapter j; its parameter gradients are stored in
-    param_grads, as mlp_vjp does, so run it at most once per dict."""
-    return mlp_vjp(mods.params, f"adapter{j}", x, h, dy, param_grads)
+    param_grads, as mlp_vjp does, so run it at most once per dict. `out`
+    and `input_grad` are mlp_vjp's."""
+    return mlp_vjp(mods.params, f"adapter{j}", x, h, dy, param_grads, out, input_grad)
 
 
 def controller_forward(mods: SkipModules, j: int, x, cache: bool = False):
@@ -160,12 +164,14 @@ def controller_forward(mods: SkipModules, j: int, x, cache: bool = False):
     return (g, h) if cache else g
 
 
-def controller_vjp(mods: SkipModules, j: int, x, h, g, dg, param_grads: Params):
+def controller_vjp(mods: SkipModules, j: int, x, h, g, dg, param_grads: Params, out=None,
+                   input_grad: bool = True):
     """Input gradient of controller j given the (B,) gates g and upstream
     dg; its parameter gradients are stored in param_grads, as mlp_vjp does,
-    so run it at most once per dict."""
+    so run it at most once per dict. `out` and `input_grad` are mlp_vjp's."""
     dz = dg * g * (1.0 - g)  # through the sigmoid
-    return mlp_vjp(mods.params, f"controller{j}", x, h, dz[:, None], param_grads)
+    return mlp_vjp(mods.params, f"controller{j}", x, h, dz[:, None], param_grads, out,
+                   input_grad)
 
 
 _SKIPMODS_SCHEMA_VERSION = 1

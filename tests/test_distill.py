@@ -1,14 +1,16 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
+from string import ascii_lowercase
 
 import numpy as np
 import pytest
 
 from dynskip import distill as dt, runtime as rt, sim
-from dynskip.errors import ConfigError
+from dynskip.errors import ConfigError, ShapeError
 from dynskip.model import (PolicyConfig, block_forward, block_vjp, build_policy, embed_forward,
                            forward_recorded, head_forward, mse_and_grad)
-from dynskip.numerics import Adam, affine_vjp
+from dynskip.numerics import Adam, affine_vjp, mlp_vjp
 from dynskip.profiler import StaticSet
 from gradcheck import grad_check
 
@@ -504,9 +506,14 @@ class TestTeacherTrace:
 
     @pytest.mark.parametrize("statics", STATIC_SETS)
     def test_block_calls_per_step(self, statics, monkeypatch):
+        """Each step runs the blocks it must and nothing more: stage 1 no
+        block, stage 2 the blocks from segment 0's closing layer on; no unit
+        input gradient in stage 1 or for segment 0's units; and a gather of
+        only the teacher layers each stage reads, the rest left None."""
         import dynskip.model as md
         model, mods, _, _, targets, teacher, rng = _benchmark_sized(statics)
         calls = {"forward": 0, "vjp": 0}
+        unit_vjps = []  # (unit, whether its VJP formed an input gradient)
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -514,17 +521,52 @@ class TestTeacherTrace:
                 return fn(*args, **kwargs)
             return wrapped
 
+        def recording(params, prefix, *args, **kwargs):
+            dx = mlp_vjp(params, prefix, *args, **kwargs)
+            unit_vjps.append((prefix, dx is not None))
+            return dx
+
         for module in (dt, md):
             monkeypatch.setattr(module, "block_forward", counting("forward", md.block_forward))
             monkeypatch.setattr(module, "block_vjp", counting("vjp", md.block_vjp))
-        rows = _rows(teacher, rng.integers(0, len(teacher[0]), 64))
-        dt.stage1_step(mods, Adam(), rows)
+        monkeypatch.setattr(rt, "mlp_vjp", recording)
+        segments = mods.static_set.segments
+        idx = rng.integers(0, len(teacher[0]), 64)
+        ws1, ws2 = dt.Stage1Workspace(mods, 64), dt.Stage2Workspace(model, mods, 64)
+        assert ws1.layers == tuple(sorted({j for front, back in segments
+                                           for j in range(front + 1, back + 1)}))
+        assert ws2.layers == tuple(range(segments[0][0] + 1, segments[0][1] + 1))
+        dt.stage1_step(mods, Adam(), ws1.gather(teacher, idx), ws1)
         assert calls == {"forward": 0, "vjp": 0}
-        dt.stage2_step(model, mods, Adam(), rows, targets[:64], 0.05, rng)
-        back0 = mods.static_set.segments[0][1]
+        assert unit_vjps == [(f"adapter{j}", False) for j in mods.static_set.dynamic_layers]
+        unit_vjps.clear()
+        dt.stage2_step(model, mods, Adam(), ws2.gather(teacher, idx), targets[:64], 0.05, rng,
+                       workspace=ws2)
+        back0 = segments[0][1]
         assert calls == {"forward": 12 - back0, "vjp": 12 - back0}
+        assert unit_vjps and all(formed == (int(unit.lstrip(ascii_lowercase)) > back0)
+                                 for unit, formed in unit_vjps)
         if statics == (0, 2, 9, 10, 11):
             assert calls == {"forward": 10, "vjp": 10}
+            assert (len(ws1.layers), len(ws2.layers)) == (9, 2)
+
+    @pytest.mark.parametrize("statics", STATIC_SETS)
+    def test_every_gathered_teacher_layer_is_read(self, statics):
+        """NaNs in any one gathered layer reach the stage's loss, so no stage
+        gathers a layer it does not read."""
+        model, mods, _, _, targets, teacher, rng = _benchmark_sized(statics)
+        idx = rng.integers(0, len(teacher[0]), 64)
+        sels = dt.draw_selections(mods, 64, rng)
+        for ws in (dt.Stage1Workspace(mods, 64), dt.Stage2Workspace(model, mods, 64)):
+            for j in ws.layers:
+                rows = ws.gather(teacher, idx)
+                rows[j][:] = np.nan
+                if isinstance(ws, dt.Stage1Workspace):
+                    loss = dt.stage1_loss_and_grads(mods, rows, ws)[0]
+                else:
+                    loss = dt.stage2_loss_and_grads(model, mods, sels, rows, targets[idx],
+                                                    0.05, ws)[0]
+                assert np.isnan(loss), (type(ws).__name__, j)
 
     def test_all_static_stage2_is_the_teachers_action(self):
         model, ss, mods = make_setup(depth=4, statics=(0, 1, 2, 3), seed=21)
@@ -561,3 +603,139 @@ class TestTeacherTrace:
                         list(r.controller_mean_gate.items()), [r.skip_rate]):
                 h.update(repr(col).encode())
         assert h.hexdigest()[:16] == reports_digest
+
+
+def _unselecting(sels):
+    """The fixture's segment (2, 9) restricted to layers 3 and 4, so the
+    units of layers 5 to 8 are left unselected."""
+    sels = list(sels)
+    sels[1] = 3 + np.arange(len(sels[1])) % 2
+    return sels
+
+
+class TestStageWorkspace:
+    @pytest.mark.parametrize("statics,unselect", [(s, False) for s in STATIC_SETS]
+                             + [((0, 2, 9, 10, 11), True)])
+    def test_five_steps_through_one_workspace_equal_the_per_batch_forms(self, statics,
+                                                                        unselect):
+        """Losses and gradients of 5 Adam steps per stage through one reused
+        workspace each, bit for bit. With `unselect`, every other stage-2
+        step leaves the units of layers 5 to 8 unselected after a step that
+        selected them, so stale gradients would show; no step writes into
+        the gathered rows or the teacher."""
+        model, mods, obs, instr, targets, teacher, rng = _benchmark_sized(statics)
+        before = [t.copy() for t in teacher]
+        ws1, ws2 = dt.Stage1Workspace(mods, 64), dt.Stage2Workspace(model, mods, 64)
+        opt1, opt2 = Adam(lr=1e-2), Adam(lr=1e-2)
+        for step in range(5):
+            idx = rng.integers(0, len(obs), 64)
+            rows = ws1.gather(teacher, idx)
+            gathered = [None if r is None else r.copy() for r in rows]
+            ref_loss, ref_grads = _per_batch_stage1(model, mods, obs[idx], instr[idx])
+            loss, grads = dt.stage1_loss_and_grads(mods, rows, ws1)
+            assert loss == ref_loss
+            assert list(grads) == list(ref_grads)
+            assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
+            assert all(np.array_equal(a, b) for a, b in zip(rows, gathered) if b is not None)
+            opt1.step(ws1.params, grads)
+
+            sels = dt.draw_selections(mods, 64, rng)
+            if unselect and step % 2:
+                sels = _unselecting(sels)
+            rows = ws2.gather(teacher, idx)
+            gathered = [None if r is None else r.copy() for r in rows]
+            ref = _per_batch_stage2(model, mods, sels, obs[idx], instr[idx], targets[idx], 0.05)
+            got = dt.stage2_loss_and_grads(model, mods, sels, rows, targets[idx], 0.05, ws2)
+            assert got[:3] == ref[:3]
+            assert np.array_equal(got[3], ref[3])
+            assert list(got[4]) == list(ref[4])
+            assert all(np.array_equal(got[4][k], ref[4][k]) for k in got[4])
+            assert all(np.array_equal(a, b) for a, b in zip(rows, gathered) if b is not None)
+            opt2.step(mods.params, got[4])
+        assert all(np.array_equal(a, b) for a, b in zip(teacher, before))
+
+    def test_a_workspace_of_another_batch_size_model_or_stage_is_refused(self):
+        model, mods, _, _, targets, teacher, rng = _benchmark_sized((0, 2, 9, 10, 11))
+        other_model = build_policy(PolicyConfig(seed=7))
+        other_mods = rt.init_skip_modules(model, mods.static_set, seed=8)
+        idx = rng.integers(0, len(teacher[0]), 64)
+        rows, sels = _rows(teacher, idx), dt.draw_selections(mods, 64, rng)
+
+        def stage2(ws):
+            return dt.stage2_loss_and_grads(model, mods, sels, rows, targets[idx], 0.05, ws)
+
+        with pytest.raises(ShapeError, match="holds 32 rows, the batch has 64"):
+            dt.stage1_loss_and_grads(mods, rows, dt.Stage1Workspace(mods, 32))
+        with pytest.raises(ShapeError, match="holds 32 rows, the batch has 64"):
+            stage2(dt.Stage2Workspace(model, mods, 32))
+        with pytest.raises(ShapeError, match="holds 32 rows, the batch has 64"):
+            dt.Stage1Workspace(mods, 32).gather(teacher, idx)
+        with pytest.raises(ShapeError, match="another model"):
+            stage2(dt.Stage2Workspace(other_model, mods, 64))
+        with pytest.raises(ShapeError, match="other skip modules"):
+            stage2(dt.Stage2Workspace(model, other_mods, 64))
+        with pytest.raises(ShapeError, match="other skip modules"):
+            dt.stage1_step(mods, Adam(), rows, dt.Stage1Workspace(other_mods, 64))
+        with pytest.raises(ShapeError, match="a Stage2Workspace is needed"):
+            stage2(dt.Stage1Workspace(mods, 64))
+        with pytest.raises(ShapeError, match="a Stage1Workspace is needed"):
+            dt.stage1_loss_and_grads(mods, rows, dt.Stage2Workspace(model, mods, 64))
+
+    @pytest.mark.parametrize("joint", [False, True])
+    def test_an_all_static_set_trains_nothing_and_gathers_only_the_head_input(self, joint):
+        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
+                                          action_dim=3, seed=40))
+        ss = StaticSet(indices=tuple(range(6)), depth=6)
+        ds = sim.generate_dataset(sim.SimConfig(subtasks=2), 4, seed=41)
+        mods, reports = dt.distill_pipeline(model, ss, ds, dt.DistillConfig(
+            stage1_steps=3, stage2_steps=3, batch_size=8, seed=42), joint_from_scratch=joint)
+        assert mods.params == {}
+        assert dt.Stage1Workspace(mods, 8).layers == ()
+        assert dt.Stage2Workspace(model, mods, 8).layers == (6,)
+        assert list(reports) == (["joint"] if joint else ["stage1", "stage2"])
+        if not joint:
+            assert reports["stage1"].losses == [0.0] * 3
+        last = reports["joint" if joint else "stage2"]
+        assert len(last.losses) == (6 if joint else 3) and not last.diverged
+        assert all(np.isnan(g) for g in last.mean_gates)
+        assert all(loss == task for loss, task in zip(last.losses, last.task_losses))
+
+
+def test_a_warm_distillation_step_stays_within_its_allocation_bound(monkeypatch):
+    """Between two calls of one stage's step lies one step: the batch draw,
+    the gather, the loss and gradients and the Adam update. After two
+    warm-up steps at batch 64, d 64 and depth 12, none may hold more fresh
+    memory at once than 128 KiB in stage 1 or 384 KiB in stage 2; the
+    allocate-per-step form held 274 and 916 KiB. A run builds one workspace
+    per stage."""
+    marks = {"stage1_step": [], "stage2_step": []}  # (traced bytes at a call, peak since)
+    built = []
+    for name, stage_marks in marks.items():
+        def measured(*args, _step=getattr(dt, name), _marks=stage_marks, **kwargs):
+            _marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            return _step(*args, **kwargs)
+        monkeypatch.setattr(dt, name, measured)
+    def counted(cls):
+        class Counted(cls):
+            def __init__(self, *args):
+                built.append(cls.__name__)
+                super().__init__(*args)
+        return Counted
+
+    for cls in (dt.Stage1Workspace, dt.Stage2Workspace):
+        monkeypatch.setattr(dt, cls.__name__, counted(cls))
+    model = build_policy(PolicyConfig(instr_dim=2))
+    data = sim.generate_dataset(sim.SimConfig(subtasks=2), 3, seed=5)
+    tracemalloc.start()
+    try:
+        dt.distill_pipeline(model, StaticSet(indices=(0, 2, 9, 10, 11), depth=12), data,
+                            dt.DistillConfig(stage1_steps=6, stage2_steps=6, batch_size=64))
+    finally:
+        tracemalloc.stop()
+    assert built == ["Stage1Workspace", "Stage2Workspace"]
+    for name, bound in (("stage1_step", 128 * 1024), ("stage2_step", 384 * 1024)):
+        m = marks[name]
+        steps = [peak - at_call for (at_call, _), (_, peak) in zip(m, m[1:])]
+        assert len(steps) == 5
+        assert max(steps[2:]) <= bound, (name, steps)

@@ -36,7 +36,7 @@ TEST_ONLY_API = {
 
 # Public methods and properties that only tests reach, by the same rule.
 TEST_ONLY_MEMBERS = {
-    "StaticSet.segment_layers", "SkipModules.controller_keys",
+    "StaticSet.segment_layers", "SkipModules.controller_keys", "PolicyModel.n_params",
     # reached by its name as a string, through bench.REPORT_FIELDS and getattr,
     # which a scan of NAME tokens cannot see
     "ModeStats.random_skip_full_depth",

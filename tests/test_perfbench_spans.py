@@ -48,3 +48,22 @@ def test_a_small_evaluation_calls_every_layer_function_the_benchmark_counts():
                         if kind != "s"}
                        | {metric for metric, _, _ in workloads.CALLS_PER_STEP})
     assert sorted(rollout_metrics & set(missing)) == []
+
+
+def test_a_small_training_run_calls_every_training_function_the_benchmark_times():
+    """A tiny BC, profiling, zero-shot and distillation run, traced and
+    labelled by phase by the benchmark's own training pipeline, reports none
+    of the training metrics as missing: a refactor that inlines a timed
+    function or stops calling it fails here, not only in the benchmark's
+    traced smoke run."""
+    budget = workloads.Budget(train_episodes=3, val_episodes=2, bc_steps=3, bc_batch=16,
+                              stage1_steps=2, stage2_steps=2, distill_batch=16)
+    tracer = Tracer(workloads.LAYERS)
+    with Patcher() as patcher:
+        tracer.install(patcher)
+        probe = workloads.Probe(tracer)
+        workloads.train_fixture(workloads.make_datasets(budget, probe), budget, probe)
+    assert set(tracer.step_labels + [tracer.label]) >= set(workloads.TRAIN_LABELS)
+    _, missing = workloads.span_metrics(tracer.spans())
+    train_metrics = {metric for metric, _, _ in workloads.TRAIN_SPAN_METRICS}
+    assert sorted(train_metrics & set(missing)) == []
