@@ -1,6 +1,6 @@
 """Benchmark harness: base-policy behaviour cloning, mode evaluation with
-compute accounting, the random-skip compute-matching baseline, ablation
-sweeps, and report assembly with a trace-level consistency cross-check.
+compute accounting, the random-skip compute-matching baseline, and report
+assembly with a trace-level consistency cross-check.
 
 The report holds compute as executed-layer counts and FLOP estimates, a
 proxy for cost. Wall-clock time, per step and per layer, is measured by the
@@ -10,18 +10,16 @@ proxy for cost. Wall-clock time, per step and per layer, is measured by the
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import containers, flops, runtime as rt, sim
-from .distill import distill_pipeline
 from .errors import ConfigError, TraceIntegrityError
 from .model import (PolicyConfig, PolicyModel, TaskWorkspace, build_policy, forward_recorded,
                     mse_and_grad, task_loss_and_grads)
 from .numerics import Adam
-from .profiler import LayerProfile, select_static
 from .runtime import Episode, GuidanceConfig, SkipModules
 
 REPORT_HEADER_COMMENT = (
@@ -288,72 +286,3 @@ def paired_one_sided_pvalue(better, worse, n_resamples: int = 10_000,
     exceed = int(np.sum(null >= observed))
     return (exceed + 1) / (n_resamples + 1)
 
-
-# --- ablation sweeps -----------------------------------------------------------------
-
-ABLATION_AXES = ("static_ratio", "k", "delta_l_mode", "eta", "lambda")
-
-
-def format_axis_value(axis: str, value) -> str:
-    if axis == "delta_l_mode":
-        return "adaptive" if value is None else f"const:{value}"
-    return repr(value)
-
-
-@dataclass
-class AblationRow:
-    axis: str
-    value: str
-    avg_successful_length: float
-    success_rate: float
-    avg_executed_layers: float
-    avg_flops: float
-
-
-def run_ablation(axis: str, values, model: PolicyModel, profile: LayerProfile,
-                 dataset: sim.Dataset, sim_config, guidance: GuidanceConfig,
-                 distill_config, static_ratio: float, tau: float,
-                 n_episodes: int, base_seed: int,
-                 baseline_mods: SkipModules | None = None) -> list[AblationRow]:
-    """Re-evaluate the dysl mode along one config axis on shared seeds.
-
-    Guidance axes (k, eta, delta_l_mode) reuse the trained modules; the
-    static_ratio and lambda axes re-run distillation per value.
-    """
-    if axis not in ABLATION_AXES:
-        raise ConfigError(f"unknown ablation axis {axis!r}")
-    rows = []
-    for value in values:
-        guid = guidance
-        mods = baseline_mods
-        if axis == "k":
-            guid = replace(guidance, k=value)
-        elif axis == "eta":
-            guid = replace(guidance, eta=value)
-        elif axis == "delta_l_mode":
-            guid = replace(guidance, stride=value)
-        elif axis == "static_ratio":
-            static_set = select_static(profile, value)
-            mods, _ = distill_pipeline(model, static_set, dataset,
-                                       distill_config, tau=tau)
-        elif axis == "lambda":
-            static_set = select_static(profile, static_ratio)
-            cfg_l = replace(distill_config, lam=value)
-            mods, _ = distill_pipeline(model, static_set, dataset, cfg_l, tau=tau)
-        if mods is None:
-            raise ConfigError("ablation over guidance axes needs trained modules")
-        stats, _ = evaluate_modes(model, mods, sim_config, guid, ["dysl"],
-                                  n_episodes, base_seed)
-        s = stats[0]
-        rows.append(AblationRow(axis=axis, value=format_axis_value(axis, value),
-                                avg_successful_length=s.avg_successful_length,
-                                success_rate=s.success_rate,
-                                avg_executed_layers=s.avg_executed_layers,
-                                avg_flops=s.avg_flops))
-    return rows
-
-
-def write_ablation_csv(path, rows: list[AblationRow]) -> None:
-    columns = [f.name for f in fields(AblationRow)]
-    containers.write_csv(path, columns, ([getattr(r, c) for c in columns] for r in rows),
-                         comment=REPORT_HEADER_COMMENT)

@@ -10,8 +10,8 @@
   step record lists every block the step ran in `executed_layers`, a
   verified step's re-run included, so `flops.flop_estimate_record` can
   re-price it alone.
-- CSV tables (train and stage logs, reports, ablations, profiles and the
-  zero-shot study): `write_csv`, read back with `read_csv`.
+- CSV tables (train and stage logs, reports, profiles and the zero-shot
+  study): `write_csv`, read back with `read_csv`.
 
 Every header carries `kind` and `schema_version`; loaders pass it through
 `check_header`, so a wrong or stale artifact, or a header field that is
@@ -89,11 +89,11 @@ def check_header(header: dict, kind: str, version: int, path,
 def check_int_fields(config, **minimums: int) -> None:
     """ConfigError, naming the field, unless each int field of the dataclass
     `config` passes _is_int (no bool, float, nan or inf) and is >= its entry
-    in `minimums` (a seed's is 0); an `int | None` field may be None."""
+    in `minimums` (a seed's is 0)."""
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        if f.type not in ("int", "int | None") or (value is None and f.type != "int"):
+        if f.type != "int":
             continue
+        value = getattr(config, f.name)
         low = minimums.get(f.name, 0 if f.name == "seed" else None)
         if not _is_int(value) or (low is not None and value < low):
             bound = "" if low is None else f" >= {low}"

@@ -73,7 +73,6 @@ class DistillConfig:
     stage1_lr: float = 3e-3
     stage2_lr: float = 1e-3
     batch_size: int = 64
-    selection: str = "harmonic"    # harmonic or linear decay over offsets
     seed: int = 0
 
     def __post_init__(self):
@@ -84,8 +83,6 @@ class DistillConfig:
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
-        if self.selection not in ("harmonic", "linear"):
-            raise ConfigError("selection must be 'harmonic' or 'linear'")
 
 
 @dataclass
@@ -237,28 +234,27 @@ def stage1_step(mods: SkipModules, opt: Adam, trace,
 # --- stage 2: soft-gate blended training ---------------------------------------
 
 @functools.cache
-def segment_offset_probs(m: int, selection: str = "harmonic") -> np.ndarray:
-    """Probability of picking offset r in {1..m} from the segment start:
-    (1/r)/H_m for harmonic decay, or proportional to m-r+1 for linear.
-    Cached per (m, selection), so the array is read-only."""
+def segment_offset_probs(m: int) -> np.ndarray:
+    """Probability of picking offset r in {1..m} from the segment start,
+    (1/r)/H_m: harmonic decay. Cached per m, so the array is read-only."""
     if m < 1:
         raise ConfigError("segment must hold at least one dynamic layer")
     r = np.arange(1, m + 1, dtype=np.float64)
-    w = 1.0 / r if selection == "harmonic" else (m - r + 1)
+    w = 1.0 / r
     probs = w / w.sum()
     probs.flags.writeable = False
     return probs
 
 
-def draw_selections(mods: SkipModules, batch: int, rng: np.random.Generator,
-                    selection: str = "harmonic") -> list[np.ndarray]:
+def draw_selections(mods: SkipModules, batch: int,
+                    rng: np.random.Generator) -> list[np.ndarray]:
     """Fresh per-sample draw for every segment: list of (batch,) layer ids.
     Early layers are favoured because their adapters summarize longer
     suffixes."""
     out = []
     for front, back in mods.static_set.segments:
         m = back - front - 1
-        probs = segment_offset_probs(m, selection)
+        probs = segment_offset_probs(m)
         out.append(front + 1 + rng.choice(m, p=probs, size=batch))
     return out
 
@@ -420,11 +416,11 @@ def _blend_vjp(mods, blend, d_blend, lam, batch, ws, inj, d_full):
 
 def stage2_step(model: PolicyModel, mods: SkipModules, opt: Adam, trace,
                 targets, lam: float, rng: np.random.Generator,
-                selection: str = "harmonic", workspace: Stage2Workspace | None = None):
+                workspace: Stage2Workspace | None = None):
     """One Adam step on the stage-2 loss of freshly drawn selections.
     Returns (loss, task_loss, norm_loss, mean gate); the mean gate is nan
     when every layer is static, so there is no gate."""
-    selections = draw_selections(mods, _batch_of(trace), rng, selection)
+    selections = draw_selections(mods, _batch_of(trace), rng)
     loss, task_loss, norm_loss, gates, grads = stage2_loss_and_grads(
         model, mods, selections, trace, targets, lam, workspace)
     opt.step(mods.params, grads)
@@ -474,14 +470,11 @@ def _write_stage_log(path, report: StageReport) -> None:
 
 
 def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
-                  config: DistillConfig, log_dir=None,
-                  joint_from_scratch: bool = False):
+                  config: DistillConfig, log_dir=None):
     """Stage-1 adapter regression then stage-2 joint blend training.
 
-    With joint_from_scratch=True (the ablation), stage 1 is skipped and the
-    randomly initialized controllers and adapters train jointly on the
-    stage-2 loss for the combined step budget. Divergence (non-finite loss)
-    marks the stage's report and ends the run. The backbone is never modified.
+    Divergence (non-finite loss) marks the stage's report and ends the run.
+    The backbone is never modified.
     """
     check_depth(model, mods.static_set)
     rng = np.random.default_rng(config.seed)
@@ -500,21 +493,16 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
 
     def stage2(report, opt, ws, idx):
         loss, task_loss, norm_loss, mean_gate = stage2_step(
-            model, mods, opt, ws.gather(teacher, idx), dataset.actions[idx], config.lam, rng,
-            config.selection, ws)
+            model, mods, opt, ws.gather(teacher, idx), dataset.actions[idx], config.lam, rng, ws)
         report.losses.append(loss)
         report.task_losses.append(task_loss)
         report.norm_losses.append(norm_loss)
         report.mean_gates.append(mean_gate)
 
-    stage1_ws = functools.partial(Stage1Workspace, mods, batch)
-    stage2_ws = functools.partial(Stage2Workspace, model, mods, batch)
-    if joint_from_scratch:
-        stages = [("joint", config.stage1_steps + config.stage2_steps, config.stage2_lr, stage2,
-                   stage2_ws)]
-    else:
-        stages = [("stage1", config.stage1_steps, config.stage1_lr, stage1, stage1_ws),
-                  ("stage2", config.stage2_steps, config.stage2_lr, stage2, stage2_ws)]
+    stages = [("stage1", config.stage1_steps, config.stage1_lr, stage1,
+               functools.partial(Stage1Workspace, mods, batch)),
+              ("stage2", config.stage2_steps, config.stage2_lr, stage2,
+               functools.partial(Stage2Workspace, model, mods, batch))]
     reports: dict[str, StageReport] = {}
     for name, steps, lr, step, workspace in stages:
         report = reports[name] = StageReport(name=name)
@@ -534,8 +522,7 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
 
 
 def distill_pipeline(model: PolicyModel, static_set, dataset: Dataset,
-                     config: DistillConfig, tau: float = 0.5, log_dir=None,
-                     joint_from_scratch: bool = False):
+                     config: DistillConfig, tau: float = 0.5, log_dir=None):
     """Fresh modules + two-stage training; returns (mods, reports)."""
     mods = init_skip_modules(model, static_set, tau=tau, seed=config.seed)
-    return run_two_stage(model, mods, dataset, config, log_dir, joint_from_scratch)
+    return run_two_stage(model, mods, dataset, config, log_dir)

@@ -63,10 +63,6 @@ class StaticSet:
         static = set(self.indices)
         return tuple(i for i in range(self.depth) if i not in static)
 
-    def segment_layers(self, segment: tuple[int, int]) -> tuple[int, ...]:
-        front, back = segment
-        return tuple(range(front + 1, back))
-
 
 # --- activation similarity profile --------------------------------------------
 

@@ -109,9 +109,6 @@ class SkipModules:
     def adapter_keys(self) -> list[str]:
         return [k for k in self.params if k.startswith("adapter")]
 
-    def controller_keys(self) -> list[str]:
-        return [k for k in self.params if k.startswith("controller")]
-
 
 def check_depth(model: PolicyModel, static_set: StaticSet) -> None:
     """ConfigError unless the static set spans exactly the model's blocks:
@@ -260,22 +257,20 @@ def replace_last_action(state: AllowPointState, action) -> None:
 
 
 def update_allow_points(state: AllowPointState, c_t: float, c_prev: float,
-                        eta: float, stride: int | None = None) -> AllowPointState:
+                        eta: float) -> AllowPointState:
     """Hysteresis move of every allow point from the continuity change.
 
-    A drop (c_t - c_prev < -eta) advances points by ceil(|dC| / eta)
-    (or the constant `stride` when given), clamped at the closing static
-    layer; a rise (> eta) retreats by exactly one, clamped just after the
-    opening static layer; the dead band leaves points unchanged.
+    A drop (c_t - c_prev < -eta) advances points by ceil(|dC| / eta),
+    clamped at the closing static layer; a rise (> eta) retreats by exactly
+    one, clamped just after the opening static layer; the dead band leaves
+    points unchanged.
     """
     if eta <= 0:
         raise ConfigError("eta must be positive")
     dc = c_t - c_prev
     segments = state.static_set.segments
     if dc < -eta:
-        dl = int(stride) if stride is not None else math.ceil(abs(dc) / eta)
-        if dl < 1:
-            raise ConfigError("stride must be >= 1")
+        dl = math.ceil(abs(dc) / eta)
         state.points = [min(back, l + dl)
                         for (front, back), l in zip(segments, state.points)]
     elif dc > eta:
@@ -387,11 +382,10 @@ def forward_random(model: PolicyModel, mods: SkipModules, p: float,
 class GuidanceConfig:
     k: int = 5
     eta: float = 0.004
-    stride: int | None = None   # None = adaptive ceil(|dC| / eta)
     verification: bool = True
 
-    def __post_init__(self):  # a float k breaks deque, a float stride truncates
-        containers.check_int_fields(self, k=1, stride=1)
+    def __post_init__(self):  # a float k breaks deque
+        containers.check_int_fields(self, k=1)
         if not 0.0 < self.eta < math.inf:
             raise ConfigError(f"eta must be finite and positive, got {self.eta}")
 
@@ -495,8 +489,7 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
                     if redo is not None:
                         action = redo
                 c_prev, c_t = allow.c_history
-                update_allow_points(allow, c_t, c_prev, guidance.eta,
-                                    guidance.stride)
+                update_allow_points(allow, c_t, c_prev, guidance.eta)
             points_log = list(allow.points)
         trace.resume_input = None  # the verification hand-off lives one step
         steps.append(StepRecord(step=state.total_steps, trace=trace,

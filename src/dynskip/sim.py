@@ -53,7 +53,7 @@ class SimConfig:
     separation_factor: float = 6.0  # min placement distance, in grasp radii
 
     def __post_init__(self):
-        containers.check_int_fields(self, subtasks=1)
+        containers.check_int_fields(self, subtasks=1, step_cap=1)
         for f in fields(self):  # nan passes every comparison below
             if not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
@@ -62,8 +62,6 @@ class SimConfig:
         for name in ("grasp_radius", "success_tol", "step_len", "d_max", "grip_max"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.step_cap < 1:
-            raise ConfigError("step_cap must be >= 1")
         if not 0.0 <= self.p_pause < 1.0:
             raise ConfigError("p_pause must be in [0, 1)")
         if self.high - self.low <= 2 * self.margin:

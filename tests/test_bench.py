@@ -2,12 +2,11 @@ import hashlib
 import json
 import logging
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dynskip import bench, containers, distill, flops, profiler, runtime as rt, sim
+from dynskip import bench, containers, distill, flops, runtime as rt, sim
 from dynskip.errors import ConfigError, TraceIntegrityError
 from dynskip.model import PolicyConfig, build_policy
 from dynskip.profiler import StaticSet
@@ -302,8 +301,6 @@ def test_every_optimizer_step_calls_its_timed_step_function_once(monkeypatch):
     dcfg = distill.DistillConfig(stage1_steps=5, stage2_steps=4, batch_size=16)
     distill.distill_pipeline(policy, statics, data, dcfg)
     assert calls == {"task_loss_and_grads": 7, "stage1_step": 5, "stage2_step": 4}
-    distill.distill_pipeline(policy, statics, data, dcfg, joint_from_scratch=True)
-    assert calls == {"task_loss_and_grads": 7, "stage1_step": 5, "stage2_step": 13}
 
 
 def test_a_warm_behaviour_cloning_step_allocates_at_most_two_activations(monkeypatch):
@@ -359,77 +356,3 @@ def test_train_base_policy_matches_its_pinned_digests():
     assert [step for step, _, _ in log] == [0, 20, 40]
     assert hashlib.sha256(repr(log).encode()).hexdigest()[:16] == "39f300303cd5e336"
 
-
-# --- ablation sweeps -----------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def ablation():
-    """run_ablation's arguments, less axis and values, on a tiny fixture."""
-    data = sim.generate_dataset(sim.SimConfig(subtasks=2), 3, seed=40)
-    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=41))
-    profile = profiler.profile_layers(model, data.obs, data.instr_onehot())
-    dcfg = distill.DistillConfig(stage1_steps=5, stage2_steps=5, batch_size=8, seed=42)
-    mods, _ = distill.distill_pipeline(model, profiler.select_static(profile, 0.5), data, dcfg)
-    return dict(model=model, profile=profile, dataset=data,
-                sim_config=sim.SimConfig(subtasks=2, step_cap=12),
-                guidance=rt.GuidanceConfig(k=3), distill_config=dcfg, static_ratio=0.5,
-                tau=0.5, n_episodes=2, base_seed=7, baseline_mods=mods)
-
-
-def _dysl_row_stats(ablation, mods, guidance):
-    stats, _ = bench.evaluate_modes(ablation["model"], mods, ablation["sim_config"], guidance,
-                                    ["dysl"], ablation["n_episodes"], ablation["base_seed"])
-    s = stats[0]
-    return s.avg_successful_length, s.success_rate, s.avg_executed_layers, s.avg_flops
-
-
-def _row_stats(row):
-    return row.avg_successful_length, row.success_rate, row.avg_executed_layers, row.avg_flops
-
-
-@pytest.mark.parametrize("axis, field, values, rendered", [
-    ("k", "k", [2, 5], ["2", "5"]),
-    ("eta", "eta", [0.002, 1.0], ["0.002", "1.0"]),
-    ("delta_l_mode", "stride", [None, 1], ["adaptive", "const:1"]),
-])
-def test_run_ablation_guidance_rows_equal_dysl_evaluations(ablation, axis, field, values,
-                                                           rendered):
-    if axis == "delta_l_mode":
-        # the stride is read only on a continuity drop, and verification replaces each
-        # drop step's action before update_allow_points reads the change, so with it on
-        # every stride gives the same row on this fixture
-        ablation = {**ablation, "guidance": replace(ablation["guidance"], verification=False)}
-    rows = bench.run_ablation(axis, values, **ablation)
-    assert [(r.axis, r.value) for r in rows] == [(axis, v) for v in rendered]
-    for row, value in zip(rows, values):
-        guidance = replace(ablation["guidance"], **{field: value})
-        assert _row_stats(row) == _dysl_row_stats(ablation, ablation["baseline_mods"], guidance)
-    assert _row_stats(rows[0]) != _row_stats(rows[1])
-
-
-@pytest.mark.parametrize("axis, value", [("static_ratio", 0.2), ("lambda", 0.5)])
-def test_run_ablation_retrains_the_modules_per_value(ablation, axis, value):
-    rows = bench.run_ablation(axis, [value], **ablation)
-    if axis == "static_ratio":
-        ratio, dcfg = value, ablation["distill_config"]
-    else:
-        ratio, dcfg = ablation["static_ratio"], replace(ablation["distill_config"], lam=value)
-    mods, _ = distill.distill_pipeline(ablation["model"],
-                                       profiler.select_static(ablation["profile"], ratio),
-                                       ablation["dataset"], dcfg, tau=ablation["tau"])
-    assert [(r.axis, r.value) for r in rows] == [(axis, repr(value))]
-    assert _row_stats(rows[0]) == _dysl_row_stats(ablation, mods, ablation["guidance"])
-
-
-def test_the_lambda_axis_moves_the_dysl_row(ablation):
-    # at the fixture's default stage2_lr, lam 0 and 100 train gates that give the same row
-    dcfg = replace(ablation["distill_config"], stage2_lr=0.05)
-    rows = bench.run_ablation("lambda", [0.0, 100.0], **{**ablation, "distill_config": dcfg})
-    assert _row_stats(rows[0]) != _row_stats(rows[1])
-
-
-def test_run_ablation_rejects_an_unknown_axis_and_guidance_without_modules(ablation):
-    with pytest.raises(ConfigError, match="unknown ablation axis 'tau'"):
-        bench.run_ablation("tau", [0.5], **ablation)
-    with pytest.raises(ConfigError, match="needs trained modules"):
-        bench.run_ablation("k", [2], **{**ablation, "baseline_mods": None})

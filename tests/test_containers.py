@@ -18,9 +18,6 @@ def _write_every_csv(out):
     bench.write_report_csv(out / "report.csv", [
         bench.ModeStats("full", 2, 1.5, 0.5, 12.0, 198144.0, 0.0, 0.0),
         bench.ModeStats("random-skip", 2, 0.0, 0.0, 7.25, 1 / 3, 3.0, 0.125, 0.3)])
-    bench.write_ablation_csv(out / "ablation.csv", [
-        bench.AblationRow("k", "3", 1.0, 0.5, 9.75, 123456.5),
-        bench.AblationRow("delta_l_mode", "adaptive", 0.0, 0.0, -0.0, 1e-300)])
     pairs = np.array([[1.0, 0.5, 1 / 3], [0.5, 1.0, -0.25], [1 / 3, -0.25, 1.0]])
     profile = profiler.LayerProfile(pair_similarity=pairs,
                                     io_similarity=np.array([0.9, 1 / 3, -0.0]), samples=4)
@@ -43,9 +40,6 @@ GOLDEN_CSV = {
                   b"random_skip_full_depth\r\n"
                   b"full,1.5,0.5,12.0,198144.0,0.0,0.0,2,,\r\n"
                   b"random-skip,0.0,0.0,7.25,0.3333333333333333,3.0,0.125,2,0.3,False\r\n",
-    "ablation.csv": COMMENT + b"axis,value,avg_successful_length,success_rate,"
-                    b"avg_executed_layers,avg_flops\r\n"
-                    b"k,3,1.0,0.5,9.75,123456.5\r\ndelta_l_mode,adaptive,0.0,0.0,-0.0,1e-300\r\n",
     "io.csv": b"layer,io_similarity\r\n0,0.9\r\n1,0.3333333333333333\r\n2,-0.0\r\n",
     "pairs.csv": b"i,j,similarity\r\n0,0,1.0\r\n0,1,0.5\r\n0,2,0.3333333333333333\r\n"
                  b"1,0,0.5\r\n1,1,1.0\r\n1,2,-0.25\r\n2,0,0.3333333333333333\r\n"

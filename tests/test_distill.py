@@ -87,9 +87,9 @@ class TestHarmonicSampling:
         assert np.array_equal(draws[1], np.full(50, 5))
 
     def test_probabilities_hand_computed(self):
-        probs = dt.segment_offset_probs(3, "harmonic")
+        probs = dt.segment_offset_probs(3)
         assert np.allclose(probs, [6 / 11, 3 / 11, 2 / 11])
-        probs = dt.segment_offset_probs(4, "harmonic")
+        probs = dt.segment_offset_probs(4)
         h4 = 1 + 0.5 + 1 / 3 + 0.25
         assert np.allclose(probs, [1 / h4, 0.5 / h4, (1 / 3) / h4, 0.25 / h4])
 
@@ -99,20 +99,16 @@ class TestHarmonicSampling:
         n = 100_000
         _, _, mods = make_setup(depth=m + 2, statics=(m, m + 1))  # one segment (-1, m)
         draws = dt.draw_selections(mods, n, rng)[0]
-        probs = dt.segment_offset_probs(m, "harmonic")
+        probs = dt.segment_offset_probs(m)
         for offset in range(m):
             p = probs[offset]
             freq = np.mean(draws == offset)
             bound = 3.0 * np.sqrt(p * (1 - p) / n)
             assert abs(freq - p) <= bound
 
-    def test_linear_decay_mode(self):
-        probs = dt.segment_offset_probs(3, "linear")
-        assert np.allclose(probs, [3 / 6, 2 / 6, 1 / 6])
-
     def test_probabilities_are_cached_and_read_only(self):
-        probs = dt.segment_offset_probs(5, "harmonic")
-        assert dt.segment_offset_probs(5, "harmonic") is probs
+        probs = dt.segment_offset_probs(5)
+        assert dt.segment_offset_probs(5) is probs
         with pytest.raises(ValueError):
             probs[0] = 1.0
 
@@ -302,18 +298,6 @@ class TestRunTwoStage:
         assert reports["stage1"].diverged and len(reports["stage1"].losses) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["stage1_log.csv"]
 
-    def test_joint_from_scratch_trains_one_stage_for_both_budgets(self, tmp_path):
-        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
-                                          action_dim=3, seed=31))
-        dcfg = dt.DistillConfig(stage1_steps=5, stage2_steps=4, batch_size=8, seed=32)
-        _, reports = dt.distill_pipeline(model, StaticSet(indices=(2, 5), depth=6),
-                                         self._dataset(model, seed=33), dcfg, log_dir=tmp_path,
-                                         joint_from_scratch=True)
-        assert list(reports) == ["joint"]
-        assert not reports["joint"].diverged
-        assert len(reports["joint"].losses) == len(reports["joint"].mean_gates) == 9
-        assert [p.name for p in tmp_path.iterdir()] == ["joint_log.csv"]
-
     def test_backbone_checkpoint_identical_after_training(self, tmp_path):
         from dynskip.model import save_policy
         cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
@@ -334,8 +318,6 @@ class TestRunTwoStage:
             dt.DistillConfig(lam=-0.1)
         with pytest.raises(ConfigError):
             dt.DistillConfig(stage1_steps=0)
-        with pytest.raises(ConfigError):
-            dt.DistillConfig(selection="geometric")
         for name, value in [("lam", np.nan), ("lam", np.inf), ("stage1_lr", 0.0),
                             ("stage1_lr", -1e-3), ("stage1_lr", np.nan), ("stage2_lr", 0.0),
                             ("stage2_lr", -1e-3), ("stage2_lr", np.nan)]:
@@ -681,22 +663,20 @@ class TestStageWorkspace:
         with pytest.raises(ShapeError, match="a Stage1Workspace is needed"):
             dt.stage1_loss_and_grads(mods, rows, dt.Stage2Workspace(model, mods, 64))
 
-    @pytest.mark.parametrize("joint", [False, True])
-    def test_an_all_static_set_trains_nothing_and_gathers_only_the_head_input(self, joint):
+    def test_an_all_static_set_trains_nothing_and_gathers_only_the_head_input(self):
         model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
                                           action_dim=3, seed=40))
         ss = StaticSet(indices=tuple(range(6)), depth=6)
         ds = sim.generate_dataset(sim.SimConfig(subtasks=2), 4, seed=41)
         mods, reports = dt.distill_pipeline(model, ss, ds, dt.DistillConfig(
-            stage1_steps=3, stage2_steps=3, batch_size=8, seed=42), joint_from_scratch=joint)
+            stage1_steps=3, stage2_steps=3, batch_size=8, seed=42))
         assert mods.params == {}
         assert dt.Stage1Workspace(mods, 8).layers == ()
         assert dt.Stage2Workspace(model, mods, 8).layers == (6,)
-        assert list(reports) == (["joint"] if joint else ["stage1", "stage2"])
-        if not joint:
-            assert reports["stage1"].losses == [0.0] * 3
-        last = reports["joint" if joint else "stage2"]
-        assert len(last.losses) == (6 if joint else 3) and not last.diverged
+        assert list(reports) == ["stage1", "stage2"]
+        assert reports["stage1"].losses == [0.0] * 3
+        last = reports["stage2"]
+        assert len(last.losses) == 3 and not last.diverged
         assert all(np.isnan(g) for g in last.mean_gates)
         assert all(loss == task for loss, task in zip(last.losses, last.task_losses))
 

@@ -31,12 +31,12 @@ def test_every_console_script_target_imports():
 TEST_ONLY_API = {
     "save_dataset", "load_dataset", "save_policy", "load_policy",
     "save_skip_modules", "load_skip_modules", "write_train_log", "write_profile_csv",
-    "write_zero_shot_csv", "write_ablation_csv", "paired_one_sided_pvalue", "run_ablation",
+    "write_zero_shot_csv", "paired_one_sided_pvalue",
 }
 
 # Public methods and properties that only tests reach, by the same rule.
 TEST_ONLY_MEMBERS = {
-    "StaticSet.segment_layers", "SkipModules.controller_keys", "PolicyModel.n_params",
+    "PolicyModel.n_params",
     # reached by its name as a string, through bench.REPORT_FIELDS and getattr,
     # which a scan of NAME tokens cannot see
     "ModeStats.random_skip_full_depth",
@@ -78,19 +78,22 @@ def test_every_config_int_field_takes_only_an_int():
     """An int field that took True would run as 1, and one that took 2.5 or
     nan would fail later with a bare error (in range(), default_rng) or run
     truncated; a seed must be >= 0. Walks every *Config dataclass, so a new
-    int field fails here until its config checks it."""
+    int field fails here until its config checks it. check_int_fields skips
+    a field of any other type, so every field must be an int, float or bool,
+    and a new `int | None` or `str` option fails here too."""
     configs = [cls for info in pkgutil.iter_modules(dynskip.__path__)
                for cls in vars(importlib.import_module(f"dynskip.{info.name}")).values()
                if isinstance(cls, type) and dataclasses.is_dataclass(cls)
                and cls.__name__.endswith("Config") and cls.__module__ == f"dynskip.{info.name}"]
     checked = set()
     for cls in configs:
-        for f in dataclasses.fields(cls):
-            if f.type not in ("int", "int | None"):  # every module has postponed annotations
+        for f in dataclasses.fields(cls):  # every module has postponed annotations
+            assert f.type in ("int", "float", "bool"), f"{cls.__name__}.{f.name}: {f.type}"
+            if f.type != "int":
                 continue
             for value in [True, 2.5, math.nan, math.inf] + ([-1] if f.name == "seed" else []):
                 with pytest.raises(ConfigError, match=f.name):
                     cls(**{f.name: value})
             checked.add(f"{cls.__name__}.{f.name}")
     assert {"TrainConfig.steps", "DistillConfig.batch_size", "PolicyConfig.seed",
-            "SimConfig.step_cap", "GuidanceConfig.stride"} <= checked
+            "SimConfig.step_cap", "GuidanceConfig.k"} <= checked
