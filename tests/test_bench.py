@@ -2,11 +2,12 @@ import hashlib
 import json
 import logging
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dynskip import bench, containers, distill, flops, runtime as rt, sim
+from dynskip import bench, containers, distill, flops, profiler, runtime as rt, sim
 from dynskip.errors import ConfigError, TraceIntegrityError
 from dynskip.model import PolicyConfig, build_policy
 from dynskip.profiler import StaticSet
@@ -356,3 +357,51 @@ def test_train_base_policy_matches_its_pinned_digests():
     assert [step for step, _, _ in log] == [0, 20, 40]
     assert hashlib.sha256(repr(log).encode()).hexdigest()[:16] == "39f300303cd5e336"
 
+
+# --- the knobs a parameter sweep varies reach the dysl row ---------------------------
+
+@pytest.fixture(scope="module")
+def sweep():
+    """A tiny trained policy, its layer profile and a short distillation recipe."""
+    data = sim.generate_dataset(sim.SimConfig(subtasks=2), 3, seed=40)
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=41))
+    profile = profiler.profile_layers(model, data.obs, data.instr_onehot())
+    dcfg = distill.DistillConfig(stage1_steps=5, stage2_steps=5, batch_size=8, seed=42)
+    return dict(model=model, profile=profile, data=data, dcfg=dcfg,
+                guidance=rt.GuidanceConfig(k=3))
+
+
+def _modules(sweep, static_ratio=0.5, dcfg=None):
+    statics = profiler.select_static(sweep["profile"], static_ratio)
+    mods, _ = distill.distill_pipeline(sweep["model"], statics, sweep["data"],
+                                       dcfg or sweep["dcfg"], tau=0.5)
+    return mods
+
+
+def _dysl_row(sweep, mods, guidance):
+    stats, _ = bench.evaluate_modes(sweep["model"], mods, sim.SimConfig(subtasks=2, step_cap=12),
+                                    guidance, ["dysl"], n_episodes=2, base_seed=7)
+    s = stats[0]
+    return s.avg_successful_length, s.success_rate, s.avg_executed_layers, s.avg_flops
+
+
+@pytest.mark.parametrize("field, values", [("k", (2, 5)), ("eta", (0.002, 1.0))])
+def test_a_guidance_knob_moves_the_dysl_row(sweep, field, values):
+    mods = _modules(sweep)
+    rows = [_dysl_row(sweep, mods, replace(sweep["guidance"], **{field: v})) for v in values]
+    assert rows[0] != rows[1]
+    assert _dysl_row(sweep, mods, replace(sweep["guidance"], **{field: values[0]})) == rows[0]
+
+
+def test_the_static_ratio_moves_the_dysl_row(sweep):
+    rows = [_dysl_row(sweep, _modules(sweep, static_ratio=r), sweep["guidance"])
+            for r in (0.2, 0.5)]
+    assert rows[0] != rows[1]
+
+
+def test_the_gate_penalty_moves_the_dysl_row(sweep):
+    # at the fixture's default stage2_lr, lam 0 and 100 train gates that give the same row
+    dcfg = replace(sweep["dcfg"], stage2_lr=0.05)
+    rows = [_dysl_row(sweep, _modules(sweep, dcfg=replace(dcfg, lam=lam)), sweep["guidance"])
+            for lam in (0.0, 100.0)]
+    assert rows[0] != rows[1]

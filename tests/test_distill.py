@@ -106,6 +106,15 @@ class TestHarmonicSampling:
             bound = 3.0 * np.sqrt(p * (1 - p) / n)
             assert abs(freq - p) <= bound
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 13])
+    def test_probabilities_are_normalised_harmonic_weights(self, m):
+        probs = dt.segment_offset_probs(m)
+        h_m = sum(1 / r for r in range(1, m + 1))
+        assert probs.shape == (m,)
+        assert np.allclose(probs * h_m, [1 / r for r in range(1, m + 1)])
+        assert np.isclose(probs.sum(), 1.0)
+        assert np.all(np.diff(probs) < 0)
+
     def test_probabilities_are_cached_and_read_only(self):
         probs = dt.segment_offset_probs(5)
         assert dt.segment_offset_probs(5) is probs

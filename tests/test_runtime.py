@@ -371,6 +371,16 @@ class TestAllowPoints:
         # dC = -0.25 -> ceil(2.5) = 3, clamped at each segment's back
         assert state.points == [2, 6, 9]
 
+    @pytest.mark.parametrize("dc, eta, advance", [
+        (-0.25, 0.125, 2), (-0.3, 0.125, 3), (-0.5, 0.5, 0), (-0.625, 0.5, 2),
+        (-5.0, 0.125, 40), (-100.0, 0.5, 99)])
+    def test_a_drop_advances_by_the_ceiling_of_the_drop_over_eta(self, dc, eta, advance):
+        # one segment (-1, 99); a drop of exactly eta is in the dead band, and the
+        # advance is clamped at the closing static layer
+        state = self._state(statics=(99,), depth=100)
+        rt.update_allow_points(state, c_t=dc, c_prev=0.0, eta=eta)
+        assert state.points == [advance]
+
     def test_rise_retreats_by_exactly_one(self):
         state = self._state()
         state.points = [2, 5, 9]

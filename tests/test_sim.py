@@ -49,7 +49,10 @@ class TestTaskSampling:
         ("margin", np.nan, "margin must be finite"),
         ("grasp_radius", np.inf, "grasp_radius must be finite"),
         ("noise_rho", np.nan, "noise_rho must be finite"),
-        ("step_cap", 0, "step_cap must be an int >= 1")])
+        ("step_cap", 0, "step_cap must be an int >= 1"),
+        ("step_cap", -1, "step_cap must be an int >= 1"),
+        ("step_cap", 2.5, "step_cap must be an int >= 1"),
+        ("step_cap", True, "step_cap must be an int >= 1")])
     def test_config_rejects_a_value_that_is_not_finite_or_in_range(self, field, value, match):
         with pytest.raises(ConfigError, match=match):
             sim.SimConfig(**{field: value})
