@@ -66,7 +66,8 @@ def train_base_policy(model_config: PolicyConfig, train_config: TrainConfig,
     Returns (model, log rows); each log row is (step, train_loss, val_mse)
     with a step-0 row recording the pre-training validation MSE. Every step
     runs through one TaskWorkspace, so once its arrays have been touched a
-    step allocates nothing of batch size.
+    step allocates nothing of batch size, and Adam steps the model's arena
+    against the workspace's gradient arena.
     """
     model = build_policy(model_config)
     obs, instr, actions = train_set.obs, train_set.instr_onehot(), train_set.actions
@@ -79,9 +80,9 @@ def train_base_policy(model_config: PolicyConfig, train_config: TrainConfig,
         opt.lr = train_config.lr * (
             0.5 * (1 + np.cos(np.pi * step / train_config.steps)) * (1 - floor) + floor)
         idx = rng.integers(0, len(train_set), train_config.batch_size)
-        loss, grads = task_loss_and_grads(model, obs[idx], instr[idx], actions[idx],
-                                          workspace=workspace)
-        opt.step(model.params, grads)
+        loss, _ = task_loss_and_grads(model, obs[idx], instr[idx], actions[idx],
+                                      workspace=workspace)
+        opt.step(model.arena, workspace.grad_arena)
         if step % train_config.val_every == 0 or step == train_config.steps:
             log.append((step, loss, validation_mse(model, val_set)))
     return model, log

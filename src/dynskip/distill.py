@@ -27,10 +27,13 @@ benchmark's static set (0, 2, 9, 10, 11)). Stage 2 reads segment 0's
 dynamic inputs and closing layer, `trace[front0 + 1 .. back0]` (2 of 13
 there), or only `trace[depth]` when every layer is static. A workspace also
 holds stage 2's block outputs, tanh activations and alternating VJP
-buffers, the units' VJP temporaries and the stage's gradients, views into
-one flat array. The gradients a step returns are those views: they alias
-the workspace until its next step. The unit forwards still return fresh
-arrays, and a step never writes into the trace it is given.
+buffers, the units' forward outputs, gathers, blend and VJP temporaries
+(each unit's rows one slice of them), and the stage's gradients: views into
+one gradient arena, laid out as the trained set's parameter arena (stage 1
+the adapters, `SkipModules.adapter_arena`; stage 2 all of
+`SkipModules.arena`), so Adam steps the two arenas. The gradients a step
+returns are those views: they alias the workspace until its next step. A
+step never writes into the trace it is given.
 
 Rounding caveat: a row of a batched matmul need not equal that row computed
 in another batch. On the OpenBLAS this was measured on, the rows of a
@@ -103,11 +106,12 @@ class StageReport:
 class StageWorkspace:
     """What every stage's workspace holds for `batch` rows: `rows`, one
     (batch, d) array per teacher layer in `layers` at that layer's index
-    and None elsewhere; `params`, the dict of trained parameters the
-    stage's Adam updates; `grads`, a view per entry of `params` into one
-    flat array; and `adapter_tmp`, the adapters' VJP temporaries."""
+    and None elsewhere; `grads`, a view per entry of the trained parameters
+    `trained` into `grad_arena`, laid out in `layout` order as the trained
+    set's parameter arena; and `adapter_tmp`, the adapters' VJP
+    temporaries."""
 
-    def __init__(self, mods: SkipModules, batch: int, layers, params: Params):
+    def __init__(self, mods: SkipModules, batch: int, layers, trained: Params, layout=None):
         d = mods.hidden_dim
         self.mods = mods
         self.batch = batch
@@ -115,8 +119,7 @@ class StageWorkspace:
         self.rows: list = [None] * (mods.static_set.depth + 1)
         for j in self.layers:
             self.rows[j] = np.empty((batch, d))
-        self.params = params
-        self.grads = flat_views(params)
+        self.grad_arena, self.grads = flat_views(trained, layout)
         self.adapter_tmp = tuple(np.empty((batch, mods.adapter_dim)) for _ in range(2))
 
     def gather(self, teacher, idx) -> list:
@@ -132,14 +135,16 @@ class StageWorkspace:
 
 class Stage1Workspace(StageWorkspace):
     """Stage 1's workspace: the teacher layers `front + 1 .. back` of every
-    segment, the adapters' gradients and `adapter_out`, the (y, h) pair
-    each adapter's forward writes in turn."""
+    segment, the adapters' gradients, laid out as `mods.adapter_arena`,
+    and `adapter_out`, the (y, h) pair each adapter's forward writes in
+    turn."""
 
     def __init__(self, mods: SkipModules, batch: int):
         layers = sorted({j for front, back in mods.static_set.segments
                          for j in range(front + 1, back + 1)})
-        super().__init__(mods, batch, layers,
-                         {k: mods.params[k] for k in mods.adapter_keys()})
+        # the adapters lead mods.layout, in that order
+        super().__init__(mods, batch, layers, {k: mods.params[k] for k in mods.layout
+                                               if k.startswith("adapter")})
         self.adapter_out = (np.empty((batch, mods.hidden_dim)),
                             np.empty((batch, mods.adapter_dim)))
 
@@ -150,23 +155,32 @@ class Stage2Workspace(StageWorkspace):
     every block's output `xs` and tanh activation `hs` from layer `start`
     = back0 on, each segment's blend, the blocks' alternating input
     gradients `dx` and `spare` with their temporaries `dz` and `t`, the
-    controllers' VJP temporaries, the units' input gradients `unit_dx`
-    (each unit's rows one slice of them) and every module's gradient."""
+    controllers' VJP temporaries and every module's gradient, laid out as
+    `mods.arena`. Each unit's rows are one slice of the per-unit arrays:
+    the units' input gradients `unit_dx`; per segment, in `unit_rows`, the
+    forward outputs its blend VJP reads (selected inputs, controller output
+    and tanh activation, adapter output and tanh activation); and the
+    blend's and its VJP's (batch, d) and (batch,) temporaries `blend_tmp`
+    and `gate_tmp`, which every segment reuses."""
 
     def __init__(self, model: PolicyModel, mods: SkipModules, batch: int):
         segments = mods.static_set.segments
         depth = mods.static_set.depth
         front, start = segments[0] if segments else (depth - 1, depth)
-        super().__init__(mods, batch, range(front + 1, start + 1), mods.params)
-        d = mods.hidden_dim
+        super().__init__(mods, batch, range(front + 1, start + 1), mods.params, mods.layout)
+        d, da, dc = mods.hidden_dim, mods.adapter_dim, mods.controller_dim
         self.model = model
         self.start = start
         self.xs = [np.empty((batch, d)) for _ in range(start, depth)]
         self.hs = [np.empty((batch, d)) for _ in range(start, depth)]
         self.blends = [np.empty((batch, d)) for _ in segments]
         self.dx, self.spare, self.dz, self.t = (np.empty((batch, d)) for _ in range(4))
-        self.controller_tmp = tuple(np.empty((batch, mods.controller_dim)) for _ in range(2))
+        self.controller_tmp = tuple(np.empty((batch, dc)) for _ in range(2))
         self.unit_dx = tuple(np.empty((batch, d)) for _ in range(2))
+        self.unit_rows = [(np.empty((batch, d)), np.empty((batch, 1)), np.empty((batch, dc)),
+                           np.empty((batch, d)), np.empty((batch, da))) for _ in segments]
+        self.blend_tmp = tuple(np.empty((batch, d)) for _ in range(3))
+        self.gate_tmp = tuple(np.empty(batch) for _ in range(2))
 
 
 def _batch_of(trace) -> int:
@@ -201,7 +215,7 @@ def stage1_loss_and_grads(mods: SkipModules, trace, workspace: Stage1Workspace |
     suffix target, summed over dynamic layers and averaged over the batch.
     Adapter j reads its input `trace[j]` and its target `trace[back]` from
     the batch's teacher rows, so no backbone block runs. Only adapter
-    parameters receive gradients, keyed in `adapter_keys()` order; each
+    parameters receive gradients, keyed in `mods.params` order; each
     adapter's VJP runs once, forms no input gradient, and writes its
     gradients into `workspace` (ShapeError unless it was built for these
     modules and this batch size; a fresh one when none is given). The
@@ -226,8 +240,8 @@ def stage1_loss_and_grads(mods: SkipModules, trace, workspace: Stage1Workspace |
 def stage1_step(mods: SkipModules, opt: Adam, trace,
                 workspace: Stage1Workspace | None = None) -> float:
     ws = _workspace(Stage1Workspace, mods, trace, workspace)
-    loss, grads = stage1_loss_and_grads(mods, trace, ws)
-    opt.step(ws.params, grads)
+    loss, _ = stage1_loss_and_grads(mods, trace, ws)
+    opt.step(mods.adapter_arena, ws.grad_arena)
     return loss
 
 
@@ -246,16 +260,27 @@ def segment_offset_probs(m: int) -> np.ndarray:
     return probs
 
 
+@functools.cache
+def _segment_offset_cdf(m: int) -> np.ndarray:
+    """segment_offset_probs(m)'s CDF as Generator.choice builds it: the
+    cumulative sum divided by its last entry. Cached and read-only."""
+    cdf = segment_offset_probs(m).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
 def draw_selections(mods: SkipModules, batch: int,
                     rng: np.random.Generator) -> list[np.ndarray]:
     """Fresh per-sample draw for every segment: list of (batch,) layer ids.
     Early layers are favoured because their adapters summarize longer
-    suffixes."""
+    suffixes. Each draw is `rng.choice(m, p=segment_offset_probs(m),
+    size=batch)`'s, the same offsets from the same generator state, read
+    from the cached CDF."""
     out = []
     for front, back in mods.static_set.segments:
-        m = back - front - 1
-        probs = segment_offset_probs(m)
-        out.append(front + 1 + rng.choice(m, p=probs, size=batch))
+        cdf = _segment_offset_cdf(back - front - 1)
+        out.append(front + 1 + cdf.searchsorted(rng.random(batch), side="right"))
     return out
 
 
@@ -278,9 +303,11 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
     every row selects is served by views and whole-array writes, not
     fancy-index copies.
 
-    Block outputs, tanh activations and blends are written into
-    `workspace` (ShapeError unless it was built for this model, these
-    modules and this batch size; a fresh one when none is given). Returns
+    Block outputs, tanh activations, blends and the units' gathered
+    inputs, outputs and blend terms (each unit's rows one slice of its
+    segment's arrays) are written into `workspace` (ShapeError unless it
+    was built for this model, these modules and this batch size; a fresh
+    one when none is given). Returns
     (actions, gates) with gates shaped (batch, n_segments). When `caches`
     is a list it receives each segment's blend cache, which
     stage2_loss_and_grads reads with the workspace.
@@ -303,19 +330,28 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
                 raise ConfigError("selection shape must match the batch")
             full = xs[back]
             blend = ws.blends[si]
+            ux, uz, uhc, ua, uha = ws.unit_rows[si]
+            mix, full_rows, _ = ws.blend_tmp
+            one_minus_g = ws.gate_tmp[0]
             units, n_selected = [], 0
             for j in range(front + 1, back):
                 idx = np.flatnonzero(sel == j)
+                rows = slice(n_selected, n_selected + idx.size)  # this unit's workspace rows
                 n_selected += idx.size
                 if idx.size == 0:
                     units.append((j, None))
                     continue
                 if idx.size == batch:
                     idx = slice(None)
-                xj = xs[j][idx]
-                g, hc = controller_forward(mods, j, xj, cache=True)
-                a, ha = adapter_forward(mods, j, xj, cache=True)
-                blend[idx] = g[:, None] * a + (1.0 - g)[:, None] * full[idx]
+                xj = _rows_of(xs[j], idx, ux[rows])
+                g, hc = controller_forward(mods, j, xj, cache=True, out=(uz[rows], uhc[rows]))
+                a, ha = adapter_forward(mods, j, xj, cache=True, out=(ua[rows], uha[rows]))
+                # g[:, None] * a + (1.0 - g)[:, None] * full[idx], term by term
+                ga = np.multiply(g[:, None], a, out=mix[rows])
+                omg = np.subtract(1.0, g, out=one_minus_g[rows])
+                fj = _rows_of(full, idx, full_rows[rows])
+                ga += np.multiply(omg[:, None], fj, out=full_rows[rows])
+                blend[idx] = ga
                 gates[idx, si] = g
                 units.append((j, (idx, xj, g, hc, a, ha)))
             if n_selected != batch:  # a row left out would keep the buffer's stale values
@@ -330,6 +366,12 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
     if caches is not None:
         caches += blends
     return head_forward(model, xs[depth]), gates
+
+
+def _rows_of(a: np.ndarray, idx, out: np.ndarray) -> np.ndarray:
+    """a[idx]: `a` itself when idx is the whole batch's slice, else rows
+    idx of `a` written into `out` (in range, so mode="clip" as in gather)."""
+    return a if isinstance(idx, slice) else a.take(idx, axis=0, out=out, mode="clip")
 
 
 def stage2_loss_and_grads(model: PolicyModel, mods: SkipModules, selections,
@@ -390,6 +432,8 @@ def _blend_vjp(mods, blend, d_blend, lam, batch, ws, inj, d_full):
     a_dz, a_t = ws.adapter_tmp
     c_dz, c_t = ws.controller_tmp
     a_dx, c_dx = ws.unit_dx
+    du_rows, diff_rows, da_rows = ws.blend_tmp
+    dg_rows, omg_rows = ws.gate_tmp
     lo = 0
     for j, unit in units:
         if unit is None:  # no sample selected layer j
@@ -398,18 +442,21 @@ def _blend_vjp(mods, blend, d_blend, lam, batch, ws, inj, d_full):
                     grads[f"{kind}{j}.{part}"].fill(0.0)
             continue
         idx, xj, g, hc, a, ha = unit
-        rows = slice(lo, lo + len(g))  # this unit's rows of the VJP temporaries
+        rows = slice(lo, lo + len(g))  # this unit's rows of the temporaries
         lo += len(g)
-        du = d_blend[idx]
-        dg = (du * (a - full[idx])).sum(axis=1)
+        du = _rows_of(d_blend, idx, du_rows[rows])
+        # (du * (a - full[idx])).sum(axis=1), one operation at a time
+        diff = np.subtract(a, _rows_of(full, idx, diff_rows[rows]), out=diff_rows[rows])
+        dg = np.multiply(du, diff, out=diff).sum(axis=1, out=dg_rows[rows])
         dg += -lam * (back - j) / batch
-        da = g[:, None] * du
+        da = np.multiply(g[:, None], du, out=da_rows[rows])
         dxa = adapter_vjp(mods, j, xj, ha, da, grads, (a_dz[rows], a_t[rows], a_dx[rows]),
                           input_grad)
         dxc = controller_vjp(mods, j, xj, hc, g, dg, grads,
                              (c_dz[rows], c_t[rows], c_dx[rows]), input_grad)
         if input_grad:
-            d_full[idx] = (1.0 - g)[:, None] * du
+            omg = np.subtract(1.0, g, out=omg_rows[rows])
+            d_full[idx] = np.multiply(omg[:, None], du, out=diff_rows[rows])
             dxa += dxc  # == dxa + dxc: IEEE addition commutes
             inj[j] = (idx, dxa)
 
@@ -420,10 +467,11 @@ def stage2_step(model: PolicyModel, mods: SkipModules, opt: Adam, trace,
     """One Adam step on the stage-2 loss of freshly drawn selections.
     Returns (loss, task_loss, norm_loss, mean gate); the mean gate is nan
     when every layer is static, so there is no gate."""
-    selections = draw_selections(mods, _batch_of(trace), rng)
-    loss, task_loss, norm_loss, gates, grads = stage2_loss_and_grads(
-        model, mods, selections, trace, targets, lam, workspace)
-    opt.step(mods.params, grads)
+    ws = _workspace(Stage2Workspace, mods, trace, workspace, model)
+    selections = draw_selections(mods, ws.batch, rng)
+    loss, task_loss, norm_loss, gates, _ = stage2_loss_and_grads(
+        model, mods, selections, trace, targets, lam, ws)
+    opt.step(mods.arena, ws.grad_arena)
     return loss, task_loss, norm_loss, float(gates.mean()) if gates.size else math.nan
 
 

@@ -9,9 +9,10 @@ distillation stages in `distill` do too, into their own workspaces): it
 writes every activation, temporary and gradient of a training step into a
 TaskWorkspace, so a step through a reused workspace allocates no array of
 its own (numpy's iterator buffer for a broadcast bias add, at most 64 KiB,
-is the largest transient left). The gradients it returns are views into that workspace and
-alias it until its next use. Every other caller, the batch-1 rollouts
-included, gets fresh arrays.
+is the largest transient left). The gradients it returns are views into the
+workspace's gradient arena, laid out as the model's parameter arena, and
+alias it until its next use; Adam steps the two arenas. Every other caller,
+the batch-1 rollouts included, gets fresh arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .numerics import (
     bind_mlp,
     flat_views,
     init_mlp,
+    into_arena,
     mlp_forward,
     mlp_vjp,
     reject_unknown_keys,
@@ -60,17 +62,23 @@ class PolicyConfig:
 class PolicyModel:
     """Weight container; the math lives in module-level functions.
 
-    Construction checks every weight against the config (ShapeError names a
-    missing, mis-shaped or unexpected key) and binds each layer's (W.T, b)
-    views once. The views share memory with `params`, so update its arrays in
-    place (as Adam does); a replaced dict entry is not seen and needs a new
-    PolicyModel. A copy (copy.deepcopy, pickle) is rebuilt from its own
-    params, so its views bind to the copied arrays.
+    Construction copies `params` into one flat float64 `arena`, laid out in
+    dict order, and keeps as `params` its own dict, in that order, whose
+    every entry is a view into the arena (numerics.into_arena); the dict
+    passed in is left as it was, so two models never share one. It then
+    checks every weight against the config (ShapeError names a missing,
+    mis-shaped or unexpected key) and binds each layer's (W.T, b) views
+    once. Adam steps the arena in place, and every bound view sees it; an
+    array passed in is no longer the model's, and an entry of `params`
+    replaced later is not seen and needs a new PolicyModel. A copy
+    (copy.deepcopy, pickle) is rebuilt from its own params, into its own
+    arena.
     """
 
     def __init__(self, config: PolicyConfig, params: Params):
         self.config = config
-        self.params = params
+        self.params = params = dict(params)
+        self.arena = into_arena(params)
         d = config.hidden_dim
         self._embed = bind_affine(params, "embed.W", "embed.b", d, config.input_dim)
         self._blocks = tuple(bind_mlp(params, f"block{i}", d, d, d)
@@ -185,7 +193,8 @@ class TaskWorkspace:
     embedding output, then each block's output), each block's tanh
     activation `hs`, the head output `pred` and error `err`, the backward
     temporaries, and `grads`, which maps each parameter name, in
-    `model.params` order, to a view into one flat array."""
+    `model.params` order, to a view into `grad_arena`, laid out as the
+    model's arena."""
 
     def __init__(self, model: PolicyModel, batch: int):
         cfg = model.config
@@ -198,7 +207,7 @@ class TaskWorkspace:
         self.pred = np.empty((batch, cfg.action_dim))
         self.err = np.empty((batch, cfg.action_dim))
         self.dz, self.t, self.dx, self.spare = (np.empty((batch, d)) for _ in range(4))
-        self.grads = flat_views(model.params)
+        self.grad_arena, self.grads = flat_views(model.params)
 
 
 def task_loss_and_grads(model: PolicyModel, obs, instr, targets,
@@ -212,7 +221,8 @@ def task_loss_and_grads(model: PolicyModel, obs, instr, targets,
     (ShapeError unless it was built for this model and batch size), or into
     a fresh TaskWorkspace when none is given, so a caller that keeps the
     gradients of several calls passes none. The returned gradients are
-    `workspace.grads`: views that the workspace's next use overwrites."""
+    `workspace.grads`: views into `workspace.grad_arena`, which the
+    workspace's next use overwrites."""
     obs = as_f64(obs, "obs")
     instr = as_f64(instr, "instr")
     targets = as_f64(targets, "targets")

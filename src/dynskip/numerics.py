@@ -8,6 +8,15 @@ repeated runs on identical inputs are bit-identical.
 Backbone blocks, adapters and gate controllers are one unit,
 y = W2 tanh(W1 x + b1) + b2; its parameter keys, initialization, binding,
 forward kernel and VJP live here.
+
+Parameter arenas. PolicyModel and SkipModules copy their parameters at
+construction into one flat float64 arena (`into_arena`), and every entry of
+their own `params` dict is a view into it; the layer views they bind are
+views of those. Adam steps a whole arena against a gradient arena of the
+same layout (`flat_views`), which a training workspace writes, so an update
+in place reaches every bound view. An array passed to the constructor is no
+longer the model's, and a dict entry replaced later is seen by nothing
+bound: build a new model from the new dict.
 """
 
 from __future__ import annotations
@@ -79,8 +88,15 @@ def l2_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def sigmoid(z, out=None):
+    """1 / (1 + exp(-z)); with `out`, an array shaped like z, formed there
+    in place by the same operations and returned."""
+    if out is None:
+        return 1.0 / (1.0 + np.exp(-z))
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0  # == 1.0 + e: IEEE addition commutes
+    return np.divide(1.0, out, out=out)
 
 
 # --- the two-layer tanh unit ---------------------------------------------------
@@ -202,33 +218,47 @@ def mlp_vjp(params: Params, prefix: str, x, h, dy, grads: Params | None = None,
     return np.matmul(dz, params[W1], out=dx) if input_grad else None
 
 
-def flat_views(params: Params) -> Params:
-    """One view per entry of `params`, in its order and of its shape, into
-    a single fresh flat float64 array: gradients a workspace writes in
-    place, laid out as Adam lays out its state."""
-    flat = np.empty(sum(p.size for p in params.values()))
+def flat_views(params: Params, layout=None) -> tuple[np.ndarray, Params]:
+    """A fresh flat float64 array, the arena, and one view into it per entry
+    of `params`, of that entry's shape and keyed in params order. The views
+    lie end to end in `layout` order, a sequence of params' keys (params
+    order by default), so a prefix of the layout is a prefix of the arena."""
+    names = tuple(params) if layout is None else layout
+    flat = np.empty(sum(params[name].size for name in names))
     views: Params = {}
     start = 0
-    for name, p in params.items():
+    for name in names:
+        p = params[name]
         views[name] = flat[start:start + p.size].reshape(p.shape)
         start += p.size
-    return views
+    return flat, {name: views[name] for name in params}
+
+
+def into_arena(params: Params, layout=None) -> np.ndarray:
+    """Copy every entry of `params` into a fresh arena laid out as
+    flat_views lays it out, replace each entry, in place and in params
+    order, with its view, and return the arena. An array taken from params
+    before the call is no longer its entry."""
+    flat, views = flat_views(params, layout)
+    for name, view in views.items():
+        view[...] = params[name]
+        params[name] = view
+    return flat
 
 
 class Adam:
-    """Adaptive-moment optimizer over a named parameter dict, with flat state.
+    """Adaptive-moment optimizer over one flat parameter arena.
 
-    The first step fixes the layout: the parameter names, their order and
-    their shapes. The moments `m` and `v` and two scratch buffers are then one
-    flat float64 array each, laid out in that order, so every step is a fixed
-    number of whole-buffer operations however many arrays there are. Each
-    later step must pass the same layout, or step() raises ShapeError; give
-    each parameter subset its own Adam. step() still updates the passed
-    parameter arrays in place and returns them, so views bound to them
-    (PolicyModel, SkipModules) see every update. With zero gradients a step
-    leaves parameters unchanged. A gradient missing from `grads`, or one that
-    is not an array (a `dict.fromkeys` entry never assigned), raises
-    ShapeError naming the parameter: it is never taken as zero.
+    step(params, grads) takes two 1-D float64 arrays: the arena of a trained
+    set (`PolicyModel.arena`, `SkipModules.arena` or its `adapter_arena`
+    prefix) and the gradient arena of the same layout that a workspace
+    writes. The first step fixes the size; the moments `m` and `v` and two
+    scratch buffers are flat arrays of it, so every step is a fixed number
+    of whole-buffer operations, and the parameters are updated in place, so
+    the views bound into the arena (PolicyModel, SkipModules) see every
+    update. An arena of another size raises ShapeError naming both sizes;
+    give each trained set its own Adam. With zero gradients a step leaves
+    the parameters unchanged. The gradients are only read.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
@@ -238,60 +268,34 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._names: tuple[str, ...] | None = None
+        self.m: np.ndarray | None = None
 
-    def _lay_out(self, params: Params) -> None:
-        self._names = tuple(params)
-        self._shapes = [p.shape for p in params.values()]
-        sizes = [p.size for p in params.values()]
-        total = sum(sizes)
-        self.m, self.v, self._g, self._upd = (np.zeros(total) for _ in range(4))
-        ends = np.cumsum(sizes)
-        self._upd_views = [self._upd[end - n:end].reshape(shape)
-                           for end, n, shape in zip(ends, sizes, self._shapes)]
-
-    def step(self, params: Params, grads: Params) -> Params:
-        if self._names is None:
-            self._lay_out(params)
-        elif tuple(params) != self._names:
-            raise ShapeError("parameter names or order differ from the first Adam step")
-        gs = [grads.get(name) for name in self._names]
-        shapes = self._shapes
-        if ([p.shape for p in params.values()] != shapes
-                or [getattr(g, "shape", None) for g in gs] != shapes):
-            for name, p, g, shape in zip(self._names, params.values(), gs, shapes):
-                if p.shape != shape:
-                    raise ShapeError(f"parameter {name!r} is {p.shape}, "
-                                     f"was {shape} at the first Adam step")
-                if name not in grads:
-                    raise ShapeError(f"no gradient for parameter {name!r}")
-                if not isinstance(g, np.ndarray):
-                    raise ShapeError(f"gradient for parameter {name!r} is "
-                                     f"{type(g).__name__}, not an array")
-                if g.shape != shape:
-                    raise ShapeError(f"grad shape mismatch for {name}")
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        n = params.size if self.m is None else self.m.size
+        if params.shape != (n,):
+            raise ShapeError(f"parameter arena of shape {params.shape}: the first Adam step's "
+                             f"held {n} values")
+        if grads.shape != (n,):
+            raise ShapeError(f"gradient arena of shape {grads.shape}: the parameter arena "
+                             f"holds {n} values")
+        if self.m is None:
+            self.m, self.v, self._upd, self._den = (np.zeros(n) for _ in range(4))
         self.t += 1
-        if not gs:  # np.concatenate needs at least one array
-            return params
         b1, b2 = self.beta1, self.beta2
-        m, v, g, upd = self.m, self.v, self._g, self._upd
-        np.concatenate(gs, axis=None, out=g)
+        m, v, upd, den = self.m, self.v, self._upd, self._den
         # The per-array update's operations in its order, so every element
-        # comes out bit-identical to it; g becomes the denominator once m and
-        # v have used it.
+        # comes out bit-identical to it.
         m *= b1
-        np.multiply(g, 1.0 - b1, out=upd)
+        np.multiply(grads, 1.0 - b1, out=upd)
         m += upd
         v *= b2
-        np.multiply(g, g, out=upd)
+        np.multiply(grads, grads, out=upd)
         upd *= 1.0 - b2
         v += upd
         np.divide(m, 1.0 - b1 ** self.t, out=upd)
         upd *= self.lr
-        np.divide(v, 1.0 - b2 ** self.t, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        upd /= g
-        for p, u in zip(params.values(), self._upd_views):
-            p -= u
-        return params
+        np.divide(v, 1.0 - b2 ** self.t, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        upd /= den
+        params -= upd

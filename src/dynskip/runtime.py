@@ -43,6 +43,7 @@ from .numerics import (
     bind_mlp,
     gate_forward,
     init_mlp,
+    into_arena,
     l2_norm,
     mlp_forward,
     mlp_vjp,
@@ -67,8 +68,15 @@ class SkipModules:
     and each gate's second-layer row W2[0] once and lays out the segment
     walk: `segment_plan` holds, per segment, the static layers before it and
     its (front, back), and `trailing_statics` the rest.
-    As with PolicyModel, update `params` arrays in place; a replaced entry
-    needs a new SkipModules, and a copy is rebuilt from its own params.
+
+    As PolicyModel does, construction first copies `params` into one flat
+    float64 `arena` and keeps as `params` its own dict, in the same order,
+    of views into it; the dict passed in (dataclasses.replace passes this
+    one's) is left as it was. The arena lays out every adapter before every
+    controller (`layout` lists the keys in arena order), so stage 1's
+    trained set is the prefix `adapter_arena`. An array passed in is no
+    longer the modules', an entry of `params` replaced later needs a new
+    SkipModules, and a copy is rebuilt into its own arena.
     """
 
     static_set: StaticSet
@@ -79,7 +87,12 @@ class SkipModules:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must be in (0, 1), got {self.tau}")
-        p, d, da, dc = self.params, self.hidden_dim, self.adapter_dim, self.controller_dim
+        self.params = p = dict(self.params)
+        d, da, dc = self.hidden_dim, self.adapter_dim, self.controller_dim
+        # adapters first, each kind in dict order (sorted is stable)
+        self.layout = tuple(sorted(p, key=lambda k: not k.startswith("adapter")))
+        self.arena = into_arena(p, self.layout)
+        self.adapter_arena = self.arena[:sum(p[k].size for k in p if k.startswith("adapter"))]
         self._adapters = {j: bind_mlp(p, f"adapter{j}", d, da, d)
                           for j in self.static_set.dynamic_layers}
         self._controllers = {j: bind_mlp(p, f"controller{j}", d, dc, 1)
@@ -105,9 +118,6 @@ class SkipModules:
     @property
     def controller_dim(self) -> int:
         return flops.controller_hidden_dim(self.hidden_dim)
-
-    def adapter_keys(self) -> list[str]:
-        return [k for k in self.params if k.startswith("adapter")]
 
 
 def check_depth(model: PolicyModel, static_set: StaticSet) -> None:
@@ -149,14 +159,17 @@ def adapter_vjp(mods: SkipModules, j: int, x, h, dy, param_grads: Params, out=No
     return mlp_vjp(mods.params, f"adapter{j}", x, h, dy, param_grads, out, input_grad)
 
 
-def controller_forward(mods: SkipModules, j: int, x, cache: bool = False):
-    """Gate value in (0, 1); scalar for a vector input, (B,) for a batch."""
+def controller_forward(mods: SkipModules, j: int, x, cache: bool = False, out=None):
+    """Gate value in (0, 1); scalar for a vector input, (B,) for a batch.
+    `out` is a (z, h) pair, as for mlp_forward: the unit's output z is
+    written there and the gate formed in it in place, so the (B,) gates
+    returned are a view of z."""
     if x.shape[-1] != mods.hidden_dim:
         raise ShapeError(f"controller{j}: x is {x.shape}, expected hidden size {mods.hidden_dim}")
     if x.ndim == 1 and not cache:
         return gate_forward(mods._controllers[j], mods._gate_w2[j], x)
-    z, h = mlp_forward(mods._controllers[j], x)
-    g = sigmoid(z)
+    z, h = mlp_forward(mods._controllers[j], x, out)
+    g = sigmoid(z, None if out is None else z)
     g = g[..., 0] if g.ndim > 1 else float(g[0])
     return (g, h) if cache else g
 

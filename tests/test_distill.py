@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import tracemalloc
 from dataclasses import replace
@@ -13,6 +14,7 @@ from dynskip.model import (PolicyConfig, block_forward, block_vjp, build_policy,
 from dynskip.numerics import Adam, affine_vjp, mlp_vjp
 from dynskip.profiler import StaticSet
 from gradcheck import grad_check
+from test_numerics import _PerArrayAdam
 
 
 def make_setup(depth=6, statics=(2, 5), seed=0, hidden=8):
@@ -22,6 +24,10 @@ def make_setup(depth=6, statics=(2, 5), seed=0, hidden=8):
     ss = StaticSet(indices=statics, depth=depth)
     mods = rt.init_skip_modules(model, ss, seed=seed + 1)
     return model, ss, mods
+
+
+def adapter_keys(mods):
+    return [k for k in mods.params if k.startswith("adapter")]
 
 
 def rand_batch(model, n, seed):
@@ -38,7 +44,7 @@ class TestStage1:
         before = {k: v.copy() for k, v in model.params.items()}
         trace = forward_recorded(model, obs, instr)[1]
         _, grads = dt.stage1_loss_and_grads(mods, trace)
-        assert set(grads) == set(mods.adapter_keys())
+        assert list(grads) == adapter_keys(mods)
         opt = Adam(lr=1e-2)
         for _ in range(5):
             dt.stage1_step(mods, opt, trace)
@@ -54,7 +60,7 @@ class TestStage1:
         def f(p):
             return dt.stage1_loss_and_grads(mods, trace)
 
-        adapters = {k: mods.params[k] for k in mods.adapter_keys()}
+        adapters = {k: mods.params[k] for k in adapter_keys(mods)}
         assert grad_check(f, adapters, step=1e-5) < 1e-4
 
     def test_identity_segment_is_learnable(self):
@@ -120,6 +126,24 @@ class TestHarmonicSampling:
         assert dt.segment_offset_probs(5) is probs
         with pytest.raises(ValueError):
             probs[0] = 1.0
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_draws_and_generator_state_equal_rng_choice(self, m):
+        """The cached-CDF draw is Generator.choice's: the same offsets and
+        the same generator state after each call, segment after segment."""
+        depth = max(4, m + 2)
+        _, ss, one = make_setup(depth=depth, statics=tuple(range(m, depth)))
+        _, _, two = make_setup(depth=m + 4, statics=(1, m + 2, m + 3))  # m = 1, then m
+        for mods in (one, two):
+            for seed in (0, 1, 2):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(3):
+                    draws = dt.draw_selections(mods, 64, rng)
+                    for (front, back), got in zip(mods.static_set.segments, draws):
+                        n = back - front - 1
+                        want = front + 1 + ref.choice(n, p=dt.segment_offset_probs(n), size=64)
+                        assert got.dtype == want.dtype and np.array_equal(got, want)
+                    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestStage2:
@@ -220,15 +244,16 @@ class TestStage2:
         model, ss, mods = make_setup(depth=6, statics=(2, 5), seed=19)
         obs, instr, targets = rand_batch(model, 6, 20)
         sels = [np.full(6, 0), np.full(6, 3)]  # layers 1 and 4 never selected
+        ws = dt.Stage2Workspace(model, mods, 6)
         *_, grads = dt.stage2_loss_and_grads(
-            model, mods, sels, forward_recorded(model, obs, instr)[1], targets, lam=0.05)
+            model, mods, sels, forward_recorded(model, obs, instr)[1], targets, 0.05, ws)
         assert list(grads) == list(mods.params)
         for k, g in grads.items():
             unselected = k.startswith(("adapter1.", "controller1.", "adapter4.", "controller4."))
             assert isinstance(g, np.ndarray) and g.shape == mods.params[k].shape
             assert np.all(g == 0.0) == unselected, k
         before = {k: v.copy() for k, v in mods.params.items()}
-        Adam(lr=1e-2).step(mods.params, grads)
+        Adam(lr=1e-2).step(mods.arena, ws.grad_arena)
         for k, v in mods.params.items():
             assert np.array_equal(v, before[k]) == np.all(grads[k] == 0.0), k
 
@@ -355,7 +380,7 @@ class TestRunTwoStage:
 def _per_batch_stage1(model, mods, obs, instr):
     _, trace = forward_recorded(model, obs, instr)
     batch = np.atleast_2d(obs).shape[0]
-    grads = {k: np.zeros_like(mods.params[k]) for k in mods.adapter_keys()}
+    grads = {k: np.zeros_like(mods.params[k]) for k in adapter_keys(mods)}
     loss = 0.0
     for front, back in mods.static_set.segments:
         target = trace[back]
@@ -610,40 +635,81 @@ class TestStageWorkspace:
     def test_five_steps_through_one_workspace_equal_the_per_batch_forms(self, statics,
                                                                         unselect):
         """Losses and gradients of 5 Adam steps per stage through one reused
-        workspace each, bit for bit. With `unselect`, every other stage-2
-        step leaves the units of layers 5 to 8 unselected after a step that
-        selected them, so stale gradients would show; no step writes into
-        the gathered rows or the teacher."""
+        workspace each, bit for bit, and after every step weights equal to
+        those the per-array Adam gives the per-batch forms' gradient dicts.
+        With `unselect`, every other stage-2 step leaves the units of layers
+        5 to 8 unselected after a step that selected them, so stale
+        gradients would show; no step writes into the gathered rows or the
+        teacher."""
         model, mods, obs, instr, targets, teacher, rng = _benchmark_sized(statics)
+        ref_mods = copy.deepcopy(mods)
         before = [t.copy() for t in teacher]
         ws1, ws2 = dt.Stage1Workspace(mods, 64), dt.Stage2Workspace(model, mods, 64)
         opt1, opt2 = Adam(lr=1e-2), Adam(lr=1e-2)
+        ref_opt1, ref_opt2 = _PerArrayAdam(lr=1e-2), _PerArrayAdam(lr=1e-2)
         for step in range(5):
             idx = rng.integers(0, len(obs), 64)
             rows = ws1.gather(teacher, idx)
             gathered = [None if r is None else r.copy() for r in rows]
-            ref_loss, ref_grads = _per_batch_stage1(model, mods, obs[idx], instr[idx])
+            ref_loss, ref_grads = _per_batch_stage1(model, ref_mods, obs[idx], instr[idx])
             loss, grads = dt.stage1_loss_and_grads(mods, rows, ws1)
             assert loss == ref_loss
             assert list(grads) == list(ref_grads)
             assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
             assert all(np.array_equal(a, b) for a, b in zip(rows, gathered) if b is not None)
-            opt1.step(ws1.params, grads)
+            opt1.step(mods.adapter_arena, ws1.grad_arena)
+            ref_opt1.step({k: ref_mods.params[k] for k in ref_grads}, ref_grads)
+            assert np.array_equal(mods.arena, ref_mods.arena)
 
             sels = dt.draw_selections(mods, 64, rng)
             if unselect and step % 2:
                 sels = _unselecting(sels)
             rows = ws2.gather(teacher, idx)
             gathered = [None if r is None else r.copy() for r in rows]
-            ref = _per_batch_stage2(model, mods, sels, obs[idx], instr[idx], targets[idx], 0.05)
+            ref = _per_batch_stage2(model, ref_mods, sels, obs[idx], instr[idx], targets[idx],
+                                    0.05)
             got = dt.stage2_loss_and_grads(model, mods, sels, rows, targets[idx], 0.05, ws2)
             assert got[:3] == ref[:3]
             assert np.array_equal(got[3], ref[3])
             assert list(got[4]) == list(ref[4])
             assert all(np.array_equal(got[4][k], ref[4][k]) for k in got[4])
             assert all(np.array_equal(a, b) for a, b in zip(rows, gathered) if b is not None)
-            opt2.step(mods.params, got[4])
+            opt2.step(mods.arena, ws2.grad_arena)
+            ref_opt2.step(ref_mods.params, ref[4])
+            assert np.array_equal(mods.arena, ref_mods.arena)
         assert all(np.array_equal(a, b) for a, b in zip(teacher, before))
+
+    @pytest.mark.parametrize("statics,unselect", [(s, False) for s in STATIC_SETS]
+                             + [((0, 2, 9, 10, 11), True)])
+    def test_every_gradient_is_written(self, statics, unselect):
+        """Each stage's gradient arena, filled with NaN before a step, comes
+        out finite: the step writes every entry, an unselected unit's as
+        zeros."""
+        model, mods, _, _, targets, teacher, rng = _benchmark_sized(statics)
+        idx = rng.integers(0, len(teacher[0]), 64)
+        ws1, ws2 = dt.Stage1Workspace(mods, 64), dt.Stage2Workspace(model, mods, 64)
+        ws1.grad_arena.fill(np.nan)
+        dt.stage1_loss_and_grads(mods, ws1.gather(teacher, idx), ws1)
+        assert np.all(np.isfinite(ws1.grad_arena))
+        sels = dt.draw_selections(mods, 64, rng)
+        ws2.grad_arena.fill(np.nan)
+        dt.stage2_loss_and_grads(model, mods, _unselecting(sels) if unselect else sels,
+                                 ws2.gather(teacher, idx), targets[idx], 0.05, ws2)
+        assert np.all(np.isfinite(ws2.grad_arena))
+
+    def test_gradient_arenas_are_laid_out_as_the_trained_arenas(self):
+        """Stage 1's gradients mirror `adapter_arena`, stage 2's `arena`:
+        every gradient lies at its parameter's offset, keyed in dict order."""
+        model, mods, *_ = _benchmark_sized((0, 2, 9, 10, 11))
+        ws1, ws2 = dt.Stage1Workspace(mods, 8), dt.Stage2Workspace(model, mods, 8)
+        assert list(ws1.grads) == adapter_keys(mods) and list(ws2.grads) == list(mods.params)
+        for ws, arena in ((ws1, mods.adapter_arena), (ws2, mods.arena)):
+            assert ws.grad_arena.shape == arena.shape
+            for k, g in ws.grads.items():
+                p = mods.params[k]
+                assert g.base is ws.grad_arena and g.shape == p.shape
+                assert (g.__array_interface__["data"][0] - ws.grad_arena.ctypes.data
+                        == p.__array_interface__["data"][0] - arena.ctypes.data)
 
     def test_a_workspace_of_another_batch_size_model_or_stage_is_refused(self):
         model, mods, _, _, targets, teacher, rng = _benchmark_sized((0, 2, 9, 10, 11))
@@ -694,9 +760,10 @@ def test_a_warm_distillation_step_stays_within_its_allocation_bound(monkeypatch)
     """Between two calls of one stage's step lies one step: the batch draw,
     the gather, the loss and gradients and the Adam update. After two
     warm-up steps at batch 64, d 64 and depth 12, none may hold more fresh
-    memory at once than 128 KiB in stage 1 or 384 KiB in stage 2; the
-    allocate-per-step form held 274 and 916 KiB. A run builds one workspace
-    per stage."""
+    memory at once than 128 KiB in stage 1 or 64 KiB in stage 2 (measured
+    33 and 42 KiB); the allocate-per-step form held 274 and 916 KiB, and
+    stage 2 with fresh unit outputs and blend temporaries 182-201 KiB. A
+    run builds one workspace per stage."""
     marks = {"stage1_step": [], "stage2_step": []}  # (traced bytes at a call, peak since)
     built = []
     for name, stage_marks in marks.items():
@@ -723,7 +790,7 @@ def test_a_warm_distillation_step_stays_within_its_allocation_bound(monkeypatch)
     finally:
         tracemalloc.stop()
     assert built == ["Stage1Workspace", "Stage2Workspace"]
-    for name, bound in (("stage1_step", 128 * 1024), ("stage2_step", 384 * 1024)):
+    for name, bound in (("stage1_step", 128 * 1024), ("stage2_step", 64 * 1024)):
         m = marks[name]
         steps = [peak - at_call for (at_call, _), (_, peak) in zip(m, m[1:])]
         assert len(steps) == 5

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from dynskip import containers
+from dynskip import containers, runtime, sim
 from dynskip.errors import ConfigError, ShapeError
 from dynskip.model import (
     PolicyConfig,
@@ -23,6 +23,7 @@ from dynskip.model import (
 )
 from dynskip.numerics import Adam
 from gradcheck import grad_check
+from test_numerics import _PerArrayAdam
 
 
 def tiny_config(**kw):
@@ -226,18 +227,30 @@ class TestTaskLoss:
         assert err < 1e-4
 
     def test_forward_sees_in_place_adam_updates(self):
-        model = build_policy(tiny_config(seed=13))
+        """Adam steps on the arena reach every bound view: the layers, a
+        batch forward and a closed-loop rollout equal those of a model
+        rebuilt from copies of the stepped params."""
+        model = build_policy(tiny_config(obs_dim=7, action_dim=3, seed=13))
+        initial = forward_recorded(model, np.ones(7), np.ones(2))[0]
         rng = np.random.default_rng(6)
-        obs, instr, targets = (rng.normal(size=(5, n)) for n in (3, 2, 2))
-        opt = Adam(lr=0.05)
+        obs, instr, targets = (rng.normal(size=(5, n)) for n in (7, 2, 3))
+        opt, ws = Adam(lr=0.05), TaskWorkspace(model, 5)
         for _ in range(3):
-            opt.step(model.params, task_loss_and_grads(model, obs, instr, targets)[1])
+            task_loss_and_grads(model, obs, instr, targets, ws)
+            opt.step(model.arena, ws.grad_arena)
         fresh = PolicyModel(model.config, {k: v.copy() for k, v in model.params.items()})
         x = rng.normal(size=(5, 8))
         for i in range(model.config.depth):
             assert np.array_equal(block_forward(model, i, x), block_forward(fresh, i, x))
         assert np.array_equal(forward_recorded(model, obs, instr)[0],
                               forward_recorded(fresh, obs, instr)[0])
+        assert not np.array_equal(forward_recorded(model, np.ones(7), np.ones(2))[0], initial)
+        task = sim.sample_task_sequence(3, sim.SimConfig(subtasks=2))
+        episodes = [runtime.rollout_episode(task, m, None, "full", runtime.GuidanceConfig())
+                    for m in (model, fresh)]
+        assert (runtime.episode_trace_lines(episodes[0])
+                == runtime.episode_trace_lines(episodes[1]))
+        assert np.array_equal(episodes[0].actions, episodes[1].actions)
 
     def test_hidden_width_mismatch_rejected(self):
         model = build_policy(tiny_config())
@@ -323,27 +336,43 @@ class TestTaskWorkspace:
             self._assert_equal_to_reference(
                 model, batch, task_loss_and_grads(model, *batch, workspace=ws))
 
-    def test_gradients_are_views_into_one_flat_array_in_params_order(self):
+    def test_params_and_gradients_are_views_into_two_arenas_of_one_layout(self):
+        """Both in dict order: each parameter at its offset in model.arena,
+        its gradient at the same offset in the workspace's gradient arena."""
         model = build_policy(tiny_config())
         ws = TaskWorkspace(model, 3)
         _, grads = task_loss_and_grads(model, *self._batch_tiny(3), workspace=ws)
-        assert grads is ws.grads
-        flat = grads["embed.W"].base
+        assert grads is ws.grads and list(grads) == list(model.params)
         offset = 0
         for k, g in grads.items():
-            assert g.base is flat and g.shape == model.params[k].shape
-            assert g.__array_interface__["data"][0] == flat.ctypes.data + 8 * offset
+            p = model.params[k]
+            assert p.base is model.arena and g.base is ws.grad_arena and g.shape == p.shape
+            assert p.__array_interface__["data"][0] == model.arena.ctypes.data + 8 * offset
+            assert g.__array_interface__["data"][0] == ws.grad_arena.ctypes.data + 8 * offset
             offset += g.size
-        assert offset == flat.size
+        assert offset == model.arena.size == ws.grad_arena.size == model.n_params()
+
+    @pytest.mark.parametrize("n", [1, 24])
+    def test_every_gradient_is_written(self, n):
+        """A gradient arena filled with NaN comes out finite: the step
+        writes every entry."""
+        model = kernel_model()
+        ws = TaskWorkspace(model, n)
+        ws.grad_arena.fill(np.nan)
+        task_loss_and_grads(model, *self._batch(n, 5), workspace=ws)
+        assert np.all(np.isfinite(ws.grad_arena))
 
     def test_fifty_adam_steps_through_one_workspace_give_the_reference_digest(self):
+        """Arena Adam on the workspace's gradient arena against the
+        per-array Adam on the reference's gradient dict."""
         ref_model, model = kernel_model(), kernel_model()
-        ref_opt, opt = Adam(lr=3e-3), Adam(lr=3e-3)
+        ref_opt, opt = _PerArrayAdam(lr=3e-3), Adam(lr=3e-3)
         ws = TaskWorkspace(model, 24)
         for step in range(50):
             batch = self._batch(24, 100 + step)
             ref_opt.step(ref_model.params, _reference_task_loss_and_grads(ref_model, *batch)[1])
-            opt.step(model.params, task_loss_and_grads(model, *batch, workspace=ws)[1])
+            task_loss_and_grads(model, *batch, workspace=ws)
+            opt.step(model.arena, ws.grad_arena)
         assert _digest(model.params) == _digest(ref_model.params)
         assert _digest(model.params) != _digest(kernel_model().params)
 
@@ -368,8 +397,10 @@ class TestCheckpoint:
         save_policy(path, model)
         loaded = load_policy(path)
         assert loaded.config == model.config
+        assert np.array_equal(loaded.arena, model.arena)
         for k in model.params:
             assert np.array_equal(loaded.params[k], model.params[k])
+            assert loaded.params[k].base is loaded.arena
 
     @pytest.mark.parametrize("key,shape", [("block1.W2", (8, 7)), ("head.b", (3,)),
                                            ("embed.W", None)])
@@ -403,6 +434,19 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_a_model_keeps_its_own_dict_of_arena_views():
+    """The dict passed in keeps its arrays, so a second model built from a
+    model's params leaves the first one's dict in the first one's arena."""
+    model = build_policy(tiny_config(seed=27))
+    passed = dict(model.params)
+    second = PolicyModel(model.config, passed)
+    assert second.params is not passed
+    assert all(passed[k] is model.params[k] for k in passed)
+    assert all(v.base is model.arena for v in model.params.values())
+    assert all(v.base is second.arena for v in second.params.values())
+    assert list(second.params) == list(model.params)
+
+
 COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda obj: pickle.loads(pickle.dumps(obj))}
 
 
@@ -414,6 +458,8 @@ def test_a_copy_binds_its_own_params(how):
     model = build_policy(tiny_config(seed=25))
     before = {k: v.copy() for k, v in model.params.items()}
     twin = COPIES[how](model)
+    assert not np.shares_memory(twin.arena, model.arena)
+    assert all(v.base is twin.arena for v in twin.params.values())
     rng = np.random.default_rng(26)
     obs, instr = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
     action = forward_recorded(model, obs, instr)[0]

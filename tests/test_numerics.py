@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from dynskip.errors import ShapeError
 from dynskip.model import PolicyConfig, PolicyModel, build_policy, head_forward
-from dynskip.numerics import Adam, bind_mlp, init_mlp, l2_norm, mlp_forward, mlp_vjp, sigmoid
+from dynskip.numerics import (Adam, bind_mlp, flat_views, init_mlp, into_arena, l2_norm,
+                              mlp_forward, mlp_vjp, sigmoid)
 from gradcheck import grad_check
 
 
@@ -41,10 +44,6 @@ class TestAffineForward:
             # GEMV vs GEMM may differ in the last ulp; bit-equality is only
             # guaranteed for identical input shapes
             assert np.allclose(batched[i], head_forward(model, X[i]), rtol=1e-13, atol=1e-15)
-
-    def test_empty_parameter_dict_is_a_no_op(self):
-        opt = Adam()
-        assert opt.step({}, {}) == {} and opt.t == 1
 
     def test_shape_mismatch(self):
         model = _head(np.eye(2), np.zeros(2))
@@ -180,66 +179,55 @@ class TestMlpUnit:
 
 class TestAdam:
     def test_zero_grad_is_identity(self):
-        params = {"w": np.array([1.0, -2.0, 3.0])}
-        before = params["w"].copy()
+        arena = np.array([1.0, -2.0, 3.0])
         opt = Adam(lr=0.1)
         for _ in range(5):
-            opt.step(params, {"w": np.zeros(3)})
-        assert np.array_equal(params["w"], before)
+            opt.step(arena, np.zeros(3))
+        assert np.array_equal(arena, [1.0, -2.0, 3.0])
 
     def test_first_step_moves_against_gradient(self):
-        params = {"w": np.array([0.0])}
-        Adam(lr=0.1).step(params, {"w": np.array([1.0])})
-        assert params["w"][0] < 0.0
+        arena = np.array([0.0])
+        Adam(lr=0.1).step(arena, np.array([1.0]))
+        assert arena[0] < 0.0
 
     def test_converges_on_quadratic(self):
-        params = {"w": np.array([0.0])}
+        arena = np.array([0.0])
         opt = Adam(lr=0.1)
         for _ in range(100):
-            opt.step(params, {"w": 2.0 * (params["w"] - 2.0)})
-        assert abs(params["w"][0] - 2.0) < 0.05
+            opt.step(arena, 2.0 * (arena - 2.0))
+        assert abs(arena[0] - 2.0) < 0.05
 
     def test_step_count_increases(self):
         opt = Adam()
-        p = {"w": np.zeros(1)}
-        opt.step(p, {"w": np.zeros(1)})
-        opt.step(p, {"w": np.zeros(1)})
+        arena = np.zeros(1)
+        opt.step(arena, np.zeros(1))
+        opt.step(arena, np.zeros(1))
         assert opt.t == 2
 
-    def test_empty_parameter_dict_is_a_no_op(self):
+    def test_an_empty_arena_is_a_no_op(self):
         opt = Adam()
-        assert opt.step({}, {}) == {} and opt.t == 1
+        opt.step(np.zeros(0), np.zeros(0))
+        assert opt.t == 1
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            Adam().step({"w": np.zeros(2)}, {"w": np.zeros(3)})
+    def test_a_gradient_arena_of_another_size_names_both_sizes(self):
+        arena = np.ones(2)
+        with pytest.raises(ShapeError, match=r"gradient arena of shape \(3,\).*holds 2 values"):
+            Adam().step(arena, np.zeros(3))
+        assert np.array_equal(arena, np.ones(2))
 
-    @pytest.mark.parametrize("grads", [{"w": np.zeros(2)},               # "b" missing
-                                       {"w": np.zeros(2), "b": None},  # never assigned
-                                       {"w": np.zeros(2), "b": [0.0]}])
-    def test_a_missing_or_non_array_gradient_names_its_parameter(self, grads):
-        params = {"w": np.ones(2), "b": np.ones(1)}
-        with pytest.raises(ShapeError, match="'b'"):
-            Adam().step(params, grads)
-        assert np.array_equal(params["w"], np.ones(2))
-
-    @pytest.mark.parametrize("later", [
-        {"w": np.zeros((3, 2)), "b": np.zeros(3)},                       # a name dropped
-        {"b": np.zeros(3), "w": np.zeros((3, 2)), "s": np.zeros(1)},     # order changed
-        {"w": np.zeros((2, 3)), "b": np.zeros(3), "s": np.zeros(1)},     # shape changed
-        {"w": np.zeros((3, 2)), "b": np.zeros(3), "s": np.zeros(1), "x": np.zeros(1)},
-    ])
-    def test_later_step_with_another_layout_raises(self, later):
+    @pytest.mark.parametrize("later", [(3,), (5,), (2, 2)])
+    def test_a_later_parameter_arena_of_another_shape_names_both(self, later):
         opt = Adam(lr=0.1)
-        first = {"w": np.zeros((3, 2)), "b": np.zeros(3), "s": np.zeros(1)}
-        opt.step(first, {k: np.ones_like(v) for k, v in first.items()})
-        # gradients keep the first step's shapes: only the parameters differ
-        with pytest.raises(ShapeError):
-            opt.step(later, {k: np.ones_like(first.get(k, v)) for k, v in later.items()})
+        opt.step(np.zeros(4), np.ones(4))
+        with pytest.raises(ShapeError,
+                           match=re.escape(f"parameter arena of shape {later}") + ".*held 4 values"):
+            opt.step(np.zeros(later), np.ones(later))
+        assert opt.t == 1
 
 
 class _PerArrayAdam:
-    """Reference: the per-array Adam loop the flat update replaced."""
+    """Reference: the per-array Adam loop over a parameter dict that the
+    arena update replaced."""
 
     def __init__(self, lr):
         self.lr, self.beta1, self.beta2, self.eps = lr, 0.9, 0.999, 1e-8
@@ -265,42 +253,83 @@ class _PerArrayAdam:
         return params
 
 
-class TestFlatAdamMatchesPerArrayLoop:
+class TestArenaAdamMatchesPerArrayLoop:
     SHAPES = {"W1": (5, 3), "b1": (5,), "W2": (1, 5), "b2": (1,), "gain": (4,)}
 
     def _run(self, keys, steps=25, seed=0):
+        """Adam on the arena prefix that holds `keys` (laid out first, as
+        SkipModules lays out its adapters) against the per-array loop on
+        those keys of a dict copy."""
         rng = np.random.default_rng(seed)
         init = {k: rng.normal(size=s) for k, s in self.SHAPES.items()}
-        flat = {k: v.copy() for k, v in init.items()}
+        params = {k: v.copy() for k, v in init.items()}
+        layout = list(keys) + [k for k in self.SHAPES if k not in keys]
+        arena = into_arena(params, layout)
+        trained = arena[:sum(params[k].size for k in keys)]
+        grad_arena, grads = flat_views({k: params[k] for k in keys})
         ref = {k: v.copy() for k, v in init.items()}
         opt, ref_opt = Adam(lr=0.03), _PerArrayAdam(lr=0.03)
         for t in range(steps):
             zero = t % 6 == 3  # some all-zero steps
             scale = 10.0 ** rng.integers(-3, 2)
-            grads = {k: np.zeros(s) if zero else rng.normal(scale=scale, size=s)
-                     for k, s in self.SHAPES.items()}
-            # fresh dicts over the same arrays: only in-place updates reach flat
-            opt.step({k: flat[k] for k in keys}, grads)
+            for k, g in grads.items():
+                g[...] = 0.0 if zero else rng.normal(scale=scale, size=g.shape)
+            opt.step(trained, grad_arena)
             ref_opt.step({k: ref[k] for k in keys}, grads)
         for k in self.SHAPES:
-            assert np.array_equal(flat[k], ref[k]), k
-        return flat, init
+            assert np.array_equal(params[k], ref[k]), k
+        return params, init
 
     def test_every_parameter_bit_identical(self):
-        flat, init = self._run(list(self.SHAPES))
-        assert not any(np.array_equal(flat[k], init[k]) for k in self.SHAPES)
+        params, init = self._run(list(self.SHAPES))
+        assert not any(np.array_equal(params[k], init[k]) for k in self.SHAPES)
 
     def test_key_subset_bit_identical_and_rest_untouched(self):
         keys = ["W2", "b1", "gain"]  # not in dict order, like a stage-1 subset
-        flat, init = self._run(keys, seed=1)
+        params, init = self._run(keys, seed=1)
         for k in set(self.SHAPES) - set(keys):
-            assert np.array_equal(flat[k], init[k])
+            assert np.array_equal(params[k], init[k])
+
+
+class TestArena:
+    def test_entries_become_views_at_their_layout_offsets(self):
+        params = {"a": np.arange(6.0).reshape(2, 3), "b": np.array([7.0]), "c": np.zeros(2)}
+        before = {k: v.copy() for k, v in params.items()}
+        old_a = params["a"]
+        arena = into_arena(params, ["c", "a", "b"])
+        assert list(params) == ["a", "b", "c"] and arena.shape == (9,)
+        for k, offset in (("c", 0), ("a", 2), ("b", 8)):
+            assert params[k].base is arena
+            assert params[k].__array_interface__["data"][0] == arena.ctypes.data + 8 * offset
+            assert np.array_equal(params[k], before[k])
+        arena += 1.0
+        assert np.array_equal(params["a"], before["a"] + 1.0)
+        assert np.array_equal(old_a, before["a"])  # no longer the entry
+
+    def test_gradient_views_share_the_layout_and_keep_the_key_order(self):
+        params = {"a": np.zeros((2, 3)), "b": np.zeros(1), "c": np.zeros(2)}
+        grad_arena, grads = flat_views(params, ["c", "a", "b"])
+        into_arena(params, ["c", "a", "b"])
+        assert list(grads) == ["a", "b", "c"]
+        for k in params:
+            assert grads[k].shape == params[k].shape and grads[k].base is grad_arena
+            assert (grads[k].__array_interface__["data"][0] - grad_arena.ctypes.data
+                    == params[k].__array_interface__["data"][0] - params[k].base.ctypes.data)
 
 
 def test_sigmoid_range():
     z = np.linspace(-20, 20, 101)
     s = sigmoid(z)
     assert np.all(s > 0.0) and np.all(s < 1.0)
+
+
+def test_sigmoid_into_out_is_bit_equal_and_leaves_z_alone():
+    z = np.random.default_rng(3).normal(scale=8.0, size=(64, 1))
+    before = z.copy()
+    out = np.empty_like(z)
+    assert sigmoid(z, out) is out
+    assert np.array_equal(out, sigmoid(z)) and np.array_equal(z, before)
+    assert np.array_equal(sigmoid(z, z), sigmoid(before))  # in place over z
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 7, 64])

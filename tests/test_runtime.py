@@ -9,7 +9,7 @@ import pytest
 from dynskip import containers, flops, model as policy_model, runtime as rt, sim
 from dynskip.errors import ConfigError, ShapeError
 from dynskip.model import PolicyConfig, build_policy, forward_recorded
-from dynskip.numerics import Adam, bind_mlp, gate_forward, init_mlp, sigmoid
+from dynskip.numerics import Adam, bind_mlp, gate_forward, init_mlp, mlp_forward, sigmoid
 from dynskip.profiler import StaticSet
 
 
@@ -51,8 +51,31 @@ class TestSkipModules:
     def test_one_adapter_and_controller_per_dynamic_layer(self):
         model, ss, mods = make_setup(depth=12, statics=(1, 4, 7, 11))
         n_dyn = len(ss.dynamic_layers)
-        assert len({k.split(".")[0] for k in mods.adapter_keys()}) == n_dyn
+        assert len({k.split(".")[0] for k in mods.params if k.startswith("adapter")}) == n_dyn
         assert len({k.split(".")[0] for k in mods.params if k.startswith("controller")}) == n_dyn
+
+    def test_params_are_views_into_one_arena_adapters_first(self):
+        """Dict order stays the init's (adapter j, then controller j); the
+        arena holds every adapter, then every controller, each kind in dict
+        order, and `adapter_arena` is exactly the adapters' prefix."""
+        _, ss, mods = make_setup(depth=12, statics=(1, 4, 7, 11))
+        keys = list(mods.params)
+        assert keys[:8] == [f"{kind}0.{part}" for kind in ("adapter", "controller")
+                            for part in ("W1", "b1", "W2", "b2")]
+        layout = ([k for k in keys if k.startswith("adapter")]
+                  + [k for k in keys if k.startswith("controller")])
+        assert list(mods.layout) == layout
+        offset = 0
+        for k in layout:
+            p = mods.params[k]
+            assert p.base is mods.arena
+            assert p.__array_interface__["data"][0] == mods.arena.ctypes.data + 8 * offset
+            offset += p.size
+            if k == layout[4 * len(ss.dynamic_layers) - 1]:  # the last adapter entry
+                assert offset == mods.adapter_arena.size
+        assert offset == mods.arena.size
+        assert mods.adapter_arena.base is mods.arena
+        assert mods.adapter_arena.ctypes.data == mods.arena.ctypes.data
 
     def test_deterministic_init(self):
         model, ss, _ = make_setup()
@@ -94,8 +117,11 @@ class TestSkipModules:
         back = rt.load_skip_modules(path)
         assert back.static_set == mods.static_set
         assert back.tau == mods.tau
+        assert back.layout == mods.layout
+        assert np.array_equal(back.arena, mods.arena)
         for k in mods.params:
             assert np.array_equal(back.params[k], mods.params[k])
+            assert back.params[k].base is back.arena
 
     @pytest.mark.parametrize("key,shape", [("adapter0.W1", (2, 7)),
                                            ("controller3.b2", (2,)),
@@ -140,11 +166,16 @@ class TestSkipModules:
             rt.SkipModules(mods.static_set, mods.hidden_dim, 1.0, mods.params)
 
     def test_forward_sees_in_place_adam_updates(self):
+        """Adam steps on the arena, then on its adapter prefix, reach every
+        bound view: the units and a closed-loop rollout of every skipping
+        mode equal those of modules rebuilt from copies of the stepped
+        params."""
         _, _, mods = make_setup()
         rng = np.random.default_rng(2)
-        opt = Adam(lr=0.05)
+        opt, adapter_opt = Adam(lr=0.05), Adam(lr=0.05)
         for _ in range(3):
-            opt.step(mods.params, {k: rng.normal(size=v.shape) for k, v in mods.params.items()})
+            opt.step(mods.arena, rng.normal(size=mods.arena.size))
+            adapter_opt.step(mods.adapter_arena, rng.normal(size=mods.adapter_arena.size))
         fresh = rt.SkipModules(mods.static_set, mods.hidden_dim, mods.tau,
                                {k: v.copy() for k, v in mods.params.items()})
         x = rng.normal(size=(4, 8))
@@ -152,6 +183,30 @@ class TestSkipModules:
             assert np.array_equal(rt.adapter_forward(mods, j, x), rt.adapter_forward(fresh, j, x))
             assert np.array_equal(rt.controller_forward(mods, j, x),
                                   rt.controller_forward(fresh, j, x))
+        task = sim.sample_task_sequence(3, sim.SimConfig(subtasks=2))
+        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                          action_dim=3, seed=3))
+        for mode in ("dysl", "controllers-only", "random-skip"):
+            lines = [rt.episode_trace_lines(rt.rollout_episode(
+                task, model, m, mode, rt.GuidanceConfig(), rng=np.random.default_rng(4)))
+                for m in (mods, fresh)]
+            assert lines[0] == lines[1], mode
+
+    def test_replace_leaves_the_original_its_own_arena(self):
+        """dataclasses.replace hands the new modules this one's dict; each
+        keeps its own, so Adam on the original's arena still reaches both
+        its dict and its bound views."""
+        _, _, mods = make_setup()
+        other = replace(mods, tau=0.7)
+        assert other.params is not mods.params
+        assert all(v.base is mods.arena for v in mods.params.values())
+        assert not np.shares_memory(other.arena, mods.arena)
+        Adam(lr=0.1).step(mods.arena, np.ones(mods.arena.size))
+        x = np.random.default_rng(3).normal(size=(2, 8))
+        for j in mods.static_set.dynamic_layers:
+            bound = bind_mlp(mods.params, f"adapter{j}", 8, mods.adapter_dim, 8)
+            assert np.array_equal(rt.adapter_forward(mods, j, x), mlp_forward(bound, x)[0])
+            assert not np.array_equal(rt.adapter_forward(other, j, x), mlp_forward(bound, x)[0])
 
     @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
     def test_a_copy_binds_its_own_params(self, how):
@@ -159,6 +214,8 @@ class TestSkipModules:
         model, ss, mods = make_setup(depth=8, statics=(2, 5, 7), seed=9)
         before = {k: v.copy() for k, v in mods.params.items()}
         twin = copy_of(mods)
+        assert not np.shares_memory(twin.arena, mods.arena) and twin.layout == mods.layout
+        assert all(v.base is twin.arena for v in twin.params.values())
         rng = np.random.default_rng(10)
         points = [f + 1 for f, _ in ss.segments]
         x = rng.normal(size=(4, 8))
@@ -294,7 +351,7 @@ class TestGateKernel:
         before = {j: rt.controller_forward(mods, j, x) for j in mods.static_set.dynamic_layers}
         opt = Adam(lr=0.05)
         for _ in range(3):
-            opt.step(mods.params, {k: rng.normal(size=v.shape) for k, v in mods.params.items()})
+            opt.step(mods.arena, rng.normal(size=mods.arena.size))
         fresh = rt.SkipModules(mods.static_set, mods.hidden_dim, mods.tau, mods.params)
         for j in mods.static_set.dynamic_layers:
             g = rt.controller_forward(mods, j, x)
