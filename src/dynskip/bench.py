@@ -80,8 +80,7 @@ def train_base_policy(model_config: PolicyConfig, train_config: TrainConfig,
         opt.lr = train_config.lr * (
             0.5 * (1 + np.cos(np.pi * step / train_config.steps)) * (1 - floor) + floor)
         idx = rng.integers(0, len(train_set), train_config.batch_size)
-        loss, _ = task_loss_and_grads(model, obs[idx], instr[idx], actions[idx],
-                                      workspace=workspace)
+        loss, _ = task_loss_and_grads(workspace, obs[idx], instr[idx], actions[idx])
         opt.step(model.arena, workspace.grad_arena)
         if step % train_config.val_every == 0 or step == train_config.steps:
             log.append((step, loss, validation_mse(model, val_set)))
@@ -220,10 +219,12 @@ def evaluate_modes(model: PolicyModel, mods: SkipModules | None, sim_config,
                                 skip_prob if m == "random-skip" else None)
              for m in ordered]
     if out_dir is not None:
-        out_dir = Path(out_dir)
         for mode in ordered:
+            trace_dir = Path(out_dir) / "traces" / mode
+            for stale in trace_dir.glob("ep_*.jsonl"):  # left by an earlier, longer evaluation
+                stale.unlink()
             for i, ep in enumerate(episodes[mode]):
-                rt.write_episode_trace(out_dir / "traces" / mode / f"ep_{i:04d}.jsonl", ep)
+                rt.write_episode_trace(trace_dir / f"ep_{i:04d}.jsonl", ep)
     return stats, episodes
 
 
@@ -240,16 +241,19 @@ def write_report_csv(path, stats: list[ModeStats]) -> None:
 
 def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None:
     """Verify that every reported avg_flops equals the mean of per-step
-    costs re-derived from the dumped traces. TraceIntegrityError on any
-    mismatch, and on a malformed record, naming its file, number and field."""
+    costs re-derived from the dumped traces, which must be exactly
+    ep_0000 .. ep_{episodes - 1} of the row's episodes. TraceIntegrityError
+    on another set of dumps, naming the mode and both counts; on any
+    mismatch; and on a malformed record, naming its file, number and field."""
     costs = flops.arch_costs(model_config)
-    out_dir = Path(out_dir)
     for row in containers.read_csv(report_path):
-        mode = row["mode"]
-        trace_dir = out_dir / "traces" / mode
+        mode, episodes = row["mode"], int(row["episodes"])
+        trace_dir = Path(out_dir) / "traces" / mode
         files = sorted(trace_dir.glob("ep_*.jsonl"))
-        if not files:
-            raise TraceIntegrityError(f"no trace dumps for mode {mode!r}")
+        if [f.name for f in files] != [f"ep_{i:04d}.jsonl" for i in range(episodes)]:
+            raise TraceIntegrityError(
+                f"mode {mode!r}: {len(files)} trace dumps for {episodes} reported episodes; "
+                f"expected exactly ep_0000 .. ep_{episodes - 1:04d}")
         step_costs = []
         for f in files:
             _, records = rt.read_episode_trace(f)

@@ -86,18 +86,21 @@ def check_header(header: dict, kind: str, version: int, path,
         _check_fields(rest, fields, path, f"{kind} header")
 
 
+def check_int(name: str, value, low: int | None = None) -> None:
+    """ConfigError, naming `name`, unless `value` passes _is_int (no bool,
+    float, nan or inf) and is >= `low`."""
+    if not _is_int(value) or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{name} must be an int{bound}, got {value!r}")
+
+
 def check_int_fields(config, **minimums: int) -> None:
-    """ConfigError, naming the field, unless each int field of the dataclass
-    `config` passes _is_int (no bool, float, nan or inf) and is >= its entry
-    in `minimums` (a seed's is 0)."""
+    """check_int on each int field of the dataclass `config`, against its
+    entry in `minimums` (a seed's is 0)."""
     for f in dataclasses.fields(config):
-        if f.type != "int":
-            continue
-        value = getattr(config, f.name)
-        low = minimums.get(f.name, 0 if f.name == "seed" else None)
-        if not _is_int(value) or (low is not None and value < low):
-            bound = "" if low is None else f" >= {low}"
-            raise ConfigError(f"{f.name} must be an int{bound}, got {value!r}")
+        if f.type == "int":
+            check_int(f.name, getattr(config, f.name),
+                      minimums.get(f.name, 0 if f.name == "seed" else None))
 
 
 def config_from_header(cls, values, path, what: str):

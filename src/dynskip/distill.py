@@ -18,9 +18,11 @@ runs blocks only from segment 0's blend onwards and back-propagates no lower
 than segment 0's modules, below which nothing trains: it forms no input
 gradient of segment 0's units and no gradient of that segment's full path.
 
-Stage workspaces. `run_two_stage` builds one workspace per stage, which
-each step writes into, and gathers into it only the teacher layers the
-stage reads; the other entries of the gathered trace are None.
+Stage workspaces. Each stage step takes its workspace as its one state
+argument and reads from it the modules (and, in stage 2, the model) it was
+built for and the batch's teacher rows. `run_two_stage` builds one
+workspace per stage, and each step's `gather` writes into it only the
+teacher layers the stage reads; the other entries of `rows` are None.
 Stage 1 reads each dynamic layer's input and each segment's closing layer,
 `trace[front + 1 .. back]` for every segment (9 of 13 arrays on the
 benchmark's static set (0, 2, 9, 10, 11)). Stage 2 reads segment 0's
@@ -33,7 +35,7 @@ one gradient arena, laid out as the trained set's parameter arena (stage 1
 the adapters, `SkipModules.adapter_arena`; stage 2 all of
 `SkipModules.arena`), so Adam steps the two arenas. The gradients a step
 returns are those views: they alias the workspace until its next step. A
-step never writes into the trace it is given.
+step never writes into the gathered rows or the teacher.
 
 Rounding caveat: a row of a batched matmul need not equal that row computed
 in another batch. On the OpenBLAS this was measured on, the rows of a
@@ -104,12 +106,12 @@ class StageReport:
 # --- stage workspaces ----------------------------------------------------------
 
 class StageWorkspace:
-    """What every stage's workspace holds for `batch` rows: `rows`, one
-    (batch, d) array per teacher layer in `layers` at that layer's index
-    and None elsewhere; `grads`, a view per entry of the trained parameters
-    `trained` into `grad_arena`, laid out in `layout` order as the trained
-    set's parameter arena; and `adapter_tmp`, the adapters' VJP
-    temporaries."""
+    """What every stage's workspace holds for `batch` rows of `mods`:
+    `rows`, one (batch, d) array per teacher layer in `layers` at that
+    layer's index and None elsewhere, which `gather` fills; `grads`, a
+    view per entry of the trained parameters `trained` into `grad_arena`,
+    laid out in `layout` order as the trained set's parameter arena; and
+    `adapter_tmp`, the adapters' VJP temporaries."""
 
     def __init__(self, mods: SkipModules, batch: int, layers, trained: Params, layout=None):
         d = mods.hidden_dim
@@ -161,7 +163,8 @@ class Stage2Workspace(StageWorkspace):
     forward outputs its blend VJP reads (selected inputs, controller output
     and tanh activation, adapter output and tanh activation); and the
     blend's and its VJP's (batch, d) and (batch,) temporaries `blend_tmp`
-    and `gate_tmp`, which every segment reuses."""
+    and `gate_tmp`, which every segment reuses. `caches` holds each
+    segment's blend cache, which every forward overwrites."""
 
     def __init__(self, model: PolicyModel, mods: SkipModules, batch: int):
         segments = mods.static_set.segments
@@ -181,54 +184,27 @@ class Stage2Workspace(StageWorkspace):
                            np.empty((batch, d)), np.empty((batch, da))) for _ in segments]
         self.blend_tmp = tuple(np.empty((batch, d)) for _ in range(3))
         self.gate_tmp = tuple(np.empty(batch) for _ in range(2))
-
-
-def _batch_of(trace) -> int:
-    """Rows in a (gathered) teacher trace: those of its first array."""
-    return next((len(t) for t in trace if t is not None), 0)
-
-
-def _workspace(kind, mods: SkipModules, trace, workspace, model=None):
-    """`workspace`, checked to be a `kind` built for `mods`, `model` (stage
-    2) and the rows of `trace` (ShapeError otherwise), or a fresh one when
-    it is None."""
-    if workspace is None:
-        batch = _batch_of(trace)
-        return kind(mods, batch) if model is None else kind(model, mods, batch)
-    if not isinstance(workspace, kind):
-        raise ShapeError(f"a {kind.__name__} is needed, got a {type(workspace).__name__}")
-    if workspace.mods is not mods:
-        raise ShapeError(f"the {kind.__name__} was built for other skip modules")
-    if model is not None and workspace.model is not model:
-        raise ShapeError("the workspace was built for another model")
-    for j in workspace.layers[:1]:  # the first gathered layer's rows are the batch
-        if len(trace[j]) != workspace.batch:
-            raise ShapeError(f"the workspace holds {workspace.batch} rows, "
-                             f"the batch has {len(trace[j])}")
-    return workspace
+        self.caches: list = []
 
 
 # --- stage 1: adapter suffix regression ---------------------------------------
 
-def stage1_loss_and_grads(mods: SkipModules, trace, workspace: Stage1Workspace | None = None):
+def stage1_loss_and_grads(ws: Stage1Workspace):
     """Squared-residual loss between each adapter's output and its segment
     suffix target, summed over dynamic layers and averaged over the batch.
-    Adapter j reads its input `trace[j]` and its target `trace[back]` from
-    the batch's teacher rows, so no backbone block runs. Only adapter
-    parameters receive gradients, keyed in `mods.params` order; each
-    adapter's VJP runs once, forms no input gradient, and writes its
-    gradients into `workspace` (ShapeError unless it was built for these
-    modules and this batch size; a fresh one when none is given). The
-    returned gradients are `workspace.grads`.
+    Adapter j reads its input `ws.rows[j]` and its target `ws.rows[back]`,
+    the teacher rows `ws.gather` wrote, so no backbone block runs. Only
+    adapter parameters receive gradients, keyed in `ws.mods.params` order;
+    each adapter's VJP runs once, forms no input gradient, and writes its
+    gradients into `ws.grads`, which are returned.
     """
-    ws = _workspace(Stage1Workspace, mods, trace, workspace)
-    batch, grads = ws.batch, ws.grads
+    mods, rows, batch, grads = ws.mods, ws.rows, ws.batch, ws.grads
     tmp = ws.adapter_tmp + (None,)
     loss = 0.0
     for front, back in mods.static_set.segments:
-        target = trace[back]
+        target = rows[back]
         for j in range(front + 1, back):
-            x = trace[j]
+            x = rows[j]
             resid, h = adapter_forward(mods, j, x, cache=True, out=ws.adapter_out)
             resid -= target  # == out - target, in place of the adapter's output
             loss += float((resid * resid).sum()) / batch
@@ -237,11 +213,9 @@ def stage1_loss_and_grads(mods: SkipModules, trace, workspace: Stage1Workspace |
     return loss, grads
 
 
-def stage1_step(mods: SkipModules, opt: Adam, trace,
-                workspace: Stage1Workspace | None = None) -> float:
-    ws = _workspace(Stage1Workspace, mods, trace, workspace)
-    loss, _ = stage1_loss_and_grads(mods, trace, ws)
-    opt.step(mods.adapter_arena, ws.grad_arena)
+def stage1_step(ws: Stage1Workspace, opt: Adam) -> float:
+    loss, _ = stage1_loss_and_grads(ws)
+    opt.step(ws.mods.adapter_arena, ws.grad_arena)
     return loss
 
 
@@ -284,14 +258,13 @@ def draw_selections(mods: SkipModules, batch: int,
     return out
 
 
-def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
-                         trace, caches: list | None = None,
-                         workspace: Stage2Workspace | None = None):
-    """Soft-gate blended forward pass over the batch's teacher rows `trace`.
+def stage2_blend_forward(ws: Stage2Workspace, selections):
+    """Soft-gate blended forward pass of `ws.model` over the batch's
+    teacher rows `ws.rows`.
 
     One loop over the layers start .. depth, where start is segment 0's
     closing static layer (depth when there is no segment). The block inputs
-    below start are the teacher's, `trace[:start + 1]`, so blocks run only
+    below start are the teacher's, `ws.rows[:start + 1]`, so blocks run only
     from segment 0's blend onwards. At a segment's closing static layer
     back, the block input becomes the blend: each sample's row is
     g * adapter_i(x_i) + (1 - g) * full, with x_i the input of its selected
@@ -305,22 +278,19 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
 
     Block outputs, tanh activations, blends and the units' gathered
     inputs, outputs and blend terms (each unit's rows one slice of its
-    segment's arrays) are written into `workspace` (ShapeError unless it
-    was built for this model, these modules and this batch size; a fresh
-    one when none is given). Returns
-    (actions, gates) with gates shaped (batch, n_segments). When `caches`
-    is a list it receives each segment's blend cache, which
-    stage2_loss_and_grads reads with the workspace.
+    segment's arrays) are written into `ws`, and each segment's blend cache
+    into `ws.caches`, which stage2_loss_and_grads pops. Returns
+    (actions, gates) with gates shaped (batch, n_segments).
     """
+    model, mods = ws.model, ws.mods
     segments = mods.static_set.segments
     if len(selections) != len(segments):
         raise ConfigError("one selection array per segment required")
-    ws = _workspace(Stage2Workspace, mods, trace, workspace, model)
     depth, start, batch = mods.static_set.depth, ws.start, ws.batch
     gates = np.zeros((batch, len(segments)))
     closing = {back: si for si, (_, back) in enumerate(segments)}
-    xs = list(trace[:start + 1])  # xs[layer] is the input of block layer
-    blends = []
+    xs = list(ws.rows[:start + 1])  # xs[layer] is the input of block layer
+    ws.caches.clear()
     for layer in range(start, depth + 1):
         if layer in closing:
             si = closing[layer]
@@ -357,14 +327,12 @@ def stage2_blend_forward(model: PolicyModel, mods: SkipModules, selections,
             if n_selected != batch:  # a row left out would keep the buffer's stale values
                 raise ConfigError(f"segment {si} {(front, back)}: every selection must be "
                                   f"one of its dynamic layers {front + 1}..{back - 1}")
-            blends.append((back, full, units))
+            ws.caches.append((back, full, units))
             xs[back] = blend
         if layer < depth:
             k = layer - start
             block_forward(model, layer, xs[layer], out=(ws.xs[k], ws.hs[k]))
             xs.append(ws.xs[k])
-    if caches is not None:
-        caches += blends
     return head_forward(model, xs[depth]), gates
 
 
@@ -374,27 +342,22 @@ def _rows_of(a: np.ndarray, idx, out: np.ndarray) -> np.ndarray:
     return a if isinstance(idx, slice) else a.take(idx, axis=0, out=out, mode="clip")
 
 
-def stage2_loss_and_grads(model: PolicyModel, mods: SkipModules, selections,
-                          trace, targets, lam: float,
-                          workspace: Stage2Workspace | None = None):
+def stage2_loss_and_grads(ws: Stage2Workspace, selections, targets, lam: float):
     """Blended task MSE plus lam * mean_batch sum_segments (1-g)*(back-sel).
 
     Gradients flow to controller and adapter parameters only, keyed in
-    `mods.params` order; frozen backbone blocks only propagate upstream
+    `ws.mods.params` order; frozen backbone blocks only propagate upstream
     gradients. One reverse loop over stage2_blend_forward's layers: each
     block's VJP, then the input gradients the blend VJP left for the
     samples that selected that layer. Segment 0's blend VJP runs last and
     forms no input gradient, because nothing below it trains. Each
     selected unit's VJP runs once; a unit no sample selected gets exact
-    zeros. Everything batch-sized is written into `workspace`, as
-    stage2_blend_forward says, and the returned gradients are
-    `workspace.grads`.
+    zeros. Everything batch-sized is written into `ws`, as
+    stage2_blend_forward says, and the returned gradients are `ws.grads`.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    ws = _workspace(Stage2Workspace, mods, trace, workspace, model)
-    blends: list = []
-    actions, gates = stage2_blend_forward(model, mods, selections, trace, blends, ws)
-    batch = ws.batch
+    actions, gates = stage2_blend_forward(ws, selections)
+    model, mods, batch, blends = ws.model, ws.mods, ws.batch, ws.caches
     task_loss, dpred = mse_and_grad(actions, targets)
     segments = mods.static_set.segments
     norm_loss = 0.0
@@ -415,19 +378,19 @@ def stage2_loss_and_grads(model: PolicyModel, mods: SkipModules, selections,
         if blends[-1][0] == layer:  # the loop ends at segment 0's blend, the last one
             blend = blends.pop()
             d_full = spare if blends else None
-            _blend_vjp(mods, blend, dx, lam, batch, ws, inj, d_full)
+            _blend_vjp(ws, blend, dx, lam, inj, d_full)
             dx, spare = spare, dx
     return loss, task_loss, norm_loss, gates, ws.grads
 
 
-def _blend_vjp(mods, blend, d_blend, lam, batch, ws, inj, d_full):
+def _blend_vjp(ws, blend, d_blend, lam, inj, d_full):
     """Backward through one segment's blend: splits the upstream gradient
     over the gate, adapter and full paths and writes the units' parameter
     gradients into the workspace. With `d_full`, it writes the gradient of
     the full path there and leaves each selected unit's input gradient in
     `inj` under its layer; without (segment 0), it forms neither."""
     back, full, units = blend
-    grads = ws.grads
+    mods, batch, grads = ws.mods, ws.batch, ws.grads
     input_grad = d_full is not None
     a_dz, a_t = ws.adapter_tmp
     c_dz, c_t = ws.controller_tmp
@@ -461,17 +424,14 @@ def _blend_vjp(mods, blend, d_blend, lam, batch, ws, inj, d_full):
             inj[j] = (idx, dxa)
 
 
-def stage2_step(model: PolicyModel, mods: SkipModules, opt: Adam, trace,
-                targets, lam: float, rng: np.random.Generator,
-                workspace: Stage2Workspace | None = None):
+def stage2_step(ws: Stage2Workspace, opt: Adam, targets, lam: float,
+                rng: np.random.Generator):
     """One Adam step on the stage-2 loss of freshly drawn selections.
     Returns (loss, task_loss, norm_loss, mean gate); the mean gate is nan
     when every layer is static, so there is no gate."""
-    ws = _workspace(Stage2Workspace, mods, trace, workspace, model)
-    selections = draw_selections(mods, ws.batch, rng)
-    loss, task_loss, norm_loss, gates, _ = stage2_loss_and_grads(
-        model, mods, selections, trace, targets, lam, ws)
-    opt.step(mods.arena, ws.grad_arena)
+    selections = draw_selections(ws.mods, ws.batch, rng)
+    loss, task_loss, norm_loss, gates, _ = stage2_loss_and_grads(ws, selections, targets, lam)
+    opt.step(ws.mods.arena, ws.grad_arena)
     return loss, task_loss, norm_loss, float(gates.mean()) if gates.size else math.nan
 
 
@@ -537,11 +497,11 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
     batch = min(config.batch_size, n_rows)
 
     def stage1(report, opt, ws, idx):
-        report.losses.append(stage1_step(mods, opt, ws.gather(teacher, idx), ws))
+        report.losses.append(stage1_step(ws, opt))
 
     def stage2(report, opt, ws, idx):
         loss, task_loss, norm_loss, mean_gate = stage2_step(
-            model, mods, opt, ws.gather(teacher, idx), dataset.actions[idx], config.lam, rng, ws)
+            ws, opt, dataset.actions[idx], config.lam, rng)
         report.losses.append(loss)
         report.task_losses.append(task_loss)
         report.norm_losses.append(norm_loss)
@@ -557,7 +517,9 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
         opt = Adam(lr=lr)
         ws = workspace()
         for _ in range(steps):
-            step(report, opt, ws, rng.integers(0, n_rows, size=batch))
+            idx = rng.integers(0, n_rows, size=batch)
+            ws.gather(teacher, idx)
+            step(report, opt, ws, idx)
             if not np.isfinite(report.losses[-1]):
                 report.diverged = True
                 break

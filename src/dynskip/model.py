@@ -6,12 +6,14 @@ kernel keeps the contract stated at `numerics.mlp_forward`.
 
 Here only `task_loss_and_grads` passes out= to the kernels (the
 distillation stages in `distill` do too, into their own workspaces): it
-writes every activation, temporary and gradient of a training step into a
-TaskWorkspace, so a step through a reused workspace allocates no array of
-its own (numpy's iterator buffer for a broadcast bias add, at most 64 KiB,
-is the largest transient left). The gradients it returns are views into the
-workspace's gradient arena, laid out as the model's parameter arena, and
-alias it until its next use; Adam steps the two arenas. Every other caller,
+takes a TaskWorkspace as its one state argument, reads the model from it,
+and writes every activation, temporary and gradient of a training step
+into it, so a step allocates no array of its own (numpy's iterator buffer
+for a broadcast bias add, at most 64 KiB, is the largest transient left).
+The gradients it returns are views into the workspace's gradient arena,
+laid out as the model's parameter arena, and alias it until its next use;
+Adam steps the two arenas. A caller that keeps the gradients of several
+steps copies them or builds one workspace per step. Every other caller,
 the batch-1 rollouts included, gets fresh arrays.
 """
 
@@ -210,30 +212,24 @@ class TaskWorkspace:
         self.grad_arena, self.grads = flat_views(model.params)
 
 
-def task_loss_and_grads(model: PolicyModel, obs, instr, targets,
-                        workspace: TaskWorkspace | None = None):
-    """Batch MSE between predicted and target actions, with gradients for
-    every model parameter, keyed in `model.params` order. Each gradient is
-    stored once: every block's VJP runs once, and the embedding's backward
-    forms no input gradient. The batch must be nonempty.
+def task_loss_and_grads(ws: TaskWorkspace, obs, instr, targets):
+    """Batch MSE between the predicted actions of `ws.model` and target
+    actions, with gradients for every model parameter, keyed in
+    `ws.model.params` order. Each gradient is stored once: every block's
+    VJP runs once, and the embedding's backward forms no input gradient.
+    The batch must be nonempty and hold `ws.batch` rows (ShapeError).
 
-    Every activation, temporary and gradient is written into `workspace`
-    (ShapeError unless it was built for this model and batch size), or into
-    a fresh TaskWorkspace when none is given, so a caller that keeps the
-    gradients of several calls passes none. The returned gradients are
-    `workspace.grads`: views into `workspace.grad_arena`, which the
-    workspace's next use overwrites."""
+    Every activation, temporary and gradient is written into `ws`. The
+    returned gradients are `ws.grads`: views into `ws.grad_arena`, which
+    the workspace's next use overwrites."""
     obs = as_f64(obs, "obs")
     instr = as_f64(instr, "instr")
     targets = as_f64(targets, "targets")
     if obs.ndim != 2 or obs.shape[0] == 0:
         raise ValueError("task loss needs a nonempty 2-D batch")
-    ws = TaskWorkspace(model, len(obs)) if workspace is None else workspace
-    if ws.model is not model:
-        raise ShapeError("the workspace was built for another model")
     if ws.batch != len(obs):
         raise ShapeError(f"the workspace holds {ws.batch} rows, the batch has {len(obs)}")
-    xs, hs, grads = ws.xs, ws.hs, ws.grads
+    model, xs, hs, grads = ws.model, ws.xs, ws.hs, ws.grads
     embed_forward(model, obs, instr, out=(xs[0], ws.u))
     for i in range(model.config.depth):
         block_forward(model, i, xs[i], out=(xs[i + 1], hs[i]))

@@ -141,12 +141,15 @@ def mlp_forward(bound, x: np.ndarray, out=None):
     and `gate_forward` keep too: without `out`, outputs are freshly
     allocated; with `out`, a (y, h) pair of C-contiguous float64 arrays of
     the output shapes, they are written there and returned, as numpy's out=
-    does. Only the training steps pass out= (mlp_vjp's out= likewise):
-    `model.task_loss_and_grads` into its TaskWorkspace and the distillation
-    stages into their stage workspaces; every other call, a rollout's
-    included, gets fresh arrays. Either way x, which may be an entry of the
-    trace `forward_recorded` returns, is never written, and the in-place ops
-    (bias add, tanh, a block's residual add) touch only the outputs. At every batch size the bits equal the `x @ W.T + b` form:
+    does. Only the training steps pass out= (mlp_vjp's out= likewise), each
+    into the workspace it takes as its first argument:
+    `model.task_loss_and_grads` into a TaskWorkspace and the distillation
+    stages into a Stage1Workspace or Stage2Workspace; every other call, a
+    rollout's included, gets fresh arrays. Either way x, which may be an
+    entry of the trace `forward_recorded` returns or a workspace's gathered
+    teacher rows, is never written, and the in-place ops (bias add, tanh, a
+    block's residual add) touch only the outputs. At every batch size the
+    bits equal the `x @ W.T + b` form:
     `a.dot(B)` makes the same BLAS call as `@` for these shapes, with or
     without out=, and in-place addition does the same IEEE operations
     (addition commutes, so a block's `y += x` after the bias equals

@@ -237,9 +237,17 @@ class AllowPointState:
         return len(self.norms) < self.k
 
 
+def _check_eta(eta) -> None:
+    """ConfigError unless the continuity threshold eta is finite and positive
+    (a NaN or infinite one would never move an allow point)."""
+    if not 0.0 < eta < math.inf:
+        raise ConfigError(f"eta must be finite and positive, got {eta}")
+
+
 def init_allow_state(static_set: StaticSet, k: int) -> AllowPointState:
-    if k < 1:
-        raise ConfigError("k must be >= 1")
+    """Allow points at the segment starts and a k-wide continuity window;
+    k is checked as GuidanceConfig checks it."""
+    containers.check_int("k", k, 1)
     points = [front + 1 for front, _ in static_set.segments]
     return AllowPointState(static_set=static_set, k=k, points=points,
                            norms=deque(maxlen=k))
@@ -276,10 +284,9 @@ def update_allow_points(state: AllowPointState, c_t: float, c_prev: float,
     A drop (c_t - c_prev < -eta) advances points by ceil(|dC| / eta),
     clamped at the closing static layer; a rise (> eta) retreats by exactly
     one, clamped just after the opening static layer; the dead band leaves
-    points unchanged.
+    points unchanged. eta is checked as GuidanceConfig checks it.
     """
-    if eta <= 0:
-        raise ConfigError("eta must be positive")
+    _check_eta(eta)
     dc = c_t - c_prev
     segments = state.static_set.segments
     if dc < -eta:
@@ -399,8 +406,7 @@ class GuidanceConfig:
 
     def __post_init__(self):  # a float k breaks deque
         containers.check_int_fields(self, k=1)
-        if not 0.0 < self.eta < math.inf:
-            raise ConfigError(f"eta must be finite and positive, got {self.eta}")
+        _check_eta(self.eta)
 
 
 @dataclass

@@ -166,6 +166,59 @@ def test_cross_check_report_rejects_a_truncated_trace(tmp_path):
         bench.cross_check_report(tmp_path, report, model.config)
 
 
+def _tiny_policy_and_modules():
+    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                      action_dim=3, seed=2))
+    return model, rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
+
+
+def test_a_shorter_evaluation_into_the_same_directory_leaves_no_stale_trace(tmp_path):
+    """Four episodes, then two, into one directory: the second dump removes
+    ep_0002 and ep_0003, whose dysl costs would skew the trace mean."""
+    model, mods = _tiny_policy_and_modules()
+    for n in (4, 2):
+        stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
+                                        rt.GuidanceConfig(k=2), ["full", "dysl"], n, 0,
+                                        out_dir=tmp_path)
+    for mode in ("full", "dysl"):
+        assert sorted(p.name for p in (tmp_path / "traces" / mode).iterdir()) == [
+            "ep_0000.jsonl", "ep_0001.jsonl"]
+    report = tmp_path / "report.csv"
+    bench.write_report_csv(report, stats)
+    bench.cross_check_report(tmp_path, report, model.config)
+
+
+@pytest.mark.parametrize("edit,count", [
+    (lambda d: (d / "ep_0002.jsonl").write_bytes((d / "ep_0001.jsonl").read_bytes()), 3),
+    (lambda d: (d / "ep_0001.jsonl").unlink(), 1),
+    (lambda d: (d / "ep_0001.jsonl").rename(d / "ep_0005.jsonl"), 2)],
+    ids=["extra", "missing", "renamed"])
+def test_cross_check_report_requires_exactly_the_reported_episodes_dumps(tmp_path, edit,
+                                                                          count):
+    model, _ = _tiny_policy_and_modules()
+    stats, _ = bench.evaluate_modes(model, None, sim.SimConfig(subtasks=2, step_cap=12),
+                                    rt.GuidanceConfig(k=2), ["full"], 2, 0, out_dir=tmp_path)
+    report = tmp_path / "report.csv"
+    bench.write_report_csv(report, stats)
+    bench.cross_check_report(tmp_path, report, model.config)
+    edit(tmp_path / "traces" / "full")
+    with pytest.raises(TraceIntegrityError,
+                       match=f"mode 'full': {count} trace dumps for 2 reported episodes; "
+                             "expected exactly ep_0000 .. ep_0001"):
+        bench.cross_check_report(tmp_path, report, model.config)
+
+
+@pytest.mark.parametrize("modes,n_episodes,message", [
+    (["full", "warp"], 2, "unknown mode 'warp'"),
+    (["full"], 0, "n_episodes must be >= 1"),
+    (["full"], -1, "n_episodes must be >= 1")])
+def test_evaluate_modes_rejects_an_unknown_mode_or_no_episodes(modes, n_episodes, message):
+    model, mods = _tiny_policy_and_modules()
+    with pytest.raises(ConfigError, match=message):
+        bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
+                             rt.GuidanceConfig(k=2), modes, n_episodes, 0)
+
+
 _MISSING = object()
 
 

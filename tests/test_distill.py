@@ -26,6 +26,12 @@ def make_setup(depth=6, statics=(2, 5), seed=0, hidden=8):
     return model, ss, mods
 
 
+def holding(ws, trace):
+    """`ws` with every row of the teacher `trace` gathered into it."""
+    ws.gather(trace, np.arange(ws.batch))
+    return ws
+
+
 def adapter_keys(mods):
     return [k for k in mods.params if k.startswith("adapter")]
 
@@ -42,12 +48,12 @@ class TestStage1:
         model, ss, mods = make_setup()
         obs, instr, _ = rand_batch(model, 4, 0)
         before = {k: v.copy() for k, v in model.params.items()}
-        trace = forward_recorded(model, obs, instr)[1]
-        _, grads = dt.stage1_loss_and_grads(mods, trace)
+        ws = holding(dt.Stage1Workspace(mods, 4), forward_recorded(model, obs, instr)[1])
+        _, grads = dt.stage1_loss_and_grads(ws)
         assert list(grads) == adapter_keys(mods)
         opt = Adam(lr=1e-2)
         for _ in range(5):
-            dt.stage1_step(mods, opt, trace)
+            dt.stage1_step(ws, opt)
         for k, v in model.params.items():
             assert np.array_equal(v, before[k])
 
@@ -55,10 +61,10 @@ class TestStage1:
         model, ss, mods = make_setup(depth=4, statics=(3,))
         obs, instr, _ = rand_batch(model, 3, 1)
 
-        trace = forward_recorded(model, obs, instr)[1]
+        ws = holding(dt.Stage1Workspace(mods, 3), forward_recorded(model, obs, instr)[1])
 
         def f(p):
-            return dt.stage1_loss_and_grads(mods, trace)
+            return dt.stage1_loss_and_grads(ws)
 
         adapters = {k: mods.params[k] for k in adapter_keys(mods)}
         assert grad_check(f, adapters, step=1e-5) < 1e-4
@@ -78,10 +84,10 @@ class TestStage1:
         obs = rng.normal(size=(64, 2))
         instr = np.tile([1.0, 0.0], (64, 1))
         opt = Adam(lr=3e-3)
-        trace = forward_recorded(model, obs, instr)[1]
-        first = dt.stage1_step(mods, opt, trace)
+        ws = holding(dt.Stage1Workspace(mods, 64), forward_recorded(model, obs, instr)[1])
+        first = dt.stage1_step(ws, opt)
         for _ in range(499):
-            last = dt.stage1_step(mods, opt, trace)
+            last = dt.stage1_step(ws, opt)
         assert last < 0.1 * first
 
 
@@ -154,8 +160,8 @@ class TestStage2:
             mods.params[f"controller{j}.b2"][:] = -500.0  # g -> 0 (underflows)
         obs, instr, _ = rand_batch(model, 3, 6)
         sels = dt.draw_selections(mods, 3, np.random.default_rng(0))
-        actions, gates = dt.stage2_blend_forward(
-            model, mods, sels, forward_recorded(model, obs, instr)[1])
+        ws = holding(dt.Stage2Workspace(model, mods, 3), forward_recorded(model, obs, instr)[1])
+        actions, gates = dt.stage2_blend_forward(ws, sels)
         full, _ = forward_recorded(model, obs, instr)
         assert np.max(np.abs(actions - full)) < 1e-12
 
@@ -167,8 +173,8 @@ class TestStage2:
         rng = np.random.default_rng(1)
         obs, instr = rng.normal(size=(1, 3)), rng.normal(size=(1, 2))
         sel = [np.array([0])]
-        actions, gates = dt.stage2_blend_forward(
-            model, mods, sel, forward_recorded(model, obs, instr)[1])
+        ws = holding(dt.Stage2Workspace(model, mods, 1), forward_recorded(model, obs, instr)[1])
+        actions, gates = dt.stage2_blend_forward(ws, sel)
         assert gates[0, 0] == 1.0
         _, trace = forward_recorded(model, obs, instr)
         adapter_out = dt.adapter_forward(mods, 0, trace[0])
@@ -187,7 +193,8 @@ class TestStage2:
         obs, instr = rng.normal(size=(1, 3)), rng.normal(size=(1, 2))
         _, trace = forward_recorded(model, obs, instr)
         sel = [np.array([1])]
-        actions, gates = dt.stage2_blend_forward(model, mods, sel, trace)
+        actions, gates = dt.stage2_blend_forward(holding(dt.Stage2Workspace(model, mods, 1),
+                                                         trace), sel)
         assert gates[0, 0] == 0.5
         adapter_out = dt.adapter_forward(mods, 1, trace[1])
         full_path = trace[3]  # blocks 1..2 applied to trace[1]
@@ -200,8 +207,8 @@ class TestStage2:
         model, ss, mods = make_setup(seed=9)
         obs, instr, targets = rand_batch(model, 4, 10)
         sels = dt.draw_selections(mods, 4, np.random.default_rng(3))
-        loss, task, norm, _, _ = dt.stage2_loss_and_grads(
-            model, mods, sels, forward_recorded(model, obs, instr)[1], targets, lam=0.0)
+        ws = holding(dt.Stage2Workspace(model, mods, 4), forward_recorded(model, obs, instr)[1])
+        loss, task, norm, _, _ = dt.stage2_loss_and_grads(ws, sels, targets, lam=0.0)
         assert loss == task
 
     def test_saturated_gates_zero_norm_loss(self):
@@ -211,19 +218,18 @@ class TestStage2:
             mods.params[f"controller{j}.b2"][:] = 500.0
         obs, instr, targets = rand_batch(model, 4, 12)
         sels = dt.draw_selections(mods, 4, np.random.default_rng(4))
-        _, _, norm, gates, _ = dt.stage2_loss_and_grads(
-            model, mods, sels, forward_recorded(model, obs, instr)[1], targets, lam=0.1)
+        ws = holding(dt.Stage2Workspace(model, mods, 4), forward_recorded(model, obs, instr)[1])
+        _, _, norm, gates, _ = dt.stage2_loss_and_grads(ws, sels, targets, lam=0.1)
         assert norm == 0.0 and np.all(gates == 1.0)
 
     def test_grad_check_two_segments(self):
         model, ss, mods = make_setup(depth=6, statics=(2, 5), seed=13)
         obs, instr, targets = rand_batch(model, 3, 14)
         sels = dt.draw_selections(mods, 3, np.random.default_rng(5))
-        trace = forward_recorded(model, obs, instr)[1]
+        ws = holding(dt.Stage2Workspace(model, mods, 3), forward_recorded(model, obs, instr)[1])
 
         def f(p):
-            loss, _, _, _, grads = dt.stage2_loss_and_grads(
-                model, mods, sels, trace, targets, lam=0.05)
+            loss, _, _, _, grads = dt.stage2_loss_and_grads(ws, sels, targets, lam=0.05)
             return loss, grads
 
         assert grad_check(f, mods.params, step=1e-5) < 1e-4
@@ -234,9 +240,9 @@ class TestStage2:
         obs, instr, targets = rand_batch(model, 8, 16)
         opt = Adam(lr=1e-3)
         rng = np.random.default_rng(6)
-        trace = forward_recorded(model, obs, instr)[1]
+        ws = holding(dt.Stage2Workspace(model, mods, 8), forward_recorded(model, obs, instr)[1])
         for _ in range(10):
-            dt.stage2_step(model, mods, opt, trace, targets, 0.05, rng)
+            dt.stage2_step(ws, opt, targets, 0.05, rng)
         for k, v in model.params.items():
             assert np.array_equal(v, before[k])
 
@@ -244,9 +250,8 @@ class TestStage2:
         model, ss, mods = make_setup(depth=6, statics=(2, 5), seed=19)
         obs, instr, targets = rand_batch(model, 6, 20)
         sels = [np.full(6, 0), np.full(6, 3)]  # layers 1 and 4 never selected
-        ws = dt.Stage2Workspace(model, mods, 6)
-        *_, grads = dt.stage2_loss_and_grads(
-            model, mods, sels, forward_recorded(model, obs, instr)[1], targets, 0.05, ws)
+        ws = holding(dt.Stage2Workspace(model, mods, 6), forward_recorded(model, obs, instr)[1])
+        *_, grads = dt.stage2_loss_and_grads(ws, sels, targets, 0.05)
         assert list(grads) == list(mods.params)
         for k, g in grads.items():
             unselected = k.startswith(("adapter1.", "controller1.", "adapter4.", "controller4."))
@@ -266,8 +271,9 @@ class TestStage2:
     def test_blend_forward_rejects_malformed_selections(self, sels, match):
         model, ss, mods = make_setup(depth=6, statics=(2, 5), seed=21)
         obs, instr, _ = rand_batch(model, 4, 22)
+        ws = holding(dt.Stage2Workspace(model, mods, 4), forward_recorded(model, obs, instr)[1])
         with pytest.raises(ConfigError, match=match):
-            dt.stage2_blend_forward(model, mods, sels, forward_recorded(model, obs, instr)[1])
+            dt.stage2_blend_forward(ws, sels)
 
 
 class TestEstimateSkipRate:
@@ -477,11 +483,6 @@ def _benchmark_sized(statics, rows=600, seed=0):
     return model, mods, obs, instr, targets, teacher, rng
 
 
-def _rows(teacher, idx):
-    """A batch's rows of the teacher trace, gathered as run_two_stage does."""
-    return [t.take(idx, axis=0) for t in teacher]
-
-
 # (0, 2, 9, 10, 11) is the benchmark fixture's static set; (3, 7, 11) has no
 # static layer before segment 0, and (0, 1, 10, 11) one long segment
 STATIC_SETS = [(0, 2, 9, 10, 11), (3, 7, 11), (0, 1, 10, 11)]
@@ -493,14 +494,16 @@ class TestTeacherTrace:
         for _ in range(10):
             idx = rng.integers(0, len(obs), 64)
             per_batch = forward_recorded(model, obs[idx], instr[idx])[1]
-            assert all(np.array_equal(a, b) for a, b in zip(_rows(teacher, idx), per_batch))
+            assert all(np.array_equal(t[idx], b) for t, b in zip(teacher, per_batch))
 
     @pytest.mark.parametrize("statics", STATIC_SETS)
     def test_stage1_bit_identical_to_the_per_batch_form(self, statics):
         model, mods, obs, instr, _, teacher, rng = _benchmark_sized(statics)
+        ws = dt.Stage1Workspace(mods, 64)
         for _ in range(5):
             idx = rng.integers(0, len(obs), 64)
-            loss, grads = dt.stage1_loss_and_grads(mods, _rows(teacher, idx))
+            ws.gather(teacher, idx)
+            loss, grads = dt.stage1_loss_and_grads(ws)
             ref_loss, ref_grads = _per_batch_stage1(model, mods, obs[idx], instr[idx])
             assert loss == ref_loss
             assert list(grads) == list(ref_grads)
@@ -509,11 +512,12 @@ class TestTeacherTrace:
     @pytest.mark.parametrize("statics", STATIC_SETS)
     def test_stage2_bit_identical_to_the_per_batch_form(self, statics):
         model, mods, obs, instr, targets, teacher, rng = _benchmark_sized(statics)
+        ws = dt.Stage2Workspace(model, mods, 64)
         for _ in range(5):
             idx = rng.integers(0, len(obs), 64)
             sels = dt.draw_selections(mods, 64, rng)
-            got = dt.stage2_loss_and_grads(model, mods, sels, _rows(teacher, idx),
-                                           targets[idx], lam=0.05)
+            ws.gather(teacher, idx)
+            got = dt.stage2_loss_and_grads(ws, sels, targets[idx], lam=0.05)
             ref = _per_batch_stage2(model, mods, sels, obs[idx], instr[idx], targets[idx], 0.05)
             assert got[:3] == ref[:3]
             assert np.array_equal(got[3], ref[3])
@@ -552,12 +556,13 @@ class TestTeacherTrace:
         assert ws1.layers == tuple(sorted({j for front, back in segments
                                            for j in range(front + 1, back + 1)}))
         assert ws2.layers == tuple(range(segments[0][0] + 1, segments[0][1] + 1))
-        dt.stage1_step(mods, Adam(), ws1.gather(teacher, idx), ws1)
+        ws1.gather(teacher, idx)
+        dt.stage1_step(ws1, Adam())
         assert calls == {"forward": 0, "vjp": 0}
         assert unit_vjps == [(f"adapter{j}", False) for j in mods.static_set.dynamic_layers]
         unit_vjps.clear()
-        dt.stage2_step(model, mods, Adam(), ws2.gather(teacher, idx), targets[:64], 0.05, rng,
-                       workspace=ws2)
+        ws2.gather(teacher, idx)
+        dt.stage2_step(ws2, Adam(), targets[:64], 0.05, rng)
         back0 = segments[0][1]
         assert calls == {"forward": 12 - back0, "vjp": 12 - back0}
         assert unit_vjps and all(formed == (int(unit.lstrip(ascii_lowercase)) > back0)
@@ -578,18 +583,17 @@ class TestTeacherTrace:
                 rows = ws.gather(teacher, idx)
                 rows[j][:] = np.nan
                 if isinstance(ws, dt.Stage1Workspace):
-                    loss = dt.stage1_loss_and_grads(mods, rows, ws)[0]
+                    loss = dt.stage1_loss_and_grads(ws)[0]
                 else:
-                    loss = dt.stage2_loss_and_grads(model, mods, sels, rows, targets[idx],
-                                                    0.05, ws)[0]
+                    loss = dt.stage2_loss_and_grads(ws, sels, targets[idx], 0.05)[0]
                 assert np.isnan(loss), (type(ws).__name__, j)
 
     def test_all_static_stage2_is_the_teachers_action(self):
         model, ss, mods = make_setup(depth=4, statics=(0, 1, 2, 3), seed=21)
         obs, instr, targets = rand_batch(model, 5, 22)
         action, trace = forward_recorded(model, obs, instr)
-        _, task, norm, gates, grads = dt.stage2_loss_and_grads(
-            model, mods, [], trace, targets, lam=0.05)
+        ws = holding(dt.Stage2Workspace(model, mods, 5), trace)
+        _, task, norm, gates, grads = dt.stage2_loss_and_grads(ws, [], targets, lam=0.05)
         assert task == float(np.mean((action - targets) ** 2))
         assert norm == 0.0 and gates.shape == (5, 0) and grads == {}
 
@@ -652,7 +656,7 @@ class TestStageWorkspace:
             rows = ws1.gather(teacher, idx)
             gathered = [None if r is None else r.copy() for r in rows]
             ref_loss, ref_grads = _per_batch_stage1(model, ref_mods, obs[idx], instr[idx])
-            loss, grads = dt.stage1_loss_and_grads(mods, rows, ws1)
+            loss, grads = dt.stage1_loss_and_grads(ws1)
             assert loss == ref_loss
             assert list(grads) == list(ref_grads)
             assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
@@ -668,7 +672,7 @@ class TestStageWorkspace:
             gathered = [None if r is None else r.copy() for r in rows]
             ref = _per_batch_stage2(model, ref_mods, sels, obs[idx], instr[idx], targets[idx],
                                     0.05)
-            got = dt.stage2_loss_and_grads(model, mods, sels, rows, targets[idx], 0.05, ws2)
+            got = dt.stage2_loss_and_grads(ws2, sels, targets[idx], 0.05)
             assert got[:3] == ref[:3]
             assert np.array_equal(got[3], ref[3])
             assert list(got[4]) == list(ref[4])
@@ -689,12 +693,14 @@ class TestStageWorkspace:
         idx = rng.integers(0, len(teacher[0]), 64)
         ws1, ws2 = dt.Stage1Workspace(mods, 64), dt.Stage2Workspace(model, mods, 64)
         ws1.grad_arena.fill(np.nan)
-        dt.stage1_loss_and_grads(mods, ws1.gather(teacher, idx), ws1)
+        ws1.gather(teacher, idx)
+        dt.stage1_loss_and_grads(ws1)
         assert np.all(np.isfinite(ws1.grad_arena))
         sels = dt.draw_selections(mods, 64, rng)
         ws2.grad_arena.fill(np.nan)
-        dt.stage2_loss_and_grads(model, mods, _unselecting(sels) if unselect else sels,
-                                 ws2.gather(teacher, idx), targets[idx], 0.05, ws2)
+        ws2.gather(teacher, idx)
+        dt.stage2_loss_and_grads(ws2, _unselecting(sels) if unselect else sels, targets[idx],
+                                 0.05)
         assert np.all(np.isfinite(ws2.grad_arena))
 
     def test_gradient_arenas_are_laid_out_as_the_trained_arenas(self):
@@ -711,32 +717,12 @@ class TestStageWorkspace:
                 assert (g.__array_interface__["data"][0] - ws.grad_arena.ctypes.data
                         == p.__array_interface__["data"][0] - arena.ctypes.data)
 
-    def test_a_workspace_of_another_batch_size_model_or_stage_is_refused(self):
-        model, mods, _, _, targets, teacher, rng = _benchmark_sized((0, 2, 9, 10, 11))
-        other_model = build_policy(PolicyConfig(seed=7))
-        other_mods = rt.init_skip_modules(model, mods.static_set, seed=8)
+    def test_a_batch_of_another_size_is_refused_by_gather(self):
+        model, mods, _, _, _, teacher, rng = _benchmark_sized((0, 2, 9, 10, 11))
         idx = rng.integers(0, len(teacher[0]), 64)
-        rows, sels = _rows(teacher, idx), dt.draw_selections(mods, 64, rng)
-
-        def stage2(ws):
-            return dt.stage2_loss_and_grads(model, mods, sels, rows, targets[idx], 0.05, ws)
-
-        with pytest.raises(ShapeError, match="holds 32 rows, the batch has 64"):
-            dt.stage1_loss_and_grads(mods, rows, dt.Stage1Workspace(mods, 32))
-        with pytest.raises(ShapeError, match="holds 32 rows, the batch has 64"):
-            stage2(dt.Stage2Workspace(model, mods, 32))
-        with pytest.raises(ShapeError, match="holds 32 rows, the batch has 64"):
-            dt.Stage1Workspace(mods, 32).gather(teacher, idx)
-        with pytest.raises(ShapeError, match="another model"):
-            stage2(dt.Stage2Workspace(other_model, mods, 64))
-        with pytest.raises(ShapeError, match="other skip modules"):
-            stage2(dt.Stage2Workspace(model, other_mods, 64))
-        with pytest.raises(ShapeError, match="other skip modules"):
-            dt.stage1_step(mods, Adam(), rows, dt.Stage1Workspace(other_mods, 64))
-        with pytest.raises(ShapeError, match="a Stage2Workspace is needed"):
-            stage2(dt.Stage1Workspace(mods, 64))
-        with pytest.raises(ShapeError, match="a Stage1Workspace is needed"):
-            dt.stage1_loss_and_grads(mods, rows, dt.Stage2Workspace(model, mods, 64))
+        for ws in (dt.Stage1Workspace(mods, 32), dt.Stage2Workspace(model, mods, 32)):
+            with pytest.raises(ShapeError, match="holds 32 rows, the batch has 64"):
+                ws.gather(teacher, idx)
 
     def test_an_all_static_set_trains_nothing_and_gathers_only_the_head_input(self):
         model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,

@@ -189,7 +189,7 @@ class TestTaskLoss:
         model = build_policy(tiny_config())
         obs, instr = self._batch(model)
         pred, _ = forward_recorded(model, obs, instr)
-        loss, grads = task_loss_and_grads(model, obs, instr, pred)
+        loss, grads = task_loss_and_grads(TaskWorkspace(model, 3), obs, instr, pred)
         assert loss == 0.0
         assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -197,9 +197,9 @@ class TestTaskLoss:
         model = build_policy(tiny_config(seed=9))
         obs, instr = self._batch(model, n=4, seed=3)
         targets = np.random.default_rng(4).normal(size=(4, model.config.action_dim))
-        loss1, _ = task_loss_and_grads(model, obs, instr, targets)
+        loss1, _ = task_loss_and_grads(TaskWorkspace(model, 4), obs, instr, targets)
         loss2, _ = task_loss_and_grads(
-            model,
+            TaskWorkspace(model, 8),
             np.concatenate([obs, obs]),
             np.concatenate([instr, instr]),
             np.concatenate([targets, targets]),
@@ -209,7 +209,8 @@ class TestTaskLoss:
     def test_empty_batch_rejected(self):
         model = build_policy(tiny_config())
         with pytest.raises(ValueError):
-            task_loss_and_grads(model, np.zeros((0, 3)), np.zeros((0, 2)), np.zeros((0, 2)))
+            task_loss_and_grads(TaskWorkspace(model, 0), np.zeros((0, 3)), np.zeros((0, 2)),
+                                np.zeros((0, 2)))
 
     def test_gradients_match_finite_differences(self):
         cfg = PolicyConfig(obs_dim=2, instr_dim=2, hidden_dim=4, depth=4,
@@ -219,9 +220,10 @@ class TestTaskLoss:
         obs = rng.normal(size=(3, 2))
         instr = rng.normal(size=(3, 2))
         targets = rng.normal(size=(3, 2))
+        ws = TaskWorkspace(model, 3)
 
         def f(params):
-            return task_loss_and_grads(model, obs, instr, targets)
+            return task_loss_and_grads(ws, obs, instr, targets)
 
         err = grad_check(f, model.params, step=1e-5)
         assert err < 1e-4
@@ -236,7 +238,7 @@ class TestTaskLoss:
         obs, instr, targets = (rng.normal(size=(5, n)) for n in (7, 2, 3))
         opt, ws = Adam(lr=0.05), TaskWorkspace(model, 5)
         for _ in range(3):
-            task_loss_and_grads(model, obs, instr, targets, ws)
+            task_loss_and_grads(ws, obs, instr, targets)
             opt.step(model.arena, ws.grad_arena)
         fresh = PolicyModel(model.config, {k: v.copy() for k, v in model.params.items()})
         x = rng.normal(size=(5, 8))
@@ -330,18 +332,18 @@ class TestTaskWorkspace:
     def test_fresh_and_reused_workspaces_match_the_reference(self, n):
         model = kernel_model()
         first, second = self._batch(n, n), self._batch(n, n + 1000)
-        self._assert_equal_to_reference(model, first, task_loss_and_grads(model, *first))
+        self._assert_equal_to_reference(
+            model, first, task_loss_and_grads(TaskWorkspace(model, n), *first))
         ws = TaskWorkspace(model, n)
         for batch in (first, second, first):
-            self._assert_equal_to_reference(
-                model, batch, task_loss_and_grads(model, *batch, workspace=ws))
+            self._assert_equal_to_reference(model, batch, task_loss_and_grads(ws, *batch))
 
     def test_params_and_gradients_are_views_into_two_arenas_of_one_layout(self):
         """Both in dict order: each parameter at its offset in model.arena,
         its gradient at the same offset in the workspace's gradient arena."""
         model = build_policy(tiny_config())
         ws = TaskWorkspace(model, 3)
-        _, grads = task_loss_and_grads(model, *self._batch_tiny(3), workspace=ws)
+        _, grads = task_loss_and_grads(ws, *self._batch_tiny(3))
         assert grads is ws.grads and list(grads) == list(model.params)
         offset = 0
         for k, g in grads.items():
@@ -359,7 +361,7 @@ class TestTaskWorkspace:
         model = kernel_model()
         ws = TaskWorkspace(model, n)
         ws.grad_arena.fill(np.nan)
-        task_loss_and_grads(model, *self._batch(n, 5), workspace=ws)
+        task_loss_and_grads(ws, *self._batch(n, 5))
         assert np.all(np.isfinite(ws.grad_arena))
 
     def test_fifty_adam_steps_through_one_workspace_give_the_reference_digest(self):
@@ -371,7 +373,7 @@ class TestTaskWorkspace:
         for step in range(50):
             batch = self._batch(24, 100 + step)
             ref_opt.step(ref_model.params, _reference_task_loss_and_grads(ref_model, *batch)[1])
-            task_loss_and_grads(model, *batch, workspace=ws)
+            task_loss_and_grads(ws, *batch)
             opt.step(model.arena, ws.grad_arena)
         assert _digest(model.params) == _digest(ref_model.params)
         assert _digest(model.params) != _digest(kernel_model().params)
@@ -381,13 +383,7 @@ class TestTaskWorkspace:
         model = build_policy(tiny_config())
         ws = TaskWorkspace(model, 3)
         with pytest.raises(ShapeError, match=f"workspace holds 3 rows, the batch has {n}"):
-            task_loss_and_grads(model, *self._batch_tiny(n), workspace=ws)
-
-    def test_a_workspace_of_another_model_is_rejected_by_name(self):
-        ws = TaskWorkspace(build_policy(tiny_config()), 3)
-        with pytest.raises(ShapeError, match="another model"):
-            task_loss_and_grads(build_policy(tiny_config()), *self._batch_tiny(3),
-                                workspace=ws)
+            task_loss_and_grads(ws, *self._batch_tiny(n))
 
 
 class TestCheckpoint:

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -487,6 +488,22 @@ class TestAllowPoints:
                 assert after == before
 
 
+    @pytest.mark.parametrize("eta", [0.0, -0.1, np.nan, np.inf])
+    def test_an_eta_that_is_not_finite_and_positive_is_rejected(self, eta):
+        """GuidanceConfig's rule: a NaN or infinite eta would leave the points
+        where they were on a drop of 1.0."""
+        state = self._state()
+        with pytest.raises(ConfigError, match=f"eta must be finite and positive, got {eta}"):
+            rt.update_allow_points(state, c_t=-1.0, c_prev=0.0, eta=eta)
+        assert state.points == [0, 3, 7]
+
+    @pytest.mark.parametrize("k", [2.5, True, 0, -1])
+    def test_a_k_that_is_not_a_positive_int_is_rejected(self, k):
+        """GuidanceConfig's rule: a float k would fail in deque, a bool pass as 1."""
+        with pytest.raises(ConfigError, match=re.escape(f"k must be an int >= 1, got {k!r}")):
+            self._state(k=k)
+
+
 class TestVerificationTrigger:
     """The trigger through observe_action and post_skip_verify. At k = 1,
     C_t is minus the newest pair distance, so scripted 1-D actions give the
@@ -627,6 +644,26 @@ class TestForwardSkipped:
             assert trace.executed_layers == sorted(set(trace.executed_layers))
             assert trace.flops >= flops.forward_flops(costs, len(ss.indices))
 
+    @pytest.mark.parametrize("points", [[1], [1, 3, 4], []])
+    def test_an_allow_point_per_segment_is_required(self, points):
+        model, _, mods = make_setup(seed=10)
+        with pytest.raises(ShapeError, match=f"{len(points)} allow points for 2 segments"):
+            rt.forward_skipped(model, mods, points, np.zeros(3), np.zeros(2),
+                               flops.arch_costs(model.config))
+
+    @pytest.mark.parametrize("points, message", [
+        ([-1, 3], "allow point -1 outside segment (-1, 2)"),
+        ([3, 3], "allow point 3 outside segment (-1, 2)"),
+        ([1, 2], "allow point 2 outside segment (2, 5)"),
+        ([1, 6], "allow point 6 outside segment (2, 5)")])
+    def test_an_allow_point_outside_its_segment_is_rejected(self, points, message):
+        """A point lies after its segment's opening static layer and at most
+        at its closing one."""
+        model, _, mods = make_setup(seed=10)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            rt.forward_skipped(model, mods, points, np.zeros(3), np.zeros(2),
+                               flops.arch_costs(model.config))
+
 
 class TestForwardRandom:
     def test_p_zero_equals_full(self):
@@ -646,6 +683,13 @@ class TestForwardRandom:
                                      flops.arch_costs(model.config))
         assert [j for j in trace.executed_layers if j in ss.dynamic_layers] == []
         assert set(ss.indices) <= set(trace.executed_layers)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan, np.inf])
+    def test_a_probability_outside_the_unit_interval_is_rejected(self, p):
+        model, _, mods = make_setup(seed=9)
+        with pytest.raises(ConfigError, match=re.escape("skip probability must be in [0, 1]")):
+            rt.forward_random(model, mods, p, np.random.default_rng(0), np.zeros(3),
+                              np.zeros(2), flops.arch_costs(model.config))
 
 
 class TestDepthMismatch:
@@ -743,6 +787,19 @@ class TestRolloutEpisode:
         task, model, mods = self._trained_free_setup()
         with pytest.raises(ConfigError):
             rt.rollout_episode(task, model, mods, "warp", rt.GuidanceConfig())
+
+    @pytest.mark.parametrize("mode", ["dysl", "controllers-only", "random-skip"])
+    def test_a_skipping_mode_without_skip_modules_rejected(self, mode):
+        task, model, _ = self._trained_free_setup()
+        with pytest.raises(ConfigError, match=f"mode '{mode}' requires skip modules"):
+            rt.rollout_episode(task, model, None, mode, rt.GuidanceConfig(),
+                               rng=np.random.default_rng(0))
+
+    def test_random_skip_without_an_rng_rejected(self):
+        task, model, mods = self._trained_free_setup()
+        with pytest.raises(ConfigError, match="random-skip mode needs an rng"):
+            rt.rollout_episode(task, model, mods, "random-skip", rt.GuidanceConfig(),
+                               random_skip_prob=0.3)
 
     def test_chain_longer_than_the_instruction_width_rejected(self):
         # an untrained policy never reaches subtask 2, so without the up-front
