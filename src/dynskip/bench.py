@@ -244,10 +244,23 @@ def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None
     costs re-derived from the dumped traces, which must be exactly
     ep_0000 .. ep_{episodes - 1} of the row's episodes. TraceIntegrityError
     on another set of dumps, naming the mode and both counts; on any
-    mismatch; and on a malformed record, naming its file, number and field."""
+    mismatch, NaN included; on a malformed record, naming its file, number
+    and field; and on a row that lacks a column, naming it, or whose
+    episodes is not an int >= 1 or avg_flops not a number."""
     costs = flops.arch_costs(model_config)
     for row in containers.read_csv(report_path):
-        mode, episodes = row["mode"], int(row["episodes"])
+        for column in ("mode", "episodes", "avg_flops"):
+            if row.get(column) is None:
+                raise TraceIntegrityError(f"{report_path}: a row has no {column!r} column")
+        mode, episodes = row["mode"], row["episodes"]
+        if not (episodes.isdecimal() and int(episodes) >= 1):
+            raise TraceIntegrityError(f"mode {mode!r}: episodes {episodes!r} is not an int >= 1")
+        episodes = int(episodes)
+        try:
+            reported = float(row["avg_flops"])
+        except ValueError:
+            raise TraceIntegrityError(
+                f"mode {mode!r}: avg_flops {row['avg_flops']!r} is not a number") from None
         trace_dir = Path(out_dir) / "traces" / mode
         files = sorted(trace_dir.glob("ep_*.jsonl"))
         if [f.name for f in files] != [f"ep_{i:04d}.jsonl" for i in range(episodes)]:
@@ -270,8 +283,7 @@ def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None
                         f"{where}: stored flops {rec['flops']} != recomputed {recomputed}")
                 step_costs.append(recomputed)
         mean = float(np.mean(step_costs))
-        reported = float(row["avg_flops"])
-        if abs(mean - reported) > 1e-6 * max(1.0, abs(reported)):
+        if not abs(mean - reported) <= 1e-6 * max(1.0, abs(reported)):  # NaN fails
             raise TraceIntegrityError(
                 f"mode {mode!r}: reported avg_flops {reported} != trace mean {mean}")
 

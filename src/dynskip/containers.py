@@ -9,7 +9,7 @@
   as many as the header's `n_steps`, written and read by `runtime`. A
   step record lists every block the step ran in `executed_layers`, a
   verified step's re-run included, so `flops.flop_estimate_record` can
-  re-price it alone.
+  check it and re-price it alone, as the rollout priced it.
 - CSV tables (train and stage logs, reports, profiles and the zero-shot
   study): `write_csv`, read back with `read_csv`.
 

@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import containers, flops
+from . import containers
 from .errors import ConfigError, ShapeError
 from .model import PolicyModel, block_forward, block_vjp, forward_recorded, head_forward, mse_and_grad
 from .numerics import MLP_PARTS, Adam, Params, flat_views
@@ -439,19 +439,18 @@ def stage2_step(ws: Stage2Workspace, opt: Adam, targets, lam: float,
 
 def estimate_skip_rate(model: PolicyModel, mods: SkipModules, obs, instr) -> float:
     """Fraction of dynamic layers skipped by the pure controller policy
-    (allow points pinned at the segment starts) on probe inputs."""
-    points = [front + 1 for front, _ in mods.static_set.segments]
+    (allow points pinned at the segment starts) on probe rows; a 1-D obs and
+    instr are one row."""
     n_dyn = len(mods.static_set.dynamic_layers)
     n_static = len(mods.static_set.indices)
     if n_dyn == 0:
         return 0.0
-    costs = flops.arch_costs(model.config)
+    obs, instr = np.atleast_2d(obs), np.atleast_2d(instr)
     executed = 0
-    n = np.atleast_2d(obs).shape[0]
-    for i in range(n):  # every static layer runs, so the rest are dynamic
-        _, trace = forward_skipped(model, mods, points, obs[i], instr[i], costs)
+    for o, c in zip(obs, instr, strict=True):  # every static layer runs; the rest are dynamic
+        _, trace = forward_skipped(model, mods, mods.static_set.segment_starts, o, c)
         executed += len(trace.executed_layers) - n_static
-    return 1.0 - executed / (n * n_dyn)
+    return 1.0 - executed / (len(obs) * n_dyn)
 
 
 def _probe_diagnostics(model, mods, report: StageReport, trace, obs, instr) -> None:

@@ -29,9 +29,9 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class StaticSet:
     """Strictly increasing always-executed layer ids; the final block is
-    always a member so every skip has a jump target. `segments` and
-    `dynamic_layers` are computed on first use and kept; equality, hashing
-    and repr still see only the two fields."""
+    always a member so every skip has a jump target. `segments`,
+    `segment_starts` and `dynamic_layers` are computed on first use and
+    kept; equality, hashing and repr still see only the two fields."""
 
     indices: tuple[int, ...]
     depth: int
@@ -57,6 +57,12 @@ class StaticSet:
                 segs.append((front, back))
             front = back
         return tuple(segs)
+
+    @functools.cached_property
+    def segment_starts(self) -> tuple[int, ...]:
+        """Each segment's first dynamic layer, front + 1: the allow points a
+        rollout starts from and controllers-only keeps."""
+        return tuple(front + 1 for front, _ in self.segments)
 
     @functools.cached_property
     def dynamic_layers(self) -> tuple[int, ...]:

@@ -21,7 +21,9 @@ differ only in the per-dynamic-layer skip decision they hand it.
 
 `rollout_episode` hands the mode's step to `sim.run_episode`, the one closed
 loop, as its policy, so `sim.env_step` alone judges divergence; the
-diverging step keeps its StepRecord and is recorded as a zero action.
+diverging step keeps its StepRecord and is recorded as a zero action. It
+prices each step once, when the step is final, with `flops.flop_estimate`;
+the forward passes and `post_skip_verify` only record what ran.
 """
 
 from __future__ import annotations
@@ -248,8 +250,7 @@ def init_allow_state(static_set: StaticSet, k: int) -> AllowPointState:
     """Allow points at the segment starts and a k-wide continuity window;
     k is checked as GuidanceConfig checks it."""
     containers.check_int("k", k, 1)
-    points = [front + 1 for front, _ in static_set.segments]
-    return AllowPointState(static_set=static_set, k=k, points=points,
+    return AllowPointState(static_set=static_set, k=k, points=list(static_set.segment_starts),
                            norms=deque(maxlen=k))
 
 
@@ -308,26 +309,25 @@ class ExecTrace:
     executed_layers lists every block the step ran, in order: the pass's
     path, then on a verified step the re-run's blocks s..depth-1 from the
     pass's first skipped layer s = adapters_invoked[0], which
-    post_skip_verify appends. flops is that work (see flops.flop_estimate).
-    resume_input is the pass's input to layer s, handed to the re-run; it
-    lives for one step and is never dumped."""
+    post_skip_verify appends. flops is that work, priced by rollout_episode
+    once the step is final (flops.flop_estimate), and None on a record no
+    rollout priced. resume_input is the pass's input to layer s, handed to
+    the re-run; it lives for one step and is never dumped."""
 
     executed_layers: list[int]
     controllers_evaluated: list[int] = field(default_factory=list)
     adapters_invoked: list[int] = field(default_factory=list)
     verified: bool = False
-    flops: int = 0
+    flops: int | None = None
     resume_input: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
-def forward_full(model: PolicyModel, costs: flops.ArchCosts, obs, instr):
+def forward_full(model: PolicyModel, obs, instr):
     action, _ = forward_recorded(model, obs, instr)
-    return action, ExecTrace(executed_layers=list(range(costs.depth)),
-                             flops=flops.forward_flops(costs, costs.depth))
+    return action, ExecTrace(executed_layers=list(range(model.config.depth)))
 
 
-def _walk(model: PolicyModel, mods: SkipModules, decide, obs, instr,
-          costs: flops.ArchCosts):
+def _walk(model: PolicyModel, mods: SkipModules, decide, obs, instr):
     """The one segment walk. Static layers always execute; within a segment
     each dynamic layer runs its block until decide(trace, segment index,
     layer, x) is true, when the layer's adapter carries x straight to the
@@ -352,14 +352,10 @@ def _walk(model: PolicyModel, mods: SkipModules, decide, obs, instr,
     for layer in mods.trailing_statics:
         x = block_forward(model, layer, x)
         executed.append(layer)
-    action = head_forward(model, x)
-    trace.flops = flops.flop_estimate(costs, executed, trace.controllers_evaluated,
-                                      trace.adapters_invoked)
-    return action, trace
+    return head_forward(model, x), trace
 
 
-def forward_skipped(model: PolicyModel, mods: SkipModules, points, obs, instr,
-                    costs: flops.ArchCosts):
+def forward_skipped(model: PolicyModel, mods: SkipModules, points, obs, instr):
     """Skipping forward pass under the given allow points.
 
     Per segment: layers below the segment's point execute unconditionally
@@ -381,19 +377,18 @@ def forward_skipped(model: PolicyModel, mods: SkipModules, points, obs, instr,
         trace.controllers_evaluated.append(j)
         return controller_forward(mods, j, x) > mods.tau
 
-    return _walk(model, mods, gate, obs, instr, costs)
+    return _walk(model, mods, gate, obs, instr)
 
 
 def forward_random(model: PolicyModel, mods: SkipModules, p: float,
-                   rng: np.random.Generator, obs, instr, costs: flops.ArchCosts):
+                   rng: np.random.Generator, obs, instr):
     """Random-skip baseline: every dynamic layer skips i.i.d. with
     probability p (through its adapter, jumping to the closing static
     layer); controllers are never consulted. One draw per dynamic layer
     visited, so a segment's draws stop at its first skip."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError("skip probability must be in [0, 1]")
-    return _walk(model, mods, lambda trace, si, j, x: rng.random() < p,
-                 obs, instr, costs)
+    return _walk(model, mods, lambda trace, si, j, x: rng.random() < p, obs, instr)
 
 
 # --- episode rollout --------------------------------------------------------------
@@ -417,8 +412,8 @@ class StepRecord:
     allow_points: list[int] | None
 
 
-def post_skip_verify(model: PolicyModel, costs, allow_state: AllowPointState,
-                     trace: ExecTrace, eta: float):
+def post_skip_verify(model: PolicyModel, allow_state: AllowPointState, trace: ExecTrace,
+                     eta: float):
     """The verification trigger; the only reader and writer of `armed`.
 
     With two `c_history` values (the caller's guarantee), armed and
@@ -426,8 +421,8 @@ def post_skip_verify(model: PolicyModel, costs, allow_state: AllowPointState,
     re-predicts the action at full depth: from the skip pass's input to its
     first skipped layer s (`trace.resume_input`) it runs blocks s..depth-1
     and the head, extends the trace in place (those blocks appended to
-    executed_layers, verified set, flops.verify_flops added) and replaces
-    the newest action, and with it the newest continuity value; a step that
+    executed_layers, verified set; the rollout prices it) and replaces the
+    newest action, and with it the newest continuity value; a step that
     skipped nothing would re-predict the same action. Then dC >= -eta, read
     after any replacement, re-arms. Returns the re-predicted action, or
     None unless re-run.
@@ -437,14 +432,13 @@ def post_skip_verify(model: PolicyModel, costs, allow_state: AllowPointState,
     if allow_state.armed and hist[-1] - hist[-2] < -eta:
         allow_state.armed = False
         if trace.adapters_invoked:
-            s = trace.adapters_invoked[0]
+            rerun = range(trace.adapters_invoked[0], model.config.depth)
             x = trace.resume_input
-            for layer in range(s, costs.depth):
+            for layer in rerun:
                 x = block_forward(model, layer, x)
             action = head_forward(model, x)
-            trace.executed_layers.extend(range(s, costs.depth))
+            trace.executed_layers.extend(rerun)
             trace.verified = True
-            trace.flops += flops.verify_flops(costs, s)
             replace_last_action(allow_state, action)
     if hist[-1] - hist[-2] >= -eta:
         allow_state.armed = True
@@ -481,36 +475,34 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
         raise ConfigError(f"the model's action width is {model.config.action_dim} but "
                           f"the environment's is {sim.ACTION_DIM}")
     allow = init_allow_state(mods.static_set, guidance.k) if mode == "dysl" else None
-    pinned = ([front + 1 for front, _ in mods.static_set.segments]
-              if mode == "controllers-only" else None)
     steps = []
 
     def act(obs, instr_id, state):
         instr = sim.instr_onehot(instr_id, n_instr)
         c_t = points_log = None
         if mode == "full":
-            action, trace = forward_full(model, costs, obs, instr)
+            action, trace = forward_full(model, obs, instr)
         elif mode == "controllers-only":
-            action, trace = forward_skipped(model, mods, pinned, obs, instr, costs)
+            action, trace = forward_skipped(model, mods, mods.static_set.segment_starts,
+                                            obs, instr)
         elif mode == "random-skip":
-            action, trace = forward_random(model, mods, random_skip_prob, rng,
-                                           obs, instr, costs)
+            action, trace = forward_random(model, mods, random_skip_prob, rng, obs, instr)
         else:  # dysl
-            if allow.warm:
-                action, trace = forward_full(model, costs, obs, instr)
-            else:
-                action, trace = forward_skipped(model, mods, allow.points, obs,
-                                                instr, costs)
+            action, trace = (forward_full(model, obs, instr) if allow.warm else
+                             forward_skipped(model, mods, allow.points, obs, instr))
             observe_action(allow, action)
             if not allow.warm and len(allow.c_history) >= 2:
                 if guidance.verification:
-                    redo = post_skip_verify(model, costs, allow, trace, guidance.eta)
+                    redo = post_skip_verify(model, allow, trace, guidance.eta)
                     if redo is not None:
                         action = redo
                 c_prev, c_t = allow.c_history
                 update_allow_points(allow, c_t, c_prev, guidance.eta)
             points_log = list(allow.points)
         trace.resume_input = None  # the verification hand-off lives one step
+        trace.flops = flops.flop_estimate(costs, trace.executed_layers,
+                                          trace.controllers_evaluated,
+                                          trace.adapters_invoked, trace.verified)
         steps.append(StepRecord(step=state.total_steps, trace=trace,
                                 continuity=c_t, allow_points=points_log))
         return action

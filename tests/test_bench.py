@@ -42,8 +42,10 @@ def test_expected_random_flops_matches_monte_carlo_forward_random():
                                       action_dim=2))
     mods = rt.init_skip_modules(model, statics)
     rng = np.random.default_rng(0)
-    samples = np.array([rt.forward_random(model, mods, 0.3, rng, np.zeros(3), np.zeros(2),
-                                          costs)[1].flops for _ in range(2000)], dtype=float)
+    traces = [rt.forward_random(model, mods, 0.3, rng, np.zeros(3), np.zeros(2))[1]
+              for _ in range(2000)]
+    samples = np.array([flops.flop_estimate(costs, t.executed_layers, t.controllers_evaluated,
+                                            t.adapters_invoked) for t in traces], dtype=float)
     sem = samples.std(ddof=1) / np.sqrt(samples.size)
     assert sem > 0
     assert abs(samples.mean() - bench.expected_random_flops(costs, statics, 0.3)) <= 4 * sem
@@ -163,6 +165,39 @@ def test_cross_check_report_rejects_a_truncated_trace(tmp_path):
     with pytest.raises(TraceIntegrityError,
                        match=f"ep_0001.jsonl: header n_steps {len(records)} but {kept} "
                              "step records"):
+        bench.cross_check_report(tmp_path, report, model.config)
+
+
+def _no_dumps(out_dir):
+    for trace in (out_dir / "traces" / "full").iterdir():
+        trace.unlink()
+
+
+@pytest.mark.parametrize("edit,message", [
+    # NaN compares False with every tolerance
+    (lambda row, out: row.update(avg_flops="nan"),
+     "mode 'full': reported avg_flops nan != trace mean"),
+    # no dumps for no episodes matched, and the mean of no costs is NaN
+    (lambda row, out: (row.update(episodes="0"), _no_dumps(out)),
+     "mode 'full': episodes '0' is not an int >= 1"),
+    (lambda row, out: row.update(episodes="2.5"), "mode 'full': episodes '2.5' is not an int >= 1"),
+    (lambda row, out: row.pop("mode"), "a row has no 'mode' column"),
+    (lambda row, out: row.update(avg_flops="many"),
+     "mode 'full': avg_flops 'many' is not a number"),
+], ids=["avg-flops-nan", "no-episodes", "episodes-float", "no-mode", "avg-flops-text"])
+def test_cross_check_report_rejects_a_malformed_report_row(tmp_path, edit, message):
+    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                      action_dim=3, seed=2))
+    stats, _ = bench.evaluate_modes(model, None, sim.SimConfig(subtasks=2, step_cap=12),
+                                    rt.GuidanceConfig(k=2), ["full"], 2, 0, out_dir=tmp_path)
+    report = tmp_path / "report.csv"
+    bench.write_report_csv(report, stats)
+    bench.cross_check_report(tmp_path, report, model.config)
+
+    [row] = containers.read_csv(report)
+    edit(row, tmp_path)
+    containers.write_csv(report, list(row), [list(row.values())])
+    with pytest.raises(TraceIntegrityError, match=message):
         bench.cross_check_report(tmp_path, report, model.config)
 
 

@@ -294,6 +294,17 @@ class TestEstimateSkipRate:
         mods.tau = float(np.max(gates)) + 1e-9
         assert dt.estimate_skip_rate(model, mods, obs, instr) == 0.0
 
+    def test_one_1d_probe_row_is_one_row(self):
+        model, ss, mods = make_setup(depth=8, statics=(0, 4, 7), seed=19)
+        obs, instr, _ = rand_batch(model, 3, 20)
+        for o, c in zip(obs, instr):
+            assert dt.estimate_skip_rate(model, mods, o, c) == dt.estimate_skip_rate(
+                model, mods, o[None], c[None])
+        assert dt.estimate_skip_rate(model, mods, np.zeros(3), np.zeros(2)) in (
+            0.0, 0.25, 0.5, 0.75, 1.0)  # 4 dynamic layers
+        with pytest.raises(ValueError):  # every probe row needs its instruction
+            dt.estimate_skip_rate(model, mods, obs, instr[:2])
+
 
 class TestRunTwoStage:
     def _dataset(self, model, n=400, seed=0):

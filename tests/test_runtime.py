@@ -23,6 +23,12 @@ def make_setup(depth=6, seed=0, statics=(2, 5)):
     return model, ss, mods
 
 
+def price(costs, trace):
+    """The rollout's pricing of a step record."""
+    return flops.flop_estimate(costs, trace.executed_layers, trace.controllers_evaluated,
+                               trace.adapters_invoked, trace.verified)
+
+
 class TestStaticSet:
     def test_requires_final_block(self):
         with pytest.raises(ConfigError):
@@ -38,10 +44,17 @@ class TestStaticSet:
         ss = StaticSet(indices=(2, 5), depth=6)
         assert ss.segments[0] == (-1, 2)
 
+    def test_segment_starts_are_each_segments_first_dynamic_layer(self):
+        ss = StaticSet(indices=(0, 3, 4, 7), depth=8)
+        assert ss.segment_starts == (1, 5)
+        assert StaticSet(indices=(2, 5), depth=6).segment_starts == (0, 3)
+        assert rt.init_allow_state(ss, k=2).points == [1, 5]
+
     def test_derived_layouts_are_computed_once_and_not_compared(self):
         ss = StaticSet(indices=(0, 3, 4, 7), depth=8)
         assert ss.segments is ss.segments
         assert ss.dynamic_layers is ss.dynamic_layers
+        assert ss.segment_starts is ss.segment_starts
         fresh = StaticSet(indices=(0, 3, 4, 7), depth=8)
         assert ss == fresh and hash(ss) == hash(fresh) and repr(ss) == repr(fresh)
         again = pickle.loads(pickle.dumps(ss))
@@ -220,11 +233,10 @@ class TestSkipModules:
         rng = np.random.default_rng(10)
         points = [f + 1 for f, _ in ss.segments]
         x = rng.normal(size=(4, 8))
-        costs = flops.arch_costs(model.config)
         for _ in range(10):
             obs, instr = rng.normal(size=3), rng.normal(size=2)
-            a, trace = rt.forward_skipped(model, mods, points, obs, instr, costs)
-            a_twin, trace_twin = rt.forward_skipped(model, twin, points, obs, instr, costs)
+            a, trace = rt.forward_skipped(model, mods, points, obs, instr)
+            a_twin, trace_twin = rt.forward_skipped(model, twin, points, obs, instr)
             assert np.array_equal(a_twin, a)
             assert trace_twin.adapters_invoked == trace.adapters_invoked
         for arr in twin.params.values():
@@ -512,7 +524,6 @@ class TestVerificationTrigger:
 
     def _fires(self, monkeypatch, deltas, eta=0.1):
         model, ss, _ = make_setup()
-        costs = flops.arch_costs(model.config)
         state = rt.init_allow_state(ss, k=1)
         monkeypatch.setattr(rt, "head_forward", lambda model, x: state.window[-1])
         gaps = -np.cumsum([0.0] + deltas)  # |a_t - a_(t-1)| = -C_t, C starts at 0
@@ -522,7 +533,7 @@ class TestVerificationTrigger:
             if len(state.c_history) >= 2:
                 skipped = rt.ExecTrace(executed_layers=[2, 5], adapters_invoked=[0, 3],
                                        resume_input=np.zeros(8))
-                action = rt.post_skip_verify(model, costs, state, skipped, eta)
+                action = rt.post_skip_verify(model, state, skipped, eta)
                 fires.append(action is not None)  # only a re-run returns an action
         return fires
 
@@ -554,12 +565,12 @@ class TestVerificationRerun:
             costs = flops.arch_costs(model.config)
             points = [int(rng.integers(f + 1, b + 1)) for f, b in ss.segments]
             obs, instr = rng.normal(size=3), rng.normal(size=2)
-            _, trace = rt.forward_skipped(model, mods, points, obs, instr, costs)
+            _, trace = rt.forward_skipped(model, mods, points, obs, instr)
             before = copy.deepcopy(trace)
             state = rt.init_allow_state(ss, k=1)
             for a in (np.zeros(2), np.zeros(2), np.ones(2)):  # dC = -sqrt(2): fires
                 rt.observe_action(state, a)
-            action = rt.post_skip_verify(model, costs, state, trace, 0.004)
+            action = rt.post_skip_verify(model, state, trace, 0.004)
             if not trace.adapters_invoked:
                 assert action is None and trace == before
                 continue
@@ -568,10 +579,9 @@ class TestVerificationRerun:
             assert np.array_equal(action, forward_recorded(model, obs, instr)[0])
             assert trace.verified
             assert trace.executed_layers == before.executed_layers + list(range(s, depth))
-            assert trace.flops == before.flops + (depth - s) * costs.block + costs.head
-            assert trace.flops == flops.flop_estimate(
-                costs, trace.executed_layers, trace.controllers_evaluated,
-                trace.adapters_invoked, True)
+            assert trace.flops is None  # the rollout prices a step, not the re-run
+            pass_flops = price(costs, before)
+            assert price(costs, trace) == pass_flops + (depth - s) * costs.block + costs.head
         assert len(resumed_at) >= 100 and len(set(resumed_at)) >= 8
 
     def test_step_records_keep_no_resume_input(self):
@@ -594,8 +604,7 @@ class TestForwardSkipped:
         points = [f + 1 for f, _ in ss.segments]
         for _ in range(20):
             obs, instr = rng.normal(size=3), rng.normal(size=2)
-            a_skip, trace = rt.forward_skipped(model, mods, points, obs, instr,
-                                               flops.arch_costs(model.config))
+            a_skip, trace = rt.forward_skipped(model, mods, points, obs, instr)
             a_full, _ = forward_recorded(model, obs, instr)
             assert np.array_equal(a_skip, a_full)
             assert trace.executed_layers == list(range(model.config.depth))
@@ -608,8 +617,7 @@ class TestForwardSkipped:
             mods.params[f"controller{j}.b2"][:] = 50.0  # gate ~ 1
         points = [1, 5]
         obs, instr = np.zeros(3), np.zeros(2)
-        _, trace = rt.forward_skipped(model, mods, points, obs, instr,
-                                      flops.arch_costs(model.config))
+        _, trace = rt.forward_skipped(model, mods, points, obs, instr)
         # forced prefixes: layers 0 (before point 1) and 4 (before point 5)
         executed_dynamic = [j for j in trace.executed_layers
                             if j in ss.dynamic_layers]
@@ -623,8 +631,7 @@ class TestForwardSkipped:
         for _ in range(50):
             points = [rng.integers(f + 1, b + 1) for f, b in ss.segments]
             obs, instr = rng.normal(size=3), rng.normal(size=2)
-            _, trace = rt.forward_skipped(model, mods, points, obs, instr,
-                                          flops.arch_costs(model.config))
+            _, trace = rt.forward_skipped(model, mods, points, obs, instr)
             active = sum(b - max(p, f + 1) for (f, b), p in zip(ss.segments, points))
             assert len(trace.controllers_evaluated) <= active
             for j in trace.executed_layers:
@@ -639,17 +646,16 @@ class TestForwardSkipped:
             for j in ss.dynamic_layers:  # randomize gates hard
                 mods.params[f"controller{j}.b2"][:] = rng.uniform(-30, 30)
             _, trace = rt.forward_skipped(model, mods, points,
-                                          rng.normal(size=3), rng.normal(size=2), costs)
+                                          rng.normal(size=3), rng.normal(size=2))
             assert set(ss.indices) <= set(trace.executed_layers)
             assert trace.executed_layers == sorted(set(trace.executed_layers))
-            assert trace.flops >= flops.forward_flops(costs, len(ss.indices))
+            assert price(costs, trace) >= flops.forward_flops(costs, len(ss.indices))
 
     @pytest.mark.parametrize("points", [[1], [1, 3, 4], []])
     def test_an_allow_point_per_segment_is_required(self, points):
         model, _, mods = make_setup(seed=10)
         with pytest.raises(ShapeError, match=f"{len(points)} allow points for 2 segments"):
-            rt.forward_skipped(model, mods, points, np.zeros(3), np.zeros(2),
-                               flops.arch_costs(model.config))
+            rt.forward_skipped(model, mods, points, np.zeros(3), np.zeros(2))
 
     @pytest.mark.parametrize("points, message", [
         ([-1, 3], "allow point -1 outside segment (-1, 2)"),
@@ -661,8 +667,7 @@ class TestForwardSkipped:
         at its closing one."""
         model, _, mods = make_setup(seed=10)
         with pytest.raises(ConfigError, match=re.escape(message)):
-            rt.forward_skipped(model, mods, points, np.zeros(3), np.zeros(2),
-                               flops.arch_costs(model.config))
+            rt.forward_skipped(model, mods, points, np.zeros(3), np.zeros(2))
 
 
 class TestForwardRandom:
@@ -670,8 +675,7 @@ class TestForwardRandom:
         model, ss, mods = make_setup(seed=8)
         rng = np.random.default_rng(1)
         obs, instr = rng.normal(size=3), rng.normal(size=2)
-        a, trace = rt.forward_random(model, mods, 0.0, rng, obs, instr,
-                                     flops.arch_costs(model.config))
+        a, trace = rt.forward_random(model, mods, 0.0, rng, obs, instr)
         full, _ = forward_recorded(model, obs, instr)
         assert np.array_equal(a, full)
         assert trace.executed_layers == list(range(6))
@@ -679,8 +683,7 @@ class TestForwardRandom:
     def test_p_one_skips_all_dynamics(self):
         model, ss, mods = make_setup(seed=9)
         rng = np.random.default_rng(2)
-        _, trace = rt.forward_random(model, mods, 1.0, rng, np.zeros(3), np.zeros(2),
-                                     flops.arch_costs(model.config))
+        _, trace = rt.forward_random(model, mods, 1.0, rng, np.zeros(3), np.zeros(2))
         assert [j for j in trace.executed_layers if j in ss.dynamic_layers] == []
         assert set(ss.indices) <= set(trace.executed_layers)
 
@@ -689,7 +692,7 @@ class TestForwardRandom:
         model, _, mods = make_setup(seed=9)
         with pytest.raises(ConfigError, match=re.escape("skip probability must be in [0, 1]")):
             rt.forward_random(model, mods, p, np.random.default_rng(0), np.zeros(3),
-                              np.zeros(2), flops.arch_costs(model.config))
+                              np.zeros(2))
 
 
 class TestDepthMismatch:
@@ -714,14 +717,13 @@ class TestDepthMismatch:
         model, mods = self._pair()
         points = [front + 1 for front, _ in mods.static_set.segments]
         with pytest.raises(ConfigError, match=self.MATCH):
-            rt.forward_skipped(model, mods, points, np.zeros(7), np.zeros(2),
-                               flops.arch_costs(model.config))
+            rt.forward_skipped(model, mods, points, np.zeros(7), np.zeros(2))
 
     def test_forward_random_rejects(self):
         model, mods = self._pair()
         with pytest.raises(ConfigError, match=self.MATCH):
             rt.forward_random(model, mods, 0.0, np.random.default_rng(0),
-                              np.zeros(7), np.zeros(2), flops.arch_costs(model.config))
+                              np.zeros(7), np.zeros(2))
 
     def test_controllers_only_rollout_rejects(self):
         model, mods = self._pair()
@@ -961,3 +963,49 @@ class TestExecutedWork:
             assert verified
         if case == "dysl-k1":
             assert any(t.adapters_invoked[0] == 0 for t in verified)
+
+
+class TestPricing:
+    """A step is priced once, by rollout_episode, after it is final: the
+    forward passes and the verification re-run only record what ran."""
+
+    def _setup(self):
+        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
+                           action_dim=3, seed=3)
+        model = build_policy(cfg)
+        mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5, 7), depth=8), seed=4)
+        return model, mods
+
+    @pytest.mark.parametrize("mode", rt.MODES)
+    def test_flop_estimate_runs_once_per_step(self, monkeypatch, mode):
+        model, mods = self._setup()
+        priced = []
+        flop_estimate = flops.flop_estimate
+
+        def counted(costs, executed, controllers=(), adapters=(), verified=False):
+            priced.append((list(executed), list(controllers), list(adapters), verified))
+            return flop_estimate(costs, executed, controllers, adapters, verified)
+
+        monkeypatch.setattr(flops, "flop_estimate", counted)
+        guidance = rt.GuidanceConfig(k=3)
+        task = sim.sample_task_sequence(7, sim.SimConfig(subtasks=2, step_cap=40))
+        ep = rt.rollout_episode(task, model, mods, mode, guidance,
+                                rng=np.random.default_rng(5), random_skip_prob=0.3)
+        traces = [rec.trace for rec in ep.steps]
+        assert len(priced) == ep.n_steps == len(traces)
+        assert priced == [(t.executed_layers, t.controllers_evaluated, t.adapters_invoked,
+                           t.verified) for t in traces]
+        costs = flops.arch_costs(model.config)
+        assert [t.flops for t in traces] == [price(costs, t) for t in traces]
+        if mode == "dysl":  # k + 1 warm-up steps at full depth, and verified steps
+            assert all(t.executed_layers == list(range(8)) and not t.controllers_evaluated
+                       for t in traces[:guidance.k + 1])
+            assert any(t.verified for t in traces)
+
+    def test_forward_passes_leave_their_records_unpriced(self):
+        model, mods = self._setup()
+        obs, instr = np.zeros(7), np.zeros(2)
+        traces = [rt.forward_full(model, obs, instr)[1],
+                  rt.forward_skipped(model, mods, mods.static_set.segment_starts, obs, instr)[1],
+                  rt.forward_random(model, mods, 0.5, np.random.default_rng(0), obs, instr)[1]]
+        assert [t.flops for t in traces] == [None, None, None]
