@@ -240,13 +240,13 @@ def write_report_csv(path, stats: list[ModeStats]) -> None:
 
 
 def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None:
-    """Verify that every reported avg_flops equals the mean of per-step
-    costs re-derived from the dumped traces, which must be exactly
-    ep_0000 .. ep_{episodes - 1} of the row's episodes. TraceIntegrityError
-    on another set of dumps, naming the mode and both counts; on any
-    mismatch, NaN included; on a malformed record, naming its file, number
-    and field; and on a row that lacks a column, naming it, or whose
-    episodes is not an int >= 1 or avg_flops not a number."""
+    """Verify that every reported avg_flops equals the mean of the per-step
+    costs re-derived from the dumped traces: ep_0000 .. ep_{episodes - 1},
+    one per reported episode, each of the row's mode. TraceIntegrityError,
+    naming the mode, file, record or column at fault, on another set of
+    dumps or mode, on dumps with no step, on any mismatch (NaN included), on
+    a malformed record, and on a row that lacks a column or whose episodes
+    is not an int >= 1 or avg_flops not a number."""
     costs = flops.arch_costs(model_config)
     for row in containers.read_csv(report_path):
         for column in ("mode", "episodes", "avg_flops"):
@@ -269,7 +269,9 @@ def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None
                 f"expected exactly ep_0000 .. ep_{episodes - 1:04d}")
         step_costs = []
         for f in files:
-            _, records = rt.read_episode_trace(f)
+            header, records = rt.read_episode_trace(f)
+            if header["mode"] != mode:
+                raise TraceIntegrityError(f"{f}: header mode {header['mode']!r}, row mode {mode!r}")
             for n, rec in enumerate(records, 1):
                 where = f"{f.name}: step record {n}"
                 if "flops" not in rec:
@@ -282,6 +284,8 @@ def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None
                     raise TraceIntegrityError(
                         f"{where}: stored flops {rec['flops']} != recomputed {recomputed}")
                 step_costs.append(recomputed)
+        if not step_costs:
+            raise TraceIntegrityError(f"mode {mode!r}: the trace dumps hold no step record")
         mean = float(np.mean(step_costs))
         if not abs(mean - reported) <= 1e-6 * max(1.0, abs(reported)):  # NaN fails
             raise TraceIntegrityError(

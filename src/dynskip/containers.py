@@ -1,7 +1,8 @@
 """Every on-disk format of the package, the one header check and its int rule.
 
 - npz container: a JSON header plus named arrays in one npz. Policy and
-  skip-module checkpoints and expert datasets use it. np.savez stamps zip
+  skip-module checkpoints and expert datasets use it; a dataset's header
+  holds its SimConfig, `subtasks` and `step_cap`. np.savez stamps zip
   members with a constant epoch date, so saving the same header and arrays
   twice produces byte-identical files; arrays are stored raw (never
   pickled), so round-trips are bit-exact.
@@ -43,13 +44,14 @@ _JSON_TYPES = {
     "float": lambda v: _is_int(v) or isinstance(v, float),
     "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
     "bool": lambda v: isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
     "dict": lambda v: isinstance(v, dict),
 }
 
 
 def is_json_type(value, type_name: str) -> bool:
     """Whether a decoded JSON value is of the type `type_name` names: "int",
-    "float" (an int passes), "list[int]", "bool" or "dict"."""
+    "float" (an int passes), "list[int]", "bool", "str" or "dict"."""
     return _JSON_TYPES[type_name](value)
 
 

@@ -249,8 +249,12 @@ def into_arena(params: Params, layout=None) -> np.ndarray:
     return flat
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and floor
+
+
 class Adam:
-    """Adaptive-moment optimizer over one flat parameter arena.
+    """Adaptive-moment optimizer over one flat parameter arena at rate `lr`;
+    the betas and eps are the constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
     step(params, grads) takes two 1-D float64 arrays: the arena of a trained
     set (`PolicyModel.arena`, `SkipModules.arena` or its `adapter_arena`
@@ -264,12 +268,8 @@ class Adam:
     the parameters unchanged. The gradients are only read.
     """
 
-    def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: np.ndarray | None = None
 
@@ -284,7 +284,7 @@ class Adam:
         if self.m is None:
             self.m, self.v, self._upd, self._den = (np.zeros(n) for _ in range(4))
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         m, v, upd, den = self.m, self.v, self._upd, self._den
         # The per-array update's operations in its order, so every element
         # comes out bit-identical to it.
@@ -299,6 +299,6 @@ class Adam:
         upd *= self.lr
         np.divide(v, 1.0 - b2 ** self.t, out=den)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += ADAM_EPS
         upd /= den
         params -= upd

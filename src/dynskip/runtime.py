@@ -555,8 +555,9 @@ def write_episode_trace(path, episode: Episode) -> None:
 
 
 def read_episode_trace(path) -> tuple[dict, list[dict]]:
-    """Header and step records of a dumped trace. TraceIntegrityError naming
-    the file and line for a line that is not JSON or a record that is not an
+    """Header and step records of a dumped trace. ConfigError naming a header
+    field that is missing, extra or mistyped. TraceIntegrityError naming the
+    file and line for a line that is not JSON or a record that is not an
     object, and when the records are fewer or more than the header's n_steps:
     a truncated trace of equal-cost steps would pass the FLOP cross-check."""
     values = []
@@ -568,11 +569,13 @@ def read_episode_trace(path) -> tuple[dict, list[dict]]:
             raise TraceIntegrityError(f"{path}: line {len(values) + 1} is not JSON "
                                       f"({exc.msg})") from exc
     header, records = values[0], values[1:]
-    containers.check_header(header, "episode_trace", TRACE_SCHEMA_VERSION, path)
+    containers.check_header(header, "episode_trace", TRACE_SCHEMA_VERSION, path, {
+        "mode": "str", "task_seed": "int", "success_length": "int", "n_steps": "int",
+        "success": "bool", "diverged": "bool"})
     for lineno, rec in enumerate(records, 2):
         if not isinstance(rec, dict):
             raise TraceIntegrityError(f"{path}: line {lineno} is {rec!r}, not a step record")
-    if len(records) != header.get("n_steps"):
-        raise TraceIntegrityError(f"{path}: header n_steps {header.get('n_steps')} "
+    if len(records) != header["n_steps"]:
+        raise TraceIntegrityError(f"{path}: header n_steps {header['n_steps']} "
                                   f"but {len(records)} step records")
     return header, records

@@ -10,12 +10,18 @@ fine phase.
 `run_episode` is the one closed loop, for the expert (`run_expert_episode`)
 and the learned policy (`runtime.rollout_episode`) alike; it alone calls
 `env_step`, whose EnvError alone marks an episode diverged.
+
+The physical values are module constants, not options, as the claim is
+reproduced on this one environment and no caller varies them: LOW, HIGH,
+MARGIN, GRASP_RADIUS, SUCCESS_TOL, COMMIT_DIST, STEP_LEN, FINE_FRAC,
+P_PAUSE, PAUSE_BAND, CRAWL_FRAC, NOISE_SIGMA, NOISE_RHO, D_MAX, GRIP_MAX and
+SEPARATION_FACTOR. SimConfig keeps the chain length and the step budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,42 +36,33 @@ OBS_DIM = 7  # ee (2) + gripper fraction (1) + object (2) + active goal (2)
 ACTION_DIM = 3  # displacement (2) + gripper delta (1)
 GRIP_CLOSED = 0.5  # holding requires open fraction strictly below this
 
+LOW = 0.0                # the workspace is the square [LOW, HIGH]^2
+HIGH = 1.3
+MARGIN = 0.15            # placement margin from the walls
+GRASP_RADIUS = 0.065     # r: grasp reach, also the fine-phase radius
+SUCCESS_TOL = 0.03       # object-to-goal tolerance at release
+COMMIT_DIST = 0.018      # expert closes/opens the gripper inside this
+STEP_LEN = 0.05          # free-phase speed
+FINE_FRAC = 0.25         # fine step = STEP_LEN * FINE_FRAC
+P_PAUSE = 0.35           # fraction of each distance band spent crawling
+PAUSE_BAND = 0.02        # crawl/step alternation period (distance)
+CRAWL_FRAC = 0.1         # crawl speed relative to the fine step
+NOISE_SIGMA = 0.0015     # free-phase smooth-drift innovation
+NOISE_RHO = 0.9          # free-phase drift persistence
+D_MAX = 0.1              # per-axis displacement bound
+GRIP_MAX = 0.5           # gripper delta bound
+SEPARATION_FACTOR = 6.0  # min placement distance, in grasp radii
+
 
 @dataclass(frozen=True)
 class SimConfig:
-    low: float = 0.0
-    high: float = 1.3
-    margin: float = 0.15            # placement margin from the walls
-    grasp_radius: float = 0.065     # r: grasp reach, also the fine-phase radius
-    success_tol: float = 0.03       # object-to-goal tolerance at release
-    commit_dist: float = 0.018      # expert closes/opens the gripper inside this
-    step_len: float = 0.05          # free-phase speed
-    fine_frac: float = 0.25         # fine step = step_len * fine_frac
-    p_pause: float = 0.35           # fraction of each distance band spent crawling
-    pause_band: float = 0.02        # crawl/step alternation period (distance)
-    crawl_frac: float = 0.1         # crawl speed relative to the fine step
-    noise_sigma: float = 0.0015     # free-phase smooth-drift innovation
-    noise_rho: float = 0.9          # free-phase drift persistence
-    d_max: float = 0.1              # per-axis displacement bound
-    grip_max: float = 0.5           # gripper delta bound
-    subtasks: int = 5               # chain length M
-    step_cap: int = 400             # per-subtask step budget
-    separation_factor: float = 6.0  # min placement distance, in grasp radii
+    """The episode shape; the physics are the module constants above."""
+
+    subtasks: int = 5    # chain length M
+    step_cap: int = 400  # per-subtask step budget
 
     def __post_init__(self):
         containers.check_int_fields(self, subtasks=1, step_cap=1)
-        for f in fields(self):  # nan passes every comparison below
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.high <= self.low:
-            raise ConfigError("workspace bounds must satisfy low < high")
-        for name in ("grasp_radius", "success_tol", "step_len", "d_max", "grip_max"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if not 0.0 <= self.p_pause < 1.0:
-            raise ConfigError("p_pause must be in [0, 1)")
-        if self.high - self.low <= 2 * self.margin:
-            raise ConfigError("margin leaves no interior to place objects in")
 
 
 @dataclass(frozen=True)
@@ -90,11 +87,11 @@ class EnvState:
 
 def sample_task_sequence(seed: int, config: SimConfig) -> Task:
     """Draw a pick-place chain with all placements pairwise separated by at
-    least separation_factor grasp radii. Deterministic per seed."""
+    least SEPARATION_FACTOR grasp radii. Deterministic per seed."""
     rng = np.random.default_rng(seed)
-    lo = config.low + config.margin
-    hi = config.high - config.margin
-    min_sep = config.separation_factor * config.grasp_radius
+    lo = LOW + MARGIN
+    hi = HIGH - MARGIN
+    min_sep = SEPARATION_FACTOR * GRASP_RADIUS
 
     for _ in range(200):
         points = [rng.uniform(lo, hi, size=2)]
@@ -112,10 +109,7 @@ def sample_task_sequence(seed: int, config: SimConfig) -> Task:
             start = rng.uniform(lo, hi, size=2)
             return Task(seed=seed, start=start, obj=points[0],
                         goals=np.array(points[1:]), config=config)
-    raise ConfigError(
-        "could not place objects with the required separation; "
-        "enlarge the workspace or reduce grasp_radius/subtasks"
-    )
+    raise ConfigError("could not place objects with the required separation; reduce subtasks")
 
 
 def reset_state(task: Task) -> EnvState:
@@ -171,7 +165,7 @@ class ScriptedExpert:
     alternating between crawls and full steps in distance bands, which makes
     the action stream jerky step-to-step. The grip delta always steers
     toward the desired open fraction (open in transit, closed while
-    carrying, flipped inside commit_dist), which is zero along clean
+    carrying, flipped inside COMMIT_DIST), which is zero along clean
     trajectories outside the fine phase and self-correcting everywhere else.
 
     `label` computes one target distance per step and derives both the
@@ -189,39 +183,37 @@ class ScriptedExpert:
         self._drift = (0.0, 0.0)
 
     def _grip_delta(self, state: EnvState, dist: float) -> float:
-        cfg = self.task.config
         if state.holding:
-            desired = 1.0 if dist <= cfg.commit_dist else 0.0
+            desired = 1.0 if dist <= COMMIT_DIST else 0.0
         else:
-            desired = 0.0 if dist <= cfg.commit_dist else 1.0
+            desired = 0.0 if dist <= COMMIT_DIST else 1.0
         return desired - state.grip
 
     def label(self, state: EnvState) -> tuple[np.ndarray, str]:
         """The expert's action for `state` and the state's phase, FINE or FREE."""
-        cfg = self.task.config
         delta = current_target(self.task, state) - state.ee
         dist = l2_norm(delta)
-        phase = FINE if dist <= cfg.grasp_radius else FREE
+        phase = FINE if dist <= GRASP_RADIUS else FREE
         dg = self._grip_delta(state, dist)
         dx, dy = delta.tolist()
 
         if phase == FREE:  # constant-speed motion
             n0, n1 = self.rng.standard_normal(2).tolist()
             d0, d1 = self._drift
-            d0 = cfg.noise_rho * d0 + cfg.noise_sigma * n0
-            d1 = cfg.noise_rho * d1 + cfg.noise_sigma * n1
+            d0 = NOISE_RHO * d0 + NOISE_SIGMA * n0
+            d1 = NOISE_RHO * d1 + NOISE_SIGMA * n1
             self._drift = (d0, d1)
-            return np.array([cfg.step_len * dx / dist + d0,
-                             cfg.step_len * dy / dist + d1, dg]), phase
+            return np.array([STEP_LEN * dx / dist + d0,
+                             STEP_LEN * dy / dist + d1, dg]), phase
 
         # stop-and-go micro-steps: distance-banded crawl/step alternation.
         # The speed profile is a deterministic function of the observable
         # state (no conditional noise), so a regression fit tracks it instead
         # of averaging it away, and its only zero is the target itself.
         if dist > 0.0:
-            fine_len = cfg.step_len * cfg.fine_frac
-            in_crawl_band = (dist / cfg.pause_band) % 1.0 < cfg.p_pause
-            scale = cfg.crawl_frac if in_crawl_band else 1.0
+            fine_len = STEP_LEN * FINE_FRAC
+            in_crawl_band = (dist / PAUSE_BAND) % 1.0 < P_PAUSE
+            scale = CRAWL_FRAC if in_crawl_band else 1.0
             k = min(0.6 * dist, scale * fine_len)
             return np.array([k * dx / dist, k * dy / dist, dg]), phase
         return np.array([0.0, 0.0, dg]), phase
@@ -231,14 +223,13 @@ def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:
     """Kinematic integration with clamping; emits grasp/release/subtask events.
 
     Grasping is level-based: an effector whose gripper fraction is below the
-    closed threshold within grasp_radius of the object picks it up. While
+    closed threshold within GRASP_RADIUS of the object picks it up. While
     held, the object is co-located with the effector; a released object
     stays where it was last carried to.
 
     Each clamp is a pair of comparisons that replaces a value only when it
     lies strictly outside its bounds, so a value on a bound is kept, as
-    np.clip keeps it, and a signed zero keeps its sign. The workspace bounds
-    are taken as floats, so integer bounds still give a float64 effector.
+    np.clip keeps it, and a signed zero keeps its sign.
     """
     cfg = task.config
     a = np.asarray(action, dtype=np.float64)
@@ -247,17 +238,15 @@ def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:
     ax, ay, ag = a.tolist()
     if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(ag)):
         raise EnvError(f"invalid action {a!r}")
-    d, g = cfg.d_max, cfg.grip_max
-    dx = -d if ax < -d else d if ax > d else ax
-    dy = -d if ay < -d else d if ay > d else ay
-    dg = -g if ag < -g else g if ag > g else ag
+    dx = -D_MAX if ax < -D_MAX else D_MAX if ax > D_MAX else ax
+    dy = -D_MAX if ay < -D_MAX else D_MAX if ay > D_MAX else ay
+    dg = -GRIP_MAX if ag < -GRIP_MAX else GRIP_MAX if ag > GRIP_MAX else ag
 
-    lo, hi = float(cfg.low), float(cfg.high)
     ex, ey = state.ee.tolist()
     ex += dx
     ey += dy
-    ee = np.array([lo if ex < lo else hi if ex > hi else ex,
-                   lo if ey < lo else hi if ey > hi else ey])
+    ee = np.array([LOW if ex < LOW else HIGH if ex > HIGH else ex,
+                   LOW if ey < LOW else HIGH if ey > HIGH else ey])
     grip = state.grip + dg
     grip = 0.0 if grip < 0.0 else 1.0 if grip > 1.0 else grip
     obj = state.obj
@@ -271,13 +260,13 @@ def env_step(task: Task, state: EnvState, action) -> tuple[EnvState, list]:
             holding = False
             events.append(("release",))
             if (subtask < cfg.subtasks
-                    and l2_norm(obj - task.goals[subtask]) <= cfg.success_tol):
+                    and l2_norm(obj - task.goals[subtask]) <= SUCCESS_TOL):
                 events.append(("subtask_complete", subtask))
                 subtask += 1
                 steps_in_subtask = 0
         else:
             obj = ee.copy()
-    elif grip < GRIP_CLOSED and l2_norm(ee - state.obj) <= cfg.grasp_radius:
+    elif grip < GRIP_CLOSED and l2_norm(ee - state.obj) <= GRASP_RADIUS:
         holding = True
         obj = ee.copy()
         events.append(("grasp",))
@@ -359,7 +348,7 @@ def score_rollout(task: Task, events) -> tuple[int, bool]:
 
 # --- expert dataset -----------------------------------------------------------
 
-DATASET_SCHEMA_VERSION = 2
+DATASET_SCHEMA_VERSION = 3
 
 
 @dataclass

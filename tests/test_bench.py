@@ -201,6 +201,30 @@ def test_cross_check_report_rejects_a_malformed_report_row(tmp_path, edit, messa
         bench.cross_check_report(tmp_path, report, model.config)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("n_steps", 0, "mode 'full': the trace dumps hold no step record"),
+    ("mode", "controllers-only",
+     "ep_0000.jsonl: header mode 'controllers-only', row mode 'full'"),
+], ids=["no-step-record", "another-mode"])
+def test_cross_check_report_rejects_dumps_with_no_step_or_of_another_mode(tmp_path, field,
+                                                                           value, message):
+    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                      action_dim=3, seed=2))
+    stats, _ = bench.evaluate_modes(model, None, sim.SimConfig(subtasks=2, step_cap=12),
+                                    rt.GuidanceConfig(k=2), ["full"], 1, 0, out_dir=tmp_path)
+    report = tmp_path / "report.csv"
+    bench.write_report_csv(report, stats)
+    bench.cross_check_report(tmp_path, report, model.config)
+
+    trace = tmp_path / "traces" / "full" / "ep_0000.jsonl"
+    header, *records = trace.read_text(encoding="utf-8").splitlines()
+    header = {**json.loads(header), field: value}
+    kept = records[:header["n_steps"]]  # as many as the header says, so the dump reads
+    trace.write_text("\n".join([json.dumps(header), *kept]) + "\n", encoding="utf-8")
+    with pytest.raises(TraceIntegrityError, match=message):
+        bench.cross_check_report(tmp_path, report, model.config)
+
+
 def _tiny_policy_and_modules():
     model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
                                       action_dim=3, seed=2))

@@ -175,6 +175,15 @@ MALFORMED_HEADERS = {
     "dataset-extra-sim_config-key": ("dataset", _put(1, "sim_config", "gravity"),
                                      "gravity"),
     "dataset-no-subtasks": ("dataset", _drop("sim_config", "subtasks"), "subtasks"),
+    # an unchecked n_steps 5.0 equals a count of 5 records
+    "episode_trace-float-n_steps": ("episode_trace", _put(5.0, "n_steps"), "n_steps"),
+    "episode_trace-no-task_seed": ("episode_trace", _drop("task_seed"), "task_seed"),
+    "episode_trace-no-success": ("episode_trace", _drop("success"), "success"),
+    "episode_trace-mode-not-text": ("episode_trace", _put(1, "mode"), "mode"),
+    "episode_trace-int-diverged": ("episode_trace", _put(0, "diverged"), "diverged"),
+    "episode_trace-float-success_length": ("episode_trace", _put(1.0, "success_length"),
+                                           "success_length"),
+    "episode_trace-extra-field": ("episode_trace", _put(1, "note"), "note"),
 }
 
 

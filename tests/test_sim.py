@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 
@@ -16,6 +17,22 @@ def small_cfg(**kw):
     return sim.SimConfig(**base)
 
 
+# the SimConfig defaults of the physical values, taken as constants; every
+# pinned dataset, weight and trace digest was taken under them
+FORMER_DEFAULTS = {
+    "LOW": 0.0, "HIGH": 1.3, "MARGIN": 0.15, "GRASP_RADIUS": 0.065, "SUCCESS_TOL": 0.03,
+    "COMMIT_DIST": 0.018, "STEP_LEN": 0.05, "FINE_FRAC": 0.25, "P_PAUSE": 0.35,
+    "PAUSE_BAND": 0.02, "CRAWL_FRAC": 0.1, "NOISE_SIGMA": 0.0015, "NOISE_RHO": 0.9,
+    "D_MAX": 0.1, "GRIP_MAX": 0.5, "SEPARATION_FACTOR": 6.0}
+
+
+def test_physical_constants_keep_their_former_sim_config_defaults():
+    values = {name: getattr(sim, name) for name in FORMER_DEFAULTS}
+    assert values == FORMER_DEFAULTS
+    assert all(type(v) is float for v in values.values())
+    assert [f.name for f in dataclasses.fields(sim.SimConfig)] == ["subtasks", "step_cap"]
+
+
 class TestTaskSampling:
     def test_deterministic(self):
         cfg = small_cfg()
@@ -31,7 +48,7 @@ class TestTaskSampling:
 
     def test_separation_respected_over_many_seeds(self):
         cfg = sim.SimConfig()
-        min_sep = cfg.separation_factor * cfg.grasp_radius
+        min_sep = sim.SEPARATION_FACTOR * sim.GRASP_RADIUS
         for seed in range(1000):
             task = sim.sample_task_sequence(seed, cfg)
             pts = np.vstack([task.obj[None], task.goals])
@@ -40,15 +57,12 @@ class TestTaskSampling:
                     assert np.linalg.norm(pts[i] - pts[j]) >= min_sep
 
     def test_infeasible_bounds_raise(self):
-        with pytest.raises(ConfigError):
-            cfg = sim.SimConfig(high=0.5, margin=0.2, separation_factor=40.0)
-            sim.sample_task_sequence(0, cfg)
+        """31 placements SEPARATION_FACTOR grasp radii apart do not fit in
+        the workspace."""
+        with pytest.raises(ConfigError, match="reduce subtasks"):
+            sim.sample_task_sequence(0, sim.SimConfig(subtasks=30))
 
     @pytest.mark.parametrize("field, value, match", [
-        ("step_len", np.nan, "step_len must be finite"),
-        ("margin", np.nan, "margin must be finite"),
-        ("grasp_radius", np.inf, "grasp_radius must be finite"),
-        ("noise_rho", np.nan, "noise_rho must be finite"),
         ("step_cap", 0, "step_cap must be an int >= 1"),
         ("step_cap", -1, "step_cap must be an int >= 1"),
         ("step_cap", 2.5, "step_cap must be an int >= 1"),
@@ -61,9 +75,9 @@ class TestTaskSampling:
     def _linalg_form(seed, config):
         """The sampler with its separation test on np.linalg.norm."""
         rng = np.random.default_rng(seed)
-        lo = config.low + config.margin
-        hi = config.high - config.margin
-        min_sep = config.separation_factor * config.grasp_radius
+        lo = sim.LOW + sim.MARGIN
+        hi = sim.HIGH - sim.MARGIN
+        min_sep = sim.SEPARATION_FACTOR * sim.GRASP_RADIUS
         for _ in range(200):
             points = [rng.uniform(lo, hi, size=2)]
             placed = True
@@ -104,18 +118,17 @@ class TestEnvStep:
 
     def test_clamps_match_np_clip_bitwise(self):
         task = sim.sample_task_sequence(1, small_cfg())
-        cfg = task.config
         rng = np.random.default_rng(0)
-        edges = [0.0, -0.0, cfg.d_max, -cfg.d_max, cfg.grip_max, -cfg.grip_max]
+        edges = [0.0, -0.0, sim.D_MAX, -sim.D_MAX, sim.GRIP_MAX, -sim.GRIP_MAX]
         for _ in range(300):
             state = sim.reset_state(task)
             state.grip = float(rng.choice([0.0, -0.0, 1.0, rng.uniform(0, 1)]))
             a = rng.choice([rng.uniform(-1, 1), *edges], size=3)
-            step = np.array([np.clip(a[0], -cfg.d_max, cfg.d_max),
-                             np.clip(a[1], -cfg.d_max, cfg.d_max)])
-            grip = float(np.clip(state.grip + np.clip(a[2], -cfg.grip_max, cfg.grip_max),
+            step = np.array([np.clip(a[0], -sim.D_MAX, sim.D_MAX),
+                             np.clip(a[1], -sim.D_MAX, sim.D_MAX)])
+            grip = float(np.clip(state.grip + np.clip(a[2], -sim.GRIP_MAX, sim.GRIP_MAX),
                                  0.0, 1.0))
-            ee = np.clip(state.ee + step, cfg.low, cfg.high)
+            ee = np.clip(state.ee + step, sim.LOW, sim.HIGH)
             out, _ = sim.env_step(task, state, a)
             assert out.ee.tobytes() == ee.tobytes()
             assert np.float64(out.grip).tobytes() == np.float64(grip).tobytes()
@@ -124,7 +137,7 @@ class TestEnvStep:
         task = sim.sample_task_sequence(1, small_cfg())
         state = sim.reset_state(task)
         # move the effector well away from the object first
-        state.ee = np.clip(task.obj + 0.5, task.config.low, task.config.high)
+        state.ee = np.clip(task.obj + 0.5, sim.LOW, sim.HIGH)
         state, events = sim.env_step(task, state, np.array([0.0, 0.0, -0.5]))
         assert not state.holding
         assert all(ev[0] != "grasp" for _, ev in [(0, e) for e in events])
@@ -155,7 +168,7 @@ class TestEnvStep:
             delta = task.goals[0] - state.ee
             if np.linalg.norm(delta) < 1e-9:
                 break
-            step = np.clip(delta, -cfg.d_max, cfg.d_max)
+            step = np.clip(delta, -sim.D_MAX, sim.D_MAX)
             state, ev = sim.env_step(task, state, np.array([step[0], step[1], 0.0]))
         state, ev = sim.env_step(task, state, np.array([0, 0, 0.5]))
         assert ("release",) in ev and ("subtask_complete", 0) in ev
@@ -183,36 +196,21 @@ class TestEnvStep:
 
     def test_effector_clamp_matches_np_clip_bitwise(self):
         task = sim.sample_task_sequence(1, small_cfg())
-        cfg = task.config
-        lo, hi = cfg.low, cfg.high
+        lo, hi = sim.LOW, sim.HIGH
         coords = [lo, hi, -0.0, 0.0, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
                   lo - 0.05, hi + 0.05, 0.5 * (lo + hi)]
-        moves = [0.0, -0.0, cfg.d_max, -cfg.d_max, 0.3, -0.3, 1e-17, -1e-17]
+        moves = [0.0, -0.0, sim.D_MAX, -sim.D_MAX, 0.3, -0.3, 1e-17, -1e-17]
         for ex in coords:
             for ey in coords:
                 for dx in moves:
                     for dy in moves[::-1]:
                         state = sim.reset_state(task)
                         state.ee = np.array([ex, ey])
-                        step = np.clip(np.array([dx, dy]), -cfg.d_max, cfg.d_max)
+                        step = np.clip(np.array([dx, dy]), -sim.D_MAX, sim.D_MAX)
                         expected = np.clip(state.ee + [step[0], step[1]], lo, hi)
                         out, _ = sim.env_step(task, state, np.array([dx, dy, 0.0]))
                         assert out.ee.dtype == np.float64
                         assert out.ee.tobytes() == expected.tobytes(), (ex, ey, dx, dy)
-
-    def test_integer_workspace_bounds_clamp_to_a_float64_effector(self):
-        """Both coordinates clamp, so bounds kept as ints would make an int64 ee."""
-        task = sim.sample_task_sequence(1, small_cfg(low=0, high=2))
-        cfg = task.config
-        for ee, move in (([0.01, 1.99], [-cfg.d_max, cfg.d_max]),
-                         ([1.99, 0.01], [cfg.d_max, -cfg.d_max])):
-            state = sim.reset_state(task)
-            state.ee = np.array(ee)
-            out, _ = sim.env_step(task, state, np.array(move + [0.0]))
-            expected = np.clip(state.ee + move, cfg.low, cfg.high)
-            assert out.ee.dtype == np.float64 and expected.dtype == np.float64
-            assert out.ee.tobytes() == expected.tobytes()
-            assert sorted(out.ee.tolist()) == [0.0, 2.0]
 
     def test_object_conservation(self):
         # object never moves unless held at the end of the step
@@ -222,7 +220,7 @@ class TestEnvStep:
         rng = np.random.default_rng(0)
         for _ in range(300):
             prev_obj = state.obj.copy()
-            action = rng.uniform(-1, 1, 3) * [cfg.d_max, cfg.d_max, cfg.grip_max]
+            action = rng.uniform(-1, 1, 3) * [sim.D_MAX, sim.D_MAX, sim.GRIP_MAX]
             state, _ = sim.env_step(task, state, action)
             if not np.array_equal(state.obj, prev_obj):
                 assert state.holding
@@ -243,7 +241,7 @@ class TestObserve:
         task = dataclasses.replace(task, goals=goals)
         rng = np.random.default_rng(7)
         points = [np.array([0.0, -0.0]), np.array([-0.0, 0.0]), np.array([-0.0, -0.0]),
-                  task.goals[0].copy(), rng.uniform(cfg.low, cfg.high, 2)]
+                  task.goals[0].copy(), rng.uniform(sim.LOW, sim.HIGH, 2)]
         for subtask in range(cfg.subtasks + 1):  # the last is past the chain's end
             for ee in points:
                 for obj in points:
@@ -273,23 +271,22 @@ class NumpyExpert(sim.ScriptedExpert):
         self._drift = np.zeros(2)
 
     def action(self, state):
-        cfg = self.task.config
         target = sim.current_target(self.task, state)
         delta = target - state.ee
         dist = l2_norm(delta)
         dg = self._grip_delta(state, dist)
 
-        if dist > cfg.grasp_radius:  # free motion
-            self._drift = (cfg.noise_rho * self._drift
-                           + cfg.noise_sigma * self.rng.standard_normal(2))
-            step = cfg.step_len * delta / dist + self._drift
+        if dist > sim.GRASP_RADIUS:  # free motion
+            self._drift = (sim.NOISE_RHO * self._drift
+                           + sim.NOISE_SIGMA * self.rng.standard_normal(2))
+            step = sim.STEP_LEN * delta / dist + self._drift
             return np.array([step[0], step[1], dg])
 
         step = np.zeros(2)
         if dist > 0.0:
-            fine_len = cfg.step_len * cfg.fine_frac
-            in_crawl_band = (dist / cfg.pause_band) % 1.0 < cfg.p_pause
-            scale = cfg.crawl_frac if in_crawl_band else 1.0
+            fine_len = sim.STEP_LEN * sim.FINE_FRAC
+            in_crawl_band = (dist / sim.PAUSE_BAND) % 1.0 < sim.P_PAUSE
+            scale = sim.CRAWL_FRAC if in_crawl_band else 1.0
             step = min(0.6 * dist, scale * fine_len) * delta / dist
         return np.array([step[0], step[1], dg])
 
@@ -327,16 +324,16 @@ class TestExpert:
         effector is the offset exactly, signed zeros included."""
         cfg = sim.SimConfig()
         base = sim.sample_task_sequence(7, cfg)
-        r, c = cfg.grasp_radius, cfg.commit_dist
+        r, c = sim.GRASP_RADIUS, sim.COMMIT_DIST
         offsets = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
                    (0.5, -0.0), (-0.0, -0.5), (0.3, 0.4), (-0.6, 0.8)]
         offsets += [(x, 0.0) for x in _ulps_around(r)] + [(-0.0, -x) for x in _ulps_around(r)]
         offsets += [(x, 0.0) for x in _ulps_around(c)] + [(-0.0, -x) for x in _ulps_around(c)]
         assert {l2_norm(np.array([x, 0.0])) <= c for x in _ulps_around(c)} == {True, False}
-        band_edges = [cfg.pause_band * (n + f) for n in range(4) for f in (0.0, cfg.p_pause)]
+        band_edges = [sim.PAUSE_BAND * (n + f) for n in range(4) for f in (0.0, sim.P_PAUSE)]
         for edge in band_edges[1:]:
             ds = _ulps_around(edge)
-            crawl = {(d / cfg.pause_band) % 1.0 < cfg.p_pause for d in ds}
+            crawl = {(d / sim.PAUSE_BAND) % 1.0 < sim.P_PAUSE for d in ds}
             assert crawl == {True, False}, edge  # the neighbours straddle the edge
             offsets += [(d, 0.0) for d in ds] + [(-0.0, d) for d in ds]
             offsets += [(0.6 * d, -0.8 * d) for d in ds]
@@ -360,7 +357,7 @@ class TestExpert:
         """The phase by the effector's distance to its target, computed on
         ee - target: the negation of the offset the expert acts on."""
         dist = l2_norm(state.ee - sim.current_target(task, state))
-        return sim.FINE if dist <= task.config.grasp_radius else sim.FREE
+        return sim.FINE if dist <= sim.GRASP_RADIUS else sim.FREE
 
     def test_labelled_phase_equals_the_distance_rule_over_whole_episodes(self):
         cfg = sim.SimConfig()
@@ -386,7 +383,7 @@ class TestExpert:
         offset's length exactly."""
         cfg = sim.SimConfig()
         base = sim.sample_task_sequence(7, cfg)
-        r = cfg.grasp_radius
+        r = sim.GRASP_RADIUS
         expert = sim.ScriptedExpert(base, np.random.default_rng(9))
         for x, phase in ((np.nextafter(r, 0.0), sim.FINE), (r, sim.FINE),
                          (np.nextafter(r, 1.0), sim.FREE)):
@@ -401,13 +398,15 @@ class TestExpert:
                     assert self._distance_phase(task, state) == phase
 
     def test_free_phase_geometry(self):
-        cfg = sim.SimConfig(noise_sigma=0.0)
-        task = sim.sample_task_sequence(6, cfg)
+        """STEP_LEN toward the target plus the first drift, NOISE_SIGMA times
+        the expert's first normal draw."""
+        task = sim.sample_task_sequence(6, sim.SimConfig())
         state = sim.reset_state(task)
         state.ee = task.obj - np.array([0.5, 0.0])  # object due east, far away
         expert = sim.ScriptedExpert(task, np.random.default_rng(0))
+        drift = sim.NOISE_SIGMA * copy.deepcopy(expert.rng).standard_normal(2)
         action, _ = expert.label(state)
-        assert np.allclose(action, [cfg.step_len, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(action, [sim.STEP_LEN + drift[0], drift[1], 0.0], atol=1e-12)
 
     def test_fine_steps_jerkier_than_free(self):
         cfg = sim.SimConfig()
@@ -537,6 +536,18 @@ class TestDataset:
         with pytest.raises(error, match=match):
             sim.load_dataset(path)
 
+    def test_load_rejects_a_schema_2_dataset(self, tmp_path):
+        """Schema 2 wrote the physical constants into sim_config; such a file
+        is stale, not one with unexpected fields."""
+        path = tmp_path / "d.npz"
+        sim.save_dataset(path, sim.generate_dataset(small_cfg(), 1, seed=15))
+        header, arrays = containers.load_arrays(path)
+        header["schema_version"] = 2
+        header["sim_config"].update({name.lower(): v for name, v in FORMER_DEFAULTS.items()})
+        containers.save_arrays(path, header, arrays)
+        with pytest.raises(ConfigError, match="schema_version 2, expected 3"):
+            sim.load_dataset(path)
+
     def test_phases_stored_without_pickle(self, tmp_path):
         path = tmp_path / "d.npz"
         ds = sim.generate_dataset(small_cfg(), 1, seed=17)
@@ -554,8 +565,8 @@ class TestDataset:
         cfg = sim.SimConfig()
         ds = sim.generate_dataset(cfg, 5, seed=14)
         assert np.all(np.isfinite(ds.obs))
-        span = cfg.high - cfg.low
-        assert ds.obs[:, :2].min() >= cfg.low and ds.obs[:, :2].max() <= cfg.high
+        span = sim.HIGH - sim.LOW
+        assert ds.obs[:, :2].min() >= sim.LOW and ds.obs[:, :2].max() <= sim.HIGH
         relative = ds.obs[:, 3:7]
         assert relative.min() >= -span and relative.max() <= span
         assert ds.obs[:, 2].min() >= 0.0 and ds.obs[:, 2].max() <= 1.0
