@@ -17,6 +17,9 @@
 Every header carries `kind` and `schema_version`; loaders pass it through
 `check_header`, so a wrong or stale artifact, or a header field that is
 missing, unexpected or of the wrong JSON type, fails with ConfigError.
+`load_arrays` fails with ConfigError naming the file for an npz header
+that is not UTF-8 JSON, and naming the file and member for a member that
+only unpickling could load.
 """
 
 from __future__ import annotations
@@ -88,21 +91,15 @@ def check_header(header: dict, kind: str, version: int, path,
         _check_fields(rest, fields, path, f"{kind} header")
 
 
-def check_int(name: str, value, low: int | None = None) -> None:
-    """ConfigError, naming `name`, unless `value` passes _is_int (no bool,
-    float, nan or inf) and is >= `low`."""
-    if not _is_int(value) or (low is not None and value < low):
-        bound = "" if low is None else f" >= {low}"
-        raise ConfigError(f"{name} must be an int{bound}, got {value!r}")
-
-
 def check_int_fields(config, **minimums: int) -> None:
-    """check_int on each int field of the dataclass `config`, against its
-    entry in `minimums` (a seed's is 0)."""
+    """ConfigError, naming the field, unless each int field of the dataclass
+    `config` passes _is_int (no bool, float, nan or inf) and is at least its
+    entry in `minimums`, 0 by default."""
     for f in dataclasses.fields(config):
         if f.type == "int":
-            check_int(f.name, getattr(config, f.name),
-                      minimums.get(f.name, 0 if f.name == "seed" else None))
+            value, low = getattr(config, f.name), minimums.get(f.name, 0)
+            if not _is_int(value) or value < low:
+                raise ConfigError(f"{f.name} must be an int >= {low}, got {value!r}")
 
 
 def config_from_header(cls, values, path, what: str):
@@ -137,12 +134,18 @@ def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
     with z:
         if _HEADER_KEY not in z.files:
             raise ConfigError(f"{path} is not an npz container (no header)")
-        header = json.loads(z[_HEADER_KEY].tobytes().decode("utf-8"))
-        arrays = {
-            name[len(_ARRAY_PREFIX):]: z[name].copy()
-            for name in z.files
-            if name.startswith(_ARRAY_PREFIX)
-        }
+        members = {}
+        for name in [_HEADER_KEY, *(n for n in z.files if n.startswith(_ARRAY_PREFIX))]:
+            try:
+                members[name] = z[name].copy()
+            except ValueError as exc:  # an object array, which only unpickling could load
+                raise ConfigError(f"{path}: member {name.removeprefix(_ARRAY_PREFIX)!r} "
+                                  f"cannot be loaded without pickle") from exc
+    try:
+        header = json.loads(members.pop(_HEADER_KEY).tobytes().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ConfigError(f"{path}: header is not UTF-8 JSON") from exc
+    arrays = {name.removeprefix(_ARRAY_PREFIX): arr for name, arr in members.items()}
     return header, arrays
 
 

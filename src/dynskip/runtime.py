@@ -11,9 +11,12 @@ layer, the layers above it and the head: every layer below ran in the skip
 pass, unskipped and with the same kernels, so the re-prediction equals a
 fresh full-depth pass bit for bit.
 
-An AllowPointState holds the guidance state. `observe_action` alone appends
-to its `window` and `c_history`, which `rollout_episode` and
-`post_skip_verify` read; `post_skip_verify` alone reads and writes `armed`.
+An AllowPointState holds the guidance state and carries its GuidanceConfig,
+so each guidance step takes the state alone and reads `k` and `eta` from it.
+`observe_action` alone appends to its `window` and `c_history`, which
+`rollout_episode`, `update_allow_points` and `post_skip_verify` read;
+`update_allow_points` alone moves its `points`, and `post_skip_verify`
+alone reads and writes `armed`.
 
 `forward_skipped` (controller gates) and `forward_random` (the random-skip
 baseline) share one segment walk over the plan SkipModules builds once, and
@@ -217,41 +220,32 @@ def load_skip_modules(path) -> SkipModules:
 @dataclass
 class AllowPointState:
     """Per-segment skipping-allow points plus the continuity bookkeeping that
-    drives them. Point l for segment (front, back) means: controllers are
+    drives them, under one GuidanceConfig whose `k` and `eta` every guidance
+    step reads. Point l for segment (front, back) means: controllers are
     disabled (layers forced) strictly below l; confined to front < l <= back.
-    `observe_action` alone appends to `window` (the last two actions),
-    `norms` (the last k pair distances, so a new continuity value costs one
-    norm, not k) and `c_history` (the last two continuity values); the
-    verification trigger `armed` is read and written only by
+    The points start at the segment starts. `observe_action` alone appends
+    to `window` (the last two actions), `norms` (the last k pair distances,
+    so a new continuity value costs one norm, not k) and `c_history` (the
+    last two continuity values); `update_allow_points` alone moves `points`;
+    the verification trigger `armed` is read and written only by
     `post_skip_verify`."""
 
     static_set: StaticSet
-    k: int
-    points: list[int]
-    window: deque = field(default_factory=lambda: deque(maxlen=2))
-    c_history: deque = field(default_factory=lambda: deque(maxlen=2))
-    armed: bool = True
-    norms: deque = field(default_factory=deque)
+    guidance: GuidanceConfig
+    points: list[int] = field(init=False)
+    window: deque = field(init=False, default_factory=lambda: deque(maxlen=2))
+    c_history: deque = field(init=False, default_factory=lambda: deque(maxlen=2))
+    armed: bool = field(init=False, default=True)
+    norms: deque = field(init=False)
+
+    def __post_init__(self):
+        self.points = list(self.static_set.segment_starts)
+        self.norms = deque(maxlen=self.guidance.k)
 
     @property
     def warm(self) -> bool:
         """True until a full window of k+1 actions has been observed."""
-        return len(self.norms) < self.k
-
-
-def _check_eta(eta) -> None:
-    """ConfigError unless the continuity threshold eta is finite and positive
-    (a NaN or infinite one would never move an allow point)."""
-    if not 0.0 < eta < math.inf:
-        raise ConfigError(f"eta must be finite and positive, got {eta}")
-
-
-def init_allow_state(static_set: StaticSet, k: int) -> AllowPointState:
-    """Allow points at the segment starts and a k-wide continuity window;
-    k is checked as GuidanceConfig checks it."""
-    containers.check_int("k", k, 1)
-    return AllowPointState(static_set=static_set, k=k, points=list(static_set.segment_starts),
-                           norms=deque(maxlen=k))
+        return len(self.norms) < self.guidance.k
 
 
 def observe_action(state: AllowPointState, action) -> None:
@@ -278,17 +272,17 @@ def replace_last_action(state: AllowPointState, action) -> None:
     observe_action(state, action)
 
 
-def update_allow_points(state: AllowPointState, c_t: float, c_prev: float,
-                        eta: float) -> AllowPointState:
-    """Hysteresis move of every allow point from the continuity change.
+def update_allow_points(state: AllowPointState) -> None:
+    """Hysteresis move of every allow point from the continuity change
+    dC = c_history[-1] - c_history[-2] (two values: the caller's guarantee).
 
-    A drop (c_t - c_prev < -eta) advances points by ceil(|dC| / eta),
-    clamped at the closing static layer; a rise (> eta) retreats by exactly
-    one, clamped just after the opening static layer; the dead band leaves
-    points unchanged. eta is checked as GuidanceConfig checks it.
+    A drop (dC < -eta) advances points by ceil(|dC| / eta), clamped at the
+    closing static layer; a rise (> eta) retreats by exactly one, clamped
+    just after the opening static layer; the dead band leaves points
+    unchanged.
     """
-    _check_eta(eta)
-    dc = c_t - c_prev
+    eta = state.guidance.eta
+    dc = state.c_history[-1] - state.c_history[-2]
     segments = state.static_set.segments
     if dc < -eta:
         dl = math.ceil(abs(dc) / eta)
@@ -297,7 +291,6 @@ def update_allow_points(state: AllowPointState, c_t: float, c_prev: float,
     elif dc > eta:
         state.points = [max(front + 1, l - 1)
                         for (front, back), l in zip(segments, state.points)]
-    return state
 
 
 # --- skipping forward passes ------------------------------------------------------
@@ -401,33 +394,32 @@ class GuidanceConfig:
 
     def __post_init__(self):  # a float k breaks deque
         containers.check_int_fields(self, k=1)
-        _check_eta(self.eta)
+        if not 0.0 < self.eta < math.inf:  # a NaN or infinite eta never moves a point
+            raise ConfigError(f"eta must be finite and positive, got {self.eta}")
 
 
 @dataclass
 class StepRecord:
-    step: int
     trace: ExecTrace
     continuity: float | None
     allow_points: list[int] | None
 
 
-def post_skip_verify(model: PolicyModel, allow_state: AllowPointState, trace: ExecTrace,
-                     eta: float):
+def post_skip_verify(model: PolicyModel, allow_state: AllowPointState, trace: ExecTrace):
     """The verification trigger; the only reader and writer of `armed`.
 
     With two `c_history` values (the caller's guarantee), armed and
-    dC < -eta fires and disarms. A fire on a step that skipped anything
-    re-predicts the action at full depth: from the skip pass's input to its
-    first skipped layer s (`trace.resume_input`) it runs blocks s..depth-1
-    and the head, extends the trace in place (those blocks appended to
-    executed_layers, verified set; the rollout prices it) and replaces the
-    newest action, and with it the newest continuity value; a step that
-    skipped nothing would re-predict the same action. Then dC >= -eta, read
-    after any replacement, re-arms. Returns the re-predicted action, or
+    dC < -eta, with the state's eta, fires and disarms. A fire on a step
+    that skipped anything re-predicts the action at full depth: from the
+    skip pass's input to its first skipped layer s (`trace.resume_input`)
+    it runs blocks s..depth-1 and the head, extends the trace in place
+    (those blocks appended to executed_layers, verified set; the rollout
+    prices it) and replaces the newest action, and with it the newest
+    continuity value; a step that skipped nothing would re-predict the same
+    action. Then dC >= -eta, read after any replacement, re-arms. Returns the re-predicted action, or
     None unless re-run.
     """
-    hist = allow_state.c_history
+    hist, eta = allow_state.c_history, allow_state.guidance.eta
     action = None
     if allow_state.armed and hist[-1] - hist[-2] < -eta:
         allow_state.armed = False
@@ -474,10 +466,10 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
     if model.config.action_dim != sim.ACTION_DIM:
         raise ConfigError(f"the model's action width is {model.config.action_dim} but "
                           f"the environment's is {sim.ACTION_DIM}")
-    allow = init_allow_state(mods.static_set, guidance.k) if mode == "dysl" else None
+    allow = AllowPointState(mods.static_set, guidance) if mode == "dysl" else None
     steps = []
 
-    def act(obs, instr_id, state):
+    def act(obs, instr_id, _state):
         instr = sim.instr_onehot(instr_id, n_instr)
         c_t = points_log = None
         if mode == "full":
@@ -493,18 +485,17 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
             observe_action(allow, action)
             if not allow.warm and len(allow.c_history) >= 2:
                 if guidance.verification:
-                    redo = post_skip_verify(model, allow, trace, guidance.eta)
+                    redo = post_skip_verify(model, allow, trace)
                     if redo is not None:
                         action = redo
-                c_prev, c_t = allow.c_history
-                update_allow_points(allow, c_t, c_prev, guidance.eta)
+                c_t = allow.c_history[-1]
+                update_allow_points(allow)
             points_log = list(allow.points)
         trace.resume_input = None  # the verification hand-off lives one step
         trace.flops = flops.flop_estimate(costs, trace.executed_layers,
                                           trace.controllers_evaluated,
                                           trace.adapters_invoked, trace.verified)
-        steps.append(StepRecord(step=state.total_steps, trace=trace,
-                                continuity=c_t, allow_points=points_log))
+        steps.append(StepRecord(trace=trace, continuity=c_t, allow_points=points_log))
         return action
 
     episode = sim.run_episode(task, act)
@@ -534,9 +525,9 @@ def episode_trace_lines(episode: Episode) -> list[str]:
         "n_steps": episode.n_steps,
     }
     lines = [json.dumps(header, sort_keys=True)]
-    for rec in episode.steps:
+    for step, rec in enumerate(episode.steps):
         lines.append(json.dumps({
-            "step": rec.step,
+            "step": step,
             "executed_layers": rec.trace.executed_layers,
             "controllers_evaluated": rec.trace.controllers_evaluated,
             "adapters_invoked": rec.trace.adapters_invoked,

@@ -418,9 +418,10 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """ShapeError when the arrays disagree in row count or width, or `instr`
-    is not an integer array; ConfigError when an instruction id is outside
-    [0, subtasks) or a phase label is neither FREE nor FINE."""
+    """ShapeError when the arrays disagree in row count or width, `obs` or
+    `actions` is not a float array or `instr` not an integer one; ConfigError
+    when the dataset has no rows, an instruction id is outside [0, subtasks)
+    or a phase label is neither FREE nor FINE."""
     header, arrays = containers.load_arrays(path)
     containers.check_header(header, "dataset", DATASET_SCHEMA_VERSION, path,
                             {"seed": "int", "n_episodes": "int", "sim_config": "dict"})
@@ -433,10 +434,14 @@ def load_dataset(path) -> Dataset:
         if found != shape:
             raise ShapeError(f"{path}: dataset array {name!r} has shape {found}, "
                              f"expected {shape}")
+    for name, kinds, expected in (("obs", "f", "floats"), ("actions", "f", "floats"),
+                                  ("instr", "iu", "integers")):
+        if arrays[name].dtype.kind not in kinds:
+            raise ShapeError(f"{path}: dataset array {name!r} has dtype "
+                             f"{arrays[name].dtype}, expected {expected}")
+    if not rows:
+        raise ConfigError(f"{path}: dataset has no rows")
     instr = arrays["instr"]
-    if instr.dtype.kind not in "iu":
-        raise ShapeError(f"{path}: dataset array 'instr' has dtype {instr.dtype}, "
-                         "expected integers")
     outside = instr[(instr < 0) | (instr >= config.subtasks)]
     if outside.size:
         raise ConfigError(f"{path}: dataset array 'instr' holds id {outside[0]}, "

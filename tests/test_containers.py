@@ -228,7 +228,7 @@ def test_read_episode_trace_names_the_line_it_cannot_read(tmp_path, case):
     path = tmp_path / "ep.jsonl"
     rt.write_episode_trace(path, rt.Episode(
         task_seed=0, mode="full", actions=[np.zeros(3)],
-        steps=[rt.StepRecord(0, rt.ExecTrace(executed_layers=[0, 1, 2, 3]), None, None)]))
+        steps=[rt.StepRecord(rt.ExecTrace(executed_layers=[0, 1, 2, 3]), None, None)]))
     rt.read_episode_trace(path)  # the untouched trace reads
     text, message = MALFORMED_TRACES[case]
     path.write_text(text(*path.read_text(encoding="utf-8").splitlines(keepends=True)),
@@ -239,7 +239,7 @@ def test_read_episode_trace_names_the_line_it_cannot_read(tmp_path, case):
 
 @pytest.mark.parametrize("artifact", ["policy", "skip_modules", "dataset"])
 def test_npz_loaders_reject_non_container_files(tmp_path, artifact):
-    _, load, _ = ARTIFACTS[artifact]
+    save, load, _ = ARTIFACTS[artifact]
     old_jsonl = tmp_path / "old.jsonl"  # the dataset format before the npz container
     old_jsonl.write_text('{"kind": "dataset", "schema_version": 1}\n{"obs": [0.0]}\n')
     headerless = tmp_path / "plain.npz"
@@ -249,3 +249,16 @@ def test_npz_loaders_reject_non_container_files(tmp_path, artifact):
     for path in (old_jsonl, headerless, empty):
         with pytest.raises(ConfigError, match="not an npz container"):
             load(path)
+    save(tmp_path / "pickled")
+    header, arrays = containers.load_arrays(tmp_path / "pickled")
+    name = sorted(arrays)[0]  # a dataset's 'actions'
+    arrays[name] = np.array([None, 0.0], dtype=object)  # np.savez pickles it
+    containers.save_arrays(tmp_path / "pickled", header, arrays)
+    with pytest.raises(ConfigError, match=f"pickled: member '{name}' cannot be loaded "
+                                          "without pickle"):
+        load(tmp_path / "pickled")
+    for text in (b"{not json", b"\xff{}"):
+        with open(tmp_path / "garbled", "wb") as fh:
+            np.savez(fh, __header__=np.frombuffer(text, dtype=np.uint8))
+        with pytest.raises(ConfigError, match="garbled: header is not UTF-8 JSON"):
+            load(tmp_path / "garbled")

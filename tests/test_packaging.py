@@ -77,10 +77,11 @@ def test_no_new_public_name_is_reached_only_by_tests():
 def test_every_config_int_field_takes_only_an_int():
     """An int field that took True would run as 1, and one that took 2.5 or
     nan would fail later with a bare error (in range(), default_rng) or run
-    truncated; a seed must be >= 0. Walks every *Config dataclass, so a new
-    int field fails here until its config checks it. check_int_fields skips
-    a field of any other type, so every field must be an int, float or bool,
-    and a new `int | None` or `str` option fails here too."""
+    truncated; every int field must be >= 0 at least. Walks every *Config
+    dataclass, so a new int field fails here until its config checks it.
+    check_int_fields skips a field of any other type, so every field must be
+    an int, float or bool, and a new `int | None` or `str` option fails here
+    too."""
     configs = [cls for info in pkgutil.iter_modules(dynskip.__path__)
                for cls in vars(importlib.import_module(f"dynskip.{info.name}")).values()
                if isinstance(cls, type) and dataclasses.is_dataclass(cls)
@@ -91,7 +92,7 @@ def test_every_config_int_field_takes_only_an_int():
             assert f.type in ("int", "float", "bool"), f"{cls.__name__}.{f.name}: {f.type}"
             if f.type != "int":
                 continue
-            for value in [True, 2.5, math.nan, math.inf] + ([-1] if f.name == "seed" else []):
+            for value in [True, 2.5, math.nan, math.inf, -1]:
                 with pytest.raises(ConfigError, match=f.name):
                     cls(**{f.name: value})
             checked.add(f"{cls.__name__}.{f.name}")

@@ -48,7 +48,7 @@ class TestStaticSet:
         ss = StaticSet(indices=(0, 3, 4, 7), depth=8)
         assert ss.segment_starts == (1, 5)
         assert StaticSet(indices=(2, 5), depth=6).segment_starts == (0, 3)
-        assert rt.init_allow_state(ss, k=2).points == [1, 5]
+        assert rt.AllowPointState(ss, rt.GuidanceConfig(k=2)).points == [1, 5]
 
     def test_derived_layouts_are_computed_once_and_not_compared(self):
         ss = StaticSet(indices=(0, 3, 4, 7), depth=8)
@@ -384,7 +384,7 @@ def _continuity(window, k: int) -> float:
 
 
 def _observed(actions, k):
-    state = rt.init_allow_state(StaticSet(indices=(2, 5), depth=6), k)
+    state = rt.AllowPointState(StaticSet(indices=(2, 5), depth=6), rt.GuidanceConfig(k=k))
     for a in actions:
         rt.observe_action(state, a)
     return state
@@ -413,7 +413,7 @@ class TestContinuity:
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_cached_value_equals_recomputed(self, k):
-        state = rt.init_allow_state(StaticSet(indices=(2, 5), depth=6), k)
+        state = rt.AllowPointState(StaticSet(indices=(2, 5), depth=6), rt.GuidanceConfig(k=k))
         rng = np.random.default_rng(k)
         actions = []
         for t in range(200):
@@ -427,9 +427,13 @@ class TestContinuity:
 
 
 class TestAllowPoints:
-    def _state(self, statics=(2, 6, 9), depth=10, k=5):
+    def _state(self, statics=(2, 6, 9), depth=10, eta=0.1, k=5):
         ss = StaticSet(indices=statics, depth=depth)
-        return rt.init_allow_state(ss, k)
+        return rt.AllowPointState(ss, rt.GuidanceConfig(k=k, eta=eta))
+
+    def _move(self, state, c_t, c_prev):
+        state.c_history.extend([c_prev, c_t])
+        rt.update_allow_points(state)
 
     def test_initialized_after_front_static(self):
         state = self._state()
@@ -437,7 +441,7 @@ class TestAllowPoints:
 
     def test_drop_advances_by_adaptive_stride(self):
         state = self._state()
-        rt.update_allow_points(state, c_t=-0.30, c_prev=-0.05, eta=0.1)
+        self._move(state, c_t=-0.30, c_prev=-0.05)
         # dC = -0.25 -> ceil(2.5) = 3, clamped at each segment's back
         assert state.points == [2, 6, 9]
 
@@ -447,49 +451,49 @@ class TestAllowPoints:
     def test_a_drop_advances_by_the_ceiling_of_the_drop_over_eta(self, dc, eta, advance):
         # one segment (-1, 99); a drop of exactly eta is in the dead band, and the
         # advance is clamped at the closing static layer
-        state = self._state(statics=(99,), depth=100)
-        rt.update_allow_points(state, c_t=dc, c_prev=0.0, eta=eta)
+        state = self._state(statics=(99,), depth=100, eta=eta)
+        self._move(state, c_t=dc, c_prev=0.0)
         assert state.points == [advance]
 
     def test_rise_retreats_by_exactly_one(self):
         state = self._state()
         state.points = [2, 5, 9]
-        rt.update_allow_points(state, c_t=-0.05, c_prev=-0.30, eta=0.1)
+        self._move(state, c_t=-0.05, c_prev=-0.30)
         assert state.points == [1, 4, 8]
 
     def test_dead_band_is_inert(self):
         state = self._state()
         state.points = [1, 4, 8]
-        rt.update_allow_points(state, c_t=-0.1, c_prev=-0.05, eta=0.1)
+        self._move(state, c_t=-0.1, c_prev=-0.05)
         assert state.points == [1, 4, 8]
-        rt.update_allow_points(state, c_t=-0.05, c_prev=-0.1, eta=0.1)
+        self._move(state, c_t=-0.05, c_prev=-0.1)
         assert state.points == [1, 4, 8]
 
     def test_retreat_clamps_after_front(self):
         state = self._state()
-        rt.update_allow_points(state, c_t=0.5, c_prev=0.0, eta=0.1)
+        self._move(state, c_t=0.5, c_prev=0.0)
         assert state.points == [0, 3, 7]
 
     def test_confinement_under_fuzzing(self):
-        state = self._state()
+        state = self._state(eta=0.05)
         segments = state.static_set.segments
         rng = np.random.default_rng(7)
         c_prev = 0.0
         for _ in range(100_000):
             c_t = c_prev + rng.uniform(-0.5, 0.5)
-            rt.update_allow_points(state, c_t, c_prev, eta=0.05)
+            self._move(state, c_t, c_prev)
             for (front, back), l in zip(segments, state.points):
                 assert front < l <= back
             c_prev = c_t
 
     def test_hysteresis_asymmetry(self):
         # forward motion per drop event is ceil(|dC|/eta) >= 1; retreat is 1
-        state = self._state(statics=(99,), depth=100, k=5)
+        state = self._state(statics=(99,), depth=100, eta=0.05)
         rng = np.random.default_rng(8)
         for _ in range(2000):
             before = state.points[0]
             dc = rng.uniform(-0.5, 0.5)
-            rt.update_allow_points(state, dc, 0.0, eta=0.05)
+            self._move(state, dc, 0.0)
             after = state.points[0]
             if dc < -0.05:
                 expected = min(99, before + int(np.ceil(abs(dc) / 0.05)))
@@ -499,19 +503,17 @@ class TestAllowPoints:
             else:
                 assert after == before
 
-
     @pytest.mark.parametrize("eta", [0.0, -0.1, np.nan, np.inf])
     def test_an_eta_that_is_not_finite_and_positive_is_rejected(self, eta):
-        """GuidanceConfig's rule: a NaN or infinite eta would leave the points
-        where they were on a drop of 1.0."""
-        state = self._state()
+        """No state is built under such an eta, so no step reads it: a NaN or
+        infinite eta would leave the points where they were on a drop of 1.0."""
         with pytest.raises(ConfigError, match=f"eta must be finite and positive, got {eta}"):
-            rt.update_allow_points(state, c_t=-1.0, c_prev=0.0, eta=eta)
-        assert state.points == [0, 3, 7]
+            self._state(eta=eta)
 
     @pytest.mark.parametrize("k", [2.5, True, 0, -1])
     def test_a_k_that_is_not_a_positive_int_is_rejected(self, k):
-        """GuidanceConfig's rule: a float k would fail in deque, a bool pass as 1."""
+        """No state is built under such a k: a float k would fail in the
+        norms deque, a bool pass as 1."""
         with pytest.raises(ConfigError, match=re.escape(f"k must be an int >= 1, got {k!r}")):
             self._state(k=k)
 
@@ -524,7 +526,7 @@ class TestVerificationTrigger:
 
     def _fires(self, monkeypatch, deltas, eta=0.1):
         model, ss, _ = make_setup()
-        state = rt.init_allow_state(ss, k=1)
+        state = rt.AllowPointState(ss, rt.GuidanceConfig(k=1, eta=eta))
         monkeypatch.setattr(rt, "head_forward", lambda model, x: state.window[-1])
         gaps = -np.cumsum([0.0] + deltas)  # |a_t - a_(t-1)| = -C_t, C starts at 0
         fires = []
@@ -533,7 +535,7 @@ class TestVerificationTrigger:
             if len(state.c_history) >= 2:
                 skipped = rt.ExecTrace(executed_layers=[2, 5], adapters_invoked=[0, 3],
                                        resume_input=np.zeros(8))
-                action = rt.post_skip_verify(model, state, skipped, eta)
+                action = rt.post_skip_verify(model, state, skipped)
                 fires.append(action is not None)  # only a re-run returns an action
         return fires
 
@@ -567,10 +569,10 @@ class TestVerificationRerun:
             obs, instr = rng.normal(size=3), rng.normal(size=2)
             _, trace = rt.forward_skipped(model, mods, points, obs, instr)
             before = copy.deepcopy(trace)
-            state = rt.init_allow_state(ss, k=1)
+            state = rt.AllowPointState(ss, rt.GuidanceConfig(k=1, eta=0.004))
             for a in (np.zeros(2), np.zeros(2), np.ones(2)):  # dC = -sqrt(2): fires
                 rt.observe_action(state, a)
-            action = rt.post_skip_verify(model, state, trace, 0.004)
+            action = rt.post_skip_verify(model, state, trace)
             if not trace.adapters_invoked:
                 assert action is None and trace == before
                 continue
@@ -857,14 +859,17 @@ class TestRolloutEpisode:
         assert [flops.flop_estimate_record(costs, rec) for rec in records] == [
             rec["flops"] for rec in records]
 
-    @pytest.mark.parametrize("eta", [0.0, -0.004, np.nan, np.inf])
+    @pytest.mark.parametrize("eta", [0.0, -0.004, -0.1, np.nan, np.inf])
     def test_guidance_rejects_an_eta_that_is_not_finite_and_positive(self, eta):
-        with pytest.raises(ConfigError, match="eta must be finite and positive"):
+        """A NaN or infinite eta would leave the points where they were on a
+        drop of 1.0."""
+        with pytest.raises(ConfigError, match=f"eta must be finite and positive, got {eta}"):
             rt.GuidanceConfig(eta=eta)
 
-    @pytest.mark.parametrize("k", [2.5, True, 0])
+    @pytest.mark.parametrize("k", [2.5, True, 0, -1])
     def test_guidance_rejects_a_k_that_is_not_a_positive_int(self, k):
-        with pytest.raises(ConfigError, match="k must be an int >= 1"):
+        """A float k would fail in deque, a bool pass as 1."""
+        with pytest.raises(ConfigError, match=re.escape(f"k must be an int >= 1, got {k!r}")):
             rt.GuidanceConfig(k=k)
 
 

@@ -536,6 +536,29 @@ class TestDataset:
         with pytest.raises(error, match=match):
             sim.load_dataset(path)
 
+    @pytest.mark.parametrize("name", ["obs", "actions"])
+    def test_load_rejects_obs_or_actions_that_are_not_floats(self, tmp_path, name):
+        """Strings would load silently and fail at the first BC step with a
+        bare ValueError."""
+        path = tmp_path / "d.npz"
+        sim.save_dataset(path, sim.generate_dataset(small_cfg(), 1, seed=15))
+        header, arrays = containers.load_arrays(path)
+        arrays[name] = arrays[name].astype(str)
+        arrays[name][-1] = "x"
+        containers.save_arrays(path, header, arrays)
+        with pytest.raises(ShapeError, match=f"dataset array '{name}' has dtype <U"):
+            sim.load_dataset(path)
+
+    def test_load_rejects_a_dataset_with_no_rows(self, tmp_path):
+        """An empty training set would fail in the batch sampler, an empty
+        validation set with numpy's "Mean of empty slice" warning."""
+        path = tmp_path / "d.npz"
+        sim.save_dataset(path, sim.generate_dataset(small_cfg(), 1, seed=15))
+        header, arrays = containers.load_arrays(path)
+        containers.save_arrays(path, header, {name: a[:0] for name, a in arrays.items()})
+        with pytest.raises(ConfigError, match="d.npz: dataset has no rows"):
+            sim.load_dataset(path)
+
     def test_load_rejects_a_schema_2_dataset(self, tmp_path):
         """Schema 2 wrote the physical constants into sim_config; such a file
         is stale, not one with unexpected fields."""
