@@ -180,46 +180,45 @@ def match_random_skip_prob(costs: flops.ArchCosts, static_set,
 def evaluate_modes(model: PolicyModel, mods: SkipModules | None, sim_config,
                    guidance: GuidanceConfig, modes, n_episodes: int,
                    base_seed: int, out_dir=None):
-    """Run n_episodes per mode on shared task seeds.
-
-    Returns (stats rows in requested order, episodes per mode). When
+    """Run n_episodes per mode on shared task seeds, episode i of each mode
+    with the rng np.random.default_rng([base_seed, i]), which only the
+    random-skip step draws from. Returns (stats rows in requested order,
+    episodes per mode). Each requested mode's step is built once first, so
+    a mode that cannot run here fails by its name before any rollout. When
     random-skip is requested, its probability is calibrated to match the
-    dysl mode's measured average FLOPs, so dysl episodes are computed first.
-    """
+    dysl mode's measured average FLOPs, so dysl episodes are computed first."""
+    modes = list(modes)
     for mode in modes:
         if mode not in rt.MODES:
             raise ConfigError(f"unknown mode {mode!r}")
+        rt.MODES[mode](model, mods, guidance, np.random.default_rng(base_seed), 0.0)
     if n_episodes < 1:
         raise ConfigError("n_episodes must be >= 1")
-    costs = flops.arch_costs(model.config)
     tasks = [sim.sample_task_sequence(base_seed + i, sim_config)
              for i in range(n_episodes)]
     episodes: dict[str, list[Episode]] = {}
     skip_prob = None
 
     def run_mode(mode: str) -> list[Episode]:
-        out = []
-        for i, task in enumerate(tasks):
-            rng = np.random.default_rng([base_seed, i]) if mode == "random-skip" else None
-            out.append(rt.rollout_episode(
-                task, model, mods, mode, guidance, rng=rng,
-                random_skip_prob=skip_prob or 0.0))
-        return out
+        return [rt.rollout_episode(task, model, mods, mode, guidance,
+                                   rng=np.random.default_rng([base_seed, i]),
+                                   random_skip_prob=skip_prob or 0.0)
+                for i, task in enumerate(tasks)]
 
-    ordered = list(modes)
-    if "random-skip" in ordered:
+    if "random-skip" in modes:
         episodes["dysl"] = run_mode("dysl")
         dysl_flops = summarize_episodes("dysl", episodes["dysl"]).avg_flops
-        skip_prob = match_random_skip_prob(costs, mods.static_set, dysl_flops)
-    for mode in ordered:
+        skip_prob = match_random_skip_prob(flops.arch_costs(model.config), mods.static_set,
+                                           dysl_flops)
+    for mode in modes:
         if mode not in episodes:
             episodes[mode] = run_mode(mode)
 
     stats = [summarize_episodes(m, episodes[m],
                                 skip_prob if m == "random-skip" else None)
-             for m in ordered]
+             for m in modes]
     if out_dir is not None:
-        for mode in ordered:
+        for mode in modes:
             trace_dir = Path(out_dir) / "traces" / mode
             for stale in trace_dir.glob("ep_*.jsonl"):  # left by an earlier, longer evaluation
                 stale.unlink()

@@ -17,9 +17,9 @@
 Every header carries `kind` and `schema_version`; loaders pass it through
 `check_header`, so a wrong or stale artifact, or a header field that is
 missing, unexpected or of the wrong JSON type, fails with ConfigError.
-`load_arrays` fails with ConfigError naming the file for an npz header
-that is not UTF-8 JSON, and naming the file and member for a member that
-only unpickling could load.
+`load_arrays` fails with ConfigError naming the file for a file that is no
+npz (a truncated one too) or whose header is not UTF-8 JSON, and naming the
+file and member for a member that only unpickling could load.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# JSON value checks by type name; a JSON true/false is no number
-_JSON_TYPES = {
+# JSON value checks by type name: "float" passes an int, and a JSON
+# true/false is no number
+JSON_TYPES = {
     "int": _is_int,
     "float": lambda v: _is_int(v) or isinstance(v, float),
     "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
@@ -52,22 +54,16 @@ _JSON_TYPES = {
 }
 
 
-def is_json_type(value, type_name: str) -> bool:
-    """Whether a decoded JSON value is of the type `type_name` names: "int",
-    "float" (an int passes), "list[int]", "bool", "str" or "dict"."""
-    return _JSON_TYPES[type_name](value)
-
-
 def _check_fields(values, spec: dict[str, str], path, what: str) -> None:
     """ConfigError, naming the field, unless `values` is a JSON object with
     exactly the fields of `spec`, each of the type spec names for it (see
-    is_json_type)."""
+    JSON_TYPES)."""
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: {what} is {values!r}, not an object")
     for name, type_name in spec.items():
         if name not in values:
             raise ConfigError(f"{path}: {what} has no field {name!r}")
-        if not is_json_type(values[name], type_name):
+        if not JSON_TYPES[type_name](values[name]):
             raise ConfigError(f"{path}: {what} field {name!r} is {values[name]!r}, "
                               f"expected {type_name}")
     unknown = sorted(set(values) - set(spec))
@@ -125,36 +121,29 @@ def save_arrays(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
-    try:
-        z = np.load(path)  # a file that is no zip or .npy falls through to unpickling
-    except (ValueError, EOFError) as exc:
-        raise ConfigError(f"{path} is not an npz container") from exc
-    if not isinstance(z, np.lib.npyio.NpzFile):
-        raise ConfigError(f"{path} is not an npz container")
-    with z:
-        if _HEADER_KEY not in z.files:
-            raise ConfigError(f"{path} is not an npz container (no header)")
-        members = {}
-        for name in [_HEADER_KEY, *(n for n in z.files if n.startswith(_ARRAY_PREFIX))]:
-            try:
-                members[name] = z[name].copy()
-            except ValueError as exc:  # an object array, which only unpickling could load
-                raise ConfigError(f"{path}: member {name.removeprefix(_ARRAY_PREFIX)!r} "
-                                  f"cannot be loaded without pickle") from exc
+    with open(path, "rb") as fh:  # np.load would leave a file it opened open on BadZipFile
+        try:
+            z = np.load(fh)  # a file that is no zip or .npy falls through to unpickling
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # BadZipFile: truncated
+            raise ConfigError(f"{path} is not an npz container") from exc
+        if not isinstance(z, np.lib.npyio.NpzFile):
+            raise ConfigError(f"{path} is not an npz container")
+        with z:
+            if _HEADER_KEY not in z.files:
+                raise ConfigError(f"{path} is not an npz container (no header)")
+            members = {}
+            for name in [_HEADER_KEY, *(n for n in z.files if n.startswith(_ARRAY_PREFIX))]:
+                try:
+                    members[name] = z[name].copy()
+                except ValueError as exc:  # an object array, which only unpickling could load
+                    raise ConfigError(f"{path}: member {name.removeprefix(_ARRAY_PREFIX)!r} "
+                                      f"cannot be loaded without pickle") from exc
     try:
         header = json.loads(members.pop(_HEADER_KEY).tobytes().decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise ConfigError(f"{path}: header is not UTF-8 JSON") from exc
     arrays = {name.removeprefix(_ARRAY_PREFIX): arr for name, arr in members.items()}
     return header, arrays
-
-
-def _cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return value
 
 
 def write_csv(path, columns, rows, comment: str | None = None) -> None:
@@ -167,7 +156,8 @@ def write_csv(path, columns, rows, comment: str | None = None) -> None:
             fh.write(comment + "\n")
         w = csv.writer(fh)
         w.writerow(columns)
-        w.writerows([_cell(v) for v in row] for row in rows)
+        w.writerows(["" if v is None else repr(float(v)) if isinstance(v, float) else v
+                     for v in row] for row in rows)
 
 
 def read_csv(path) -> list[dict]:

@@ -78,7 +78,7 @@ def flop_estimate(costs: ArchCosts, executed_layers, controllers_evaluated=(),
 def _priced_field(record: dict, name: str, type_name: str, kind: str):
     if name not in record:
         raise TraceIntegrityError(f"no {name!r}")
-    if not containers.is_json_type(record[name], type_name):
+    if not containers.JSON_TYPES[type_name](record[name]):
         raise TraceIntegrityError(f"{name!r} is not {kind}: {record[name]!r}")
     return record[name]
 

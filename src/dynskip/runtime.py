@@ -14,7 +14,7 @@ fresh full-depth pass bit for bit.
 An AllowPointState holds the guidance state and carries its GuidanceConfig,
 so each guidance step takes the state alone and reads `k` and `eta` from it.
 `observe_action` alone appends to its `window` and `c_history`, which
-`rollout_episode`, `update_allow_points` and `post_skip_verify` read;
+dysl's step, `update_allow_points` and `post_skip_verify` read;
 `update_allow_points` alone moves its `points`, and `post_skip_verify`
 alone reads and writes `armed`.
 
@@ -22,11 +22,17 @@ alone reads and writes `armed`.
 baseline) share one segment walk over the plan SkipModules builds once, and
 differ only in the per-dynamic-layer skip decision they hand it.
 
-`rollout_episode` hands the mode's step to `sim.run_episode`, the one closed
-loop, as its policy, so `sim.env_step` alone judges divergence; the
-diverging step keeps its StepRecord and is recorded as a zero action. It
-prices each step once, when the step is final, with `flops.flop_estimate`;
-the forward passes and `post_skip_verify` only record what ran.
+`MODES` maps each mode's name to its step factory, called once per
+episode, which checks that its mode can run (skipping needs skip modules,
+random-skip an rng) and returns the step, (obs, instr) -> (action,
+ExecTrace, continuity, allow_points), the last two None outside dysl. full
+runs every layer, controllers-only gates from the segment starts and
+random-skip skips i.i.d. at random_skip_prob; dysl's step owns the
+episode's AllowPointState, runs k+1 full-depth warm-up steps, then gates
+from the allow points and verifies. `rollout_episode` branches on no mode:
+it hands the step to `sim.run_episode`, the one closed loop, as its policy
+(`sim.env_step` alone judges divergence, and a diverging step keeps its
+record as a zero action), and prices each final step with `flops.flop_estimate`.
 """
 
 from __future__ import annotations
@@ -57,8 +63,6 @@ from .numerics import (
 )
 from .profiler import StaticSet
 from .sim import Episode  # the one episode type, re-exported as runtime.Episode
-
-MODES = ("full", "dysl", "controllers-only", "random-skip")
 
 
 # --- skip modules ---------------------------------------------------------------
@@ -93,7 +97,9 @@ class SkipModules:
         if not 0.0 < self.tau < 1.0:
             raise ConfigError(f"tau must be in (0, 1), got {self.tau}")
         self.params = p = dict(self.params)
-        d, da, dc = self.hidden_dim, self.adapter_dim, self.controller_dim
+        d = self.hidden_dim
+        da = self.adapter_dim = flops.adapter_hidden_dim(d)
+        dc = self.controller_dim = flops.controller_hidden_dim(d)
         # adapters first, each kind in dict order (sorted is stable)
         self.layout = tuple(sorted(p, key=lambda k: not k.startswith("adapter")))
         self.arena = into_arena(p, self.layout)
@@ -115,14 +121,6 @@ class SkipModules:
 
     def __reduce__(self):
         return SkipModules, (self.static_set, self.hidden_dim, self.tau, self.params)
-
-    @property
-    def adapter_dim(self) -> int:
-        return flops.adapter_hidden_dim(self.hidden_dim)
-
-    @property
-    def controller_dim(self) -> int:
-        return flops.controller_hidden_dim(self.hidden_dim)
 
 
 def check_depth(model: PolicyModel, static_set: StaticSet) -> None:
@@ -437,27 +435,60 @@ def post_skip_verify(model: PolicyModel, allow_state: AllowPointState, trace: Ex
     return action
 
 
+def _skip_modules(mods: SkipModules | None, mode: str) -> SkipModules:
+    if mods is None:
+        raise ConfigError(f"mode {mode!r} requires skip modules")
+    return mods
+
+
+def _full_step(model, mods, guidance, rng, random_skip_prob):
+    return lambda obs, instr: (*forward_full(model, obs, instr), None, None)
+
+
+def _dysl_step(model, mods, guidance, rng, random_skip_prob):
+    allow = AllowPointState(_skip_modules(mods, "dysl").static_set, guidance)
+
+    def step(obs, instr):
+        action, trace = (forward_full(model, obs, instr) if allow.warm else
+                         forward_skipped(model, mods, allow.points, obs, instr))
+        observe_action(allow, action)
+        if allow.warm or len(allow.c_history) < 2:
+            return action, trace, None, list(allow.points)
+        redo = post_skip_verify(model, allow, trace) if guidance.verification else None
+        update_allow_points(allow)
+        return (action if redo is None else redo), trace, allow.c_history[-1], list(allow.points)
+    return step
+
+
+def _controllers_only_step(model, mods, guidance, rng, random_skip_prob):
+    points = _skip_modules(mods, "controllers-only").static_set.segment_starts
+    return lambda obs, instr: (*forward_skipped(model, mods, points, obs, instr), None, None)
+
+
+def _random_skip_step(model, mods, guidance, rng, random_skip_prob):
+    _skip_modules(mods, "random-skip")
+    if rng is None:
+        raise ConfigError("random-skip mode needs an rng")
+    return lambda obs, instr: (*forward_random(model, mods, random_skip_prob, rng, obs, instr),
+                               None, None)
+
+
+# each mode's step factory by name, in report order (see the module docstring)
+MODES = {"full": _full_step, "dysl": _dysl_step,
+         "controllers-only": _controllers_only_step, "random-skip": _random_skip_step}
+
+
 def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None,
                     mode: str, guidance: GuidanceConfig,
                     rng: np.random.Generator | None = None,
                     random_skip_prob: float = 0.0) -> Episode:
-    """Closed-loop rollout in one of the benchmark modes: `sim.run_episode`
-    with the mode's step as its policy, which records one StepRecord per action.
-
-    full: every step at full depth. dysl: skipping with allow-point guidance
-    and verification, with skipping disabled for the first k+1 warm-up
-    steps. controllers-only: allow points pinned at the segment starts, no
-    continuity machinery. random-skip: i.i.d. skipping at random_skip_prob.
-    A task with more subtasks than the model's instruction width, or a model
-    whose action width is not the environment's, raises ConfigError before
-    the first step.
-    """
+    """Closed-loop rollout of `task` in one of the MODES. ConfigError before
+    the first step for an unknown mode, one its factory rejects, a task with
+    more subtasks than the model's instruction width, or a model whose action
+    width is not the environment's."""
     if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode != "full" and mods is None:
-        raise ConfigError(f"mode {mode!r} requires skip modules")
-    if mode == "random-skip" and rng is None:
-        raise ConfigError("random-skip mode needs an rng")
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
+    step = MODES[mode](model, mods, guidance, rng, random_skip_prob)
     costs = flops.arch_costs(model.config)
     n_instr = model.config.instr_dim
     if task.config.subtasks > n_instr:
@@ -466,36 +497,15 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
     if model.config.action_dim != sim.ACTION_DIM:
         raise ConfigError(f"the model's action width is {model.config.action_dim} but "
                           f"the environment's is {sim.ACTION_DIM}")
-    allow = AllowPointState(mods.static_set, guidance) if mode == "dysl" else None
     steps = []
 
     def act(obs, instr_id, _state):
-        instr = sim.instr_onehot(instr_id, n_instr)
-        c_t = points_log = None
-        if mode == "full":
-            action, trace = forward_full(model, obs, instr)
-        elif mode == "controllers-only":
-            action, trace = forward_skipped(model, mods, mods.static_set.segment_starts,
-                                            obs, instr)
-        elif mode == "random-skip":
-            action, trace = forward_random(model, mods, random_skip_prob, rng, obs, instr)
-        else:  # dysl
-            action, trace = (forward_full(model, obs, instr) if allow.warm else
-                             forward_skipped(model, mods, allow.points, obs, instr))
-            observe_action(allow, action)
-            if not allow.warm and len(allow.c_history) >= 2:
-                if guidance.verification:
-                    redo = post_skip_verify(model, allow, trace)
-                    if redo is not None:
-                        action = redo
-                c_t = allow.c_history[-1]
-                update_allow_points(allow)
-            points_log = list(allow.points)
+        action, trace, c_t, points = step(obs, sim.instr_onehot(instr_id, n_instr))
         trace.resume_input = None  # the verification hand-off lives one step
         trace.flops = flops.flop_estimate(costs, trace.executed_layers,
                                           trace.controllers_evaluated,
                                           trace.adapters_invoked, trace.verified)
-        steps.append(StepRecord(trace=trace, continuity=c_t, allow_points=points_log))
+        steps.append(StepRecord(trace=trace, continuity=c_t, allow_points=points))
         return action
 
     episode = sim.run_episode(task, act)

@@ -419,26 +419,27 @@ def save_dataset(path, dataset: Dataset) -> None:
 
 def load_dataset(path) -> Dataset:
     """ShapeError when the arrays disagree in row count or width, `obs` or
-    `actions` is not a float array or `instr` not an integer one; ConfigError
-    when the dataset has no rows, an instruction id is outside [0, subtasks)
-    or a phase label is neither FREE nor FINE."""
+    `actions` is not a float array or `instr` or `episode_ids` not an integer
+    one; ConfigError when the dataset has no rows, `obs` or `actions` holds a
+    NaN or infinite value, an instruction id is outside [0, subtasks) or a
+    phase label is neither FREE nor FINE."""
     header, arrays = containers.load_arrays(path)
     containers.check_header(header, "dataset", DATASET_SCHEMA_VERSION, path,
                             {"seed": "int", "n_episodes": "int", "sim_config": "dict"})
     config = containers.config_from_header(SimConfig, header["sim_config"], path, "sim_config")
     rows = len(arrays.get("obs", ()))
-    for name, shape in (("obs", (rows, OBS_DIM)), ("instr", (rows,)),
-                        ("actions", (rows, ACTION_DIM)), ("phases", (rows,)),
-                        ("episode_ids", (rows,))):
+    for name, shape, kinds in (("obs", (rows, OBS_DIM), "f"), ("instr", (rows,), "iu"),
+                               ("actions", (rows, ACTION_DIM), "f"), ("phases", (rows,), None),
+                               ("episode_ids", (rows,), "iu")):
         found = arrays[name].shape if name in arrays else "no such array"
         if found != shape:
             raise ShapeError(f"{path}: dataset array {name!r} has shape {found}, "
                              f"expected {shape}")
-    for name, kinds, expected in (("obs", "f", "floats"), ("actions", "f", "floats"),
-                                  ("instr", "iu", "integers")):
-        if arrays[name].dtype.kind not in kinds:
-            raise ShapeError(f"{path}: dataset array {name!r} has dtype "
-                             f"{arrays[name].dtype}, expected {expected}")
+        if kinds and arrays[name].dtype.kind not in kinds:
+            raise ShapeError(f"{path}: dataset array {name!r} has dtype {arrays[name].dtype}, "
+                             f"expected {'floats' if kinds == 'f' else 'integers'}")
+        if kinds == "f" and not np.isfinite(arrays[name]).all():
+            raise ConfigError(f"{path}: dataset array {name!r} holds a NaN or infinite value")
     if not rows:
         raise ConfigError(f"{path}: dataset has no rows")
     instr = arrays["instr"]

@@ -278,6 +278,54 @@ def test_evaluate_modes_rejects_an_unknown_mode_or_no_episodes(modes, n_episodes
                              rt.GuidanceConfig(k=2), modes, n_episodes, 0)
 
 
+@pytest.mark.parametrize("modes,blamed", [(["random-skip"], "random-skip"),
+                                          (["full", "controllers-only"], "controllers-only")])
+def test_a_skipping_mode_without_skip_modules_fails_before_any_rollout(monkeypatch, modes,
+                                                                        blamed):
+    """The error names the requested mode, not random-skip's dysl calibration
+    run, and comes before any episode of the modes ahead of it."""
+    model, _ = _tiny_policy_and_modules()
+    rollouts = []
+    monkeypatch.setattr(rt, "rollout_episode", lambda *args, **kwargs: rollouts.append(args))
+    with pytest.raises(ConfigError, match=f"mode '{blamed}' requires skip modules"):
+        bench.evaluate_modes(model, None, sim.SimConfig(subtasks=2, step_cap=12),
+                             rt.GuidanceConfig(k=2), modes, 2, 0)
+    assert rollouts == []
+
+
+def _episode_bytes(ep):
+    return rt.episode_trace_lines(ep), np.array(ep.actions).tobytes()
+
+
+def test_random_skip_is_calibrated_and_seeded_alike_whatever_else_runs():
+    """The random-skip row and episodes are the same whichever modes run
+    beside it: its probability is matched to the dysl episodes' mean FLOPs,
+    and episode i draws from its own rng [base_seed, i]. Without
+    verification and at tau 0.3, dysl costs less than full depth here, so
+    that probability lies inside (0, 1) and the draws show."""
+    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
+                                      action_dim=3, seed=2))
+    mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), tau=0.3, seed=3)
+    guidance = rt.GuidanceConfig(k=2, verification=False)
+    sim_config, n, base_seed = sim.SimConfig(subtasks=2, step_cap=12), 3, 5
+    runs = []
+    for modes in (["random-skip"], ["dysl", "random-skip"], list(rt.MODES)):
+        stats, episodes = bench.evaluate_modes(model, mods, sim_config, guidance, modes, n,
+                                               base_seed)
+        row = next(s for s in stats if s.mode == "random-skip")
+        dysl_flops = bench.summarize_episodes("dysl", episodes["dysl"]).avg_flops
+        runs.append((row, dysl_flops, [_episode_bytes(ep) for ep in episodes["random-skip"]]))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    row, dysl_flops, episodes = runs[0]
+    assert 0.0 < row.random_skip_prob < 1.0
+    assert row.random_skip_prob == bench.match_random_skip_prob(
+        flops.arch_costs(model.config), mods.static_set, dysl_flops)
+    assert episodes == [_episode_bytes(rt.rollout_episode(
+        sim.sample_task_sequence(base_seed + i, sim_config), model, mods, "random-skip",
+        guidance, rng=np.random.default_rng([base_seed, i]),
+        random_skip_prob=row.random_skip_prob)) for i in range(n)]
+
+
 _MISSING = object()
 
 

@@ -262,3 +262,16 @@ def test_npz_loaders_reject_non_container_files(tmp_path, artifact):
             np.savez(fh, __header__=np.frombuffer(text, dtype=np.uint8))
         with pytest.raises(ConfigError, match="garbled: header is not UTF-8 JSON"):
             load(tmp_path / "garbled")
+
+
+@pytest.mark.parametrize("artifact", ["policy", "skip_modules", "dataset"])
+def test_npz_loaders_reject_a_truncated_file(tmp_path, artifact):
+    """A file cut short has lost the zip directory at its end, which np.load
+    reports as a bare zipfile.BadZipFile."""
+    save, load, _ = ARTIFACTS[artifact]
+    path = tmp_path / "cut.npz"
+    save(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+    with pytest.raises(ConfigError, match="cut.npz is not an npz container"):
+        load(path)

@@ -518,12 +518,15 @@ class TestDataset:
         ("instr", -1, ConfigError, "'instr' holds id -1, outside \\[0, 2\\)"),
         ("instr", 2, ConfigError, "'instr' holds id 2, outside \\[0, 2\\)"),
         ("instr", 0.0, ShapeError, "'instr' has dtype float64"),
-        ("phases", "warp", ConfigError, "'phases' holds 'warp'")],
-        ids=["instr-minus-one", "instr-past-the-chain", "instr-float", "phase-warp"])
+        ("phases", "warp", ConfigError, "'phases' holds 'warp'"),
+        ("episode_ids", 0.0, ShapeError, "'episode_ids' has dtype float64, expected integers")],
+        ids=["instr-minus-one", "instr-past-the-chain", "instr-float", "phase-warp",
+             "episode-ids-float"])
     def test_load_rejects_an_instruction_id_or_phase_outside_its_set(
             self, tmp_path, name, value, error, match):
         """An id of -1 would index the last subtask's one-hot, a float id
-        fail later in instr_onehot, and an unknown phase load silently."""
+        fail later in instr_onehot, and an unknown phase or a float episode
+        id load silently."""
         path = tmp_path / "d.npz"
         sim.save_dataset(path, sim.generate_dataset(small_cfg(), 1, seed=15))
         header, arrays = containers.load_arrays(path)
@@ -547,6 +550,21 @@ class TestDataset:
         arrays[name][-1] = "x"
         containers.save_arrays(path, header, arrays)
         with pytest.raises(ShapeError, match=f"dataset array '{name}' has dtype <U"):
+            sim.load_dataset(path)
+
+    @pytest.mark.parametrize("name", ["obs", "actions"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_load_rejects_a_non_finite_obs_or_action(self, tmp_path, name, value):
+        """A NaN or infinite row would load silently and turn the first BC
+        step's loss non-finite."""
+        path = tmp_path / "d.npz"
+        sim.save_dataset(path, sim.generate_dataset(small_cfg(), 1, seed=15))
+        header, arrays = containers.load_arrays(path)
+        arrays[name] = arrays[name].copy()
+        arrays[name][-1, 0] = value
+        containers.save_arrays(path, header, arrays)
+        with pytest.raises(ConfigError, match=f"d.npz: dataset array '{name}' holds a NaN "
+                                              "or infinite value"):
             sim.load_dataset(path)
 
     def test_load_rejects_a_dataset_with_no_rows(self, tmp_path):
