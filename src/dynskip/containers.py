@@ -19,7 +19,7 @@ Every header carries `kind` and `schema_version`; loaders pass it through
 missing, unexpected or of the wrong JSON type, fails with ConfigError.
 `load_arrays` fails with ConfigError naming the file for a file that is no
 npz (a truncated one too) or whose header is not UTF-8 JSON, and naming the
-file and member for a member that only unpickling could load.
+file and member for a damaged member or one only unpickling could load.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import tokenize
 import zipfile
 from pathlib import Path
 
@@ -36,6 +37,9 @@ from .errors import ConfigError
 
 _HEADER_KEY = "__header__"
 _ARRAY_PREFIX = "a:"
+# zipfile's and numpy's errors for a damaged npz, and numpy's for an object array
+_UNREADABLE = (ValueError, EOFError, OSError, RuntimeError, NotImplementedError,
+               SyntaxError, zipfile.BadZipFile, tokenize.TokenError)
 
 
 def _is_int(value) -> bool:
@@ -71,10 +75,9 @@ def _check_fields(values, spec: dict[str, str], path, what: str) -> None:
         raise ConfigError(f"{path}: {what} has unexpected field {unknown[0]!r}")
 
 
-def check_header(header: dict, kind: str, version: int, path,
-                 fields: dict[str, str] | None = None) -> None:
+def check_header(header: dict, kind: str, version: int, path, fields: dict[str, str]) -> None:
     """ConfigError unless the header is an object naming `kind` at schema
-    `version`; with `fields` given, the rest must pass _check_fields on it."""
+    `version` whose other fields pass _check_fields on `fields`."""
     if not isinstance(header, dict):
         raise ConfigError(f"{path}: header is a {type(header).__name__}, not an object")
     if header.get("kind") != kind:
@@ -82,9 +85,8 @@ def check_header(header: dict, kind: str, version: int, path,
     found = header.get("schema_version", "none")
     if found != version:
         raise ConfigError(f"{path}: {kind} artifact has schema_version {found}, expected {version}")
-    if fields is not None:
-        rest = {k: v for k, v in header.items() if k not in ("kind", "schema_version")}
-        _check_fields(rest, fields, path, f"{kind} header")
+    rest = {k: v for k, v in header.items() if k not in ("kind", "schema_version")}
+    _check_fields(rest, fields, path, f"{kind} header")
 
 
 def check_int_fields(config, **minimums: int) -> None:
@@ -124,7 +126,7 @@ def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:  # np.load would leave a file it opened open on BadZipFile
         try:
             z = np.load(fh)  # a file that is no zip or .npy falls through to unpickling
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # BadZipFile: truncated
+        except _UNREADABLE as exc:
             raise ConfigError(f"{path} is not an npz container") from exc
         if not isinstance(z, np.lib.npyio.NpzFile):
             raise ConfigError(f"{path} is not an npz container")
@@ -135,9 +137,9 @@ def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
             for name in [_HEADER_KEY, *(n for n in z.files if n.startswith(_ARRAY_PREFIX))]:
                 try:
                     members[name] = z[name].copy()
-                except ValueError as exc:  # an object array, which only unpickling could load
+                except _UNREADABLE as exc:
                     raise ConfigError(f"{path}: member {name.removeprefix(_ARRAY_PREFIX)!r} "
-                                      f"cannot be loaded without pickle") from exc
+                                      f"cannot be read ({type(exc).__name__}: {exc})") from exc
     try:
         header = json.loads(members.pop(_HEADER_KEY).tobytes().decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike

@@ -69,13 +69,14 @@ from .runtime import (
 )
 from .sim import Dataset
 
+STAGE1_LR = 3e-3  # stage 1's Adam step size
+
 
 @dataclass(frozen=True)
 class DistillConfig:
     lam: float = 0.05              # normalization-loss weight
     stage1_steps: int = 1200
     stage2_steps: int = 1500
-    stage1_lr: float = 3e-3
     stage2_lr: float = 1e-3
     batch_size: int = 64
     seed: int = 0
@@ -84,10 +85,8 @@ class DistillConfig:
         containers.check_int_fields(self, stage1_steps=1, stage2_steps=1, batch_size=1)
         if not 0.0 <= self.lam < np.inf:
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        for name in ("stage1_lr", "stage2_lr"):
-            value = getattr(self, name)
-            if not 0.0 < value < np.inf:
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 < self.stage2_lr < np.inf:
+            raise ConfigError(f"stage2_lr must be finite and positive, got {self.stage2_lr}")
 
 
 @dataclass
@@ -506,7 +505,7 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
         report.norm_losses.append(norm_loss)
         report.mean_gates.append(mean_gate)
 
-    stages = [("stage1", config.stage1_steps, config.stage1_lr, stage1,
+    stages = [("stage1", config.stage1_steps, STAGE1_LR, stage1,
                functools.partial(Stage1Workspace, mods, batch)),
               ("stage2", config.stage2_steps, config.stage2_lr, stage2,
                functools.partial(Stage2Workspace, model, mods, batch))]

@@ -1,6 +1,7 @@
-"""Residual MLP policy: an input embedding, depth-N residual tanh blocks, and
-a linear action head, with full activation tracing and hand-derived task-loss
-gradients. Forward functions accept a single sample or a (batch, dim) matrix.
+"""Residual MLP policy: an embedding of the `sim.OBS_DIM`-wide observation and
+the instruction, depth-N residual tanh blocks, and a linear head to the
+`sim.ACTION_DIM`-wide action, with full activation tracing and hand-derived
+task-loss gradients. Forward functions take a sample or a (batch, dim) matrix.
 Each block is the `numerics` two-layer unit plus a residual add; every layer
 kernel keeps the contract stated at `numerics.mlp_forward`.
 
@@ -20,10 +21,11 @@ the batch-1 rollouts included, gets fresh arrays.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from . import containers
+from . import containers, sim
 from .errors import ShapeError
 from .numerics import (
     MLP_PARTS,
@@ -45,16 +47,17 @@ from .numerics import (
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    obs_dim: int = 7
+    """Instruction width, layer sizes and init seed; obs_dim and action_dim are sim's."""
+
+    obs_dim: ClassVar[int] = sim.OBS_DIM
+    action_dim: ClassVar[int] = sim.ACTION_DIM
     instr_dim: int = 5
     hidden_dim: int = 64
     depth: int = 12
-    action_dim: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        containers.check_int_fields(self, obs_dim=1, instr_dim=1, hidden_dim=1, depth=4,
-                                    action_dim=1)
+        containers.check_int_fields(self, instr_dim=1, hidden_dim=1, depth=4)
 
     @property
     def input_dim(self) -> int:
@@ -206,8 +209,7 @@ class TaskWorkspace:
         self.u = np.empty((batch, cfg.input_dim))
         self.xs = [np.empty((batch, d)) for _ in range(cfg.depth + 1)]
         self.hs = [np.empty((batch, d)) for _ in range(cfg.depth)]
-        self.pred = np.empty((batch, cfg.action_dim))
-        self.err = np.empty((batch, cfg.action_dim))
+        self.pred, self.err = (np.empty((batch, cfg.action_dim)) for _ in range(2))
         self.dz, self.t, self.dx, self.spare = (np.empty((batch, d)) for _ in range(4))
         self.grad_arena, self.grads = flat_views(model.params)
 
@@ -244,7 +246,7 @@ def task_loss_and_grads(ws: TaskWorkspace, obs, instr, targets):
     return loss, grads
 
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2  # version 1 also saved obs_dim and action_dim, now the environment's
 
 
 def save_policy(path, model: PolicyModel) -> None:
@@ -254,6 +256,8 @@ def save_policy(path, model: PolicyModel) -> None:
 
 
 def load_policy(path) -> PolicyModel:
+    """ConfigError for no policy checkpoint of this schema or a config other
+    than PolicyConfig's fields; ShapeError for a missing or mis-shaped weight."""
     header, arrays = containers.load_arrays(path)
     containers.check_header(header, "policy", _SCHEMA_VERSION, path, {"config": "dict"})
     config = containers.config_from_header(PolicyConfig, header["config"], path, "policy config")

@@ -102,12 +102,10 @@ def profile_layers(model: PolicyModel, obs: np.ndarray, instr: np.ndarray) -> La
     if not np.any(valid):
         raise DegenerateInputError("all profile samples had zero-norm activations")
     unit = stack[:, valid, :] / norms[:, valid, None]
-    n_blocks = model.config.depth
     outs = unit[1:]                              # block outputs
     pair = np.einsum("ibd,jbd->ij", outs, outs) / unit.shape[1]
     pair = 0.5 * (pair + pair.T)                 # enforce exact symmetry
     io = np.einsum("ibd,ibd->i", unit[:-1], unit[1:]) / unit.shape[1]
-    assert pair.shape == (n_blocks, n_blocks)
     return LayerProfile(pair_similarity=pair, io_similarity=io,
                         samples=int(np.sum(valid)), excluded=excluded)
 

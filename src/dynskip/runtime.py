@@ -483,9 +483,8 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
                     rng: np.random.Generator | None = None,
                     random_skip_prob: float = 0.0) -> Episode:
     """Closed-loop rollout of `task` in one of the MODES. ConfigError before
-    the first step for an unknown mode, one its factory rejects, a task with
-    more subtasks than the model's instruction width, or a model whose action
-    width is not the environment's."""
+    the first step for an unknown mode, one its factory rejects, or a task
+    with more subtasks than the model's instruction width."""
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {tuple(MODES)}")
     step = MODES[mode](model, mods, guidance, rng, random_skip_prob)
@@ -494,9 +493,6 @@ def rollout_episode(task: sim.Task, model: PolicyModel, mods: SkipModules | None
     if task.config.subtasks > n_instr:
         raise ConfigError(f"the task has {task.config.subtasks} subtasks but the model's "
                           f"instruction width is {n_instr}")
-    if model.config.action_dim != sim.ACTION_DIM:
-        raise ConfigError(f"the model's action width is {model.config.action_dim} but "
-                          f"the environment's is {sim.ACTION_DIM}")
     steps = []
 
     def act(obs, instr_id, _state):

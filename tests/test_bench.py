@@ -14,7 +14,7 @@ from dynskip.profiler import StaticSet
 
 
 def _costs_and_statics():
-    cfg = PolicyConfig(obs_dim=3, instr_dim=2, hidden_dim=8, depth=6, action_dim=2)
+    cfg = PolicyConfig(instr_dim=2, hidden_dim=8, depth=6)
     return flops.arch_costs(cfg), StaticSet(indices=(2, 5), depth=6)
 
 
@@ -38,11 +38,10 @@ def test_match_random_skip_prob_is_silent_below_full_depth(caplog):
 
 def test_expected_random_flops_matches_monte_carlo_forward_random():
     costs, statics = _costs_and_statics()
-    model = build_policy(PolicyConfig(obs_dim=3, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6))
     mods = rt.init_skip_modules(model, statics)
     rng = np.random.default_rng(0)
-    traces = [rt.forward_random(model, mods, 0.3, rng, np.zeros(3), np.zeros(2))[1]
+    traces = [rt.forward_random(model, mods, 0.3, rng, np.zeros(sim.OBS_DIM), np.zeros(2))[1]
               for _ in range(2000)]
     samples = np.array([flops.flop_estimate(costs, t.executed_layers, t.controllers_evaluated,
                                             t.adapters_invoked) for t in traces], dtype=float)
@@ -52,8 +51,7 @@ def test_expected_random_flops_matches_monte_carlo_forward_random():
 
 
 def test_cross_check_report_rejects_an_edited_trace_record(tmp_path):
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=2))
     mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
     stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
                                     rt.GuidanceConfig(k=2), ["full", "dysl"], 2, 0,
@@ -83,8 +81,7 @@ def _drop_prefix_layer(record):
      "resumes at layer 1, but executed_layers does not end with its re-run 1..5"),
 ], ids=["no-adapter", "prefix-layer-missing", "rerun-incomplete"])
 def test_cross_check_report_rejects_a_forged_verified_record(tmp_path, forge, message):
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=2))
     mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
     stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
                                     rt.GuidanceConfig(k=2), ["dysl"], 2, 0, out_dir=tmp_path)
@@ -109,8 +106,7 @@ def test_cross_check_report_rejects_a_forged_verified_record(tmp_path, forge, me
 ], ids=["controllers", "adapters"])
 def test_flop_estimate_record_rejects_forged_ids_on_an_unverified_record(field, forged,
                                                                          message):
-    costs = flops.arch_costs(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                          action_dim=3))
+    costs = flops.arch_costs(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6))
     record = {"executed_layers": [2, 5], "adapters_invoked": [], "controllers_evaluated": [],
               "verified": False}
     record[field] = forged
@@ -127,8 +123,7 @@ def test_flop_estimate_record_rejects_forged_ids_on_an_unverified_record(field, 
 def test_cross_check_report_rejects_forged_ids_of_an_unchanged_count(tmp_path, field,
                                                                      forge, message):
     # the forged list keeps its length, so the stored flops still match
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=2))
     mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
     stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
                                     rt.GuidanceConfig(k=2), ["controllers-only"], 2, 0,
@@ -150,8 +145,7 @@ def test_cross_check_report_rejects_forged_ids_of_an_unchanged_count(tmp_path, f
 
 def test_cross_check_report_rejects_a_truncated_trace(tmp_path):
     # every full-depth step costs the same, so a lost step never shows in the mean
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=2))
     stats, _ = bench.evaluate_modes(model, None, sim.SimConfig(subtasks=2, step_cap=12),
                                     rt.GuidanceConfig(k=2), ["full"], 2, 0, out_dir=tmp_path)
     report = tmp_path / "report.csv"
@@ -186,8 +180,7 @@ def _no_dumps(out_dir):
      "mode 'full': avg_flops 'many' is not a number"),
 ], ids=["avg-flops-nan", "no-episodes", "episodes-float", "no-mode", "avg-flops-text"])
 def test_cross_check_report_rejects_a_malformed_report_row(tmp_path, edit, message):
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=2))
     stats, _ = bench.evaluate_modes(model, None, sim.SimConfig(subtasks=2, step_cap=12),
                                     rt.GuidanceConfig(k=2), ["full"], 2, 0, out_dir=tmp_path)
     report = tmp_path / "report.csv"
@@ -208,8 +201,7 @@ def test_cross_check_report_rejects_a_malformed_report_row(tmp_path, edit, messa
 ], ids=["no-step-record", "another-mode"])
 def test_cross_check_report_rejects_dumps_with_no_step_or_of_another_mode(tmp_path, field,
                                                                            value, message):
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=2))
     stats, _ = bench.evaluate_modes(model, None, sim.SimConfig(subtasks=2, step_cap=12),
                                     rt.GuidanceConfig(k=2), ["full"], 1, 0, out_dir=tmp_path)
     report = tmp_path / "report.csv"
@@ -226,8 +218,7 @@ def test_cross_check_report_rejects_dumps_with_no_step_or_of_another_mode(tmp_pa
 
 
 def _tiny_policy_and_modules():
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=2))
     return model, rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
 
 
@@ -303,8 +294,7 @@ def test_random_skip_is_calibrated_and_seeded_alike_whatever_else_runs():
     and episode i draws from its own rng [base_seed, i]. Without
     verification and at tau 0.3, dysl costs less than full depth here, so
     that probability lies inside (0, 1) and the draws show."""
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=2))
     mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), tau=0.3, seed=3)
     guidance = rt.GuidanceConfig(k=2, verification=False)
     sim_config, n, base_seed = sim.SimConfig(subtasks=2, step_cap=12), 3, 5
@@ -351,8 +341,7 @@ _MISSING = object()
 ])
 def test_cross_check_report_names_a_field_missing_from_a_trace_record(tmp_path, field, value,
                                                                       message):
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=1, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=1, hidden_dim=8, depth=6, seed=2))
     stats, _ = bench.evaluate_modes(model, None, sim.SimConfig(subtasks=1, step_cap=1),
                                     rt.GuidanceConfig(k=2), ["full"], 1, 0, out_dir=tmp_path)
     report = tmp_path / "report.csv"
@@ -374,8 +363,7 @@ def test_cross_check_report_names_a_field_missing_from_a_trace_record(tmp_path, 
 def test_a_dysl_only_evaluation_calibrates_no_random_skip(caplog):
     """The random-skip probability, and its warning that dysl costs full
     depth or more, belong only to evaluations that run random-skip."""
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=2))
     mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
     with caplog.at_level(logging.DEBUG):
         stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
@@ -386,8 +374,7 @@ def test_a_dysl_only_evaluation_calibrates_no_random_skip(caplog):
 
 @pytest.mark.parametrize("prob,flags", [(0.0, ["", "", "True"]), (0.3, ["", "", "False"])])
 def test_report_flags_a_random_skip_row_at_full_depth(tmp_path, monkeypatch, prob, flags):
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=2))
     mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
     monkeypatch.setattr(bench, "match_random_skip_prob", lambda *args: prob)
     stats, _ = bench.evaluate_modes(model, mods, sim.SimConfig(subtasks=2, step_cap=12),
@@ -507,7 +494,7 @@ def test_train_base_policy_matches_its_pinned_digests():
     data = sim.generate_dataset(sim.SimConfig(subtasks=2), 4, seed=31)
     val = sim.generate_dataset(sim.SimConfig(subtasks=2), 2, seed=32)
     model, log = bench.train_base_policy(
-        PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6, action_dim=3, seed=30),
+        PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=30),
         bench.TrainConfig(steps=40, batch_size=24, val_every=20, seed=33), data, val)
     h = hashlib.sha256()
     for k in sorted(model.params):

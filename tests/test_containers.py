@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from dynskip import bench, containers, distill, profiler, runtime as rt, sim
-from dynskip.errors import ConfigError, TraceIntegrityError
+from dynskip.errors import ConfigError, ShapeError, TraceIntegrityError
 from dynskip.model import PolicyConfig, build_policy, load_policy, save_policy
 from dynskip.profiler import StaticSet
 
@@ -68,8 +69,7 @@ def test_read_csv_skips_comments_and_keeps_text(tmp_path):
 # --- checked headers ---------------------------------------------------------------
 
 def _tiny_policy():
-    return build_policy(PolicyConfig(obs_dim=3, instr_dim=2, hidden_dim=8, depth=4,
-                                     action_dim=2))
+    return build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=4))
 
 
 def _save_policy(path):
@@ -254,8 +254,9 @@ def test_npz_loaders_reject_non_container_files(tmp_path, artifact):
     name = sorted(arrays)[0]  # a dataset's 'actions'
     arrays[name] = np.array([None, 0.0], dtype=object)  # np.savez pickles it
     containers.save_arrays(tmp_path / "pickled", header, arrays)
-    with pytest.raises(ConfigError, match=f"pickled: member '{name}' cannot be loaded "
-                                          "without pickle"):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"pickled: member '{name}' cannot be read (ValueError: Object arrays cannot be "
+            "loaded when allow_pickle=False")):
         load(tmp_path / "pickled")
     for text in (b"{not json", b"\xff{}"):
         with open(tmp_path / "garbled", "wb") as fh:
@@ -275,3 +276,29 @@ def test_npz_loaders_reject_a_truncated_file(tmp_path, artifact):
     path.write_bytes(data[:len(data) // 2])
     with pytest.raises(ConfigError, match="cut.npz is not an npz container"):
         load(path)
+
+
+def test_a_dataset_with_a_damaged_byte_fails_by_name_or_loads_unchanged(tmp_path):
+    """Each 7th byte of a saved dataset, flipped alone: the load raises
+    ConfigError naming the file (zipfile's and numpy's errors for a damaged
+    member included) or ShapeError, or gives the saved arrays."""
+    path, damaged = tmp_path / "d.npz", tmp_path / "damaged.npz"
+    sim.save_dataset(path, sim.generate_dataset(sim.SimConfig(subtasks=2), 1, seed=3))
+    saved = sim.load_dataset(path)
+    data = path.read_bytes()
+    loaded = 0
+    for i in range(0, len(data), 7):
+        damaged.write_bytes(data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1:])
+        try:
+            ds = sim.load_dataset(damaged)
+        except ConfigError as exc:
+            assert str(exc).startswith(str(damaged)), exc
+            continue
+        except ShapeError:  # a member renamed out of the dataset's arrays
+            continue
+        loaded += 1
+        assert (ds.config, ds.seed, ds.n_episodes, ds.phases) == (
+            saved.config, saved.seed, saved.n_episodes, saved.phases)
+        for name in ("obs", "instr", "actions", "episode_ids"):
+            assert np.array_equal(getattr(ds, name), getattr(saved, name)), (i, name)
+    assert 0 < loaded < len(data) // 7

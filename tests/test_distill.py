@@ -18,8 +18,7 @@ from test_numerics import _PerArrayAdam
 
 
 def make_setup(depth=6, statics=(2, 5), seed=0, hidden=8):
-    cfg = PolicyConfig(obs_dim=3, instr_dim=2, hidden_dim=hidden, depth=depth,
-                       action_dim=2, seed=seed)
+    cfg = PolicyConfig(instr_dim=2, hidden_dim=hidden, depth=depth, seed=seed)
     model = build_policy(cfg)
     ss = StaticSet(indices=statics, depth=depth)
     mods = rt.init_skip_modules(model, ss, seed=seed + 1)
@@ -72,16 +71,16 @@ class TestStage1:
     def test_identity_segment_is_learnable(self):
         # one-layer segment with a zeroed block: the adapter target is x itself.
         # the bottleneck adapter can only fit the identity on the data
-        # manifold, so inputs must be lower-dimensional than its hidden size
-        cfg = PolicyConfig(obs_dim=2, instr_dim=2, hidden_dim=16, depth=4,
-                           action_dim=2, seed=2)
-        model = build_policy(cfg)
+        # manifold, so inputs must be lower-dimensional than its hidden size:
+        # only two observation entries vary
+        model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=16, depth=4, seed=2))
         ss = StaticSet(indices=(0, 1, 3), depth=4)  # single dynamic layer 2
         mods = rt.init_skip_modules(model, ss, seed=3)
         for part in ("W1", "b1", "W2", "b2"):
             model.params[f"block2.{part}"][:] = 0.0
         rng = np.random.default_rng(3)
-        obs = rng.normal(size=(64, 2))
+        obs = np.zeros((64, sim.OBS_DIM))
+        obs[:, :2] = rng.normal(size=(64, 2))
         instr = np.tile([1.0, 0.0], (64, 1))
         opt = Adam(lr=3e-3)
         ws = holding(dt.Stage1Workspace(mods, 64), forward_recorded(model, obs, instr)[1])
@@ -171,7 +170,7 @@ class TestStage2:
             mods.params[f"controller{j}.W2"][:] = 0.0
             mods.params[f"controller{j}.b2"][:] = 500.0  # g -> 1
         rng = np.random.default_rng(1)
-        obs, instr = rng.normal(size=(1, 3)), rng.normal(size=(1, 2))
+        obs, instr = rng.normal(size=(1, sim.OBS_DIM)), rng.normal(size=(1, 2))
         sel = [np.array([0])]
         ws = holding(dt.Stage2Workspace(model, mods, 1), forward_recorded(model, obs, instr)[1])
         actions, gates = dt.stage2_blend_forward(ws, sel)
@@ -190,7 +189,7 @@ class TestStage2:
             mods.params[f"controller{j}.W2"][:] = 0.0
             mods.params[f"controller{j}.b2"][:] = 0.0  # g = 0.5 exactly
         rng = np.random.default_rng(2)
-        obs, instr = rng.normal(size=(1, 3)), rng.normal(size=(1, 2))
+        obs, instr = rng.normal(size=(1, sim.OBS_DIM)), rng.normal(size=(1, 2))
         _, trace = forward_recorded(model, obs, instr)
         sel = [np.array([1])]
         actions, gates = dt.stage2_blend_forward(holding(dt.Stage2Workspace(model, mods, 1),
@@ -300,7 +299,7 @@ class TestEstimateSkipRate:
         for o, c in zip(obs, instr):
             assert dt.estimate_skip_rate(model, mods, o, c) == dt.estimate_skip_rate(
                 model, mods, o[None], c[None])
-        assert dt.estimate_skip_rate(model, mods, np.zeros(3), np.zeros(2)) in (
+        assert dt.estimate_skip_rate(model, mods, np.zeros(sim.OBS_DIM), np.zeros(2)) in (
             0.0, 0.25, 0.5, 0.75, 1.0)  # 4 dynamic layers
         with pytest.raises(ValueError):  # every probe row needs its instruction
             dt.estimate_skip_rate(model, mods, obs, instr[:2])
@@ -312,8 +311,7 @@ class TestRunTwoStage:
         return sim.generate_dataset(cfg, 4, seed=seed)
 
     def test_two_stage_runs_and_reduces_stage1_loss(self, tmp_path):
-        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
-                           action_dim=3, seed=17)
+        cfg = PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=17)
         model = build_policy(cfg)
         ds = self._dataset(model, seed=18)
         ss = StaticSet(indices=(2, 5), depth=6)
@@ -328,8 +326,7 @@ class TestRunTwoStage:
         assert len(reports["stage2"].losses) == 100
 
     def test_stage_logs_go_into_a_directory_that_does_not_exist_yet(self, tmp_path):
-        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
-                                          action_dim=3, seed=25))
+        model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=25))
         dcfg = dt.DistillConfig(stage1_steps=5, stage2_steps=5, batch_size=8, seed=26)
         log_dir = tmp_path / "a" / "b"
         dt.distill_pipeline(model, StaticSet(indices=(2, 5), depth=6),
@@ -338,8 +335,7 @@ class TestRunTwoStage:
                                                              "stage2_log.csv"]
 
     def test_a_stage1_divergence_ends_the_run(self, tmp_path):
-        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
-                                          action_dim=3, seed=28))
+        model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=28))
         ds = self._dataset(model, seed=29)
         ds.obs[:] = np.nan  # a NaN teacher trace: the first stage-1 loss is nan, with no warning
         dcfg = dt.DistillConfig(stage1_steps=5, stage2_steps=5, batch_size=8, seed=30)
@@ -351,8 +347,7 @@ class TestRunTwoStage:
 
     def test_backbone_checkpoint_identical_after_training(self, tmp_path):
         from dynskip.model import save_policy
-        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
-                           action_dim=3, seed=20)
+        cfg = PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=20)
         model = build_policy(cfg)
         p1, p2 = tmp_path / "before.npz", tmp_path / "after.npz"
         save_policy(p1, model)
@@ -369,15 +364,13 @@ class TestRunTwoStage:
             dt.DistillConfig(lam=-0.1)
         with pytest.raises(ConfigError):
             dt.DistillConfig(stage1_steps=0)
-        for name, value in [("lam", np.nan), ("lam", np.inf), ("stage1_lr", 0.0),
-                            ("stage1_lr", -1e-3), ("stage1_lr", np.nan), ("stage2_lr", 0.0),
+        for name, value in [("lam", np.nan), ("lam", np.inf), ("stage2_lr", 0.0),
                             ("stage2_lr", -1e-3), ("stage2_lr", np.nan)]:
             with pytest.raises(ConfigError, match=name):
                 dt.DistillConfig(**{name: value})
 
     def test_skip_modules_of_another_depth_rejected(self):
-        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
-                           action_dim=3, seed=23)
+        cfg = PolicyConfig(instr_dim=2, hidden_dim=16, depth=8, seed=23)
         mods = rt.init_skip_modules(build_policy(cfg), StaticSet(indices=(2, 5, 7), depth=8))
         model = build_policy(replace(cfg, depth=12))
         ds = self._dataset(model, seed=24)
@@ -616,8 +609,7 @@ class TestTeacherTrace:
         ((0, 3, 5), "7760e8f233caf90f", "bf9b3b62280668d4")])
     def test_pipeline_matches_the_per_batch_digests(self, statics, params_digest,
                                                     reports_digest):
-        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
-                                          action_dim=3, seed=20))
+        model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=20))
         ds = sim.generate_dataset(sim.SimConfig(subtasks=2), 4, seed=21)
         dcfg = dt.DistillConfig(stage1_steps=40, stage2_steps=40, batch_size=24, seed=22)
         mods, reports = dt.distill_pipeline(model, StaticSet(indices=statics, depth=6), ds, dcfg)
@@ -736,8 +728,7 @@ class TestStageWorkspace:
                 ws.gather(teacher, idx)
 
     def test_an_all_static_set_trains_nothing_and_gathers_only_the_head_input(self):
-        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
-                                          action_dim=3, seed=40))
+        model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=40))
         ss = StaticSet(indices=tuple(range(6)), depth=6)
         ds = sim.generate_dataset(sim.SimConfig(subtasks=2), 4, seed=41)
         mods, reports = dt.distill_pipeline(model, ss, ds, dt.DistillConfig(

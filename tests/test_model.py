@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import pickle
 import re
@@ -27,7 +28,7 @@ from test_numerics import _PerArrayAdam
 
 
 def tiny_config(**kw):
-    base = dict(obs_dim=3, instr_dim=2, hidden_dim=8, depth=4, action_dim=2, seed=7)
+    base = dict(instr_dim=2, hidden_dim=8, depth=4, seed=7)
     base.update(kw)
     return PolicyConfig(**base)
 
@@ -45,9 +46,7 @@ class TestBuildPolicy:
         assert any(not np.array_equal(a.params[k], b.params[k]) for k in a.params)
 
     def test_param_count_formula(self):
-        cfg = PolicyConfig(obs_dim=7, instr_dim=5, hidden_dim=64, depth=12,
-                           action_dim=3, seed=0)
-        model = build_policy(cfg)
+        model = build_policy(PolicyConfig(instr_dim=5, hidden_dim=64, depth=12, seed=0))
         assert model.n_params() == (7 + 5 + 1) * 64 + 12 * (2 * 64 * 64 + 2 * 64) + 65 * 3
 
     def test_invalid_dims(self):
@@ -63,7 +62,7 @@ class TestForwardRecorded:
         for i in range(model.config.depth):
             for part in ("W1", "b1", "W2", "b2"):
                 model.params[f"block{i}.{part}"][:] = 0.0
-        obs = np.array([0.1, -0.2, 0.3])
+        obs = np.linspace(-0.3, 0.3, sim.OBS_DIM)
         instr = np.array([1.0, 0.0])
         _, trace = forward_recorded(model, obs, instr)
         for x in trace[1:]:
@@ -71,7 +70,7 @@ class TestForwardRecorded:
 
     def test_purity(self):
         model = build_policy(tiny_config())
-        obs = np.array([0.1, -0.2, 0.3])
+        obs = np.linspace(-0.3, 0.3, sim.OBS_DIM)
         instr = np.array([0.0, 1.0])
         a1, _ = forward_recorded(model, obs, instr)
         a2, _ = forward_recorded(model, obs, instr)
@@ -80,7 +79,7 @@ class TestForwardRecorded:
     def test_action_is_head_of_last_trace_entry(self):
         model = build_policy(tiny_config(seed=3))
         rng = np.random.default_rng(0)
-        obs = rng.normal(size=3)
+        obs = rng.normal(size=sim.OBS_DIM)
         instr = rng.normal(size=2)
         action, trace = forward_recorded(model, obs, instr)
         head = model.params["head.W"] @ trace[-1] + model.params["head.b"]
@@ -89,7 +88,7 @@ class TestForwardRecorded:
     def test_trace_consistency_with_standalone_blocks(self):
         model = build_policy(tiny_config(seed=11))
         rng = np.random.default_rng(1)
-        _, trace = forward_recorded(model, rng.normal(size=3), rng.normal(size=2))
+        _, trace = forward_recorded(model, rng.normal(size=sim.OBS_DIM), rng.normal(size=2))
         for i in range(model.config.depth):
             redo = block_forward(model, i, trace[i])
             assert np.max(np.abs(redo - trace[i + 1])) < 1e-12
@@ -97,7 +96,7 @@ class TestForwardRecorded:
     def test_batched_matches_single(self):
         model = build_policy(tiny_config(seed=5))
         rng = np.random.default_rng(2)
-        obs = rng.normal(size=(4, 3))
+        obs = rng.normal(size=(4, sim.OBS_DIM))
         instr = rng.normal(size=(4, 2))
         batch_act, batch_trace = forward_recorded(model, obs, instr)
         for i in range(4):
@@ -209,17 +208,15 @@ class TestTaskLoss:
     def test_empty_batch_rejected(self):
         model = build_policy(tiny_config())
         with pytest.raises(ValueError):
-            task_loss_and_grads(TaskWorkspace(model, 0), np.zeros((0, 3)), np.zeros((0, 2)),
-                                np.zeros((0, 2)))
+            task_loss_and_grads(TaskWorkspace(model, 0), np.zeros((0, sim.OBS_DIM)),
+                                np.zeros((0, 2)), np.zeros((0, sim.ACTION_DIM)))
 
     def test_gradients_match_finite_differences(self):
-        cfg = PolicyConfig(obs_dim=2, instr_dim=2, hidden_dim=4, depth=4,
-                           action_dim=2, seed=13)
-        model = build_policy(cfg)
+        model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=4, depth=4, seed=13))
         rng = np.random.default_rng(5)
-        obs = rng.normal(size=(3, 2))
+        obs = rng.normal(size=(3, sim.OBS_DIM))
         instr = rng.normal(size=(3, 2))
-        targets = rng.normal(size=(3, 2))
+        targets = rng.normal(size=(3, sim.ACTION_DIM))
         ws = TaskWorkspace(model, 3)
 
         def f(params):
@@ -232,7 +229,7 @@ class TestTaskLoss:
         """Adam steps on the arena reach every bound view: the layers, a
         batch forward and a closed-loop rollout equal those of a model
         rebuilt from copies of the stepped params."""
-        model = build_policy(tiny_config(obs_dim=7, action_dim=3, seed=13))
+        model = build_policy(tiny_config(seed=13))
         initial = forward_recorded(model, np.ones(7), np.ones(2))[0]
         rng = np.random.default_rng(6)
         obs, instr, targets = (rng.normal(size=(5, n)) for n in (7, 2, 3))
@@ -263,7 +260,7 @@ class TestTaskLoss:
     def test_obs_and_instr_row_mismatch_rejected(self, obs_rows, instr_rows):
         """numpy's concatenate would raise a bare ValueError."""
         model = build_policy(tiny_config())
-        obs = np.zeros((3,) if obs_rows is None else (obs_rows, 3))
+        obs = np.zeros((sim.OBS_DIM,) if obs_rows is None else (obs_rows, sim.OBS_DIM))
         instr = np.zeros((instr_rows, 2))
         with pytest.raises(ShapeError, match=re.escape(f"obs is {obs.shape}, instr is {instr.shape}")):
             embed_forward(model, obs, instr)
@@ -318,7 +315,7 @@ class TestTaskWorkspace:
         return tuple(rng.normal(size=(n, d)) for d in dims)
 
     def _batch_tiny(self, n):
-        return self._batch(n, n, dims=(3, 2, 2))
+        return self._batch(n, n, dims=(sim.OBS_DIM, 2, sim.ACTION_DIM))
 
     def _assert_equal_to_reference(self, model, batch, out):
         loss_ref, grads_ref = _reference_task_loss_and_grads(model, *batch)
@@ -398,7 +395,7 @@ class TestCheckpoint:
             assert np.array_equal(loaded.params[k], model.params[k])
             assert loaded.params[k].base is loaded.arena
 
-    @pytest.mark.parametrize("key,shape", [("block1.W2", (8, 7)), ("head.b", (3,)),
+    @pytest.mark.parametrize("key,shape", [("block1.W2", (8, 7)), ("head.b", (2,)),
                                            ("embed.W", None)])
     def test_load_rejects_mis_shaped_or_missing_array(self, tmp_path, key, shape):
         model = build_policy(tiny_config(seed=23))
@@ -429,6 +426,37 @@ class TestCheckpoint:
         save_policy(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_the_header_config_holds_the_four_fields(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_policy(path, build_policy(tiny_config()))
+        header, _ = containers.load_arrays(path)
+        assert header["config"] == {"instr_dim": 2, "hidden_dim": 8, "depth": 4, "seed": 7}
+
+    def test_load_rejects_a_schema_1_checkpoint(self, tmp_path):
+        """Schema 1 wrote obs_dim and action_dim into the config; such a file
+        is stale, not one with unexpected fields."""
+        path = tmp_path / "model.npz"
+        save_policy(path, build_policy(tiny_config()))
+        header, arrays = containers.load_arrays(path)
+        header["schema_version"] = 1
+        header["config"].update(obs_dim=sim.OBS_DIM, action_dim=sim.ACTION_DIM)
+        containers.save_arrays(path, header, arrays)
+        with pytest.raises(ConfigError, match="schema_version 1, expected 2"):
+            load_policy(path)
+
+
+def test_the_config_sets_no_observation_or_action_width():
+    """Both widths are the environment's: readable on a config, but no field."""
+    assert [f.name for f in dataclasses.fields(PolicyConfig)] == [
+        "instr_dim", "hidden_dim", "depth", "seed"]
+    cfg = tiny_config()
+    assert (cfg.obs_dim, cfg.action_dim, cfg.input_dim) == (sim.OBS_DIM, sim.ACTION_DIM,
+                                                            sim.OBS_DIM + 2)
+    with pytest.raises(TypeError):
+        PolicyConfig(obs_dim=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.action_dim = 2
+
 
 def test_a_model_keeps_its_own_dict_of_arena_views():
     """The dict passed in keeps its arrays, so a second model built from a
@@ -457,7 +485,7 @@ def test_a_copy_binds_its_own_params(how):
     assert not np.shares_memory(twin.arena, model.arena)
     assert all(v.base is twin.arena for v in twin.params.values())
     rng = np.random.default_rng(26)
-    obs, instr = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+    obs, instr = rng.normal(size=(5, sim.OBS_DIM)), rng.normal(size=(5, 2))
     action = forward_recorded(model, obs, instr)[0]
     assert np.array_equal(forward_recorded(twin, obs, instr)[0], action)
     for arr in twin.params.values():

@@ -11,9 +11,9 @@ from gradcheck import grad_check
 
 
 def _head(W, b):
-    """A policy whose action head is y = x @ W.T + b."""
-    m, n = W.shape
-    model = build_policy(PolicyConfig(obs_dim=1, instr_dim=1, hidden_dim=n, depth=4, action_dim=m))
+    """A policy whose action head is y = x @ W.T + b; W has the
+    environment's action width of rows."""
+    model = build_policy(PolicyConfig(instr_dim=1, hidden_dim=W.shape[1], depth=4))
     model.params["head.W"][:] = W
     model.params["head.b"][:] = b
     return model
@@ -23,17 +23,17 @@ class TestAffineForward:
     """The algebra of an affine layer kernel, on the action head."""
 
     def test_identity(self):
-        out = head_forward(_head(np.eye(2), np.zeros(2)), np.array([3.0, 4.0]))
-        assert np.array_equal(out, [3.0, 4.0])
+        out = head_forward(_head(np.eye(3), np.zeros(3)), np.array([3.0, 4.0, 5.0]))
+        assert np.array_equal(out, [3.0, 4.0, 5.0])
 
     def test_zero_weights(self):
-        out = head_forward(_head(np.zeros((2, 2)), np.ones(2)), np.array([5.0, 5.0]))
-        assert np.array_equal(out, [1.0, 1.0])
+        out = head_forward(_head(np.zeros((3, 2)), np.ones(3)), np.array([5.0, 5.0]))
+        assert np.array_equal(out, [1.0, 1.0, 1.0])
 
     def test_hand_arithmetic(self):
-        W = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = head_forward(_head(W, np.zeros(2)), np.array([1.0, 1.0]))
-        assert np.array_equal(out, [3.0, 7.0])
+        W = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        out = head_forward(_head(W, np.zeros(3)), np.array([1.0, 1.0]))
+        assert np.array_equal(out, [3.0, 7.0, 11.0])
 
     def test_batched_matches_per_row(self):
         rng = np.random.default_rng(0)
@@ -46,19 +46,19 @@ class TestAffineForward:
             assert np.allclose(batched[i], head_forward(model, X[i]), rtol=1e-13, atol=1e-15)
 
     def test_shape_mismatch(self):
-        model = _head(np.eye(2), np.zeros(2))
+        model = _head(np.zeros((3, 2)), np.zeros(3))
         with pytest.raises(ShapeError):
             head_forward(model, np.zeros(3))
         with pytest.raises(ShapeError):
-            PolicyModel(model.config, {**model.params, "head.b": np.zeros(3)})
+            PolicyModel(model.config, {**model.params, "head.b": np.zeros(2)})
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            W = rng.normal(size=(4, 3))
-            b = rng.normal(size=4)
+            W = rng.normal(size=(3, 4))
+            b = rng.normal(size=3)
             model = _head(W, b)
-            x, y = rng.normal(size=3), rng.normal(size=3)
+            x, y = rng.normal(size=4), rng.normal(size=4)
             a, c = rng.normal(), rng.normal()
             lhs = head_forward(model, a * x + c * y)
             rhs = (a * head_forward(model, x) + c * head_forward(model, y)

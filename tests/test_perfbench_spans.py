@@ -28,8 +28,7 @@ def test_a_small_evaluation_calls_every_layer_function_the_benchmark_counts():
     the benchmark's traced run is, reports none of the rollout metrics as
     missing: a function the runtime stops calling fails here, not only in
     the benchmark's smoke run."""
-    model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                      action_dim=3, seed=2))
+    model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=2))
     mods = runtime.init_skip_modules(model, StaticSet(indices=(2, 5), depth=6), seed=3)
     tracer = Tracer(workloads.LAYERS)
     with Patcher() as patcher:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dynskip import containers, profiler
+from dynskip import containers, profiler, sim
 from dynskip.model import PolicyConfig, block_forward, build_policy, embed_forward, forward_recorded, head_forward
 
 
@@ -34,10 +34,9 @@ def _skip_one(model, obs, instr, skip):
 
 class TestZeroShot:
     def _setup(self):
-        model = build_policy(PolicyConfig(obs_dim=3, instr_dim=2, hidden_dim=8, depth=5,
-                                          action_dim=2, seed=4))
+        model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=5, seed=4))
         rng = np.random.default_rng(5)
-        return model, rng.normal(size=(6, 3)), rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+        return model, *(rng.normal(size=(6, n)) for n in (sim.OBS_DIM, 2, sim.ACTION_DIM))
 
     def test_deltas_equal_explicit_skip_one_forwards(self):
         model, obs, instr, targets = self._setup()

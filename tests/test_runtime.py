@@ -15,8 +15,7 @@ from dynskip.profiler import StaticSet
 
 
 def make_setup(depth=6, seed=0, statics=(2, 5)):
-    cfg = PolicyConfig(obs_dim=3, instr_dim=2, hidden_dim=8, depth=depth,
-                       action_dim=2, seed=seed)
+    cfg = PolicyConfig(instr_dim=2, hidden_dim=8, depth=depth, seed=seed)
     model = build_policy(cfg)
     ss = StaticSet(indices=statics, depth=depth)
     mods = rt.init_skip_modules(model, ss, seed=seed + 1)
@@ -198,8 +197,7 @@ class TestSkipModules:
             assert np.array_equal(rt.controller_forward(mods, j, x),
                                   rt.controller_forward(fresh, j, x))
         task = sim.sample_task_sequence(3, sim.SimConfig(subtasks=2))
-        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=8, depth=6,
-                                          action_dim=3, seed=3))
+        model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=6, seed=3))
         for mode in ("dysl", "controllers-only", "random-skip"):
             lines = [rt.episode_trace_lines(rt.rollout_episode(
                 task, model, m, mode, rt.GuidanceConfig(), rng=np.random.default_rng(4)))
@@ -234,7 +232,7 @@ class TestSkipModules:
         points = [f + 1 for f, _ in ss.segments]
         x = rng.normal(size=(4, 8))
         for _ in range(10):
-            obs, instr = rng.normal(size=3), rng.normal(size=2)
+            obs, instr = rng.normal(size=sim.OBS_DIM), rng.normal(size=2)
             a, trace = rt.forward_skipped(model, mods, points, obs, instr)
             a_twin, trace_twin = rt.forward_skipped(model, twin, points, obs, instr)
             assert np.array_equal(a_twin, a)
@@ -559,18 +557,18 @@ class TestVerificationRerun:
             depth = int(rng.integers(4, 13))
             inner = rng.choice(depth - 1, size=int(rng.integers(0, depth - 1)), replace=False)
             ss = StaticSet(indices=tuple(sorted({*map(int, inner), depth - 1})), depth=depth)
-            model = build_policy(PolicyConfig(obs_dim=3, instr_dim=2, hidden_dim=8,
-                                              depth=depth, action_dim=2, seed=trial))
+            model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=8, depth=depth,
+                                              seed=trial))
             mods = rt.init_skip_modules(model, ss, seed=trial + 1)
             for j in ss.dynamic_layers:
                 mods.params[f"controller{j}.b2"][:] = rng.uniform(-4, 4)
             costs = flops.arch_costs(model.config)
             points = [int(rng.integers(f + 1, b + 1)) for f, b in ss.segments]
-            obs, instr = rng.normal(size=3), rng.normal(size=2)
+            obs, instr = rng.normal(size=sim.OBS_DIM), rng.normal(size=2)
             _, trace = rt.forward_skipped(model, mods, points, obs, instr)
             before = copy.deepcopy(trace)
             state = rt.AllowPointState(ss, rt.GuidanceConfig(k=1, eta=0.004))
-            for a in (np.zeros(2), np.zeros(2), np.ones(2)):  # dC = -sqrt(2): fires
+            for a in (np.zeros(3), np.zeros(3), np.ones(3)):  # dC = -sqrt(3): fires
                 rt.observe_action(state, a)
             action = rt.post_skip_verify(model, state, trace)
             if not trace.adapters_invoked:
@@ -587,8 +585,7 @@ class TestVerificationRerun:
         assert len(resumed_at) >= 100 and len(set(resumed_at)) >= 8
 
     def test_step_records_keep_no_resume_input(self):
-        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
-                                          action_dim=3, seed=3))
+        model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=16, depth=8, seed=3))
         mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5, 7), depth=8), seed=4)
         task = sim.sample_task_sequence(7, sim.SimConfig(subtasks=2, step_cap=40))
         for mode in ("dysl", "controllers-only", "random-skip"):
@@ -605,7 +602,7 @@ class TestForwardSkipped:
         rng = np.random.default_rng(0)
         points = [f + 1 for f, _ in ss.segments]
         for _ in range(20):
-            obs, instr = rng.normal(size=3), rng.normal(size=2)
+            obs, instr = rng.normal(size=sim.OBS_DIM), rng.normal(size=2)
             a_skip, trace = rt.forward_skipped(model, mods, points, obs, instr)
             a_full, _ = forward_recorded(model, obs, instr)
             assert np.array_equal(a_skip, a_full)
@@ -618,7 +615,7 @@ class TestForwardSkipped:
             mods.params[f"controller{j}.W2"][:] = 0.0
             mods.params[f"controller{j}.b2"][:] = 50.0  # gate ~ 1
         points = [1, 5]
-        obs, instr = np.zeros(3), np.zeros(2)
+        obs, instr = np.zeros(sim.OBS_DIM), np.zeros(2)
         _, trace = rt.forward_skipped(model, mods, points, obs, instr)
         # forced prefixes: layers 0 (before point 1) and 4 (before point 5)
         executed_dynamic = [j for j in trace.executed_layers
@@ -632,7 +629,7 @@ class TestForwardSkipped:
         rng = np.random.default_rng(3)
         for _ in range(50):
             points = [rng.integers(f + 1, b + 1) for f, b in ss.segments]
-            obs, instr = rng.normal(size=3), rng.normal(size=2)
+            obs, instr = rng.normal(size=sim.OBS_DIM), rng.normal(size=2)
             _, trace = rt.forward_skipped(model, mods, points, obs, instr)
             active = sum(b - max(p, f + 1) for (f, b), p in zip(ss.segments, points))
             assert len(trace.controllers_evaluated) <= active
@@ -648,7 +645,7 @@ class TestForwardSkipped:
             for j in ss.dynamic_layers:  # randomize gates hard
                 mods.params[f"controller{j}.b2"][:] = rng.uniform(-30, 30)
             _, trace = rt.forward_skipped(model, mods, points,
-                                          rng.normal(size=3), rng.normal(size=2))
+                                          rng.normal(size=sim.OBS_DIM), rng.normal(size=2))
             assert set(ss.indices) <= set(trace.executed_layers)
             assert trace.executed_layers == sorted(set(trace.executed_layers))
             assert price(costs, trace) >= flops.forward_flops(costs, len(ss.indices))
@@ -657,7 +654,7 @@ class TestForwardSkipped:
     def test_an_allow_point_per_segment_is_required(self, points):
         model, _, mods = make_setup(seed=10)
         with pytest.raises(ShapeError, match=f"{len(points)} allow points for 2 segments"):
-            rt.forward_skipped(model, mods, points, np.zeros(3), np.zeros(2))
+            rt.forward_skipped(model, mods, points, np.zeros(sim.OBS_DIM), np.zeros(2))
 
     @pytest.mark.parametrize("points, message", [
         ([-1, 3], "allow point -1 outside segment (-1, 2)"),
@@ -669,14 +666,14 @@ class TestForwardSkipped:
         at its closing one."""
         model, _, mods = make_setup(seed=10)
         with pytest.raises(ConfigError, match=re.escape(message)):
-            rt.forward_skipped(model, mods, points, np.zeros(3), np.zeros(2))
+            rt.forward_skipped(model, mods, points, np.zeros(sim.OBS_DIM), np.zeros(2))
 
 
 class TestForwardRandom:
     def test_p_zero_equals_full(self):
         model, ss, mods = make_setup(seed=8)
         rng = np.random.default_rng(1)
-        obs, instr = rng.normal(size=3), rng.normal(size=2)
+        obs, instr = rng.normal(size=sim.OBS_DIM), rng.normal(size=2)
         a, trace = rt.forward_random(model, mods, 0.0, rng, obs, instr)
         full, _ = forward_recorded(model, obs, instr)
         assert np.array_equal(a, full)
@@ -685,7 +682,7 @@ class TestForwardRandom:
     def test_p_one_skips_all_dynamics(self):
         model, ss, mods = make_setup(seed=9)
         rng = np.random.default_rng(2)
-        _, trace = rt.forward_random(model, mods, 1.0, rng, np.zeros(3), np.zeros(2))
+        _, trace = rt.forward_random(model, mods, 1.0, rng, np.zeros(sim.OBS_DIM), np.zeros(2))
         assert [j for j in trace.executed_layers if j in ss.dynamic_layers] == []
         assert set(ss.indices) <= set(trace.executed_layers)
 
@@ -693,8 +690,8 @@ class TestForwardRandom:
     def test_a_probability_outside_the_unit_interval_is_rejected(self, p):
         model, _, mods = make_setup(seed=9)
         with pytest.raises(ConfigError, match=re.escape("skip probability must be in [0, 1]")):
-            rt.forward_random(model, mods, p, np.random.default_rng(0), np.zeros(3),
-                              np.zeros(2))
+            rt.forward_random(model, mods, p, np.random.default_rng(0),
+                              np.zeros(sim.OBS_DIM), np.zeros(2))
 
 
 class TestDepthMismatch:
@@ -702,8 +699,7 @@ class TestDepthMismatch:
     skipping path raises instead of silently dropping blocks 8-11."""
 
     def _pair(self):
-        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
-                           action_dim=3, seed=0)
+        cfg = PolicyConfig(instr_dim=2, hidden_dim=16, depth=8, seed=0)
         mods = rt.init_skip_modules(build_policy(cfg), StaticSet(indices=(2, 5, 7), depth=8),
                                     seed=1)
         return build_policy(replace(cfg, depth=12)), mods
@@ -738,8 +734,7 @@ class TestRolloutEpisode:
     def _trained_free_setup(self):
         sim_cfg = sim.SimConfig(subtasks=2)
         task = sim.sample_task_sequence(3, sim_cfg)
-        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
-                           action_dim=3, seed=0)
+        cfg = PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=0)
         model = build_policy(cfg)
         ss = StaticSet(indices=(2, 5), depth=6)
         mods = rt.init_skip_modules(model, ss, seed=1)
@@ -813,21 +808,12 @@ class TestRolloutEpisode:
         with pytest.raises(ConfigError, match="3 subtasks .* instruction width is 2"):
             rt.rollout_episode(task, model, mods, "full", rt.GuidanceConfig())
 
-    def test_an_action_width_other_than_the_environments_rejected(self):
-        # env_step would reject every action, and the episode would end as diverged
-        task, _, _ = self._trained_free_setup()
-        model = build_policy(PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=6,
-                                          action_dim=2, seed=0))
-        with pytest.raises(ConfigError, match="action width is 2 but the environment's is 3"):
-            rt.rollout_episode(task, model, None, "full", rt.GuidanceConfig())
-
     @pytest.mark.parametrize("mode", ["full", "dysl"])
     def test_a_diverging_step_is_kept_as_a_zero_action(self, monkeypatch, tmp_path, mode):
         """The policy's action turns non-finite at step T: sim.env_step
         rejects it, and the episode keeps that step's record and a zero action."""
         T = 10
-        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
-                           action_dim=3, seed=3)
+        cfg = PolicyConfig(instr_dim=2, hidden_dim=16, depth=8, seed=3)
         model = build_policy(cfg)
         mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5, 7), depth=8), seed=4)
         observe, head = sim.observe, policy_model.head_forward
@@ -893,8 +879,7 @@ class TestGoldenTraces:
     def test_rollout_digest(self, case):
         mode, guidance, expected = self.CASES[case]
         task = sim.sample_task_sequence(7, sim.SimConfig(subtasks=2, step_cap=40))
-        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
-                           action_dim=3, seed=3)
+        cfg = PolicyConfig(instr_dim=2, hidden_dim=16, depth=8, seed=3)
         model = build_policy(cfg)
         mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5, 7), depth=8), seed=4)
         ep = rt.rollout_episode(task, model, mods, mode,
@@ -926,8 +911,7 @@ class TestExecutedWork:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_step_flops_equal_the_calls_made(self, monkeypatch, case):
         mode, statics, guidance = self.CASES[case]
-        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
-                           action_dim=3, seed=3)
+        cfg = PolicyConfig(instr_dim=2, hidden_dim=16, depth=8, seed=3)
         model = build_policy(cfg)
         mods = rt.init_skip_modules(model, StaticSet(indices=statics, depth=8), seed=4)
         costs = flops.arch_costs(cfg)
@@ -975,8 +959,7 @@ class TestPricing:
     forward passes and the verification re-run only record what ran."""
 
     def _setup(self):
-        cfg = PolicyConfig(obs_dim=7, instr_dim=2, hidden_dim=16, depth=8,
-                           action_dim=3, seed=3)
+        cfg = PolicyConfig(instr_dim=2, hidden_dim=16, depth=8, seed=3)
         model = build_policy(cfg)
         mods = rt.init_skip_modules(model, StaticSet(indices=(2, 5, 7), depth=8), seed=4)
         return model, mods
