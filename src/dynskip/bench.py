@@ -31,6 +31,7 @@ REPORT_HEADER_COMMENT = (
 TRAIN_SEED_OFFSET = 100_000
 VAL_SEED_OFFSET = 200_000
 EVAL_SEED_OFFSET = 300_000
+LR_FLOOR_FRAC = 0.1  # BC's cosine decay floor as a fraction of lr
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +43,6 @@ class TrainConfig:
     steps: int = 20_000
     batch_size: int = 128
     lr: float = 3e-3
-    lr_floor_frac: float = 0.1   # cosine decay floor as a fraction of lr
     val_every: int = 500
     seed: int = 1
 
@@ -50,8 +50,6 @@ class TrainConfig:
         containers.check_int_fields(self, steps=1, batch_size=1, val_every=1)
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and positive, got {self.lr}")
-        if not 0.0 < self.lr_floor_frac <= 1.0:
-            raise ConfigError("lr_floor_frac must be in (0, 1]")
 
 
 def validation_mse(model: PolicyModel, dataset: sim.Dataset) -> float:
@@ -75,10 +73,9 @@ def train_base_policy(model_config: PolicyConfig, train_config: TrainConfig,
     opt = Adam(lr=train_config.lr)
     rng = np.random.default_rng(train_config.seed)
     log = [(0, float("nan"), validation_mse(model, val_set))]
-    floor = train_config.lr_floor_frac
     for step in range(1, train_config.steps + 1):
-        opt.lr = train_config.lr * (
-            0.5 * (1 + np.cos(np.pi * step / train_config.steps)) * (1 - floor) + floor)
+        opt.lr = train_config.lr * (0.5 * (1 + np.cos(np.pi * step / train_config.steps))
+                                    * (1 - LR_FLOOR_FRAC) + LR_FLOOR_FRAC)
         idx = rng.integers(0, len(train_set), train_config.batch_size)
         loss, _ = task_loss_and_grads(workspace, obs[idx], instr[idx], actions[idx])
         opt.step(model.arena, workspace.grad_arena)

@@ -204,11 +204,11 @@ def stage1_loss_and_grads(ws: Stage1Workspace):
         target = rows[back]
         for j in range(front + 1, back):
             x = rows[j]
-            resid, h = adapter_forward(mods, j, x, cache=True, out=ws.adapter_out)
+            resid = adapter_forward(mods, j, x, out=ws.adapter_out)
             resid -= target  # == out - target, in place of the adapter's output
             loss += float((resid * resid).sum()) / batch
             resid *= 2.0 / batch  # == (2.0 / batch) * resid: IEEE multiplication commutes
-            adapter_vjp(mods, j, x, h, resid, grads, tmp, input_grad=False)
+            adapter_vjp(mods, j, x, ws.adapter_out[1], resid, grads, tmp, input_grad=False)
     return loss, grads
 
 
@@ -313,8 +313,9 @@ def stage2_blend_forward(ws: Stage2Workspace, selections):
                 if idx.size == batch:
                     idx = slice(None)
                 xj = _rows_of(xs[j], idx, ux[rows])
-                g, hc = controller_forward(mods, j, xj, cache=True, out=(uz[rows], uhc[rows]))
-                a, ha = adapter_forward(mods, j, xj, cache=True, out=(ua[rows], uha[rows]))
+                hc, ha = uhc[rows], uha[rows]
+                g = controller_forward(mods, j, xj, out=(uz[rows], hc))
+                a = adapter_forward(mods, j, xj, out=(ua[rows], ha))
                 # g[:, None] * a + (1.0 - g)[:, None] * full[idx], term by term
                 ga = np.multiply(g[:, None], a, out=mix[rows])
                 omg = np.subtract(1.0, g, out=one_minus_g[rows])

@@ -48,12 +48,6 @@ def arch_costs(config: PolicyConfig) -> ArchCosts:
     )
 
 
-def forward_flops(costs: ArchCosts, n_blocks: int, n_adapters: int = 0,
-                  n_controllers: int = 0) -> int:
-    return (costs.embed + costs.head + n_blocks * costs.block
-            + n_adapters * costs.adapter + n_controllers * costs.controller)
-
-
 def _check_layer_list(costs: ArchCosts, layers, what: str) -> None:
     prev = -1
     for lid in layers:
@@ -70,8 +64,9 @@ def flop_estimate(costs: ArchCosts, executed_layers, controllers_evaluated=(),
     controller per entry of its list. A verified step adds its re-run's
     head; its executed_layers already holds the re-run's blocks s..depth-1.
     The lists are priced as given (flop_estimate_record checks dumped ones)."""
-    return (forward_flops(costs, len(executed_layers), len(adapters_invoked),
-                          len(controllers_evaluated))
+    return (costs.embed + costs.head + len(executed_layers) * costs.block
+            + len(adapters_invoked) * costs.adapter
+            + len(controllers_evaluated) * costs.controller
             + (costs.head if verified else 0))
 
 

@@ -3,13 +3,15 @@ the instruction, depth-N residual tanh blocks, and a linear head to the
 `sim.ACTION_DIM`-wide action, with full activation tracing and hand-derived
 task-loss gradients. Forward functions take a sample or a (batch, dim) matrix.
 Each block is the `numerics` two-layer unit plus a residual add; every layer
-kernel keeps the contract stated at `numerics.mlp_forward`.
+kernel keeps the contract stated at `numerics.mlp_forward` and returns one
+value, its output.
 
 Here only `task_loss_and_grads` passes out= to the kernels (the
-distillation stages in `distill` do too, into their own workspaces): it
-takes a TaskWorkspace as its one state argument, reads the model from it,
-and writes every activation, temporary and gradient of a training step
-into it, so a step allocates no array of its own (numpy's iterator buffer
+distillation stages in `distill` do too, into their own workspaces), and
+reads each block's tanh activation from the out pair it passed: it takes a
+TaskWorkspace as its one state argument, reads the model from it, and
+writes every activation, temporary and gradient of a training step into
+it, so a step allocates no array of its own (numpy's iterator buffer
 for a broadcast bias add, at most 64 KiB, is the largest transient left).
 The gradients it returns are views into the workspace's gradient arena,
 laid out as the model's parameter arena, and alias it until its next use;
@@ -136,15 +138,14 @@ def embed_forward(model: PolicyModel, obs, instr, out=None) -> np.ndarray:
     return y
 
 
-def block_forward(model: PolicyModel, i: int, x: np.ndarray, cache: bool = False,
-                  out=None):
+def block_forward(model: PolicyModel, i: int, x: np.ndarray, out=None):
     """y = x + W2 @ tanh(W1 @ x + b1) + b2 for block i. `out` is a (y, h)
-    pair, as for mlp_forward."""
+    pair, as for mlp_forward; y alone is returned."""
     if x.shape[-1] != model.config.hidden_dim:
         raise ShapeError(f"block{i}: x is {x.shape}, expected hidden size {model.config.hidden_dim}")
-    y, h = mlp_forward(model._blocks[i], x, out)
+    y = mlp_forward(model._blocks[i], x, out)[0]
     y += x  # == x + (h @ W2T + b2): IEEE addition commutes
-    return (y, h) if cache else y
+    return y
 
 
 def block_vjp(model: PolicyModel, i: int, x, h, dy, param_grads: Params | None = None,

@@ -137,11 +137,15 @@ def mlp_forward(bound, x: np.ndarray, out=None):
     """y = W2 tanh(W1 x + b1) + b2 on the views bind_mlp returns, for a
     single sample or a (batch, d_in) matrix. Returns (y, h), h = tanh(W1 x + b1).
 
-    The kernel contract, which the embedding and head kernels in `model`
-    and `gate_forward` keep too: without `out`, outputs are freshly
+    The kernel contract, which the layer kernels built on this unit
+    (`model.block_forward`, `runtime.adapter_forward` and
+    `runtime.controller_forward`), the embedding and head kernels in
+    `model` and `gate_forward` keep too: without `out`, outputs are freshly
     allocated; with `out`, a (y, h) pair of C-contiguous float64 arrays of
-    the output shapes, they are written there and returned, as numpy's out=
-    does. Only the training steps pass out= (mlp_vjp's out= likewise), each
+    the output shapes, they are written there, as numpy's out= does. A
+    layer kernel returns one value, its output; a training step that needs
+    h for the VJP passes out= and reads h from its out pair. Only the
+    training steps pass out= (mlp_vjp's out= likewise), each
     into the workspace it takes as its first argument:
     `model.task_loss_and_grads` into a TaskWorkspace and the distillation
     stages into a Stage1Workspace or Stage2Workspace; every other call, a

@@ -145,13 +145,12 @@ def init_skip_modules(model: PolicyModel, static_set: StaticSet,
     return SkipModules(static_set=static_set, hidden_dim=d, tau=tau, params=params)
 
 
-def adapter_forward(mods: SkipModules, j: int, x, cache: bool = False, out=None):
-    """Adapter j's output, and with `cache` its tanh activation; `out` is a
-    (y, h) pair, as for mlp_forward."""
+def adapter_forward(mods: SkipModules, j: int, x, out=None):
+    """Adapter j's output y. `out` is a (y, h) pair, as for mlp_forward; a
+    training step reads the tanh activation h from it."""
     if x.shape[-1] != mods.hidden_dim:
         raise ShapeError(f"adapter{j}: x is {x.shape}, expected hidden size {mods.hidden_dim}")
-    y, h = mlp_forward(mods._adapters[j], x, out)
-    return (y, h) if cache else y
+    return mlp_forward(mods._adapters[j], x, out)[0]
 
 
 def adapter_vjp(mods: SkipModules, j: int, x, h, dy, param_grads: Params, out=None,
@@ -162,19 +161,19 @@ def adapter_vjp(mods: SkipModules, j: int, x, h, dy, param_grads: Params, out=No
     return mlp_vjp(mods.params, f"adapter{j}", x, h, dy, param_grads, out, input_grad)
 
 
-def controller_forward(mods: SkipModules, j: int, x, cache: bool = False, out=None):
-    """Gate value in (0, 1); scalar for a vector input, (B,) for a batch.
-    `out` is a (z, h) pair, as for mlp_forward: the unit's output z is
-    written there and the gate formed in it in place, so the (B,) gates
-    returned are a view of z."""
+def controller_forward(mods: SkipModules, j: int, x, out=None):
+    """Gate value in (0, 1). A vector x takes the batch-1 gate kernel
+    gate_forward and gives a Python float; `out` is not written. A (B, d)
+    batch gives (B,) gates. There `out` is a (z, h) pair, as for
+    mlp_forward: the unit's output z is written there and the gate formed
+    in it in place, so the gates returned are a view of z, and a training
+    step reads the tanh activation h from the pair."""
     if x.shape[-1] != mods.hidden_dim:
         raise ShapeError(f"controller{j}: x is {x.shape}, expected hidden size {mods.hidden_dim}")
-    if x.ndim == 1 and not cache:
+    if x.ndim == 1:
         return gate_forward(mods._controllers[j], mods._gate_w2[j], x)
-    z, h = mlp_forward(mods._controllers[j], x, out)
-    g = sigmoid(z, None if out is None else z)
-    g = g[..., 0] if g.ndim > 1 else float(g[0])
-    return (g, h) if cache else g
+    z = mlp_forward(mods._controllers[j], x, out)[0]
+    return sigmoid(z, None if out is None else z)[..., 0]
 
 
 def controller_vjp(mods: SkipModules, j: int, x, h, g, dg, param_grads: Params, out=None,

@@ -11,10 +11,11 @@ from dynskip import distill as dt, runtime as rt, sim
 from dynskip.errors import ConfigError, ShapeError
 from dynskip.model import (PolicyConfig, block_forward, block_vjp, build_policy, embed_forward,
                            forward_recorded, head_forward, mse_and_grad)
-from dynskip.numerics import Adam, affine_vjp, mlp_vjp
+from dynskip.numerics import Adam, affine_vjp, mlp_vjp, sigmoid
 from dynskip.profiler import StaticSet
 from gradcheck import grad_check
-from test_numerics import _PerArrayAdam
+from test_model import block_reference
+from test_numerics import _PerArrayAdam, unit_forward
 
 
 def make_setup(depth=6, statics=(2, 5), seed=0, hidden=8):
@@ -178,7 +179,6 @@ class TestStage2:
         _, trace = forward_recorded(model, obs, instr)
         adapter_out = dt.adapter_forward(mods, 0, trace[0])
         x = adapter_out
-        from dynskip.model import block_forward, head_forward
         x = block_forward(model, 3, x)
         assert np.max(np.abs(actions - head_forward(model, x))) < 1e-12
 
@@ -198,7 +198,6 @@ class TestStage2:
         adapter_out = dt.adapter_forward(mods, 1, trace[1])
         full_path = trace[3]  # blocks 1..2 applied to trace[1]
         blend = 0.5 * adapter_out + 0.5 * full_path
-        from dynskip.model import block_forward, head_forward
         expect = head_forward(model, block_forward(model, 3, blend))
         assert np.max(np.abs(actions - expect)) < 1e-12
 
@@ -396,7 +395,7 @@ def _per_batch_stage1(model, mods, obs, instr):
         target = trace[back]
         for j in range(front + 1, back):
             x = trace[j]
-            out, h = rt.adapter_forward(mods, j, x, cache=True)
+            out, h = unit_forward(mods.params, f"adapter{j}", x)
             resid = out - target
             loss += float(np.sum(resid * resid)) / batch
             rt.adapter_vjp(mods, j, x, h, (2.0 / batch) * resid, grads)
@@ -412,11 +411,11 @@ def _per_batch_stage2(model, mods, selections, obs, instr, targets, lam):
     for si, (statics, front, back) in enumerate(mods.segment_plan):
         sel = selections[si]
         for layer in statics:
-            x, h = block_forward(model, layer, x, cache=True)
+            x, h = block_reference(model, layer, x)
             caches.append(("static", layer, h))
         chain, hs = [x], []
         for j in range(front + 1, back):
-            x, h = block_forward(model, j, x, cache=True)
+            x, h = block_reference(model, j, x)
             chain.append(x)
             hs.append(h)
         full = chain[-1]
@@ -428,15 +427,16 @@ def _per_batch_stage2(model, mods, selections, obs, instr, targets, lam):
                 seg_cache.append(None)
                 continue
             xj = chain[off][idx]
-            g, hc = rt.controller_forward(mods, j, xj, cache=True)
-            a, ha = rt.adapter_forward(mods, j, xj, cache=True)
+            z, hc = unit_forward(mods.params, f"controller{j}", xj)
+            g = sigmoid(z)[:, 0]
+            a, ha = unit_forward(mods.params, f"adapter{j}", xj)
             blend[idx] = g[:, None] * a + (1.0 - g)[:, None] * full[idx]
             gates[idx, si] = g
             seg_cache.append((idx, xj, g, hc, a, ha))
         caches.append(("segment", front, back, chain, hs, seg_cache, sel))
         x = blend
     for layer in mods.trailing_statics:
-        x, h = block_forward(model, layer, x, cache=True)
+        x, h = block_reference(model, layer, x)
         caches.append(("static", layer, h))
     actions = head_forward(model, x)
     task_loss, dpred = mse_and_grad(actions, np.atleast_2d(targets))

@@ -10,6 +10,12 @@ from dynskip.numerics import (Adam, bind_mlp, flat_views, init_mlp, into_arena, 
 from gradcheck import grad_check
 
 
+def unit_forward(params, prefix, x):
+    """(y, h) of unit `prefix` on fresh arrays, its widths read from params."""
+    (d_hidden, d_in), d_out = params[f"{prefix}.W1"].shape, params[f"{prefix}.W2"].shape[0]
+    return mlp_forward(bind_mlp(params, prefix, d_in, d_hidden, d_out), x)
+
+
 def _head(W, b):
     """A policy whose action head is y = x @ W.T + b; W has the
     environment's action width of rows."""

@@ -74,6 +74,30 @@ def test_no_new_public_name_is_reached_only_by_tests():
     assert set(defs) - reached - TEST_ONLY_API - TEST_ONLY_MEMBERS == set()
 
 
+def _configs():
+    """Every *Config dataclass that a dynskip module defines."""
+    return [cls for info in pkgutil.iter_modules(dynskip.__path__)
+            for cls in vars(importlib.import_module(f"dynskip.{info.name}")).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+            and cls.__name__.endswith("Config") and cls.__module__ == f"dynskip.{info.name}"]
+
+
+def test_every_config_field_is_set_by_some_caller():
+    """A config field is an option only if some call passes it by name
+    (`name=`) in src, perfbench or the tests; one that no call sets is a
+    constant, and belongs in its module as one."""
+    root = PYPROJECT.parent
+    passed = set()
+    files = (p for top in ("src", "perfbench", "tests") for p in (root / top).rglob("*.py"))
+    for path in sorted(files):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                passed.update(kw.arg for kw in node.keywords)
+    unset = [f"{cls.__name__}.{f.name}" for cls in _configs() for f in dataclasses.fields(cls)
+             if f.name not in passed]
+    assert unset == []
+
+
 def test_every_config_int_field_takes_only_an_int():
     """An int field that took True would run as 1, and one that took 2.5 or
     nan would fail later with a bare error (in range(), default_rng) or run
@@ -82,12 +106,8 @@ def test_every_config_int_field_takes_only_an_int():
     check_int_fields skips a field of any other type, so every field must be
     an int, float or bool, and a new `int | None` or `str` option fails here
     too."""
-    configs = [cls for info in pkgutil.iter_modules(dynskip.__path__)
-               for cls in vars(importlib.import_module(f"dynskip.{info.name}")).values()
-               if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-               and cls.__name__.endswith("Config") and cls.__module__ == f"dynskip.{info.name}"]
     checked = set()
-    for cls in configs:
+    for cls in _configs():
         for f in dataclasses.fields(cls):  # every module has postponed annotations
             assert f.type in ("int", "float", "bool"), f"{cls.__name__}.{f.name}: {f.type}"
             if f.type != "int":
