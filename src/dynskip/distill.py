@@ -6,9 +6,12 @@ layer suffix. Stage 2 trains controllers and adapters jointly through a
 differentiable soft blend of the adapter path and the full path at one
 sampled layer per segment, plus a normalization loss paying for every layer
 a closed gate keeps executing. Backbone parameters never receive gradients.
+`distill_pipeline` builds fresh modules and runs the two stages in turn; a
+non-finite loss marks its stage's report diverged and ends the run, and the
+backbone is never modified.
 
 Teacher trace. The backbone is frozen, so every activation the stages read is
-a constant of the dataset. `run_two_stage` records it once, with one
+a constant of the dataset. `distill_pipeline` records it once, with one
 `forward_recorded` pass over all rows, and keeps that pass's depth + 1
 (rows, d) float64 arrays: (depth + 1) x rows x d x 8 B, 6.7 kB a row at
 depth 12 and d = 64. `trace[j]` is the input of block j and `trace[depth]`
@@ -20,7 +23,7 @@ gradient of segment 0's units and no gradient of that segment's full path.
 
 Stage workspaces. Each stage step takes its workspace as its one state
 argument and reads from it the modules (and, in stage 2, the model) it was
-built for and the batch's teacher rows. `run_two_stage` builds one
+built for and the batch's teacher rows. `distill_pipeline` builds one
 workspace per stage, and each step's `gather` writes into it only the
 teacher layers the stage reads; the other entries of `rows` are None.
 Stage 1 reads each dynamic layer's input and each segment's closing layer,
@@ -61,7 +64,6 @@ from .runtime import (
     SkipModules,
     adapter_forward,
     adapter_vjp,
-    check_depth,
     controller_forward,
     controller_vjp,
     forward_skipped,
@@ -440,14 +442,17 @@ def stage2_step(ws: Stage2Workspace, opt: Adam, targets, lam: float,
 def estimate_skip_rate(model: PolicyModel, mods: SkipModules, obs, instr) -> float:
     """Fraction of dynamic layers skipped by the pure controller policy
     (allow points pinned at the segment starts) on probe rows; a 1-D obs and
-    instr are one row."""
+    instr are one row. Every observation row needs its instruction row
+    (ShapeError)."""
+    obs, instr = np.atleast_2d(obs), np.atleast_2d(instr)
+    if len(obs) != len(instr):
+        raise ShapeError(f"{len(obs)} probe observation rows but {len(instr)} instruction rows")
     n_dyn = len(mods.static_set.dynamic_layers)
     n_static = len(mods.static_set.indices)
     if n_dyn == 0:
         return 0.0
-    obs, instr = np.atleast_2d(obs), np.atleast_2d(instr)
     executed = 0
-    for o, c in zip(obs, instr, strict=True):  # every static layer runs; the rest are dynamic
+    for o, c in zip(obs, instr):  # every static layer runs; the rest are dynamic
         _, trace = forward_skipped(model, mods, mods.static_set.segment_starts, o, c)
         executed += len(trace.executed_layers) - n_static
     return 1.0 - executed / (len(obs) * n_dyn)
@@ -476,14 +481,16 @@ def _write_stage_log(path, report: StageReport) -> None:
                           for i, loss in enumerate(report.losses)))
 
 
-def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
-                  config: DistillConfig, log_dir=None):
-    """Stage-1 adapter regression then stage-2 joint blend training.
+def distill_pipeline(model: PolicyModel, static_set, dataset: Dataset,
+                     config: DistillConfig, tau: float = 0.5, log_dir=None):
+    """Fresh skip modules for `static_set` (ConfigError for a static set of
+    another depth than the model's), trained by stage-1 adapter regression
+    then stage-2 joint blend training; returns (mods, reports).
 
     Divergence (non-finite loss) marks the stage's report and ends the run.
     The backbone is never modified.
     """
-    check_depth(model, mods.static_set)
+    mods = init_skip_modules(model, static_set, tau=tau, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     obs = dataset.obs
     instr = dataset.instr_onehot()
@@ -528,10 +535,3 @@ def run_two_stage(model: PolicyModel, mods: SkipModules, dataset: Dataset,
         if report.diverged:
             break
     return mods, reports
-
-
-def distill_pipeline(model: PolicyModel, static_set, dataset: Dataset,
-                     config: DistillConfig, tau: float = 0.5, log_dir=None):
-    """Fresh modules + two-stage training; returns (mods, reports)."""
-    mods = init_skip_modules(model, static_set, tau=tau, seed=config.seed)
-    return run_two_stage(model, mods, dataset, config, log_dir)

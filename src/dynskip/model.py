@@ -229,7 +229,7 @@ def task_loss_and_grads(ws: TaskWorkspace, obs, instr, targets):
     instr = as_f64(instr, "instr")
     targets = as_f64(targets, "targets")
     if obs.ndim != 2 or obs.shape[0] == 0:
-        raise ValueError("task loss needs a nonempty 2-D batch")
+        raise ShapeError(f"task loss needs a nonempty 2-D batch, got obs of shape {obs.shape}")
     if ws.batch != len(obs):
         raise ShapeError(f"the workspace holds {ws.batch} rows, the batch has {len(obs)}")
     model, xs, hs, grads = ws.model, ws.xs, ws.hs, ws.grads

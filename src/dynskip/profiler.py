@@ -3,9 +3,9 @@ layer ablation.
 
 Informativeness is read as low input/output activation similarity: layers
 that change the hidden-state distribution the most hurt the most when
-skipped, so those become the always-executed static set. The pairwise
-similarity matrix is computed for reporting; selection uses the per-layer
-input/output vector.
+skipped, so those become the always-executed static set. The profile is
+one vector, each layer's mean cosine between its block's input and output,
+and selection reads it alone.
 """
 
 from __future__ import annotations
@@ -72,17 +72,9 @@ class StaticSet:
 
 # --- activation similarity profile --------------------------------------------
 
-@dataclass
-class LayerProfile:
-    pair_similarity: np.ndarray  # (N, N) mean cosine over block outputs
-    io_similarity: np.ndarray    # (N,) mean cosine between block input/output
-    samples: int
-    excluded: int = 0
-
-
-def profile_layers(model: PolicyModel, obs: np.ndarray, instr: np.ndarray) -> LayerProfile:
-    """Mean pairwise cosine similarity of block outputs plus the per-layer
-    input/output similarity, over a dataset of inputs.
+def profile_layers(model: PolicyModel, obs: np.ndarray, instr: np.ndarray) -> np.ndarray:
+    """The (depth,) per-layer mean cosine similarity between each block's
+    input and output, over a dataset of inputs.
 
     Samples with any zero-norm activation are excluded from the means with a
     logged count; if everything is excluded the profile is degenerate.
@@ -102,32 +94,23 @@ def profile_layers(model: PolicyModel, obs: np.ndarray, instr: np.ndarray) -> La
     if not np.any(valid):
         raise DegenerateInputError("all profile samples had zero-norm activations")
     unit = stack[:, valid, :] / norms[:, valid, None]
-    outs = unit[1:]                              # block outputs
-    pair = np.einsum("ibd,jbd->ij", outs, outs) / unit.shape[1]
-    pair = 0.5 * (pair + pair.T)                 # enforce exact symmetry
-    io = np.einsum("ibd,ibd->i", unit[:-1], unit[1:]) / unit.shape[1]
-    return LayerProfile(pair_similarity=pair, io_similarity=io,
-                        samples=int(np.sum(valid)), excluded=excluded)
+    return np.einsum("ibd,ibd->i", unit[:-1], unit[1:]) / unit.shape[1]
 
 
-def select_static(profile: LayerProfile, ratio: float) -> StaticSet:
+def select_static(io_similarity: np.ndarray, ratio: float) -> StaticSet:
     """Pick the ceil(ratio * N) layers with the lowest input/output
     similarity (ties broken by lower index), then force in the final block."""
     if not 0.0 < ratio <= 1.0:
         raise ConfigError("static ratio must be in (0, 1]")
-    n_blocks = profile.io_similarity.shape[0]
+    n_blocks = io_similarity.shape[0]
     n_pick = math.ceil(ratio * n_blocks)
-    order = np.lexsort((np.arange(n_blocks), profile.io_similarity))
+    order = np.lexsort((np.arange(n_blocks), io_similarity))
     chosen = sorted(set(order[:n_pick].tolist()) | {n_blocks - 1})
     return StaticSet(indices=tuple(int(i) for i in chosen), depth=n_blocks)
 
 
-def write_profile_csv(io_path, pairs_path, profile: LayerProfile) -> None:
-    containers.write_csv(io_path, ["layer", "io_similarity"],
-                         enumerate(profile.io_similarity.tolist()))
-    containers.write_csv(pairs_path, ["i", "j", "similarity"],
-                         ((i, j, s) for i, row in enumerate(profile.pair_similarity.tolist())
-                          for j, s in enumerate(row)))
+def write_profile_csv(path, io_similarity: np.ndarray) -> None:
+    containers.write_csv(path, ["layer", "io_similarity"], enumerate(io_similarity.tolist()))
 
 
 # --- zero-shot layer sensitivity ----------------------------------------------

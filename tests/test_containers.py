@@ -19,10 +19,7 @@ def _write_every_csv(out):
     bench.write_report_csv(out / "report.csv", [
         bench.ModeStats("full", 2, 1.5, 0.5, 12.0, 198144.0, 0.0, 0.0),
         bench.ModeStats("random-skip", 2, 0.0, 0.0, 7.25, 1 / 3, 3.0, 0.125, 0.3)])
-    pairs = np.array([[1.0, 0.5, 1 / 3], [0.5, 1.0, -0.25], [1 / 3, -0.25, 1.0]])
-    profile = profiler.LayerProfile(pair_similarity=pairs,
-                                    io_similarity=np.array([0.9, 1 / 3, -0.0]), samples=4)
-    profiler.write_profile_csv(out / "io.csv", out / "pairs.csv", profile)
+    profiler.write_profile_csv(out / "io.csv", np.array([0.9, 1 / 3, -0.0]))
     profiler.write_zero_shot_csv(out / "zero.csv", np.array([0.5, -1e-3, 1 / 7]))
     distill._write_stage_log(out / "stage1.csv",
                              distill.StageReport("stage1", losses=[0.5, 0.25]))
@@ -42,9 +39,6 @@ GOLDEN_CSV = {
                   b"full,1.5,0.5,12.0,198144.0,0.0,0.0,2,,\r\n"
                   b"random-skip,0.0,0.0,7.25,0.3333333333333333,3.0,0.125,2,0.3,False\r\n",
     "io.csv": b"layer,io_similarity\r\n0,0.9\r\n1,0.3333333333333333\r\n2,-0.0\r\n",
-    "pairs.csv": b"i,j,similarity\r\n0,0,1.0\r\n0,1,0.5\r\n0,2,0.3333333333333333\r\n"
-                 b"1,0,0.5\r\n1,1,1.0\r\n1,2,-0.25\r\n2,0,0.3333333333333333\r\n"
-                 b"2,1,-0.25\r\n2,2,1.0\r\n",
     "zero.csv": b"layer,mse_delta\r\n-1,0.0\r\n0,0.5\r\n1,-0.001\r\n2,0.14285714285714285\r\n",
     "stage1.csv": b"step,loss,task_loss,norm_loss,mean_gate\r\n0,0.5,,,\r\n1,0.25,,,\r\n",
     "stage2.csv": b"step,loss,task_loss,norm_loss,mean_gate\r\n0,1.0,0.75,2.0,0.5\r\n"

@@ -292,7 +292,7 @@ class TestEstimateSkipRate:
         mods.tau = float(np.max(gates)) + 1e-9
         assert dt.estimate_skip_rate(model, mods, obs, instr) == 0.0
 
-    def test_one_1d_probe_row_is_one_row(self):
+    def test_one_1d_probe_row_is_one_row(self, monkeypatch):
         model, ss, mods = make_setup(depth=8, statics=(0, 4, 7), seed=19)
         obs, instr, _ = rand_batch(model, 3, 20)
         for o, c in zip(obs, instr):
@@ -300,7 +300,8 @@ class TestEstimateSkipRate:
                 model, mods, o[None], c[None])
         assert dt.estimate_skip_rate(model, mods, np.zeros(sim.OBS_DIM), np.zeros(2)) in (
             0.0, 0.25, 0.5, 0.75, 1.0)  # 4 dynamic layers
-        with pytest.raises(ValueError):  # every probe row needs its instruction
+        monkeypatch.setattr(dt, "forward_skipped", None)  # the rows are refused before any walk
+        with pytest.raises(ShapeError, match="3 probe observation rows but 2 instruction rows"):
             dt.estimate_skip_rate(model, mods, obs, instr[:2])
 
 
@@ -370,11 +371,11 @@ class TestRunTwoStage:
 
     def test_skip_modules_of_another_depth_rejected(self):
         cfg = PolicyConfig(instr_dim=2, hidden_dim=16, depth=8, seed=23)
-        mods = rt.init_skip_modules(build_policy(cfg), StaticSet(indices=(2, 5, 7), depth=8))
         model = build_policy(replace(cfg, depth=12))
         ds = self._dataset(model, seed=24)
         with pytest.raises(ConfigError, match="static set depth 8 does not match the model's 12"):
-            dt.run_two_stage(model, mods, ds, dt.DistillConfig(stage1_steps=5, stage2_steps=5))
+            dt.distill_pipeline(model, StaticSet(indices=(2, 5, 7), depth=8), ds,
+                                dt.DistillConfig(stage1_steps=5, stage2_steps=5))
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_nonpositive_batch_size_rejected(self, batch_size):
@@ -476,7 +477,7 @@ def _per_batch_stage2(model, mods, selections, obs, instr, targets, lam):
 
 def _benchmark_sized(statics, rows=600, seed=0):
     """The benchmark's policy shape (d = 64, depth 12) on random rows, with
-    the whole-set teacher trace run_two_stage builds."""
+    the whole-set teacher trace distill_pipeline builds."""
     model = build_policy(PolicyConfig(seed=seed))
     mods = rt.init_skip_modules(model, StaticSet(indices=statics, depth=12), seed=seed + 1)
     rng = np.random.default_rng(seed + 2)

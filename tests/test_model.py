@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dynskip import containers, runtime, sim
-from dynskip.errors import ConfigError, ShapeError
+from dynskip.errors import ConfigError, NumericError, ShapeError
 from dynskip.model import (
     PolicyConfig,
     PolicyModel,
@@ -213,9 +213,22 @@ class TestTaskLoss:
 
     def test_empty_batch_rejected(self):
         model = build_policy(tiny_config())
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match=r"nonempty 2-D batch, got obs of shape \(0, 7\)"):
             task_loss_and_grads(TaskWorkspace(model, 0), np.zeros((0, sim.OBS_DIM)),
                                 np.zeros((0, 2)), np.zeros((0, sim.ACTION_DIM)))
+        with pytest.raises(ShapeError, match=r"nonempty 2-D batch, got obs of shape \(7,\)"):
+            task_loss_and_grads(TaskWorkspace(model, 1), np.zeros(sim.OBS_DIM), np.zeros(2),
+                                np.zeros(sim.ACTION_DIM))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["obs", "instr", "targets"])
+    def test_a_non_finite_input_is_named(self, name, bad):
+        model = build_policy(tiny_config())
+        obs, instr = self._batch(model)
+        batch = dict(obs=obs, instr=instr, targets=np.zeros((3, sim.ACTION_DIM)))
+        batch[name][1, 0] = bad
+        with pytest.raises(NumericError, match=f"non-finite {name}"):
+            task_loss_and_grads(TaskWorkspace(model, 3), **batch)
 
     def test_gradients_match_finite_differences(self):
         model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=4, depth=4, seed=13))

@@ -74,12 +74,45 @@ def test_no_new_public_name_is_reached_only_by_tests():
     assert set(defs) - reached - TEST_ONLY_API - TEST_ONLY_MEMBERS == set()
 
 
-def _configs():
-    """Every *Config dataclass that a dynskip module defines."""
+def _dataclasses():
+    """Every dataclass that a dynskip module defines."""
     return [cls for info in pkgutil.iter_modules(dynskip.__path__)
             for cls in vars(importlib.import_module(f"dynskip.{info.name}")).values()
             if isinstance(cls, type) and dataclasses.is_dataclass(cls)
-            and cls.__name__.endswith("Config") and cls.__module__ == f"dynskip.{info.name}"]
+            and cls.__module__ == f"dynskip.{info.name}"]
+
+
+def _configs():
+    """Every *Config dataclass that a dynskip module defines."""
+    return [cls for cls in _dataclasses() if cls.__name__.endswith("Config")]
+
+
+# Dataclass fields that only tests read, each with its reason. A field that
+# src/dynskip and perfbench never read is dead weight, and must join this
+# list on purpose or go.
+TEST_ONLY_FIELDS = {
+    "Episode.diagnostic": "the EnvError text of a diverged episode, for inspection",
+    "StageReport.skip_rate": "the stage's controller-only skip rate on the probe rows",
+}
+
+
+def test_every_dataclass_field_is_read():
+    """A field counts as read when src/dynskip or perfbench loads it as an
+    attribute of any object, or names it in a string constant (as
+    bench.REPORT_FIELDS names ModeStats' columns for getattr)."""
+    root = PYPROJECT.parent
+    read = set()
+    files = [*(root / "src" / "dynskip").glob("*.py"), *(root / "perfbench").rglob("*.py")]
+    for path in sorted(files):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    fields = [f"{cls.__name__}.{f.name}" for cls in _dataclasses()
+              for f in dataclasses.fields(cls)]
+    unread = [name for name in fields if name.rpartition(".")[2] not in read]
+    assert sorted(unread) == sorted(TEST_ONLY_FIELDS)
 
 
 def test_every_config_field_is_set_by_some_caller():
