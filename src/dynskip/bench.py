@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import containers, flops, runtime as rt, sim
-from .errors import ConfigError, TraceIntegrityError
+from .errors import ConfigError, ShapeError, TraceIntegrityError
 from .model import (PolicyConfig, PolicyModel, TaskWorkspace, build_policy, forward_recorded,
                     mse_and_grad, task_loss_and_grads)
-from .numerics import Adam
+from .numerics import Adam, as_f64
 from .runtime import Episode, GuidanceConfig, SkipModules
 
 REPORT_HEADER_COMMENT = (
@@ -82,13 +82,6 @@ def train_base_policy(model_config: PolicyConfig, train_config: TrainConfig,
         if step % train_config.val_every == 0 or step == train_config.steps:
             log.append((step, loss, validation_mse(model, val_set)))
     return model, log
-
-
-def write_train_log(path, log) -> None:
-    """The step-0 row has no training loss and leaves its cell empty."""
-    containers.write_csv(path, ["step", "train_loss", "val_mse"],
-                         ((step, None if np.isnan(loss) else loss, val)
-                          for step, loss, val in log))
 
 
 # --- mode evaluation ---------------------------------------------------------------
@@ -292,8 +285,13 @@ def cross_check_report(out_dir, report_path, model_config: PolicyConfig) -> None
 
 def paired_one_sided_pvalue(better, worse, n_resamples: int = 10_000,
                             seed: int = 0) -> float:
-    """Sign-flip permutation p-value for H1: mean(better - worse) > 0."""
-    d = np.asarray(better, dtype=np.float64) - np.asarray(worse, dtype=np.float64)
+    """Sign-flip permutation p-value for H1: mean(better - worse) > 0.
+    Both arms are 1-D and of one length (ShapeError) and finite (NumericError)."""
+    better, worse = as_f64(better, "better arm"), as_f64(worse, "worse arm")
+    if better.ndim != 1 or better.shape != worse.shape:
+        raise ShapeError(f"paired arms must be 1-D of one length, got {better.shape} "
+                         f"and {worse.shape}")
+    d = better - worse
     if d.size == 0:
         raise ConfigError("paired test needs at least one pair")
     observed = d.mean()

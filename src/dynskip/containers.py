@@ -11,9 +11,8 @@
   step record lists every block the step ran in `executed_layers`, a
   verified step's re-run included, so `flops.flop_estimate_record` can
   check it and re-price it alone, as the rollout priced it.
-- CSV tables (train and stage logs, reports, the zero-shot study and the
-  layer profile, whose one table is `layer,io_similarity`): `write_csv`,
-  read back with `read_csv`.
+- CSV tables (the distillation stage logs and the mode report):
+  `write_csv`, read back with `read_csv`.
 
 Every header carries `kind` and `schema_version`; loaders pass it through
 `check_header`, so a wrong or stale artifact, or a header field that is

@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from . import containers
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DegenerateInputError, ShapeError
 from .model import PolicyModel, block_forward, block_vjp, forward_recorded, head_forward, mse_and_grad
 from .numerics import MLP_PARTS, Adam, Params, flat_views
 from .runtime import (
@@ -98,8 +98,6 @@ class StageReport:
     task_losses: list = field(default_factory=list)
     norm_losses: list = field(default_factory=list)
     mean_gates: list = field(default_factory=list)
-    final_adapter_residual: dict = field(default_factory=dict)
-    controller_mean_gate: dict = field(default_factory=dict)
     skip_rate: float = 0.0
     diverged: bool = False
 
@@ -443,10 +441,12 @@ def estimate_skip_rate(model: PolicyModel, mods: SkipModules, obs, instr) -> flo
     """Fraction of dynamic layers skipped by the pure controller policy
     (allow points pinned at the segment starts) on probe rows; a 1-D obs and
     instr are one row. Every observation row needs its instruction row
-    (ShapeError)."""
+    (ShapeError), and there must be at least one (DegenerateInputError)."""
     obs, instr = np.atleast_2d(obs), np.atleast_2d(instr)
     if len(obs) != len(instr):
         raise ShapeError(f"{len(obs)} probe observation rows but {len(instr)} instruction rows")
+    if len(obs) == 0:
+        raise DegenerateInputError("skip rate needs at least one probe row")
     n_dyn = len(mods.static_set.dynamic_layers)
     n_static = len(mods.static_set.indices)
     if n_dyn == 0:
@@ -456,21 +456,6 @@ def estimate_skip_rate(model: PolicyModel, mods: SkipModules, obs, instr) -> flo
         _, trace = forward_skipped(model, mods, mods.static_set.segment_starts, o, c)
         executed += len(trace.executed_layers) - n_static
     return 1.0 - executed / (len(obs) * n_dyn)
-
-
-def _probe_diagnostics(model, mods, report: StageReport, trace, obs, instr) -> None:
-    """Adapter residuals and mean gates on the probe rows' teacher `trace`,
-    and the controller-only skip rate on their observations."""
-    batch = len(trace[0])
-    for front, back in mods.static_set.segments:
-        target = trace[back]
-        for j in range(front + 1, back):
-            out = adapter_forward(mods, j, trace[j])
-            resid = out - target
-            report.final_adapter_residual[j] = float(np.sum(resid * resid)) / batch
-            g = controller_forward(mods, j, trace[j])
-            report.controller_mean_gate[j] = float(np.mean(g))
-    report.skip_rate = estimate_skip_rate(model, mods, obs, instr)
 
 
 def _write_stage_log(path, report: StageReport) -> None:
@@ -498,8 +483,7 @@ def distill_pipeline(model: PolicyModel, static_set, dataset: Dataset,
     if n_rows < 1:
         raise ConfigError("empty distillation dataset")
     teacher = forward_recorded(model, obs, instr)[1]
-    probe = slice(256)  # the leading rows the end-of-stage diagnostics read
-    probe_trace = [t[probe] for t in teacher]
+    probe = slice(256)  # the leading rows the end-of-stage skip rate reads
     batch = min(config.batch_size, n_rows)
 
     def stage1(report, opt, ws, idx):
@@ -529,7 +513,7 @@ def distill_pipeline(model: PolicyModel, static_set, dataset: Dataset,
             if not np.isfinite(report.losses[-1]):
                 report.diverged = True
                 break
-        _probe_diagnostics(model, mods, report, probe_trace, obs[probe], instr[probe])
+        report.skip_rate = estimate_skip_rate(model, mods, obs[probe], instr[probe])
         if log_dir is not None:
             _write_stage_log(Path(log_dir) / f"{name}_log.csv", report)
         if report.diverged:

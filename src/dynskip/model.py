@@ -33,7 +33,6 @@ from .numerics import (
     MLP_PARTS,
     Params,
     affine_param_grads,
-    affine_vjp,
     as_f64,
     bind_affine,
     bind_mlp,
@@ -239,7 +238,8 @@ def task_loss_and_grads(ws: TaskWorkspace, obs, instr, targets):
     loss, dpred = mse_and_grad(head_forward(model, xs[-1], out=ws.pred), targets, out=ws.err)
 
     dx, spare = ws.dx, ws.spare  # the input gradient alternates between these two
-    affine_vjp(model.params["head.W"], xs[-1], dpred, out=(grads["head.W"], grads["head.b"], dx))
+    affine_param_grads(xs[-1], dpred, out=(grads["head.W"], grads["head.b"]))
+    np.matmul(dpred, model.params["head.W"], out=dx)
     for i in reversed(range(model.config.depth)):
         block_vjp(model, i, xs[i], hs[i], dx, grads, out=(ws.dz, ws.t, spare))
         dx, spare = spare, dx

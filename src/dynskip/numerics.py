@@ -72,14 +72,6 @@ def affine_param_grads(x: np.ndarray, dy: np.ndarray, out=None):
     return np.matmul(dy.T, x, out=dW), dy.sum(axis=0, out=db)
 
 
-def affine_vjp(W: np.ndarray, x: np.ndarray, dy: np.ndarray, out=None):
-    """Gradients of y = x @ W.T + b given upstream dy. Returns (dW, db, dx);
-    with `out`, a (dW, db, dx) triple, they are written there and returned."""
-    dW, db, dx = (None, None, None) if out is None else out
-    dW, db = affine_param_grads(x, dy, (dW, db))
-    return dW, db, np.matmul(dy, W, out=dx)
-
-
 def l2_norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float64 vector, bit-equal to np.linalg.norm(v),
     which computes sqrt(v.dot(v)) for it too, without that call's dispatch.

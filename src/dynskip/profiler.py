@@ -5,7 +5,8 @@ Informativeness is read as low input/output activation similarity: layers
 that change the hidden-state distribution the most hurt the most when
 skipped, so those become the always-executed static set. The profile is
 one vector, each layer's mean cosine between its block's input and output,
-and selection reads it alone.
+and selection reads it alone. The profile and the zero-shot deltas are
+returned as arrays; this module writes no file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import containers
 from .errors import ConfigError, DegenerateInputError
 from .model import PolicyModel, block_forward, forward_recorded, head_forward, mse_and_grad
 
@@ -109,10 +109,6 @@ def select_static(io_similarity: np.ndarray, ratio: float) -> StaticSet:
     return StaticSet(indices=tuple(int(i) for i in chosen), depth=n_blocks)
 
 
-def write_profile_csv(path, io_similarity: np.ndarray) -> None:
-    containers.write_csv(path, ["layer", "io_similarity"], enumerate(io_similarity.tolist()))
-
-
 # --- zero-shot layer sensitivity ----------------------------------------------
 
 def zero_shot_sensitivity(model: PolicyModel, obs, instr, targets):
@@ -137,9 +133,3 @@ def zero_shot_sensitivity(model: PolicyModel, obs, instr, targets):
         skipped, _ = mse_and_grad(head_forward(model, x), targets)
         deltas[i] = skipped - baseline
     return baseline, deltas
-
-
-def write_zero_shot_csv(path, deltas: np.ndarray) -> None:
-    """Layer -1 is the no-skip reference row, with delta 0 by definition."""
-    rows = [(-1, 0.0)] + list(enumerate(np.asarray(deltas, dtype=np.float64).tolist()))
-    containers.write_csv(path, ["layer", "mse_delta"], rows)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dynskip import bench, containers, distill, flops, profiler, runtime as rt, sim
-from dynskip.errors import ConfigError, TraceIntegrityError
+from dynskip.errors import ConfigError, NumericError, ShapeError, TraceIntegrityError
 from dynskip.model import PolicyConfig, build_policy
 from dynskip.profiler import StaticSet
 
@@ -390,6 +390,22 @@ def test_report_flags_a_random_skip_row_at_full_depth(tmp_path, monkeypatch, pro
 def test_paired_pvalue_rejects_empty_input():
     with pytest.raises(ConfigError):
         bench.paired_one_sided_pvalue([], [])
+
+
+@pytest.mark.parametrize("better,worse", [([1, 0, 1], [0]), ([0], [1, 0, 1]), ([1, 0], [0, 0, 0]),
+                                          ([[1, 0], [1, 1]], [[0, 0], [0, 0]])])
+def test_paired_pvalue_rejects_arms_that_are_not_pairs(better, worse):
+    with pytest.raises(ShapeError, match="1-D of one length"):
+        bench.paired_one_sided_pvalue(better, worse)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("arm", ["better", "worse"])
+def test_paired_pvalue_rejects_a_non_finite_value_by_arm(arm, bad):
+    arms = {"better": [0.0, 0.0], "worse": [1.0, 0.0]}
+    arms[arm][1] = bad
+    with pytest.raises(NumericError, match=f"{arm} arm"):
+        bench.paired_one_sided_pvalue(arms["better"], arms["worse"])
 
 
 def test_paired_pvalue_is_one_when_every_difference_is_zero():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from dynskip import bench, containers, distill, profiler, runtime as rt, sim
+from dynskip import bench, containers, distill, runtime as rt, sim
 from dynskip.errors import ConfigError, ShapeError, TraceIntegrityError
 from dynskip.model import PolicyConfig, build_policy, load_policy, save_policy
 from dynskip.profiler import StaticSet
@@ -13,14 +13,13 @@ COMMENT = bench.REPORT_HEADER_COMMENT.encode() + b"\n"
 
 
 def _write_every_csv(out):
-    """Every CSV writer of the package, on fixed inputs, into `out`."""
-    bench.write_train_log(out / "train.csv",
-                          [(0, float("nan"), 0.25), (5, 0.1, 1 / 3), (10, 2.5e-17, 1e22)])
+    """Every CSV table of the package, on fixed inputs, into `out`; train.csv
+    pins the float and empty-cell formatting of `write_csv` itself."""
+    containers.write_csv(out / "train.csv", ["step", "train_loss", "val_mse"],
+                         [(0, None, 0.25), (5, 0.1, 1 / 3), (10, 2.5e-17, 1e22)])
     bench.write_report_csv(out / "report.csv", [
         bench.ModeStats("full", 2, 1.5, 0.5, 12.0, 198144.0, 0.0, 0.0),
         bench.ModeStats("random-skip", 2, 0.0, 0.0, 7.25, 1 / 3, 3.0, 0.125, 0.3)])
-    profiler.write_profile_csv(out / "io.csv", np.array([0.9, 1 / 3, -0.0]))
-    profiler.write_zero_shot_csv(out / "zero.csv", np.array([0.5, -1e-3, 1 / 7]))
     distill._write_stage_log(out / "stage1.csv",
                              distill.StageReport("stage1", losses=[0.5, 0.25]))
     distill._write_stage_log(out / "stage2.csv", distill.StageReport(
@@ -38,8 +37,6 @@ GOLDEN_CSV = {
                   b"random_skip_full_depth\r\n"
                   b"full,1.5,0.5,12.0,198144.0,0.0,0.0,2,,\r\n"
                   b"random-skip,0.0,0.0,7.25,0.3333333333333333,3.0,0.125,2,0.3,False\r\n",
-    "io.csv": b"layer,io_similarity\r\n0,0.9\r\n1,0.3333333333333333\r\n2,-0.0\r\n",
-    "zero.csv": b"layer,mse_delta\r\n-1,0.0\r\n0,0.5\r\n1,-0.001\r\n2,0.14285714285714285\r\n",
     "stage1.csv": b"step,loss,task_loss,norm_loss,mean_gate\r\n0,0.5,,,\r\n1,0.25,,,\r\n",
     "stage2.csv": b"step,loss,task_loss,norm_loss,mean_gate\r\n0,1.0,0.75,2.0,0.5\r\n"
                   b"1,0.5,0.3333333333333333,0.0,0.125\r\n",

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from dynskip import distill as dt, runtime as rt, sim
-from dynskip.errors import ConfigError, ShapeError
+from dynskip.errors import ConfigError, DegenerateInputError, ShapeError
 from dynskip.model import (PolicyConfig, block_forward, block_vjp, build_policy, embed_forward,
                            forward_recorded, head_forward, mse_and_grad)
-from dynskip.numerics import Adam, affine_vjp, mlp_vjp, sigmoid
+from dynskip.numerics import Adam, mlp_vjp, sigmoid
 from dynskip.profiler import StaticSet
 from gradcheck import grad_check
 from test_model import block_reference
@@ -304,6 +304,13 @@ class TestEstimateSkipRate:
         with pytest.raises(ShapeError, match="3 probe observation rows but 2 instruction rows"):
             dt.estimate_skip_rate(model, mods, obs, instr[:2])
 
+    def test_no_probe_row_is_degenerate(self, monkeypatch):
+        model, ss, mods = make_setup(depth=8, statics=(0, 4, 7), seed=19)
+        obs, instr, _ = rand_batch(model, 3, 20)
+        monkeypatch.setattr(dt, "forward_skipped", None)  # refused before any walk
+        with pytest.raises(DegenerateInputError, match="at least one probe row"):
+            dt.estimate_skip_rate(model, mods, obs[:0], instr[:0])
+
 
 class TestRunTwoStage:
     def _dataset(self, model, n=400, seed=0):
@@ -446,7 +453,7 @@ def _per_batch_stage2(model, mods, selections, obs, instr, targets, lam):
         norm_loss += float(np.sum((1.0 - gates[:, si]) * (back - selections[si]))) / batch
     loss = task_loss + lam * norm_loss
     grads = {k: np.zeros_like(v) for k, v in mods.params.items()}
-    _, _, dx = affine_vjp(model.params["head.W"], x, dpred)
+    dx = np.matmul(dpred, model.params["head.W"])
     for entry in reversed(caches):
         if entry[0] == "static":
             dx = block_vjp(model, entry[1], None, entry[2], dx)
@@ -606,8 +613,8 @@ class TestTeacherTrace:
     # kernel that conftest.py forces; the SkylakeX digests they replace were
     # taken with the per-batch forms
     @pytest.mark.parametrize("statics,params_digest,reports_digest", [
-        ((2, 5), "7a7548ea24d8d177", "ab367b1ad4fb44e2"),
-        ((0, 3, 5), "7760e8f233caf90f", "bf9b3b62280668d4")])
+        ((2, 5), "7a7548ea24d8d177", "287cc74fc700631e"),
+        ((0, 3, 5), "7760e8f233caf90f", "eae0db580009fb21")])
     def test_pipeline_matches_the_per_batch_digests(self, statics, params_digest,
                                                     reports_digest):
         model = build_policy(PolicyConfig(instr_dim=2, hidden_dim=16, depth=6, seed=20))
@@ -622,9 +629,7 @@ class TestTeacherTrace:
         h = hashlib.sha256()
         for name in sorted(reports):
             r = reports[name]
-            for col in (r.losses, r.task_losses, r.norm_losses, r.mean_gates,
-                        list(r.final_adapter_residual.items()),
-                        list(r.controller_mean_gate.items()), [r.skip_rate]):
+            for col in (r.losses, r.task_losses, r.norm_losses, r.mean_gates, [r.skip_rate]):
                 h.update(repr(col).encode())
         assert h.hexdigest()[:16] == reports_digest
 

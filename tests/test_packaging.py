@@ -27,11 +27,11 @@ def test_every_console_script_target_imports():
 
 # Public names that only tests reach: the entry points of a `dynskip.cli` module
 # that does not exist yet. A public function or class reached by nothing in
-# src/dynskip or perfbench must join this list on purpose, or get a caller.
+# src/dynskip or perfbench must join this list on purpose, or get a caller;
+# a listed name that is gone, or has gained a caller, must leave it.
 TEST_ONLY_API = {
     "save_dataset", "load_dataset", "save_policy", "load_policy",
-    "save_skip_modules", "load_skip_modules", "write_train_log", "write_profile_csv",
-    "write_zero_shot_csv", "paired_one_sided_pvalue",
+    "save_skip_modules", "load_skip_modules", "paired_one_sided_pvalue",
 }
 
 # Public methods and properties that only tests reach, by the same rule.
@@ -43,7 +43,16 @@ TEST_ONLY_MEMBERS = {
 }
 
 
+def _name_tokens(path):
+    """(token, line) of every NAME token of a file: code only, no comments or strings."""
+    with open(path, "rb") as fh:
+        return [(tok.string, tok.start[0]) for tok in tokenize.tokenize(fh.readline)
+                if tok.type == tokenize.NAME]
+
+
 def test_no_new_public_name_is_reached_only_by_tests():
+    """The public names that src/dynskip and perfbench never reach are
+    exactly the listed ones, and tests reach each of those."""
     root = PYPROJECT.parent
     package = sorted((root / "src" / "dynskip").glob("*.py"))
     defs = {}  # qualified name -> (file, first line, last line) of its definition
@@ -63,15 +72,15 @@ def test_no_new_public_name_is_reached_only_by_tests():
         by_token.setdefault(name.rpartition(".")[2], []).append(name)
     reached = set()
     for path in package + sorted((root / "perfbench").rglob("*.py")):
-        with open(path, "rb") as fh:  # NAME tokens: code only, no comments or strings
-            for tok in tokenize.tokenize(fh.readline):
-                if tok.type != tokenize.NAME:
-                    continue
-                for name in by_token.get(tok.string, ()):
-                    own, first, last = defs[name]
-                    if path != own or not first <= tok.start[0] <= last:
-                        reached.add(name)
-    assert set(defs) - reached - TEST_ONLY_API - TEST_ONLY_MEMBERS == set()
+        for token, line in _name_tokens(path):
+            for name in by_token.get(token, ()):
+                own, first, last = defs[name]
+                if path != own or not first <= line <= last:
+                    reached.add(name)
+    test_only = TEST_ONLY_API | TEST_ONLY_MEMBERS
+    assert sorted(set(defs) - reached) == sorted(test_only)
+    in_tests = {token for path in (root / "tests").rglob("*.py") for token, _ in _name_tokens(path)}
+    assert sorted(n for n in test_only if n.rpartition(".")[2] not in in_tests) == []
 
 
 def _dataclasses():
@@ -99,13 +108,23 @@ TEST_ONLY_FIELDS = {
 def test_every_dataclass_field_is_read():
     """A field counts as read when src/dynskip or perfbench loads it as an
     attribute of any object, or names it in a string constant (as
-    bench.REPORT_FIELDS names ModeStats' columns for getattr)."""
+    bench.REPORT_FIELDS names ModeStats' columns for getattr). A load that
+    only an item store or delete indexes (`report.f[j] = v`) is a write."""
     root = PYPROJECT.parent
     read = set()
     files = [*(root / "src" / "dynskip").glob("*.py"), *(root / "perfbench").rglob("*.py")]
     for path in sorted(files):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        stored = set()  # ids of the attribute loads that item stores and deletes index
+        for node in nodes:
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                inner = node.value
+                while isinstance(inner, ast.Subscript):  # report.f[i][j] = v
+                    inner = inner.value
+                stored.add(id(inner))
+        for node in nodes:
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in stored):
                 read.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 read.add(node.value)

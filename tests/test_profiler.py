@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from dynskip import containers, profiler, sim
+from dynskip import profiler, sim
 from dynskip.errors import DegenerateInputError
 from dynskip.model import PolicyConfig, block_forward, build_policy, embed_forward, forward_recorded, head_forward
 
@@ -114,13 +114,3 @@ class TestZeroShot:
         assert deltas.shape == (model.config.depth,)
         for i in range(model.config.depth):
             assert deltas[i] == mse(_skip_one(model, obs, instr, i)) - baseline
-
-    def test_csv_starts_with_the_no_skip_reference_row(self, tmp_path):
-        model, obs, instr, targets = self._setup()
-        _, deltas = profiler.zero_shot_sensitivity(model, obs, instr, targets)
-        path = tmp_path / "zero_shot.csv"
-        profiler.write_zero_shot_csv(path, deltas)
-        rows = containers.read_csv(path)
-        assert rows[0] == {"layer": "-1", "mse_delta": "0.0"}
-        assert [int(r["layer"]) for r in rows[1:]] == list(range(model.config.depth))
-        assert [float(r["mse_delta"]) for r in rows[1:]] == deltas.tolist()
